@@ -75,9 +75,6 @@ class Algebra:
     def zero(self) -> "Element":
         return Element(freeze(np.zeros(self.dim, dtype=complex)), self)
 
-    def basis(self) -> list["Element"]:
-        return [self.basis_element(i) for i in range(self.dim)]
-
     def is_unital(self) -> bool:
         return self.identity_coords is not None
 
@@ -161,11 +158,15 @@ class Subspace:
         return self.residual(vector) <= tol
 
     def residual(self, vector) -> float:
-        v = as_complex(vector).reshape(-1)
-        return max_abs(reduce_vector(v, self.echelon, list(self.pivots)))
+        return float(self.residuals(as_complex(vector).reshape(-1, 1))[0])
+
+    def residuals(self, columns) -> np.ndarray:
+        """Membership residual of every column of ``columns``, in one reduction."""
+        reduced = reduce_vector(columns, self.echelon, list(self.pivots))
+        return np.abs(reduced).max(axis=0, initial=0.0)
 
     def contains_subspace(self, other: "Subspace", tol: float = EPS) -> bool:
-        return all(self.contains(col, tol) for col in other.basis.T)
+        return bool(np.all(self.residuals(other.basis) <= tol))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim} of {self.algebra.dim})"
@@ -199,19 +200,14 @@ def _associativity_check(structure: np.ndarray, eps: float) -> None:
 
 
 def _find_identity(structure: np.ndarray, eps: float) -> np.ndarray | None:
-    # e . b_i = b_i and b_i . e = b_i: stack both families of linear systems
+    # e . b_i = b_i and b_i . e = b_i: stack both families of linear systems.
+    # Block (i, 0) is (k, m): coeff of e_m in b_m b_i; block (i, 1) is b_i b_m.
     n = structure.shape[0]
     if n == 0:
         return None
-    rows = []
-    rhs = []
-    for i in range(n):
-        rows.append(structure[:, i, :].T)  # (k, m): coeff of e_m in b_m b_i
-        rhs.append(np.eye(n, dtype=complex)[:, i])
-        rows.append(structure[i, :, :].transpose(1, 0))  # b_i . e
-        rhs.append(np.eye(n, dtype=complex)[:, i])
-    system = np.vstack(rows)
-    target = np.concatenate(rhs)
+    system = np.stack([structure.transpose(1, 2, 0), structure.transpose(0, 2, 1)],
+                      axis=1).reshape(2 * n * n, n)
+    target = np.broadcast_to(np.eye(n, dtype=complex)[:, None, :], (n, 2, n)).reshape(-1)
     e, residual = solve_exact(system, target)
     if residual <= eps:
         return e
@@ -242,13 +238,10 @@ def make_algebra(dim: int, structure, labels: Sequence[str] | None = None,
 
     if declared_identity is not None:
         e = as_complex(declared_identity).reshape(-1)
-        worst = 0.0
-        for i in range(dim):
-            basis_vec = np.zeros(dim, dtype=complex)
-            basis_vec[i] = 1.0
-            left = np.einsum("m,mk->k", e, structure[:, i, :])
-            right = np.einsum("m,mk->k", e, structure[i, :, :])
-            worst = max(worst, max_abs(left - basis_vec), max_abs(right - basis_vec))
+        basis_vecs = np.eye(dim, dtype=complex)
+        left = np.einsum("m,mik->ik", e, structure)   # row i: e . b_i
+        right = np.einsum("m,imk->ik", e, structure)  # row i: b_i . e
+        worst = max(max_abs(left - basis_vecs), max_abs(right - basis_vecs))
         if worst > eps:
             raise IdentityMismatch(
                 f"declared identity fails with residual {worst:.3e}",
@@ -322,8 +315,12 @@ def matrix_algebra(n: int, *, norm_kind: str = NORM_ELL1) -> Algebra:
     return make_algebra(dim, structure, labels, declared_identity=identity, norm_kind=norm_kind)
 
 
-def _verify_group_table(table: np.ndarray) -> int:
-    """Check group axioms on a multiplication table; return identity index."""
+def _verify_group_table(table: np.ndarray) -> tuple[int, np.ndarray]:
+    """Check group axioms on a multiplication table.
+
+    Returns the identity index and the array of inverses
+    (``table[g, inverse[g]]`` is the identity).
+    """
     n = table.shape[0]
     if table.shape != (n, n):
         raise NotAGroup("group table must be square", law="group table shape")
@@ -342,17 +339,19 @@ def _verify_group_table(table: np.ndarray) -> int:
         if row != set(range(n)) or col != set(range(n)):
             raise NotAGroup(f"element {i} has no inverse (table not a Latin square)",
                             law="inverse axiom")
-    for i, j, k in iter_product(range(n), repeat=3):
-        if table[table[i, j], k] != table[i, table[j, k]]:
-            raise NotAGroup(f"associativity fails at ({i},{j},{k})", law="associativity")
-    return identity
+    # [i, j, k]: (g_i g_j) g_k against g_i (g_j g_k); the first failure in C order is reported
+    failures = np.argwhere(table[table] != table[:, table])
+    if failures.size:
+        i, j, k = failures[0]
+        raise NotAGroup(f"associativity fails at ({i},{j},{k})", law="associativity")
+    return identity, np.argmax(table == identity, axis=1)
 
 
 def group_algebra(table, labels: Sequence[str] | None = None, *,
                   norm_kind: str = NORM_ELL1) -> Algebra:
     """Group algebra C[G] from a multiplication table of element indices."""
     table = np.asarray(table, dtype=int)
-    identity_idx = _verify_group_table(table)
+    identity_idx, _ = _verify_group_table(table)
     n = table.shape[0]
     structure = np.zeros((n, n, n), dtype=complex)
     for i, j in iter_product(range(n), repeat=2):
@@ -415,33 +414,33 @@ class SubspaceFlags:
     is_right_ideal: bool
 
 
+def _pair_products(algebra: Algebra, cols: np.ndarray) -> np.ndarray:
+    """``u . v`` for every ordered pair of columns, as columns in ``(u, v)`` order."""
+    n, m = cols.shape
+    return np.einsum("ip,jq,ijk->kpq", cols, cols, algebra.structure).reshape(n, m * m)
+
+
+def _action_escapes(algebra: Algebra, s: Subspace, tol: float) -> np.ndarray:
+    """Which products of the basis with ``s`` leave ``s``.
+
+    Entry ``[i, j, 0]`` flags ``b_i . s_j`` and ``[i, j, 1]`` flags
+    ``s_j . b_i``, where ``s_j`` are the canonical columns; C order is the
+    order in which an escape witness is reported.
+    """
+    cols = s.canonical_columns()
+    n, m = cols.shape
+    actions = np.stack([np.einsum("aj,iak->ijk", cols, algebra.structure),
+                        np.einsum("aj,aik->ijk", cols, algebra.structure)], axis=2)
+    return s.residuals(actions.reshape(-1, n).T).reshape(n, m, 2) > tol
+
+
 def analyze_subspace(algebra: Algebra, s: Subspace, tol: float = EPS) -> SubspaceFlags:
     """Decide subalgebra / left ideal / right ideal by basis products."""
-    cols = s.canonical_columns().T
-    sub = True
-    for u in cols:
-        for v in cols:
-            prod = np.einsum("i,j,ijk->k", u, v, algebra.structure)
-            if not s.contains(prod, tol):
-                sub = False
-                break
-        if not sub:
-            break
-    left = True   # A . S subset S
-    right = True  # S . A subset S
-    for i in range(algebra.dim):
-        for v in cols:
-            if left:
-                prod = np.einsum("j,jk->k", v, algebra.structure[i])
-                if not s.contains(prod, tol):
-                    left = False
-            if right:
-                prod = np.einsum("a,ak->k", v, algebra.structure[:, i, :])
-                if not s.contains(prod, tol):
-                    right = False
-        if not left and not right:
-            break
-    return SubspaceFlags(is_subalgebra=sub, is_left_ideal=left, is_right_ideal=right)
+    products = _pair_products(algebra, s.canonical_columns())
+    escapes = _action_escapes(algebra, s, tol)
+    return SubspaceFlags(is_subalgebra=bool(np.all(s.residuals(products) <= tol)),
+                         is_left_ideal=not escapes[:, :, 0].any(),   # A . S subset S
+                         is_right_ideal=not escapes[:, :, 1].any())  # S . A subset S
 
 
 def subalgebra_closure(algebra: Algebra, generators: Iterable) -> Subspace:
@@ -458,12 +457,7 @@ def subalgebra_closure(algebra: Algebra, generators: Iterable) -> Subspace:
     current = Subspace(np.column_stack(vecs), algebra)
     while True:
         cols = current.canonical_columns()
-        new_vecs = [cols]
-        for u in cols.T:
-            for v in cols.T:
-                new_vecs.append(
-                    np.einsum("i,j,ijk->k", u, v, algebra.structure).reshape(-1, 1))
-        grown = Subspace(np.hstack(new_vecs), algebra)
+        grown = Subspace(np.hstack([cols, _pair_products(algebra, cols)]), algebra)
         if grown.dim == current.dim:
             return current
         current = grown
@@ -502,13 +496,14 @@ def quotient(algebra: Algebra, s: Subspace, tol: float = EPS):
     the ideal's echelon form, which makes the quotient basis labelling
     reproducible.  Returns ``(quotient_algebra, quotient_map)``.
     """
-    from .starmap import AlgMap, make_map  # deferred: starmap imports algebra
+    from .starmap import make_map  # deferred: starmap imports algebra
 
-    flags = analyze_subspace(algebra, s, tol)
-    if not (flags.is_left_ideal and flags.is_right_ideal):
-        witness = _ideal_escape_witness(algebra, s, tol)
+    escapes = _action_escapes(algebra, s, tol)
+    if escapes.any():
+        i, j, side = np.unravel_index(int(np.argmax(escapes)), escapes.shape)
+        witness = f"b_{i} . s_{j}" if side == 0 else f"s_{j} . b_{i}"
         raise NotAnIdeal(
-            f"subspace is not a two-sided ideal: {witness}",
+            f"subspace is not a two-sided ideal: {witness} escapes the subspace",
             law="A.S and S.A contained in S")
     n = algebra.dim
     pivots = list(s.pivots)
@@ -517,48 +512,23 @@ def quotient(algebra: Algebra, s: Subspace, tol: float = EPS):
     if k == 0:
         raise UsageError("quotient by the whole algebra is trivial")
 
-    def reduce_to_free(vec: np.ndarray) -> np.ndarray:
-        reduced = reduce_vector(vec, s.echelon, pivots)
-        return reduced[free]
-
-    structure = np.zeros((k, k, k), dtype=complex)
-    for a, i in enumerate(free):
-        for b, j in enumerate(free):
-            structure[a, b, :] = reduce_to_free(algebra.structure[i, j, :].copy())
+    # reduce each product b_i b_j (i, j free) and each b_i onto the free coordinates
+    products = algebra.structure[np.ix_(free, free)].reshape(k * k, n).T
+    structure = reduce_vector(products, s.echelon, pivots)[free].T.reshape(k, k, k)
     labels = [algebra.basis_labels[i] for i in free]
     quot = make_algebra(k, structure, labels, norm_kind=algebra.norm_kind)
 
-    q_matrix = np.zeros((k, n), dtype=complex)
-    for i in range(n):
-        basis_vec = np.zeros(n, dtype=complex)
-        basis_vec[i] = 1.0
-        q_matrix[:, i] = reduce_to_free(basis_vec)
+    q_matrix = reduce_vector(np.eye(n, dtype=complex), s.echelon, pivots)[free]
     qmap = make_map(q_matrix, conjugating=False, source=algebra, target=quot)
 
     # certify q(xy) = q(x)q(y) on all basis pairs
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            lhs = q_matrix @ algebra.structure[i, j, :]
-            rhs = np.einsum("a,b,abk->k", q_matrix[:, i], q_matrix[:, j], structure)
-            worst = max(worst, max_abs(lhs - rhs))
+    lhs = q_matrix @ algebra.structure.reshape(n * n, n).T
+    rhs = np.einsum("ai,bj,abk->kij", q_matrix, q_matrix, structure).reshape(k, n * n)
+    worst = max_abs(lhs - rhs)
     if worst > tol:
         raise NotAnIdeal(f"quotient map fails multiplicativity (residual {worst:.3e})",
                          law="q(xy) = q(x) q(y)", residual=worst)
     return quot, qmap
-
-
-def _ideal_escape_witness(algebra: Algebra, s: Subspace, tol: float) -> str:
-    cols = s.canonical_columns()
-    for i in range(algebra.dim):
-        for j, v in enumerate(cols.T):
-            left = np.einsum("j,jk->k", v, algebra.structure[i])
-            if not s.contains(left, tol):
-                return f"b_{i} . s_{j} escapes the subspace"
-            right = np.einsum("a,ak->k", v, algebra.structure[:, i, :])
-            if not s.contains(right, tol):
-                return f"s_{j} . b_{i} escapes the subspace"
-    return "escape witness not found at tolerance"
 
 
 def unitize_algebra(algebra: Algebra) -> Algebra:

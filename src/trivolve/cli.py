@@ -386,10 +386,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _seed(default: int) -> int:
+    """``TRIVOLVE_SEED`` when it is set, else ``default``."""
+    raw = os.environ.get("TRIVOLVE_SEED")
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"TRIVOLVE_SEED must be an integer, got {raw!r}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    seed = int(os.environ.get("TRIVOLVE_SEED", args.seed))
     try:
+        seed = _seed(args.seed)
         config = RunConfig(command=args.command, tolerance=args.tolerance,
                            rank_threshold=args.rank_threshold, seed=seed,
                            output_format=args.output_format, out=args.out,

@@ -6,6 +6,14 @@ quotient of the second dual by the annihilator of ``X``, with the fixed
 complement spanned by the non-pivot coordinates of the annihilator's
 echelon form.  Both Arens products are computed by unwinding their
 three-step definitions literally on dual bases.
+
+Every module action is taken over the whole basis at once: the stacks
+``lambda . b_i`` and ``b_i . lambda`` for all ``i`` are one contraction
+of the structure tensor, and their membership in ``X`` is one batched
+reduction.  In finite dimension the second dual is ``A`` itself, so the
+functionals ``Phi_i`` that span ``X*`` act as the basis vectors do
+(``Phi_i . lambda = b_i . lambda`` and ``lambda . Phi_i = lambda . b_i``);
+the submodule stacks therefore also decide introversion.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from .algebra import (
     Algebra,
     Element,
     Subspace,
+    _verify_group_table,
     algebras_compatible,
     group_algebra,
     is_commutative,
@@ -48,6 +57,7 @@ from .linalg import (
     reduce_vector,
     solve_exact,
 )
+from .instances import _involutive_permutations_canonical, averaging_trivolution, indicator_trivolution
 from .starmap import AlgMap, apply, classify_multiplicativity, make_map
 from .trivolution import KIND_INVOLUTION, classify_star_map
 
@@ -105,10 +115,8 @@ def verify_character(algebra: Algebra, coords, eps: float = EPS) -> Character:
     if max_abs(coords) <= eps:
         raise CertificationFailure("the zero functional is not a character",
                                    law="characters are non-zero")
-    worst = 0.0
-    vals = coords
     prods = np.einsum("ijk,k->ij", algebra.structure, coords)
-    outer = np.outer(vals, vals)
+    outer = np.outer(coords, coords)
     worst = max_abs(prods - outer)
     if worst > eps:
         raise CertificationFailure("functional is not multiplicative",
@@ -188,57 +196,43 @@ def full_dual(algebra: Algebra) -> IntrovertedSpace:
     return check_introverted(algebra, np.eye(algebra.dim))
 
 
+def _dual_actions(algebra: Algebra, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``lam_s . b_a`` and ``b_a . lam_s`` for every column ``lam_s`` and basis vector ``b_a``.
+
+    Both stacks are indexed ``[s, a, y]``: ``<lam . b_a, b_y> = <lam, b_a b_y>``
+    and ``<b_a . lam, b_y> = <lam, b_y b_a>``.
+    """
+    c = algebra.structure
+    return np.einsum("ayk,ks->say", c, lams), np.einsum("yak,ks->say", c, lams)
+
+
 def check_introverted(algebra: Algebra, x_basis, eps: float = EPS) -> IntrovertedSpace:
     """Certify submodule, introversion and faithfulness flags for ``X``.
 
-    Introversion is checked with functionals on ``X`` ranging over the
-    restrictions of a full second-dual basis, which surject onto ``X*``
-    in finite dimensions.  A failed submodule check reports all-false
-    introversion flags with a diagnostic rather than raising.
+    ``X`` is a submodule when every ``lambda_s . b_i`` and ``b_i . lambda_s``
+    lies in ``X``.  Introversion asks the same of ``Phi_i . lambda`` and
+    ``lambda . Phi_i`` for functionals ``Phi_i`` restricted from a full
+    second-dual basis, which surject onto ``X*``.  In finite dimension
+    ``Phi_i . lambda = b_i . lambda`` and ``lambda . Phi_i = lambda . b_i``,
+    so both introversion flags read the submodule stacks and equal the
+    submodule flag.  A failed submodule check reports all-false
+    introversion flags with a diagnostic naming the first escape (by
+    ``s``, then ``i``, right action first) rather than raising.
     """
     x = Subspace(as_complex(x_basis), algebra)
     n = algebra.dim
-    cols = x.canonical_columns()
-
-    submodule = True
+    right, left = _dual_actions(algebra, x.canonical_columns())
+    stacks = np.stack([right, left], axis=2)  # [s, i, side, :]
+    escapes = x.residuals(stacks.reshape(-1, n).T).reshape(stacks.shape[:3]) > eps
+    submodule = not escapes.any()
     diagnostic = ""
-    for s, lam in enumerate(cols.T):
-        for i in range(n):
-            right = left_mult_matrix(algebra, algebra.basis_element(i)).T @ lam
-            left = right_mult_matrix(algebra, algebra.basis_element(i)).T @ lam
-            if not x.contains(right, eps):
-                submodule = False
-                diagnostic = f"lambda_{s} . b_{i} escapes X"
-                break
-            if not x.contains(left, eps):
-                submodule = False
-                diagnostic = f"b_{i} . lambda_{s} escapes X"
-                break
-        if not submodule:
-            break
-
-    left_intro = right_intro = False
-    if submodule:
-        left_intro = right_intro = True
-        l_mats = [left_mult_matrix(algebra, algebra.basis_element(a)) for a in range(n)]
-        r_mats = [right_mult_matrix(algebra, algebra.basis_element(a)) for a in range(n)]
-        for lam in cols.T:
-            w_left = np.stack([l.T @ lam for l in l_mats])   # row a: lam . b_a
-            w_right = np.stack([r.T @ lam for r in r_mats])  # row a: b_a . lam
-            for i in range(n):
-                if left_intro and not x.contains(w_left[:, i], eps):
-                    left_intro = False
-                    diagnostic = diagnostic or f"Phi_{i} . lambda escapes X"
-                if right_intro and not x.contains(w_right[:, i], eps):
-                    right_intro = False
-                    diagnostic = diagnostic or f"lambda . Phi_{i} escapes X"
-            if not (left_intro or right_intro):
-                break
-
-    faithful = x.dim == n
+    if not submodule:
+        s, i, side = np.unravel_index(int(np.argmax(escapes)), escapes.shape)
+        diagnostic = (f"lambda_{s} . b_{i} escapes X" if side == 0
+                      else f"b_{i} . lambda_{s} escapes X")
     return IntrovertedSpace(algebra=algebra, basis=x, submodule=submodule,
-                            left_introverted=left_intro, right_introverted=right_intro,
-                            faithful=faithful, diagnostic=diagnostic)
+                            left_introverted=submodule, right_introverted=submodule,
+                            faithful=x.dim == n, diagnostic=diagnostic)
 
 
 @dataclass(frozen=True)
@@ -262,22 +256,24 @@ class DualQuotientRep:
         return len(self.free)
 
     def reduce(self, vector) -> np.ndarray:
-        """Canonical representative (full length, supported on free coords)."""
-        return reduce_vector(as_complex(vector).reshape(-1),
-                             self.annihilator_echelon, list(self.annihilator_pivots))
+        """Canonical representative (full length, supported on free coords).
+
+        Like the other methods, takes a vector or a matrix of columns.
+        """
+        return reduce_vector(vector, self.annihilator_echelon, list(self.annihilator_pivots))
 
     def rep_coords(self, vector) -> np.ndarray:
         return self.reduce(vector)[list(self.free)]
 
     def embed_coords(self, coords) -> np.ndarray:
-        out = np.zeros(self.space.algebra.dim, dtype=complex)
-        out[list(self.free)] = as_complex(coords).reshape(-1)
+        coords = as_complex(coords)
+        out = np.zeros((self.space.algebra.dim,) + coords.shape[1:], dtype=complex)
+        out[list(self.free)] = coords
         return out
 
     def from_values(self, values) -> np.ndarray:
         """Representative of the functional with given values on the X basis."""
-        u = np.linalg.solve(self.eval_matrix, as_complex(values).reshape(-1))
-        return self.embed_coords(u)
+        return self.embed_coords(np.linalg.solve(self.eval_matrix, as_complex(values)))
 
 
 def dual_quotient_rep(space: IntrovertedSpace) -> DualQuotientRep:
@@ -323,39 +319,23 @@ def arens_products(algebra: Algebra, space: IntrovertedSpace,
     rep = dual_quotient_rep(space)
     n = algebra.dim
     k = rep.dim
-    xb = space.basis.canonical_columns()
     free = list(rep.free)
 
-    l_mats = [left_mult_matrix(algebra, algebra.basis_element(a)) for a in range(n)]
-    r_mats = [right_mult_matrix(algebra, algebra.basis_element(a)) for a in range(n)]
-
-    box = np.zeros((k, k, k), dtype=complex)
-    diamond = np.zeros((k, k, k), dtype=complex)
-    escape = 0.0
-    for j in range(k):
-        for s in range(xb.shape[1]):
-            lam = xb[:, s]
-            # Psi_j . lam over the standard basis of A
-            psi_lam = np.array([(l_mats[a].T @ lam)[free[j]] for a in range(n)])
-            escape = max(escape, space.basis.residual(psi_lam))
-            for i in range(k):
-                box_val = psi_lam[free[i]]
-                box[i, j, s] = box_val  # temporarily store values on the X basis
-    for i in range(k):
-        for s in range(xb.shape[1]):
-            lam = xb[:, s]
-            lam_phi = np.array([(r_mats[a].T @ lam)[free[i]] for a in range(n)])
-            escape = max(escape, space.basis.residual(lam_phi))
-            for j in range(k):
-                diamond[i, j, s] = lam_phi[free[j]]
+    # [s, a, y]: lambda_s . b_a and b_a . lambda_s over the standard basis
+    right, left = _dual_actions(algebra, space.basis.canonical_columns())
+    # Psi_j . lambda_s is right[s, :, free_j]; lambda_s . Phi_i is left[s, :, free_i]
+    intermediates = np.concatenate([right[:, :, free], left[:, :, free]], axis=2)
+    escape = float(space.basis.residuals(
+        intermediates.transpose(1, 0, 2).reshape(n, -1)).max(initial=0.0))
     if escape > eps:
         raise NotIntroverted(f"an intermediate action escaped X (residual {escape:.3e})",
                              law="Psi . lambda in X", residual=escape)
+    # values on the X basis, [i, j, s]: <Psi_j . lambda_s, b_free_i>, <lambda_s . Phi_i, b_free_j>
+    box_values = right[:, free][:, :, free].transpose(1, 2, 0)
+    diamond_values = left[:, free][:, :, free].transpose(2, 1, 0)
     # convert values-on-X-basis into representatives on the free coordinates
-    for i in range(k):
-        for j in range(k):
-            box[i, j, :] = rep.from_values(box[i, j, :])[free]
-            diamond[i, j, :] = rep.from_values(diamond[i, j, :])[free]
+    box = rep.from_values(box_values.reshape(k * k, k).T)[free].T.reshape(k, k, k)
+    diamond = rep.from_values(diamond_values.reshape(k * k, k).T)[free].T.reshape(k, k, k)
 
     gap = max_abs(box - diamond)
     labels = [algebra.basis_labels[f] for f in free]
@@ -381,23 +361,19 @@ def extend_involution(algebra: Algebra, theta: AlgMap, space: IntrovertedSpace,
                               law="theta^2 = id, conjugate-linear anti-homomorphism")
     # theta*(f) = conj(theta_matrix^T f) on dual coordinates
     adj_matrix = np.conj(theta.matrix.T)
-    for lam in space.basis.canonical_columns().T:
-        moved = adj_matrix @ np.conj(lam)
-        if not space.basis.contains(moved, eps):
-            raise NotInvariant("the adjoint moves X off itself",
-                               law="theta*(X) contained in X",
-                               residual=space.basis.residual(moved))
+    moved = space.basis.residuals(adj_matrix @ np.conj(space.basis.canonical_columns()))
+    if np.any(moved > eps):
+        raise NotInvariant("the adjoint moves X off itself",
+                           law="theta*(X) contained in X",
+                           residual=float(moved[np.argmax(moved > eps)]))
     arens = arens_products(algebra, space, eps)
     if not arens.regular:
         raise NotArensRegular("the two Arens products differ on X*",
                               law="box = diamond on X*",
                               residual=arens.residuals["regularity_gap"])
     rep = arens.rep
-    k = rep.dim
-    matrix = np.zeros((k, k), dtype=complex)
-    for i, f_idx in enumerate(rep.free):
-        image = theta.matrix[:, f_idx]  # theta applied to the real basis vector b_f
-        matrix[:, i] = rep.rep_coords(image)
+    # column i: theta applied to the real basis vector b_f, f = free[i]
+    matrix = rep.rep_coords(theta.matrix[:, list(rep.free)])
     extension = AlgMap(matrix=matrix, conjugating=True,
                        source=arens.box_algebra, target=arens.box_algebra)
     verdict = classify_star_map(arens.box_algebra, extension, eps, eps_rank)
@@ -406,12 +382,8 @@ def extend_involution(algebra: Algebra, theta: AlgMap, space: IntrovertedSpace,
                                    law="Theta is an involution on (X*, box)",
                                    residual=max(verdict.anti_residual, verdict.cube_residual))
     if space.faithful:
-        worst = 0.0
-        for a in range(algebra.dim):
-            image_of_a = rep.rep_coords(np.eye(algebra.dim)[:, a])
-            lhs = extension.matrix @ np.conj(image_of_a)
-            rhs = rep.rep_coords(theta.matrix[:, a])
-            worst = max(worst, max_abs(lhs - rhs))
+        images = rep.rep_coords(np.eye(algebra.dim))  # column a: the class of b_a
+        worst = max_abs(extension.matrix @ np.conj(images) - rep.rep_coords(theta.matrix))
         if worst > eps:
             raise CertificationFailure("extension does not restrict to theta",
                                        law="Theta extends theta along A -> X*",
@@ -451,37 +423,27 @@ def tim_set(algebra: Algebra, space: IntrovertedSpace, phi: Character,
         raise CharacterNotInX("the character does not lie in X",
                               law="phi in X", residual=space.basis.residual(phi.coords))
     rep = dual_quotient_rep(space)
+    n = algebra.dim
     k = rep.dim
     free = list(rep.free)
-    rows = []
-    rhs = []
-    for a in range(algebra.dim):
-        l_a = left_mult_matrix(algebra, algebra.basis_element(a))
-        r_a = right_mult_matrix(algebra, algebra.basis_element(a))
-        phi_a = complex(phi.coords[a])
-        left_block = np.zeros((k, k), dtype=complex)
-        right_block = np.zeros((k, k), dtype=complex)
-        for t in range(k):
-            left_block[:, t] = rep.rep_coords(l_a[:, free[t]])
-            right_block[:, t] = rep.rep_coords(r_a[:, free[t]])
-        rows.append(left_block - phi_a * np.eye(k))
-        rhs.append(np.zeros(k, dtype=complex))
-        rows.append(right_block - phi_a * np.eye(k))
-        rhs.append(np.zeros(k, dtype=complex))
-    rows.append(phi.coords[free].reshape(1, -1))
-    rhs.append(np.array([1.0 + 0.0j]))
-    system = np.vstack(rows)
-    target = np.concatenate(rhs)
+    c = algebra.structure
+    # [row, a, t]: b_a . b_free_t (left) and b_free_t . b_a (right), as classes in X*
+    left = rep.rep_coords(c[:, free, :].transpose(2, 0, 1).reshape(n, n * k)).reshape(k, n, k)
+    right = rep.rep_coords(c[free, :, :].transpose(2, 1, 0).reshape(n, n * k)).reshape(k, n, k)
+    # per a, the block rows a.m - phi(a) m and m.a - phi(a) m, then <m, phi> = 1
+    blocks = (np.stack([left, right]).transpose(2, 0, 1, 3)
+              - phi.coords[:, None, None, None] * np.eye(k))
+    system = np.vstack([blocks.reshape(2 * n * k, k), phi.coords[free].reshape(1, -1)])
+    target = np.zeros(2 * n * k + 1, dtype=complex)
+    target[-1] = 1.0
 
     u, residual = solve_exact(system, target)
     _, kernel = column_space_and_nullspace(system, eps_rank)
     if residual > eps:
         return TimSolutionSet(particular=None,
                               homogeneous=np.zeros((algebra.dim, 0), dtype=complex), rep=rep)
-    particular = rep.embed_coords(u)
-    homogeneous = (np.column_stack([rep.embed_coords(col) for col in kernel.T])
-                   if kernel.shape[1] else np.zeros((algebra.dim, 0), dtype=complex))
-    return TimSolutionSet(particular=particular, homogeneous=homogeneous, rep=rep)
+    return TimSolutionSet(particular=rep.embed_coords(u), homogeneous=rep.embed_coords(kernel),
+                          rep=rep)
 
 
 @dataclass(frozen=True)
@@ -505,7 +467,6 @@ def tim_obstruction_check(algebra: Algebra, space: IntrovertedSpace, phi: Charac
         arens = arens_products(algebra, space, eps)
     rep = arens.rep
     box = arens.box
-    k = rep.dim
 
     star_verdict = classify_star_map(arens.box_algebra, star, eps, eps_rank)
     if star_verdict.kind != KIND_INVOLUTION:
@@ -513,13 +474,9 @@ def tim_obstruction_check(algebra: Algebra, space: IntrovertedSpace, phi: Charac
                                       law="star^2 = id, anti-multiplicative",
                                       residual=max(star_verdict.anti_residual,
                                                    star_verdict.cube_residual))
-    compat = 0.0
-    for a in range(algebra.dim):
-        a_rep = rep.rep_coords(np.eye(algebra.dim)[:, a])
-        starred = rep.embed_coords(star.matrix @ np.conj(a_rep))
-        lhs = pairing(phi.coords, starred)
-        rhs = np.conj(pairing(phi.coords, rep.embed_coords(a_rep)))
-        compat = max(compat, abs(lhs - rhs))
+    a_reps = rep.rep_coords(np.eye(algebra.dim))  # column a: the class of b_a
+    starred = rep.embed_coords(star.matrix @ np.conj(a_reps))
+    compat = max_abs(phi.coords @ starred - np.conj(phi.coords @ rep.embed_coords(a_reps)))
     if compat > eps:
         raise NotCompatibleInvolution("star is not compatible with the character",
                                       law="<phi, a*> = conj <phi, a>", residual=compat)
@@ -533,25 +490,17 @@ def tim_obstruction_check(algebra: Algebra, space: IntrovertedSpace, phi: Charac
     m_star = star.matrix @ np.conj(m)
     residuals: dict[str, float] = {}
 
-    # invariance transported through star: a . m* = m* . a = phi(a) m*
-    worst_inv = 0.0
-    for a in range(algebra.dim):
-        l_a = left_mult_matrix(algebra, algebra.basis_element(a))
-        r_a = right_mult_matrix(algebra, algebra.basis_element(a))
-        left_action = rep.rep_coords(l_a @ rep.embed_coords(m_star))
-        right_action = rep.rep_coords(r_a @ rep.embed_coords(m_star))
-        phi_a = complex(phi.coords[a])
-        worst_inv = max(worst_inv, max_abs(left_action - phi_a * m_star),
-                        max_abs(right_action - phi_a * m_star))
-    residuals["star_invariance"] = worst_inv
+    # invariance transported through star: a . m* = m* . a = phi(a) m*, column a each
+    m_star_full = rep.embed_coords(m_star)
+    left_action = rep.rep_coords(np.einsum("ayk,y->ka", algebra.structure, m_star_full))
+    right_action = rep.rep_coords(np.einsum("yak,y->ka", algebra.structure, m_star_full))
+    scaled = np.outer(phi.coords, m_star).T  # phi(a) first: products keep the scalar's side
+    residuals["star_invariance"] = max(max_abs(left_action - scaled),
+                                       max_abs(right_action - scaled))
 
-    # absorption: n box m* = <n, phi> m* over the X* basis
-    worst_abs = 0.0
-    for i in range(k):
-        prod = np.einsum("j,jt->t", m_star, box[i])
-        n_phi = pairing(phi.coords, rep.embed_coords(np.eye(k)[:, i]))
-        worst_abs = max(worst_abs, max_abs(prod - n_phi * m_star))
-    residuals["absorption"] = worst_abs
+    # absorption: n box m* = <n, phi> m* over the X* basis, row i for n = b_free_i
+    absorbed = np.einsum("j,ijt->it", m_star, box)
+    residuals["absorption"] = max_abs(absorbed - np.outer(phi.coords[free], m_star))
 
     # fixed-point chain m = (m*)* = (m box m*)* = m box m* = <m, phi> m* = m*
     m_star_star = star.matrix @ np.conj(m_star)
@@ -578,23 +527,6 @@ def tim_obstruction_check(algebra: Algebra, space: IntrovertedSpace, phi: Charac
 # ---------------------------------------------------------------------------
 # structured trivolution search
 # ---------------------------------------------------------------------------
-
-def _involutive_permutations_canonical(k_sorted: tuple[int, ...]) -> list[dict[int, int]]:
-    """Canonical involutive permutations of a coordinate set, one per cycle type.
-
-    For ``t`` transpositions the first ``2t`` coordinates (in sorted
-    order) are paired consecutively; remaining coordinates are fixed.
-    """
-    out = []
-    size = len(k_sorted)
-    for t in range(size // 2 + 1):
-        perm = {c: c for c in k_sorted}
-        for pair in range(t):
-            a, b = k_sorted[2 * pair], k_sorted[2 * pair + 1]
-            perm[a], perm[b] = b, a
-        out.append(perm)
-    return out
-
 
 def _is_pointwise(algebra: Algebra, eps: float) -> bool:
     expected = np.zeros_like(algebra.structure)
@@ -625,37 +557,18 @@ def search_trivolutions(algebra: Algebra, family_spec: dict,
         for size in range(1, n + 1):
             for k_set in combinations(range(n), size):
                 for perm in _involutive_permutations_canonical(k_set):
-                    matrix = np.zeros((n, n), dtype=complex)
-                    for j in k_set:
-                        matrix[j, perm[j]] = 1.0
-                    candidate = AlgMap(matrix=matrix, conjugating=True,
-                                       source=algebra, target=algebra)
+                    candidate = indicator_trivolution(algebra, k_set, perm)
                     if classify_star_map(algebra, candidate, eps, eps_rank).is_trivolution:
                         results.append(candidate)
         return results
 
     if family == "group_quotient":
         table = np.asarray(family_spec["table"], dtype=int)
-        reference = group_algebra(table)
-        if not algebras_compatible(reference, algebra, eps):
+        if not algebras_compatible(group_algebra(table), algebra, eps):
             raise UnsupportedFamily("algebra does not match the supplied group table")
-        n = algebra.dim
-        inverse = np.zeros(n, dtype=int)
-        identity = next(e for e in range(n)
-                        if all(table[e, i] == i == table[i, e] for i in range(n)))
-        for g in range(n):
-            inverse[g] = next(h for h in range(n) if table[g, h] == identity)
-        standard = np.zeros((n, n), dtype=complex)
-        for g in range(n):
-            standard[inverse[g], g] = 1.0
+        identity, _ = _verify_group_table(table)
         for subgroup in family_spec.get("normal_subgroups", [[identity]]):
-            members = [int(s) for s in subgroup]
-            averaging = np.zeros((n, n), dtype=complex)
-            for g in range(n):
-                for s in members:
-                    averaging[table[g, s], g] += 1.0 / len(members)
-            matrix = standard @ np.conj(averaging)
-            candidate = AlgMap(matrix=matrix, conjugating=True, source=algebra, target=algebra)
+            candidate = averaging_trivolution(algebra, table, subgroup)
             if classify_star_map(algebra, candidate, eps, eps_rank).is_trivolution:
                 results.append(candidate)
         return results

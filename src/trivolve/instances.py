@@ -17,6 +17,7 @@ import numpy as np
 
 from .algebra import (
     Algebra,
+    _verify_group_table,
     cyclic_group_table,
     function_algebra,
     group_algebra,
@@ -52,13 +53,10 @@ def indicator_trivolution(algebra: Algebra, k_set, perm: dict[int, int] | None =
 
 def standard_group_involution(algebra: Algebra, table) -> AlgMap:
     """g -> g^{-1} with conjugated coefficients."""
-    table = np.asarray(table, dtype=int)
-    n = table.shape[0]
-    identity = next(e for e in range(n) if all(table[e, i] == i == table[i, e] for i in range(n)))
+    _, inverse = _verify_group_table(np.asarray(table, dtype=int))
+    n = len(inverse)
     matrix = np.zeros((n, n), dtype=complex)
-    for g in range(n):
-        inv = next(h for h in range(n) if table[g, h] == identity)
-        matrix[inv, g] = 1.0
+    matrix[inverse, np.arange(n)] = 1.0
     return make_map(matrix, conjugating=True, source=algebra)
 
 
@@ -126,6 +124,23 @@ def s3_table() -> np.ndarray:
     return table
 
 
+def _involutive_permutations_canonical(k_sorted: tuple[int, ...]) -> list[dict[int, int]]:
+    """Canonical involutive permutations of a coordinate set, one per cycle type.
+
+    For ``t`` transpositions the first ``2t`` coordinates (in sorted
+    order) are paired consecutively; remaining coordinates are fixed.
+    """
+    out = []
+    size = len(k_sorted)
+    for t in range(size // 2 + 1):
+        perm = {c: c for c in k_sorted}
+        for pair in range(t):
+            a, b = k_sorted[2 * pair], k_sorted[2 * pair + 1]
+            perm[a], perm[b] = b, a
+        out.append(perm)
+    return out
+
+
 def _involutive_perms_all(k_set: tuple[int, ...]) -> list[dict[int, int]]:
     """Every involutive permutation of the coordinate set (not just canonical)."""
     if not k_set:
@@ -150,8 +165,6 @@ def _involutive_perms_all(k_set: tuple[int, ...]) -> list[dict[int, int]]:
 # ---------------------------------------------------------------------------
 
 def _function_instances(seed: int) -> list[TrivolutionInstance]:
-    from .duality import _involutive_permutations_canonical
-
     rng = np.random.default_rng(seed)
     out = []
     for n in range(2, 6):

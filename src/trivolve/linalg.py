@@ -69,12 +69,17 @@ def echelon_rows(vectors: np.ndarray, tol: float = EPS_RANK) -> tuple[np.ndarray
 def reduce_vector(x: np.ndarray, ech_rows: np.ndarray, pivots: list[int]) -> np.ndarray:
     """Subtract the echelon-span component pinned by the pivot coordinates.
 
-    The result is zero exactly when ``x`` lies in the row span; otherwise
-    it is the canonical residual (zero at every pivot coordinate).
+    ``x`` is a vector, or a matrix whose columns are reduced together.
+    A column comes out zero exactly when it lies in the row span;
+    otherwise it is the canonical residual (zero at every pivot
+    coordinate).  Every column sees the same operations as a lone vector,
+    with the pivot value as the left factor of each product: complex
+    multiplication is not bitwise commutative, and the kept operand order
+    makes batched and one-at-a-time results equal bit for bit.
     """
     y = as_complex(x).copy()
     for row, p in zip(ech_rows, pivots):
-        y = y - y[p] * row
+        y = y - np.multiply.outer(y[p], row).T
     return y
 
 
@@ -107,19 +112,6 @@ def solve_exact(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return x, max_abs(a @ x - b)
 
 
-def affine_solution_set(a: np.ndarray, b: np.ndarray, tol: float = EPS,
-                        rank_tol: float = EPS_RANK) -> tuple[np.ndarray | None, np.ndarray]:
-    """Solve ``a x = b`` returning (particular, homogeneous basis columns).
-
-    ``particular`` is None when the system is inconsistent beyond ``tol``.
-    """
-    x, residual = solve_exact(a, b)
-    _, kernel = column_space_and_nullspace(a, rank_tol)
-    if residual > tol:
-        return None, kernel
-    return x, kernel
-
-
 def realify_conjugation_fixed_points(m: np.ndarray, tol: float = EPS_RANK) -> np.ndarray:
     """Complex basis columns of ``{x : m @ conj(x) = x}``.
 
@@ -141,10 +133,3 @@ def realify_conjugation_fixed_points(m: np.ndarray, tol: float = EPS_RANK) -> np
         return np.zeros((n, 0), dtype=complex)
     return real_basis[:n, :] + 1j * real_basis[n:, :]
 
-
-def deterministic_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
-def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -156,7 +156,11 @@ def algebra_to_json(algebra: Algebra) -> dict:
 def load_map(source: str | Path | dict, default_source: Algebra,
              default_target: Algebra | None = None,
              base_dir: str | Path | None = None) -> AlgMap:
-    """Load a map spec; ``source``/``target`` entries may name algebra files."""
+    """Load a map spec; ``source``/``target`` entries may name algebra files.
+
+    A named file must exist and parse; the defaults apply only when the
+    entry is absent.
+    """
     data = source if isinstance(source, dict) else read_json(source)
     if base_dir is None and not isinstance(source, dict):
         base_dir = Path(source).parent
@@ -167,8 +171,7 @@ def load_map(source: str | Path | dict, default_source: Algebra,
             candidate = Path(name)
             if base_dir is not None and not candidate.is_absolute():
                 candidate = Path(base_dir) / candidate
-            if candidate.exists():
-                return load_algebra(candidate)
+            return load_algebra(candidate)  # a missing file is a ParseError, not a fallback
         return fallback
 
     src = resolve("source", default_source)

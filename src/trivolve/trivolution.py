@@ -288,12 +288,8 @@ def factor_through_involution(algebra: Algebra, tau: AlgMap, j: AlgMap,
     p_i = np.eye(n, dtype=complex) - p_b
 
     # coordinatewise product on I (+) B: drop the cross terms of the ambient product
-    split_structure = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        for jdx in range(n):
-            split_structure[i, jdx, :] = (
-                np.einsum("a,b,abk->k", p_i[:, i], p_i[:, jdx], algebra.structure)
-                + np.einsum("a,b,abk->k", p_b[:, i], p_b[:, jdx], algebra.structure))
+    split_structure = (np.einsum("ai,bj,abk->ijk", p_i, p_i, algebra.structure)
+                       + np.einsum("ai,bj,abk->ijk", p_b, p_b, algebra.structure))
     split_alg = make_algebra(n, split_structure, algebra.basis_labels,
                              norm_kind=algebra.norm_kind, eps=eps)
     c = product_algebra(split_alg, split_alg)

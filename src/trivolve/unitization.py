@@ -108,11 +108,8 @@ def verify_extension(algebra: Algebra, tau: AlgMap, lambda0: complex, x0,
     # family I: lambda0 = 1, x0^2 = -x0, x0 tau(A) = tau(A) x0 = 0, tau(x0) = 0
     sq = multiply(algebra, x0, x0)
     residuals["x0_negated_idempotent"] = max_abs(sq.coords + x0.coords)
-    annih = 0.0
-    for col in image_cols.T:
-        q = Element(col, algebra)
-        annih = max(annih, max_abs(multiply(algebra, x0, q).coords),
-                    max_abs(multiply(algebra, q, x0).coords))
+    annih = max(max_abs(np.einsum("i,jq,ijk->qk", x0.coords, image_cols, algebra.structure)),
+                max_abs(np.einsum("iq,j,ijk->qk", image_cols, x0.coords, algebra.structure)))
     residuals["x0_annihilates_range"] = annih
     residuals["tau_x0"] = max_abs(apply(tau, x0).coords)
     type1 = (abs(lambda0 - 1.0) <= eps
@@ -204,12 +201,10 @@ def _idempotents_exact(sub: Algebra, eps: float) -> list[np.ndarray] | None:
     if search.possibly_incomplete or len(search.characters) != sub.dim:
         return None
     phi = np.vstack([c.coords for c in search.characters])
-    out = []
-    for mask in range(2 ** sub.dim):
-        target = np.array([(mask >> i) & 1 for i in range(sub.dim)], dtype=complex)
-        y = np.linalg.solve(phi, target)
-        out.append(y)
-    return out
+    # column per subset mask: the values 0/1 the idempotent takes on each character
+    masks = np.arange(2 ** sub.dim)
+    targets = ((masks >> np.arange(sub.dim)[:, None]) & 1).astype(complex)
+    return list(np.linalg.solve(phi, targets).T)
 
 
 def _idempotents_newton(sub: Algebra, seed: int, eps: float) -> list[np.ndarray]:

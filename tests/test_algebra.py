@@ -20,6 +20,7 @@ from trivolve.algebra import (
     quotient,
     subalgebra_closure,
 )
+from trivolve.linalg import echelon_rows, reduce_vector
 from trivolve.errors import (
     AssociativityViolation,
     IdentityMismatch,
@@ -183,6 +184,18 @@ class TestQuotient:
         qxy = apply(qmap, multiply(z2, x, y))
         assert np.allclose(qxy.coords, multiply(quot, qx, qy).coords)
 
+    @pytest.mark.parametrize("units, witness", [
+        ((0, 2), "s_0 . b_1"),  # first column {E11, E21}: a left ideal only
+        ((0, 1), "b_2 . s_0"),  # first row {E11, E12}: a right ideal only
+    ])
+    def test_one_sided_ideal_witness(self, m2, units, witness):
+        basis = np.zeros((4, 2), dtype=complex)
+        basis[list(units), [0, 1]] = 1.0
+        with pytest.raises(NotAnIdeal) as caught:
+            quotient(m2, Subspace(basis, m2))
+        assert str(caught.value) == (
+            f"subspace is not a two-sided ideal: {witness} escapes the subspace")
+
     def test_identity_span_not_ideal(self, c2):
         s = Subspace(np.array([[1.0], [1.0]]), c2)
         # oracle: (1,1).(1,0) = (1,0) is outside span{(1,1)}
@@ -235,3 +248,40 @@ class TestSubalgebraClosure:
     def test_requires_generators(self, c2):
         with pytest.raises(UsageError):
             subalgebra_closure(c2, [])
+
+
+def reduce_one(x, ech_rows, pivots):
+    """Reference: one vector at a time, pivot value as the left factor."""
+    y = np.array(x, dtype=complex)
+    for row, p in zip(ech_rows, pivots):
+        y = y - y[p] * row
+    return y
+
+
+class TestBatchedReduction:
+    """Column batches must reproduce the one-vector arithmetic bit for bit."""
+
+    @pytest.mark.parametrize("n, span_dim, cols", [(1, 1, 3), (5, 2, 7), (9, 4, 1),
+                                                   (16, 7, 12), (33, 20, 5)])
+    def test_reduce_vector_columns(self, n, span_dim, cols):
+        rng = np.random.default_rng(n)
+        span = rng.standard_normal((span_dim, n)) + 1j * rng.standard_normal((span_dim, n))
+        ech, piv = echelon_rows(span)
+        x = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
+        expected = np.column_stack([reduce_one(x[:, j], ech, piv) for j in range(cols)])
+        assert np.array_equal(reduce_vector(x, ech, piv), expected)
+        assert np.array_equal(reduce_vector(x[:, 0], ech, piv), expected[:, 0])
+
+    @pytest.mark.parametrize("n, span_dim", [(4, 1), (9, 5), (16, 11)])
+    def test_subspace_residuals(self, n, span_dim):
+        rng = np.random.default_rng(100 + n)
+        algebra = function_algebra(n)
+        basis = rng.standard_normal((n, span_dim)) + 1j * rng.standard_normal((n, span_dim))
+        s = Subspace(basis, algebra)
+        x = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
+        x[:, 0] = basis @ rng.standard_normal(span_dim)  # a member: residual near zero
+        expected = np.array([np.max(np.abs(reduce_one(x[:, j], s.echelon, s.pivots)))
+                             for j in range(6)])
+        assert np.array_equal(s.residuals(x), expected)
+        assert [s.residual(x[:, j]) for j in range(6)] == expected.tolist()
+        assert s.residuals(np.zeros((n, 0))).shape == (0,)

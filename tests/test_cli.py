@@ -140,6 +140,16 @@ def test_seed_env_override(tmp_path, monkeypatch, spec_files):
     assert code == 0  # seed override must not break anything
 
 
+def test_seed_env_not_an_integer(tmp_path, monkeypatch, capsys, spec_files):
+    algebra, tau = spec_files
+    monkeypatch.setenv("TRIVOLVE_SEED", "abc")
+    code = main(["check", "--algebra", algebra, "--map", tau])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: TRIVOLVE_SEED must be an integer, got 'abc'\n"
+
+
 def test_suite_deterministic(tmp_path):
     first = tmp_path / "first.json"
     second = tmp_path / "second.json"

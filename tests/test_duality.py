@@ -98,7 +98,7 @@ class TestIntroverted:
         space = check_introverted(duals, np.array([[0.0], [1.0]]))  # dual of x
         assert not space.submodule
         assert not space.left_introverted and not space.right_introverted
-        assert space.diagnostic
+        assert space.diagnostic == "lambda_0 . b_1 escapes X"
 
 
 class TestArens:

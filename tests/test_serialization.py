@@ -62,6 +62,15 @@ def test_map_with_source_reference(c2, tmp_path):
     assert loaded.source.dim == 2
 
 
+@pytest.mark.parametrize("tag", ["source", "target"])
+def test_map_naming_missing_algebra_file(c2, tmp_path, tag):
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({"matrix": array_to_json(np.eye(2)),
+                                    "conjugating": True, tag: "absent.json"}))
+    with pytest.raises(ParseError, match="absent.json"):
+        load_map(map_path, default_source=c2)
+
+
 def test_element_inline_and_file(c2, tmp_path):
     inline = load_element("[[1, 0], [0, 1]]", c2)
     assert np.allclose(inline.coords, [1.0, 1j])
