@@ -234,6 +234,11 @@ def make_algebra(dim: int, structure, labels: Sequence[str] | None = None,
             raise UsageError(f"{len(labels)} labels for dim {dim}")
     if norm_kind not in (NORM_ELL1, NORM_OPNORM):
         raise UsageError(f"unknown norm kind {norm_kind!r}")
+    # a NaN residual compares false against eps, so it would pass every check below
+    if not np.isfinite(structure).all():
+        raise UsageError("structure constants must be finite")
+    if declared_identity is not None and not np.isfinite(as_complex(declared_identity)).all():
+        raise UsageError("declared identity must be finite")
     _associativity_check(structure, eps)
 
     if declared_identity is not None:

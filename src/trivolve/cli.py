@@ -42,7 +42,7 @@ from .serialization import (
     read_json,
 )
 from .spectra import spectrum, verify_spectral_inclusion
-from .starmap import conjugation_map
+from .starmap import conjugation_map, map_norm
 from .suite import run_suite
 from .trivolution import canonical_decomposition, classify_star_map, factor_through_involution, check_trivolutive_hom
 from .unitization import find_type1_solutions, range_identity, verify_extension
@@ -101,32 +101,26 @@ def _load_space(config: RunConfig, algebra: Algebra):
     return check_introverted(algebra, basis, config.tolerance)
 
 
-def _classification_report(verdict) -> dict:
+def _cmd_check(config: RunConfig) -> dict:
+    algebra, tau = _load_pair(config)
+    verdict = classify_star_map(algebra, tau, config.tolerance, config.rank_threshold)
     return {
         "classification": verdict.kind,
         "is_conjugate_linear": verdict.is_conjugate_linear,
         "is_anti_hom": verdict.is_anti_hom,
         "cubes_to_self": verdict.cubes_to_self,
         "is_injective": verdict.is_injective,
-        "norm_of_map": verdict.norm_of_map,
+        "norm_of_map": map_norm(tau),
         "residuals": {"anti": verdict.anti_residual, "cube": verdict.cube_residual},
+        "algebra_dim": algebra.dim,
     }
-
-
-def _cmd_check(config: RunConfig) -> dict:
-    algebra, tau = _load_pair(config)
-    verdict = classify_star_map(algebra, tau, config.tolerance, config.rank_threshold)
-    report = _classification_report(verdict)
-    report["algebra_dim"] = algebra.dim
-    return report
 
 
 def _cmd_decompose(config: RunConfig) -> dict:
     algebra, tau = _load_pair(config)
-    verdict = classify_star_map(algebra, tau, config.tolerance, config.rank_threshold)
     dec = canonical_decomposition(algebra, tau, config.tolerance, config.rank_threshold)
     return {
-        "classification": verdict.kind,
+        "classification": dec.verdict.kind,
         "decomposition": {
             "I_basis": array_to_json(dec.ideal_I.canonical_columns()),
             "B_basis": array_to_json(dec.embedding),
@@ -157,8 +151,8 @@ def _cmd_hom(config: RunConfig) -> dict:
     a1 = load_algebra(_need(config, "algebra"))
     a2 = load_algebra(config.algebra2) if config.algebra2 else a1
     tau1 = load_map(_need(config, "map"), default_source=a1)
-    tau2 = load_map(config.map2, default_source=a2) if config.map2 else \
-        load_map(_need(config, "map"), default_source=a2)
+    tau2 = (load_map(config.map2 or config.map, default_source=a2)
+            if config.map2 or config.algebra2 else tau1)
     pi = load_map(_need(config, "map3"), default_source=a1, default_target=a2)
     blocks = check_trivolutive_hom(a1, tau1, a2, tau2, pi,
                                    config.tolerance, config.rank_threshold)
@@ -186,10 +180,9 @@ def _cmd_extend(config: RunConfig) -> dict:
     eps, rank = config.tolerance, config.rank_threshold
     records = []
     solutions = find_type1_solutions(algebra, tau, seed=config.seed, eps=eps, eps_rank=rank)
-    for x0 in solutions.solutions:
-        spec = verify_extension(algebra, tau, 1.0, x0, eps, rank)
+    for spec in solutions.specs:
         record = _extension_record(spec)
-        record["best_effort"] = solutions.best_effort
+        record["best_effort"] = spec.best_effort or solutions.best_effort
         records.append(record)
     e_b = range_identity(algebra, tau, eps, rank)
     if e_b is not None:
@@ -280,7 +273,7 @@ def _cmd_tim(config: RunConfig) -> dict:
             "affine_dim": means.affine_dim,
         }
         if star is not None:
-            obstruction = tim_obstruction_check(algebra, space, phi, star, arens, eps, rank)
+            obstruction = tim_obstruction_check(algebra, means, phi, star, arens, eps, rank)
             entry["obstruction"] = {
                 "vacuous": obstruction.vacuous,
                 "unique": obstruction.unique,

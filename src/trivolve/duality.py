@@ -453,18 +453,19 @@ class TimObstructionReport:
     chain_residuals: dict = field(default_factory=dict)
 
 
-def tim_obstruction_check(algebra: Algebra, space: IntrovertedSpace, phi: Character,
-                          star: AlgMap, arens: ArensStructure | None = None,
+def tim_obstruction_check(algebra: Algebra, means: TimSolutionSet, phi: Character,
+                          star: AlgMap, arens: ArensStructure,
                           eps: float = EPS, eps_rank: float = EPS_RANK) -> TimObstructionReport:
     """Certify the invariance/absorption/fixed-point chain for each mean.
 
-    ``star`` must be an involution of ``(X*, box)`` compatible with the
-    character (``<phi, a*> = conj <phi, a>`` on the embedded algebra).
-    The chain forces any mean to be star-fixed and absorbing, hence
-    unique; the solver's affine dimension is certified to agree.
+    ``means`` is ``tim_set(algebra, space, phi)`` and ``arens`` is
+    ``arens_products(algebra, space)``, for one introverted ``space``;
+    both are taken as given, not solved again.  ``star`` must be an
+    involution of ``(X*, box)`` compatible with the character
+    (``<phi, a*> = conj <phi, a>`` on the embedded algebra).  The chain
+    forces any mean to be star-fixed and absorbing, hence unique; the
+    solver's affine dimension is certified to agree.
     """
-    if arens is None:
-        arens = arens_products(algebra, space, eps)
     rep = arens.rep
     box = arens.box
 
@@ -481,12 +482,11 @@ def tim_obstruction_check(algebra: Algebra, space: IntrovertedSpace, phi: Charac
         raise NotCompatibleInvolution("star is not compatible with the character",
                                       law="<phi, a*> = conj <phi, a>", residual=compat)
 
-    solset = tim_set(algebra, space, phi, eps, eps_rank)
-    if solset.is_empty:
+    if means.is_empty:
         return TimObstructionReport(vacuous=True, unique=True, chain_residuals={})
 
     free = list(rep.free)
-    m = solset.particular[free]
+    m = means.particular[free]
     m_star = star.matrix @ np.conj(m)
     residuals: dict[str, float] = {}
 
@@ -516,11 +516,11 @@ def tim_obstruction_check(algebra: Algebra, space: IntrovertedSpace, phi: Charac
         raise CertificationFailure("the invariant-mean identity chain failed",
                                    law="a.m* = m*.a = phi(a) m*; n box m* = <n,phi> m*; m = m*",
                                    residual=worst, details=residuals)
-    if not solset.is_unique:
+    if not means.is_unique:
         raise CertificationFailure(
             "multiple invariant means coexist with a compatible involution",
             law="at most one phi-TIM under a compatible involution",
-            details={"affine_dim": solset.affine_dim})
+            details={"affine_dim": means.affine_dim})
     return TimObstructionReport(vacuous=False, unique=True, chain_residuals=residuals)
 
 

@@ -11,6 +11,7 @@ inputs produce byte-identical output.
 
 from __future__ import annotations
 
+import cmath
 import json
 from pathlib import Path
 
@@ -24,11 +25,16 @@ _NORM_TAGS = {"ell1": NORM_ELL1, "opnorm": NORM_OPNORM}
 
 
 def pair_to_complex(pair) -> complex:
+    """A spec number: a real or an ``[re, im]`` pair, finite in both parts."""
     if isinstance(pair, (int, float)):
-        return complex(pair)
-    if isinstance(pair, (list, tuple)) and len(pair) == 2:
-        return complex(float(pair[0]), float(pair[1]))
-    raise ParseError(f"expected [re, im] pair, got {pair!r}")
+        z = complex(pair)
+    elif isinstance(pair, (list, tuple)) and len(pair) == 2:
+        z = complex(float(pair[0]), float(pair[1]))
+    else:
+        raise ParseError(f"expected [re, im] pair, got {pair!r}")
+    if not cmath.isfinite(z):
+        raise ParseError(f"expected a finite number, got {pair!r}")
+    return z
 
 
 def complex_to_pair(z) -> list[float]:

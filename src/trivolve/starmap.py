@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Element, Subspace, algebras_compatible
+from .algebra import NORM_ELL1, Algebra, Element, Subspace, algebras_compatible, element_norm
 from .errors import AlgebraMismatch, ModeUnsupported, ShapeMismatch
 from .linalg import (
     EPS,
@@ -166,17 +166,20 @@ def kernel_image(f: AlgMap, tol: float = EPS_RANK) -> tuple[Subspace, Subspace]:
     return (Subspace(kernel_cols, f.source), Subspace(image_cols, f.target))
 
 
+def norm_is_sampled(f: AlgMap) -> bool:
+    """True when ``map_norm(f)`` is a sampled lower bound, not the exact norm."""
+    return not (f.source.norm_kind == NORM_ELL1 and f.target.norm_kind == NORM_ELL1)
+
+
 def map_norm(f: AlgMap, *, samples: int = 200, seed: int = 0) -> float:
     """Operator norm of the map under the source algebra's norm.
 
     Exact for the ell-1 norm (max column ell-1 norm, valid for
     conjugating maps too).  For the left-regular operator norm this is a
-    sampled lower-bound estimate; instances in scope only use it for
-    diagnostics.
+    sampled lower-bound estimate (``norm_is_sampled``), which must not
+    certify an upper bound such as contractivity.
     """
-    from .algebra import NORM_ELL1, element_norm  # local: avoid cycle at import time
-
-    if f.source.norm_kind == NORM_ELL1 and f.target.norm_kind == NORM_ELL1:
+    if not norm_is_sampled(f):
         if f.matrix.size == 0:
             return 0.0
         return float(np.max(np.sum(np.abs(f.matrix), axis=0)))

@@ -212,7 +212,7 @@ def _section_tim(eps: float) -> dict:
     theta = standard_group_involution(z2, cyclic_group_table(2))
     arens = arens_products(z2, space)
     star = extend_involution(z2, theta, space)
-    obstruction = tim_obstruction_check(z2, space, augmentation, star, arens)
+    obstruction = tim_obstruction_check(z2, means, augmentation, star, arens)
     ok &= obstruction.unique and not obstruction.vacuous
     worst = max(worst, max(obstruction.chain_residuals.values(), default=0.0))
 

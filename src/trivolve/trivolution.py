@@ -60,7 +60,6 @@ from .starmap import (
     identity_map,
     kernel_image,
     make_map,
-    map_norm,
     maps_equal,
     power,
 )
@@ -79,7 +78,6 @@ class StarClass:
     is_anti_hom: bool
     cubes_to_self: bool
     is_injective: bool
-    norm_of_map: float
     anti_residual: float
     cube_residual: float
 
@@ -116,7 +114,6 @@ def classify_star_map(algebra: Algebra, f: AlgMap, eps: float = EPS,
         is_anti_hom=mult.anti_homomorphism,
         cubes_to_self=cubes,
         is_injective=injective,
-        norm_of_map=map_norm(f),
         anti_residual=mult.anti_residual,
         cube_residual=cube_residual,
     )
@@ -128,7 +125,8 @@ class Decomposition:
 
     ``involution_rho`` acts on the coordinates of the induced algebra on
     ``B`` (available as ``subalgebra``); ``embedding`` holds the basis
-    columns realizing ``B`` inside the ambient algebra.
+    columns realizing ``B`` inside the ambient algebra.  ``verdict`` is
+    the classification of ``tau`` the decomposition was certified on.
     """
 
     ideal_I: Subspace
@@ -137,12 +135,30 @@ class Decomposition:
     involution_rho: AlgMap
     subalgebra: Algebra
     embedding: np.ndarray
+    verdict: StarClass
     residuals: dict = field(repr=False)
 
 
 def canonical_decomposition(algebra: Algebra, tau: AlgMap, eps: float = EPS,
                             eps_rank: float = EPS_RANK) -> Decomposition:
-    """Split a trivolution into ``(I, B, p, rho)`` and certify the laws."""
+    """Split a trivolution into ``(I, B, p, rho)`` and certify the laws.
+
+    Each law is certified once, and a failure raises with its name:
+
+    - ``tau`` is a trivolution (kept as ``verdict``);
+    - ``A = I (+) B`` with ``I = ker tau`` and ``B = tau(A)``;
+    - ``p = tau^2`` is a homomorphism and ``p o p = p``;
+    - ``p(A) = B`` and ``ker p = I``;
+    - ``B`` is a subalgebra and ``tau(B)`` lies in ``B``;
+    - ``rho = tau|_B`` is an involution of ``B``;
+    - ``tau = rho o p``.
+
+    The reconstruction ``rho o p`` uses ``make_trivolution``'s formula on
+    the echelon columns of ``p(A)``, which is what ``make_trivolution``
+    itself builds on.  ``embedding`` spans the same space but can differ
+    from those columns in the last bit, so building on it would change
+    the ``reconstruction`` residual.
+    """
     verdict = classify_star_map(algebra, tau, eps, eps_rank)
     if not verdict.is_trivolution:
         raise NotATrivolution(
@@ -193,15 +209,21 @@ def canonical_decomposition(algebra: Algebra, tau: AlgMap, eps: float = EPS,
                                    residual=max(rho_verdict.anti_residual, rho_verdict.cube_residual))
     residuals["rho_squared"] = max_abs(compose(rho, rho).matrix - np.eye(subalg.dim))
 
-    dec = Decomposition(ideal_I=ideal, subalg_B=image, projection_p=p,
-                        involution_rho=rho, subalgebra=subalg, embedding=embedding,
-                        residuals=residuals)
-    rebuilt = make_trivolution(algebra, p, rho, eps=eps, eps_rank=eps_rank)
+    rebuilt = _rho_after_p(algebra, p_image.canonical_columns(), p, rho)
     residuals["reconstruction"] = max_abs(rebuilt.matrix - tau.matrix)
     if residuals["reconstruction"] > eps:
         raise CertificationFailure("rho o p does not reproduce the original map",
                                    law="tau = rho o p", residual=residuals["reconstruction"])
-    return dec
+    return Decomposition(ideal_I=ideal, subalg_B=image, projection_p=p,
+                         involution_rho=rho, subalgebra=subalg, embedding=embedding,
+                         verdict=verdict, residuals=residuals)
+
+
+def _rho_after_p(algebra: Algebra, embedding: np.ndarray, p: AlgMap, rho: AlgMap) -> AlgMap:
+    """``rho o p`` on ``algebra``, for ``rho`` in the coordinates of the columns ``embedding``."""
+    coords_of = np.linalg.pinv(embedding)
+    matrix = embedding @ rho.matrix @ np.conj(coords_of @ p.matrix)
+    return AlgMap(matrix=matrix, conjugating=True, source=algebra, target=algebra)
 
 
 def make_trivolution(algebra: Algebra, p: AlgMap, rho: AlgMap, eps: float = EPS,
@@ -234,9 +256,7 @@ def make_trivolution(algebra: Algebra, p: AlgMap, rho: AlgMap, eps: float = EPS,
         raise NotAnInvolution("rho is not an involution on the image subalgebra",
                               law="rho^2 = id, rho anti-multiplicative",
                               residual=max(rho_verdict.anti_residual, rho_verdict.cube_residual))
-    coords_of = np.linalg.pinv(embedding)
-    matrix = embedding @ rho.matrix @ np.conj(coords_of @ p.matrix)
-    return AlgMap(matrix=matrix, conjugating=True, source=algebra, target=algebra)
+    return _rho_after_p(algebra, embedding, p, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +384,7 @@ def check_trivolutive_hom(a1: Algebra, tau1: AlgMap, a2: Algebra, tau2: AlgMap,
                                residual=pi_mult.hom_residual)
 
     dec1 = canonical_decomposition(a1, tau1, eps, eps_rank)
-    dec2 = canonical_decomposition(a2, tau2, eps, eps_rank)
+    dec2 = dec1 if a2 is a1 and tau2 is tau1 else canonical_decomposition(a2, tau2, eps, eps_rank)
     qi1, qb1 = dec1.ideal_I.canonical_columns(), dec1.embedding
     qi2, qb2 = dec2.ideal_I.canonical_columns(), dec2.embedding
     t1 = np.hstack([qi1, qb1])
@@ -386,7 +406,7 @@ def check_trivolutive_hom(a1: Algebra, tau1: AlgMap, a2: Algebra, tau2: AlgMap,
                                    residual=residuals["off_diagonal"])
 
     ideal1_alg, _ = induced_subalgebra(a1, dec1.ideal_I, eps=eps)
-    ideal2_alg, _ = induced_subalgebra(a2, dec2.ideal_I, eps=eps)
+    ideal2_alg = ideal1_alg if dec2 is dec1 else induced_subalgebra(a2, dec2.ideal_I, eps=eps)[0]
     pi11 = make_map(pi11_m, conjugating=False, source=ideal1_alg, target=ideal2_alg)
     pi22 = make_map(pi22_m, conjugating=False, source=dec1.subalgebra, target=dec2.subalgebra)
 

@@ -42,7 +42,7 @@ from .linalg import (
     column_space_and_nullspace,
     max_abs,
 )
-from .starmap import AlgMap, apply, kernel_image, map_norm
+from .starmap import AlgMap, apply, kernel_image, map_norm, norm_is_sampled
 from .trivolution import classify_star_map
 
 FAMILY_TYPE_I = "type_I"
@@ -137,10 +137,11 @@ def verify_extension(algebra: Algebra, tau: AlgMap, lambda0: complex, x0,
             residual=max(verdict.anti_residual, verdict.cube_residual),
             details={"family": family, "classified": verdict.kind})
 
+    # a sampled norm is only a lower bound: ``contractive`` is then best effort
     norm = max(abs(lambda0) + element_norm(x0), map_norm(tau))
     return ExtensionSpec(lambda0=lambda0, x0=x0, family=family,
                          contractive=norm <= 1.0 + eps, norm_of_extension=norm,
-                         residuals=residuals)
+                         best_effort=norm_is_sampled(tau), residuals=residuals)
 
 
 def unitize_with_trivolution(algebra: Algebra, tau: AlgMap,
@@ -166,10 +167,19 @@ def unitize_with_trivolution(algebra: Algebra, tau: AlgMap,
 
 @dataclass(frozen=True)
 class Type1Solutions:
-    """All admissible family-I elements, with the solver provenance."""
+    """All admissible family-I elements, with the solver provenance.
 
-    solutions: list[Element]
+    ``specs`` holds the ``verify_extension`` result (``lambda0 = 1``) that
+    certified each solution, in the order of ``solutions``; callers read
+    the certificates from there instead of verifying again.
+    """
+
+    specs: list[ExtensionSpec]
     best_effort: bool
+
+    @property
+    def solutions(self) -> list[Element]:
+        return [spec.x0 for spec in self.specs]
 
 
 def _annihilator_intersect_kernel(algebra: Algebra, tau: AlgMap,
@@ -245,8 +255,8 @@ def find_type1_solutions(algebra: Algebra, tau: AlgMap, *, seed: int = 0,
     candidates are exactly ``-y`` for idempotents ``y``.  Idempotents are
     found exactly through characters when ``N`` is commutative and
     semisimple, otherwise by seeded multi-start Newton (flagged
-    best-effort).  Every candidate is re-verified through
-    ``verify_extension``; ``x0 = 0`` is always included.
+    best-effort).  Every candidate is verified through
+    ``verify_extension``, once; ``x0 = 0`` is always included.
     """
     verdict = classify_star_map(algebra, tau, eps, eps_rank)
     if not verdict.is_trivolution:
@@ -266,19 +276,18 @@ def find_type1_solutions(algebra: Algebra, tau: AlgMap, *, seed: int = 0,
         for y in idempotents:
             candidates.append(-(embedding @ y))
 
-    solutions = []
+    specs = []
     seen: list[np.ndarray] = []
     for coords in candidates:
         if any(max_abs(coords - s) <= 1e-6 for s in seen):
             continue
         seen.append(coords)
-        x0 = algebra.element(coords)
-        spec = verify_extension(algebra, tau, 1.0, x0, eps, eps_rank)
+        spec = verify_extension(algebra, tau, 1.0, algebra.element(coords), eps, eps_rank)
         if spec.family == FAMILY_TYPE_I:
-            solutions.append(x0)
-    solutions.sort(key=lambda x: tuple(np.round(
-        np.stack([x.coords.real, x.coords.imag], axis=1).reshape(-1), 6)))
-    return Type1Solutions(solutions=solutions, best_effort=best_effort)
+            specs.append(spec)
+    specs.sort(key=lambda spec: tuple(np.round(
+        np.stack([spec.x0.coords.real, spec.x0.coords.imag], axis=1).reshape(-1), 6)))
+    return Type1Solutions(specs=specs, best_effort=best_effort)
 
 
 @dataclass(frozen=True)
@@ -311,10 +320,9 @@ def contractive_extensions(algebra: Algebra, tau: AlgMap, *, seed: int = 0,
             included.append(type2)
 
     excluded = []
-    for x0 in find_type1_solutions(algebra, tau, seed=seed, eps=eps, eps_rank=eps_rank).solutions:
-        if max_abs(x0.coords) <= eps:
+    for spec in find_type1_solutions(algebra, tau, seed=seed, eps=eps, eps_rank=eps_rank).specs:
+        if max_abs(spec.x0.coords) <= eps:
             continue
-        spec = verify_extension(algebra, tau, 1.0, x0, eps, eps_rank)
         if spec.norm_of_extension <= 1.0 + eps:
             raise CertificationFailure(
                 "a non-canonical family-I extension certified as contractive",

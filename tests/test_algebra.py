@@ -79,6 +79,15 @@ class TestMakeAlgebra:
         with pytest.raises(IdentityMismatch):
             make_algebra(2, structure, declared_identity=[1.0, 0.0])
 
+    def test_non_finite_input_rejected(self, c2):
+        # NaN residuals compare false against eps, so the checks alone would pass
+        structure = np.array(c2.structure)
+        structure[0, 1, 0] = np.nan
+        with pytest.raises(UsageError):
+            make_algebra(2, structure, declared_identity=[1, 1])
+        with pytest.raises(UsageError):
+            make_algebra(2, c2.structure, declared_identity=[1, np.inf])
+
     def test_identity_residual_invariant(self, battery):
         for inst in battery[::20]:
             algebra = inst.algebra

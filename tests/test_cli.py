@@ -1,6 +1,7 @@
 """CLI surface: commands, exit codes, determinism."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,23 @@ def run_cli(args, tmp_path, name="out.json"):
     out = tmp_path / name
     code = main(args + ["--format", "json", "--out", str(out)])
     return code, json.loads(out.read_text())
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``name`` in every loaded ``trivolve`` module that holds it; return the calls."""
+    modules = [module for key, module in sorted(sys.modules.items())
+               if key.split(".")[0] == "trivolve" and hasattr(module, name)]
+    original = getattr(modules[0], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        assert getattr(module, name) is original
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def test_check_reports_proper_trivolution(spec_files, tmp_path):
@@ -156,3 +174,59 @@ def test_suite_deterministic(tmp_path):
     assert main(["suite", "--seed", "3", "--format", "json", "--out", str(first)]) == 0
     assert main(["suite", "--seed", "3", "--format", "json", "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_decompose_classifies_each_map_once(spec_files, tmp_path, monkeypatch):
+    # tau, p = tau^2 and rho = tau|_B: one multiplicativity check each
+    calls = count_calls(monkeypatch, "classify_multiplicativity")
+    algebra, tau = spec_files
+    code, report = run_cli(["decompose", "--algebra", algebra, "--map", tau], tmp_path)
+    assert code == 0 and report["classification"] == "trivolution_proper"
+    assert len(calls) == 3
+
+
+def test_hom_on_one_algebra_decomposes_once(spec_files, tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, "canonical_decomposition")
+    algebra, tau = spec_files
+    pi = tmp_path / "pi.json"
+    pi.write_text(json.dumps({"matrix": array_to_json(np.eye(2)), "conjugating": False}))
+    code, report = run_cli(["hom", "--algebra", algebra, "--map", tau,
+                            "--map3", str(pi)], tmp_path)
+    assert code == 0 and report["residuals"]["off_diagonal"] == 0.0
+    assert len(calls) == 1
+
+
+def test_tim_solves_once_per_character(tmp_path, z2, z2_involution, monkeypatch):
+    calls = count_calls(monkeypatch, "tim_set")
+    z2_path = tmp_path / "z2.json"
+    z2_path.write_text(json.dumps(algebra_to_json(z2)))
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(json.dumps(map_to_json(z2_involution)))
+    code, report = run_cli(["tim", "--algebra", str(z2_path),
+                            "--map", str(theta_path)], tmp_path)
+    assert code == 0 and all(entry["obstruction"]["unique"] for entry in report["means"])
+    assert len(calls) == report["characters"] == 2
+
+
+def test_extend_on_operator_norm_is_best_effort(spec_files, tmp_path, c2):
+    # the operator norm of tau is sampled, so no extension is certified contractive
+    _, tau = spec_files
+    opnorm = tmp_path / "c2_opnorm.json"
+    opnorm.write_text(json.dumps({**algebra_to_json(c2), "norm": "opnorm"}))
+    code, report = run_cli(["extend", "--algebra", str(opnorm), "--map", tau], tmp_path)
+    assert code == 0 and report["count"] == 3
+    assert all(record["best_effort"] for record in report["extensions"])
+
+
+def test_non_finite_spec_is_usage_error(spec_files, tmp_path, capsys):
+    def reject(constant):
+        raise ValueError(f"report holds {constant}")
+
+    _, tau = spec_files
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"dim": 2, "structure": [[[1, 0], [NaN, 0]], [[0, 0], [0, 1]]], '
+                   '"identity": [1, 1]}')
+    code = main(["check", "--algebra", str(bad), "--map", tau, "--format", "json"])
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == 2
+    assert report["error"] == "ParseError"

@@ -218,7 +218,7 @@ class TestTims:
         phi = verify_character(z2, [1.0, 1.0])
         arens = arens_products(z2, space)
         star = extend_involution(z2, z2_involution, space)
-        report = tim_obstruction_check(z2, space, phi, star, arens)
+        report = tim_obstruction_check(z2, tim_set(z2, space, phi), phi, star, arens)
         assert report.unique and not report.vacuous
         assert max(report.chain_residuals.values()) <= 1e-9
 
@@ -227,7 +227,8 @@ class TestTims:
         conj = conjugation_map(c3)
         star = extend_involution(c3, conj, space)
         for phi in find_characters(c3).characters:
-            report = tim_obstruction_check(c3, space, phi, star)
+            report = tim_obstruction_check(c3, tim_set(c3, space, phi), phi, star,
+                                           arens_products(c3, space))
             assert report.unique
 
     def test_vacuous_when_no_mean_exists(self):
@@ -238,7 +239,7 @@ class TestTims:
         assert means.is_empty
         conj = conjugation_map(duals)
         star = extend_involution(duals, conj, space)
-        report = tim_obstruction_check(duals, space, phi, star)
+        report = tim_obstruction_check(duals, means, phi, star, arens_products(duals, space))
         assert report.vacuous and report.unique
 
 

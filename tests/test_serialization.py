@@ -16,6 +16,7 @@ from trivolve.serialization import (
     load_element,
     load_map,
     map_to_json,
+    pair_to_complex,
 )
 
 
@@ -89,6 +90,13 @@ def test_parse_errors(tmp_path, c2):
         load_element("[[1,0]]", c2)  # wrong length
     with pytest.raises(ParseError):
         load_algebra({"dim": 2, "structure": [[1, 2], [3, 4]]})
+
+
+@pytest.mark.parametrize("number", [float("nan"), float("inf"), [0.0, float("-inf")],
+                                    ["nan", 0.0]])
+def test_non_finite_number_is_parse_error(number):
+    with pytest.raises(ParseError):
+        pair_to_complex(number)
 
 
 def test_nonassociative_file_is_parse_error(tmp_path):

@@ -21,6 +21,7 @@ from trivolve.errors import (
     NotIntertwining,
     NotRightIdentity,
 )
+from trivolve.linalg import max_abs
 from trivolve.instances import (
     conjugate_transpose_involution,
     first_column_algebra,
@@ -82,6 +83,13 @@ class TestClassify:
 
 
 class TestCanonicalDecomposition:
+    def test_reconstruction_matches_make_trivolution(self, battery):
+        # make_trivolution is the reference: same formula, same columns, same bits
+        for inst in battery:
+            dec = canonical_decomposition(inst.algebra, inst.tau)
+            rebuilt = make_trivolution(inst.algebra, dec.projection_p, dec.involution_rho)
+            assert dec.residuals["reconstruction"] == max_abs(rebuilt.matrix - inst.tau.matrix)
+
     def test_remark_split(self, c2, remark_tau):
         dec = canonical_decomposition(c2, remark_tau)
         assert dec.ideal_I.dim == 1 and dec.ideal_I.contains([0, 1])

@@ -1,14 +1,17 @@
 """Extensions of a trivolution to the algebra with adjoined unit."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from trivolve.algebra import function_algebra, make_algebra, multiply
+from trivolve.algebra import NORM_ELL1, NORM_OPNORM, function_algebra, make_algebra, multiply
 from trivolve.errors import InvalidExtension, NotContractive
-from trivolve.instances import c4_indicator_pair, remark_pair
+from trivolve.instances import c4_indicator_pair, indicator_trivolution, remark_pair
 from trivolve.starmap import apply, conjugation_map, make_map
 from trivolve.trivolution import classify_star_map
 from trivolve.unitization import (
+    ExtensionSpec,
     contractive_extensions,
     extension_map,
     find_type1_solutions,
@@ -32,6 +35,16 @@ def brute_force_family_one(algebra, tau, x0, tol=1e-9):
 
 
 class TestVerifyExtension:
+    @pytest.mark.parametrize("norm_kind, sampled", [(NORM_ELL1, False), (NORM_OPNORM, True)])
+    def test_sampled_norm_is_best_effort(self, norm_kind, sampled):
+        # on the operator norm map_norm is a sampled lower bound, never a certificate
+        algebra = function_algebra(2, norm_kind=norm_kind)
+        tau = indicator_trivolution(algebra, [0])
+        for lambda0, x0 in ((1.0, algebra.zero()), (0.0, algebra.element([1.0, 0.0]))):
+            spec = verify_extension(algebra, tau, lambda0, x0)
+            assert spec.family != "invalid"
+            assert spec.best_effort is sampled
+
     def test_canonical_always_valid(self, battery):
         for inst in battery[::40]:
             spec = verify_extension(inst.algebra, inst.tau, 1.0, inst.algebra.zero())
@@ -96,6 +109,18 @@ class TestUnitize:
 
 
 class TestType1Solver:
+    def test_specs_equal_fresh_verification(self, m2, m2_star):
+        for algebra, tau in (remark_pair(), c4_indicator_pair(), (m2, m2_star)):
+            result = find_type1_solutions(algebra, tau)
+            for spec in result.specs:
+                fresh = verify_extension(algebra, tau, 1.0, spec.x0)
+                for f in fields(ExtensionSpec):
+                    got, want = getattr(spec, f.name), getattr(fresh, f.name)
+                    if f.name == "x0":
+                        assert np.array_equal(got.coords, want.coords)
+                    else:
+                        assert got == want, f.name
+
     def test_remark_solutions(self):
         algebra, tau = remark_pair()
         result = find_type1_solutions(algebra, tau)
