@@ -29,6 +29,7 @@ from .linalg import (
     EPS,
     EPS_RANK,
     as_complex,
+    column_products,
     echelon_rows,
     freeze,
     max_abs,
@@ -185,12 +186,25 @@ def algebras_compatible(a: Algebra, b: Algebra, tol: float = EPS) -> bool:
 
 
 def _associativity_check(structure: np.ndarray, eps: float) -> None:
-    left = np.einsum("ijm,mkl->ijkl", structure, structure)
-    right = np.einsum("jkm,iml->ijkl", structure, structure)
-    gap = np.abs(left - right)
-    worst = float(gap.max()) if gap.size else 0.0
+    """Compare ``(b_i b_j) b_k`` with ``b_i (b_j b_k)``, one ``i`` at a time.
+
+    Each ``i`` is two matrix products over ``n^3`` entries, so memory stays
+    O(n^3).  The worst gap and its first ``(i, j, k, l)`` in C order are
+    those of the full ``n^4`` comparison.
+    """
+    n = structure.shape[0]
+    rows = structure.reshape(n, n * n)   # row m: b_m b_k, indexed (k, l)
+    pairs = structure.reshape(n * n, n)  # row (j, k): b_j b_k
+    worst, where = 0.0, None
+    for i in range(n):
+        left = structure[i] @ rows    # [j, (k, l)]: (b_i b_j) b_k
+        right = pairs @ structure[i]  # [(j, k), l]: b_i (b_j b_k)
+        gap = np.abs(left.reshape(-1) - right.reshape(-1))
+        flat = int(np.argmax(gap))
+        if gap[flat] > worst:  # strict: an earlier i keeps a tie
+            worst, where = float(gap[flat]), (i, *np.unravel_index(flat, (n, n, n)))
     if worst > eps:
-        i, j, k, l = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        i, j, k, l = where
         raise AssociativityViolation(
             f"associativity fails at (i,j,k,l)=({i},{j},{k},{l}) with residual {worst:.3e}",
             law="(b_i b_j) b_k = b_i (b_j b_k)",
@@ -264,7 +278,7 @@ def multiply(algebra: Algebra, x: Element, y: Element) -> Element:
     """Product ``x . y`` via the structure tensor."""
     if not (algebras_compatible(algebra, x.algebra) and algebras_compatible(algebra, y.algebra)):
         raise AlgebraMismatch("multiply: elements do not belong to the given algebra")
-    coords = np.einsum("i,j,ijk->k", x.coords, y.coords, algebra.structure)
+    coords = column_products(algebra.structure, x.coords[:, None], y.coords[:, None])[0, 0]
     return Element(coords, algebra)
 
 
@@ -422,7 +436,7 @@ class SubspaceFlags:
 def _pair_products(algebra: Algebra, cols: np.ndarray) -> np.ndarray:
     """``u . v`` for every ordered pair of columns, as columns in ``(u, v)`` order."""
     n, m = cols.shape
-    return np.einsum("ip,jq,ijk->kpq", cols, cols, algebra.structure).reshape(n, m * m)
+    return column_products(algebra.structure, cols, cols).transpose(2, 0, 1).reshape(n, m * m)
 
 
 def _action_escapes(algebra: Algebra, s: Subspace, tol: float) -> np.ndarray:
@@ -480,8 +494,7 @@ def induced_subalgebra(algebra: Algebra, s: Subspace, *, eps: float = EPS,
     k = q.shape[1]
     if k == 0:
         return make_algebra(0, np.zeros((0, 0, 0)), [], norm_kind=algebra.norm_kind), q
-    # all pairwise products at once: columns indexed by the (i, j) pair
-    products = np.einsum("ai,bj,abc->cij", q, q, algebra.structure).reshape(algebra.dim, k * k)
+    products = _pair_products(algebra, q)
     coeffs, residual = solve_exact(q, products)
     if residual > eps:
         raise NotASubalgebra(
@@ -528,7 +541,7 @@ def quotient(algebra: Algebra, s: Subspace, tol: float = EPS):
 
     # certify q(xy) = q(x)q(y) on all basis pairs
     lhs = q_matrix @ algebra.structure.reshape(n * n, n).T
-    rhs = np.einsum("ai,bj,abk->kij", q_matrix, q_matrix, structure).reshape(k, n * n)
+    rhs = column_products(structure, q_matrix, q_matrix).transpose(2, 0, 1).reshape(k, n * n)
     worst = max_abs(lhs - rhs)
     if worst > tol:
         raise NotAnIdeal(f"quotient map fails multiplicativity (residual {worst:.3e})",

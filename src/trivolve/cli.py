@@ -186,7 +186,8 @@ def _cmd_extend(config: RunConfig) -> dict:
         records.append(record)
     e_b = range_identity(algebra, tau, eps, rank)
     if e_b is not None:
-        records.append(_extension_record(verify_extension(algebra, tau, 0.0, e_b, eps, rank)))
+        records.append(_extension_record(verify_extension(algebra, tau, 0.0, e_b, eps, rank,
+                                                          e_b=e_b)))
     return {"extensions": records, "count": len(records)}
 
 
@@ -237,7 +238,7 @@ def _cmd_arens(config: RunConfig) -> dict:
     }
     if config.map is not None:
         theta = load_map(config.map, default_source=algebra)
-        extension = extend_involution(algebra, theta, space,
+        extension = extend_involution(algebra, theta, structure,
                                       config.tolerance, config.rank_threshold)
         report["extension"] = map_to_json(extension)
     return report
@@ -257,11 +258,11 @@ def _cmd_tim(config: RunConfig) -> dict:
         possibly_incomplete = search.possibly_incomplete
 
     star = None
-    arens = None
     if config.map is not None:
         theta = load_map(config.map, default_source=algebra)
         arens = arens_products(algebra, space, eps)
-        star = extend_involution(algebra, theta, space, eps, rank)
+        star = extend_involution(algebra, theta, arens, eps, rank)
+        star_verdict = classify_star_map(arens.box_algebra, star, eps, rank)
 
     results = []
     for phi in characters:
@@ -273,7 +274,8 @@ def _cmd_tim(config: RunConfig) -> dict:
             "affine_dim": means.affine_dim,
         }
         if star is not None:
-            obstruction = tim_obstruction_check(algebra, means, phi, star, arens, eps, rank)
+            obstruction = tim_obstruction_check(algebra, means, phi, star, star_verdict,
+                                                arens, eps)
             entry["obstruction"] = {
                 "vacuous": obstruction.vacuous,
                 "unique": obstruction.unique,

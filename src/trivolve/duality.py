@@ -51,6 +51,7 @@ from .linalg import (
     EPS,
     EPS_RANK,
     as_complex,
+    column_products,
     column_space_and_nullspace,
     echelon_rows,
     max_abs,
@@ -59,7 +60,7 @@ from .linalg import (
 )
 from .instances import _involutive_permutations_canonical, averaging_trivolution, indicator_trivolution
 from .starmap import AlgMap, apply, classify_multiplicativity, make_map
-from .trivolution import KIND_INVOLUTION, classify_star_map
+from .trivolution import KIND_INVOLUTION, StarClass, classify_star_map
 
 
 @dataclass(frozen=True)
@@ -345,16 +346,18 @@ def arens_products(algebra: Algebra, space: IntrovertedSpace,
                           residuals={"regularity_gap": gap, "introversion_escape": escape})
 
 
-def extend_involution(algebra: Algebra, theta: AlgMap, space: IntrovertedSpace,
+def extend_involution(algebra: Algebra, theta: AlgMap, arens: ArensStructure,
                       eps: float = EPS, eps_rank: float = EPS_RANK) -> AlgMap:
     """Extend an involution of ``A`` to ``X*`` by the double-adjoint recipe.
 
-    Requires the conjugate-linear adjoint to leave ``X`` invariant and
-    the two Arens products to coincide on ``X*``.  The extension is
-    certified as an involution of the box product, and certified to
-    agree with ``theta`` along the canonical embedding when ``X`` is
-    faithful.
+    ``arens`` is ``arens_products(algebra, space)`` for the introverted
+    ``space`` holding ``X``, taken as given.  Requires the conjugate-linear
+    adjoint to leave ``X`` invariant (checked first) and the two Arens
+    products to coincide on ``X*``.  The extension is certified as an
+    involution of the box product, and certified to agree with ``theta``
+    along the canonical embedding when ``X`` is faithful.
     """
+    space = arens.rep.space
     theta_verdict = classify_star_map(algebra, theta, eps, eps_rank)
     if theta_verdict.kind != KIND_INVOLUTION:
         raise NotAnInvolution("theta is not an involution on the algebra",
@@ -366,7 +369,6 @@ def extend_involution(algebra: Algebra, theta: AlgMap, space: IntrovertedSpace,
         raise NotInvariant("the adjoint moves X off itself",
                            law="theta*(X) contained in X",
                            residual=float(moved[np.argmax(moved > eps)]))
-    arens = arens_products(algebra, space, eps)
     if not arens.regular:
         raise NotArensRegular("the two Arens products differ on X*",
                               law="box = diamond on X*",
@@ -454,13 +456,14 @@ class TimObstructionReport:
 
 
 def tim_obstruction_check(algebra: Algebra, means: TimSolutionSet, phi: Character,
-                          star: AlgMap, arens: ArensStructure,
-                          eps: float = EPS, eps_rank: float = EPS_RANK) -> TimObstructionReport:
+                          star: AlgMap, star_verdict: StarClass, arens: ArensStructure,
+                          eps: float = EPS) -> TimObstructionReport:
     """Certify the invariance/absorption/fixed-point chain for each mean.
 
     ``means`` is ``tim_set(algebra, space, phi)`` and ``arens`` is
     ``arens_products(algebra, space)``, for one introverted ``space``;
-    both are taken as given, not solved again.  ``star`` must be an
+    ``star_verdict`` is ``classify_star_map(arens.box_algebra, star)``.
+    All three are taken as given, not solved again.  ``star`` must be an
     involution of ``(X*, box)`` compatible with the character
     (``<phi, a*> = conj <phi, a>`` on the embedded algebra).  The chain
     forces any mean to be star-fixed and absorbing, hence unique; the
@@ -469,7 +472,6 @@ def tim_obstruction_check(algebra: Algebra, means: TimSolutionSet, phi: Characte
     rep = arens.rep
     box = arens.box
 
-    star_verdict = classify_star_map(arens.box_algebra, star, eps, eps_rank)
     if star_verdict.kind != KIND_INVOLUTION:
         raise NotCompatibleInvolution("star is not an involution on (X*, box)",
                                       law="star^2 = id, anti-multiplicative",
@@ -505,7 +507,7 @@ def tim_obstruction_check(algebra: Algebra, means: TimSolutionSet, phi: Characte
     # fixed-point chain m = (m*)* = (m box m*)* = m box m* = <m, phi> m* = m*
     m_star_star = star.matrix @ np.conj(m_star)
     residuals["double_star"] = max_abs(m_star_star - m)
-    m_box_mstar = np.einsum("i,j,ijt->t", m, m_star, box)
+    m_box_mstar = column_products(box, m[:, None], m_star[:, None])[0, 0]
     m_phi = pairing(phi.coords, rep.embed_coords(m))
     residuals["product_vs_scaling"] = max_abs(m_box_mstar - m_phi * m_star)
     residuals["normalization"] = abs(m_phi - 1.0)

@@ -54,6 +54,7 @@ from .unitization import (
     contractive_extensions,
     extension_map,
     find_type1_solutions,
+    range_identity,
     verify_extension,
 )
 
@@ -118,13 +119,14 @@ def _section_extension_scan(eps: float) -> dict:
     disagreements = 0
     checked = 0
     grid = [-1.0, 0.0, 1.0]
+    e_b = range_identity(algebra, tau)
     for lam0 in (0.0, 0.5, 1.0):
         for re1 in grid:
             for im1 in grid:
                 for re2 in grid:
                     for im2 in grid:
                         x0 = algebra.element([complex(re1, im1), complex(re2, im2)])
-                        spec = verify_extension(algebra, tau, lam0, x0)
+                        spec = verify_extension(algebra, tau, lam0, x0, e_b=e_b)
                         sharp, cand = extension_map(algebra, tau, lam0, x0)
                         verdict = classify_star_map(sharp, cand)
                         checked += 1
@@ -186,7 +188,7 @@ def _section_arens(battery: list[TrivolutionInstance], eps: float) -> dict:
                            max_abs(arens.box - inst.algebra.structure),
                            max_abs(arens.diamond - inst.algebra.structure))
         theta = inst.natural_involution
-        extension = extend_involution(inst.algebra, theta, space)
+        extension = extend_involution(inst.algebra, theta, arens)
         worst_theta = max(worst_theta, max_abs(extension.matrix - theta.matrix))
         count += 1
         if count >= 12:
@@ -211,8 +213,9 @@ def _section_tim(eps: float) -> dict:
         worst = max(worst, max_abs(means.particular - 0.5 * np.ones(2)))
     theta = standard_group_involution(z2, cyclic_group_table(2))
     arens = arens_products(z2, space)
-    star = extend_involution(z2, theta, space)
-    obstruction = tim_obstruction_check(z2, means, augmentation, star, arens)
+    star = extend_involution(z2, theta, arens)
+    obstruction = tim_obstruction_check(z2, means, augmentation, star,
+                                        classify_star_map(arens.box_algebra, star), arens)
     ok &= obstruction.unique and not obstruction.vacuous
     worst = max(worst, max(obstruction.chain_residuals.values(), default=0.0))
 

@@ -47,6 +47,7 @@ from .linalg import (
     EPS,
     EPS_RANK,
     as_complex,
+    column_products,
     max_abs,
     realify_conjugation_fixed_points,
     solve_exact,
@@ -308,8 +309,8 @@ def factor_through_involution(algebra: Algebra, tau: AlgMap, j: AlgMap,
     p_i = np.eye(n, dtype=complex) - p_b
 
     # coordinatewise product on I (+) B: drop the cross terms of the ambient product
-    split_structure = (np.einsum("ai,bj,abk->ijk", p_i, p_i, algebra.structure)
-                       + np.einsum("ai,bj,abk->ijk", p_b, p_b, algebra.structure))
+    split_structure = (column_products(algebra.structure, p_i, p_i)
+                       + column_products(algebra.structure, p_b, p_b))
     split_alg = make_algebra(n, split_structure, algebra.basis_labels,
                              norm_kind=algebra.norm_kind, eps=eps)
     c = product_algebra(split_alg, split_alg)

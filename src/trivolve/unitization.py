@@ -39,6 +39,7 @@ from .linalg import (
     EPS,
     EPS_RANK,
     as_complex,
+    column_products,
     column_space_and_nullspace,
     max_abs,
 )
@@ -76,8 +77,8 @@ def extension_map(algebra: Algebra, tau: AlgMap, lambda0: complex, x0: Element) 
     return sharp, AlgMap(matrix=matrix, conjugating=True, source=sharp, target=sharp)
 
 
-def range_identity(algebra: Algebra, tau: AlgMap, eps: float,
-                    eps_rank: float) -> Element | None:
+def range_identity(algebra: Algebra, tau: AlgMap, eps: float = EPS,
+                   eps_rank: float = EPS_RANK) -> Element | None:
     """Identity of the range subalgebra, embedded in ambient coordinates."""
     _, image = kernel_image(tau, eps_rank)
     if image.dim == 0:
@@ -89,13 +90,15 @@ def range_identity(algebra: Algebra, tau: AlgMap, eps: float,
 
 
 def verify_extension(algebra: Algebra, tau: AlgMap, lambda0: complex, x0,
-                     eps: float = EPS, eps_rank: float = EPS_RANK) -> ExtensionSpec:
+                     eps: float = EPS, eps_rank: float = EPS_RANK, *,
+                     e_b: Element | None) -> ExtensionSpec:
     """Classify a candidate ``(lambda0, x0)`` into a family, twice over.
 
     The family conditions are checked directly, the generic extension is
     classified on the unitized algebra, and the two verdicts must agree
     (a per-instance soundness and completeness check).  ``family`` is
-    ``invalid`` when both reject.
+    ``invalid`` when both reject.  ``e_b`` is ``range_identity(algebra,
+    tau)``, built once per ``tau`` by the caller and taken as given.
     """
     if not isinstance(x0, Element):
         x0 = algebra.element(x0)
@@ -108,8 +111,9 @@ def verify_extension(algebra: Algebra, tau: AlgMap, lambda0: complex, x0,
     # family I: lambda0 = 1, x0^2 = -x0, x0 tau(A) = tau(A) x0 = 0, tau(x0) = 0
     sq = multiply(algebra, x0, x0)
     residuals["x0_negated_idempotent"] = max_abs(sq.coords + x0.coords)
-    annih = max(max_abs(np.einsum("i,jq,ijk->qk", x0.coords, image_cols, algebra.structure)),
-                max_abs(np.einsum("iq,j,ijk->qk", image_cols, x0.coords, algebra.structure)))
+    x0_col = x0.coords[:, None]
+    annih = max(max_abs(column_products(algebra.structure, x0_col, image_cols)),
+                max_abs(column_products(algebra.structure, image_cols, x0_col)))
     residuals["x0_annihilates_range"] = annih
     residuals["tau_x0"] = max_abs(apply(tau, x0).coords)
     type1 = (abs(lambda0 - 1.0) <= eps
@@ -118,7 +122,6 @@ def verify_extension(algebra: Algebra, tau: AlgMap, lambda0: complex, x0,
              and residuals["tau_x0"] <= eps)
 
     # family II: lambda0 = 0, x0 the identity of the range
-    e_b = range_identity(algebra, tau, eps, eps_rank)
     type2 = False
     if e_b is not None:
         residuals["x0_vs_range_identity"] = max_abs(x0.coords - e_b.coords)
@@ -148,7 +151,8 @@ def unitize_with_trivolution(algebra: Algebra, tau: AlgMap,
                              ext: ExtensionSpec, eps: float = EPS,
                              eps_rank: float = EPS_RANK) -> tuple[Algebra, AlgMap]:
     """Build ``(A#, t#)`` for a verified extension and certify it restricts."""
-    checked = verify_extension(algebra, tau, ext.lambda0, ext.x0, eps, eps_rank)
+    checked = verify_extension(algebra, tau, ext.lambda0, ext.x0, eps, eps_rank,
+                               e_b=range_identity(algebra, tau, eps, eps_rank))
     if checked.family == FAMILY_INVALID:
         raise InvalidExtension("candidate (lambda0, x0) is not an admissible extension",
                                law="family I or II conditions")
@@ -225,7 +229,7 @@ def _idempotents_newton(sub: Algebra, seed: int, eps: float) -> list[np.ndarray]
     found: list[np.ndarray] = [np.zeros(m, dtype=complex)]
 
     def residual(y):
-        return np.einsum("i,j,ijk->k", y, y, structure) - y
+        return column_products(structure, y[:, None], y[:, None])[0, 0] - y
 
     for _ in range(50 * m):
         y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
@@ -276,13 +280,15 @@ def find_type1_solutions(algebra: Algebra, tau: AlgMap, *, seed: int = 0,
         for y in idempotents:
             candidates.append(-(embedding @ y))
 
+    e_b = range_identity(algebra, tau, eps, eps_rank)
     specs = []
     seen: list[np.ndarray] = []
     for coords in candidates:
         if any(max_abs(coords - s) <= 1e-6 for s in seen):
             continue
         seen.append(coords)
-        spec = verify_extension(algebra, tau, 1.0, algebra.element(coords), eps, eps_rank)
+        spec = verify_extension(algebra, tau, 1.0, algebra.element(coords), eps, eps_rank,
+                                e_b=e_b)
         if spec.family == FAMILY_TYPE_I:
             specs.append(spec)
     specs.sort(key=lambda spec: tuple(np.round(
@@ -311,11 +317,10 @@ def contractive_extensions(algebra: Algebra, tau: AlgMap, *, seed: int = 0,
     if tau_norm > 1.0 + eps:
         raise NotContractive(f"the map itself has norm {tau_norm:.6f} > 1",
                              law="||tau|| <= 1", residual=tau_norm - 1.0)
-    included = [verify_extension(algebra, tau, 1.0, algebra.zero(), eps, eps_rank)]
-
     e_b = range_identity(algebra, tau, eps, eps_rank)
+    included = [verify_extension(algebra, tau, 1.0, algebra.zero(), eps, eps_rank, e_b=e_b)]
     if e_b is not None:
-        type2 = verify_extension(algebra, tau, 0.0, e_b, eps, eps_rank)
+        type2 = verify_extension(algebra, tau, 0.0, e_b, eps, eps_rank, e_b=e_b)
         if type2.family == FAMILY_TYPE_II and type2.contractive:
             included.append(type2)
 

@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from trivolve.algebra import cyclic_group_table, group_algebra
 from trivolve.cli import main
+from trivolve.instances import standard_group_involution
 from trivolve.serialization import algebra_to_json, array_to_json, map_to_json
 
 
@@ -206,6 +208,38 @@ def test_tim_solves_once_per_character(tmp_path, z2, z2_involution, monkeypatch)
                             "--map", str(theta_path)], tmp_path)
     assert code == 0 and all(entry["obstruction"]["unique"] for entry in report["means"])
     assert len(calls) == report["characters"] == 2
+
+
+def test_tim_classifies_star_once_and_builds_arens_once(tmp_path, monkeypatch):
+    # theta and its extension are classified inside extend_involution; the
+    # command classifies the extension once more for all four characters
+    table = cyclic_group_table(4)
+    z4 = group_algebra(table)
+    z4_path = tmp_path / "z4.json"
+    z4_path.write_text(json.dumps(algebra_to_json(z4)))
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(json.dumps(map_to_json(standard_group_involution(z4, table))))
+    classified = count_calls(monkeypatch, "classify_star_map")
+    arens = count_calls(monkeypatch, "arens_products")
+    code, report = run_cli(["tim", "--algebra", str(z4_path), "--map", str(theta_path)],
+                           tmp_path)
+    assert code == 0 and report["characters"] == 4
+    assert all(entry["obstruction"]["unique"] for entry in report["means"])
+    assert len(classified) == 3 and len(arens) == 1
+    code, report = run_cli(["arens", "--algebra", str(z4_path), "--map", str(theta_path)],
+                           tmp_path)
+    assert code == 0 and "extension" in report
+    assert len(arens) == 2
+
+
+def test_extend_builds_range_identity_once_per_solver(spec_files, tmp_path, monkeypatch):
+    # one range identity in find_type1_solutions, one for the command's type-II record
+    built = count_calls(monkeypatch, "range_identity")
+    verified = count_calls(monkeypatch, "verify_extension")
+    algebra, tau = spec_files
+    code, report = run_cli(["extend", "--algebra", algebra, "--map", tau], tmp_path)
+    assert code == 0 and report["count"] == len(verified) == 3
+    assert len(built) == 2
 
 
 def test_extend_on_operator_norm_is_best_effort(spec_files, tmp_path, c2):

@@ -125,21 +125,23 @@ class TestArens:
 
 class TestExtendInvolution:
     def test_group_involution_extends_to_itself(self, z2, z2_involution):
-        extension = extend_involution(z2, z2_involution, full_dual(z2))
+        extension = extend_involution(z2, z2_involution, arens_products(z2, full_dual(z2)))
         assert np.allclose(extension.matrix, z2_involution.matrix)
 
     def test_matrix_star_extends(self, m2, m2_star):
-        extension = extend_involution(m2, m2_star, full_dual(m2))
+        extension = extend_involution(m2, m2_star, arens_products(m2, full_dual(m2)))
         assert np.allclose(extension.matrix, m2_star.matrix)
         verdict = classify_star_map(extension.source, extension)
         assert verdict.kind == "involution"
 
-    def test_moved_line_rejected(self, m2, m2_star):
-        line = np.zeros((4, 1))
-        line[1, 0] = 1.0  # dual of E12; the adjoint sends it to the dual of E21
-        space = check_introverted(m2, line)
+    def test_moved_line_rejected(self, c2):
+        # the dual of e1 spans an introverted line; the adjoint of the
+        # swap-conjugation sends it to the dual of e2
+        swap = make_map([[0.0, 1.0], [1.0, 0.0]], conjugating=True, source=c2)
+        space = check_introverted(c2, np.array([[1.0], [0.0]]))
+        assert space.introverted and not space.faithful
         with pytest.raises(NotInvariant):
-            extend_involution(m2, m2_star, space)
+            extend_involution(c2, swap, arens_products(c2, space))
 
 
 class TestCharacters:
@@ -217,18 +219,21 @@ class TestTims:
         space = full_dual(z2)
         phi = verify_character(z2, [1.0, 1.0])
         arens = arens_products(z2, space)
-        star = extend_involution(z2, z2_involution, space)
-        report = tim_obstruction_check(z2, tim_set(z2, space, phi), phi, star, arens)
+        star = extend_involution(z2, z2_involution, arens)
+        report = tim_obstruction_check(z2, tim_set(z2, space, phi), phi, star,
+                                       classify_star_map(arens.box_algebra, star), arens)
         assert report.unique and not report.vacuous
         assert max(report.chain_residuals.values()) <= 1e-9
 
     def test_obstruction_chain_pointwise(self, c3):
         space = full_dual(c3)
         conj = conjugation_map(c3)
-        star = extend_involution(c3, conj, space)
+        arens = arens_products(c3, space)
+        star = extend_involution(c3, conj, arens)
+        verdict = classify_star_map(arens.box_algebra, star)
         for phi in find_characters(c3).characters:
-            report = tim_obstruction_check(c3, tim_set(c3, space, phi), phi, star,
-                                           arens_products(c3, space))
+            report = tim_obstruction_check(c3, tim_set(c3, space, phi), phi, star, verdict,
+                                           arens)
             assert report.unique
 
     def test_vacuous_when_no_mean_exists(self):
@@ -238,8 +243,10 @@ class TestTims:
         means = tim_set(duals, space, phi)
         assert means.is_empty
         conj = conjugation_map(duals)
-        star = extend_involution(duals, conj, space)
-        report = tim_obstruction_check(duals, means, phi, star, arens_products(duals, space))
+        arens = arens_products(duals, space)
+        star = extend_involution(duals, conj, arens)
+        report = tim_obstruction_check(duals, means, phi, star,
+                                       classify_star_map(arens.box_algebra, star), arens)
         assert report.vacuous and report.unique
 
 

@@ -15,6 +15,7 @@ from trivolve.unitization import (
     contractive_extensions,
     extension_map,
     find_type1_solutions,
+    range_identity,
     unitize_with_trivolution,
     verify_extension,
 )
@@ -40,53 +41,59 @@ class TestVerifyExtension:
         # on the operator norm map_norm is a sampled lower bound, never a certificate
         algebra = function_algebra(2, norm_kind=norm_kind)
         tau = indicator_trivolution(algebra, [0])
+        e_b = range_identity(algebra, tau)
         for lambda0, x0 in ((1.0, algebra.zero()), (0.0, algebra.element([1.0, 0.0]))):
-            spec = verify_extension(algebra, tau, lambda0, x0)
+            spec = verify_extension(algebra, tau, lambda0, x0, e_b=e_b)
             assert spec.family != "invalid"
             assert spec.best_effort is sampled
 
     def test_canonical_always_valid(self, battery):
         for inst in battery[::40]:
-            spec = verify_extension(inst.algebra, inst.tau, 1.0, inst.algebra.zero())
+            spec = verify_extension(inst.algebra, inst.tau, 1.0, inst.algebra.zero(),
+                                    e_b=range_identity(inst.algebra, inst.tau))
             assert spec.family == "type_I"
 
     def test_remark_family_one(self):
         algebra, tau = remark_pair()
         x0 = algebra.element([0.0, -1.0])
         assert brute_force_family_one(algebra, tau, x0)
-        spec = verify_extension(algebra, tau, 1.0, x0)
+        spec = verify_extension(algebra, tau, 1.0, x0, e_b=range_identity(algebra, tau))
         assert spec.family == "type_I"
 
     def test_remark_family_two(self):
         algebra, tau = remark_pair()
-        spec = verify_extension(algebra, tau, 0.0, algebra.element([1.0, 0.0]))
+        spec = verify_extension(algebra, tau, 0.0, algebra.element([1.0, 0.0]),
+                                e_b=range_identity(algebra, tau))
         assert spec.family == "type_II"
 
     def test_positive_idempotent_rejected(self):
         algebra, tau = remark_pair()
-        spec = verify_extension(algebra, tau, 1.0, algebra.element([0.0, 1.0]))
+        spec = verify_extension(algebra, tau, 1.0, algebra.element([0.0, 1.0]),
+                                e_b=range_identity(algebra, tau))
         assert spec.family == "invalid"
 
     def test_wrong_scalar_rejected(self):
         algebra, tau = remark_pair()
+        e_b = range_identity(algebra, tau)
         for lam0 in (0.5, 1 + 1j, -1.0):
-            spec = verify_extension(algebra, tau, lam0, algebra.zero())
+            spec = verify_extension(algebra, tau, lam0, algebra.zero(), e_b=e_b)
             assert spec.family == "invalid"
 
     def test_random_scan_consistency(self):
         # verify_extension itself asserts classification == family verdict
         algebra, tau = remark_pair()
+        e_b = range_identity(algebra, tau)
         rng = np.random.default_rng(4)
         for _ in range(60):
             lam0 = complex(rng.standard_normal(), rng.standard_normal())
             x0 = algebra.element(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            verify_extension(algebra, tau, lam0, x0)
+            verify_extension(algebra, tau, lam0, x0, e_b=e_b)
 
 
 class TestUnitize:
     def test_canonical_extension_structure(self):
         algebra, tau = remark_pair()
-        spec = verify_extension(algebra, tau, 1.0, algebra.zero())
+        spec = verify_extension(algebra, tau, 1.0, algebra.zero(), e_b=range_identity(algebra, tau))
         sharp, tau_sharp = unitize_with_trivolution(algebra, tau, spec)
         assert sharp.dim == 3
         assert np.allclose(sharp.identity_coords, [1.0, 0.0, 0.0])
@@ -96,14 +103,16 @@ class TestUnitize:
 
     def test_type_two_maps_unit_into_range(self):
         algebra, tau = remark_pair()
-        spec = verify_extension(algebra, tau, 0.0, algebra.element([1.0, 0.0]))
+        spec = verify_extension(algebra, tau, 0.0, algebra.element([1.0, 0.0]),
+                                e_b=range_identity(algebra, tau))
         sharp, tau_sharp = unitize_with_trivolution(algebra, tau, spec)
         unit = sharp.element([1.0, 0.0, 0.0])
         assert np.allclose(apply(tau_sharp, unit).coords, [0.0, 1.0, 0.0])
 
     def test_invalid_rejected(self):
         algebra, tau = remark_pair()
-        bad = verify_extension(algebra, tau, 1.0, algebra.element([0.0, 1.0]))
+        bad = verify_extension(algebra, tau, 1.0, algebra.element([0.0, 1.0]),
+                               e_b=range_identity(algebra, tau))
         with pytest.raises(InvalidExtension):
             unitize_with_trivolution(algebra, tau, bad)
 
@@ -112,8 +121,9 @@ class TestType1Solver:
     def test_specs_equal_fresh_verification(self, m2, m2_star):
         for algebra, tau in (remark_pair(), c4_indicator_pair(), (m2, m2_star)):
             result = find_type1_solutions(algebra, tau)
+            e_b = range_identity(algebra, tau)
             for spec in result.specs:
-                fresh = verify_extension(algebra, tau, 1.0, spec.x0)
+                fresh = verify_extension(algebra, tau, 1.0, spec.x0, e_b=e_b)
                 for f in fields(ExtensionSpec):
                     got, want = getattr(spec, f.name), getattr(fresh, f.name)
                     if f.name == "x0":
@@ -192,7 +202,8 @@ class TestContractive:
         # a family-I extension with nonzero x0 has norm 2: extending it again
         # must be refused outright
         algebra, tau = remark_pair()
-        spec = verify_extension(algebra, tau, 1.0, algebra.element([0.0, -1.0]))
+        spec = verify_extension(algebra, tau, 1.0, algebra.element([0.0, -1.0]),
+                                e_b=range_identity(algebra, tau))
         sharp, tau_sharp = extension_map(algebra, tau, spec.lambda0, spec.x0)
         assert classify_star_map(sharp, tau_sharp).is_trivolution
         with pytest.raises(NotContractive):
