@@ -17,6 +17,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import Algebra
 from .duality import (
     arens_products,
@@ -29,9 +31,10 @@ from .duality import (
     tim_set,
     verify_character,
 )
-from .errors import CertificationFailure, UsageError
+from .errors import CertificationFailure, ParseError, UsageError
 from .linalg import EPS, EPS_RANK
 from .serialization import (
+    array_from_json,
     array_to_json,
     dumps_report,
     jsonable,
@@ -94,11 +97,26 @@ def _load_space(config: RunConfig, algebra: Algebra):
     if config.dual_basis is None:
         return full_dual(algebra)
     data = read_json(config.dual_basis)
-    rows = data["basis"] if isinstance(data, dict) else data
-    from .serialization import array_from_json
-
+    rows = data.get("basis") if isinstance(data, dict) else data
+    if not isinstance(rows, list):
+        raise ParseError(f"dual basis {config.dual_basis} must be a list of rows "
+                         "or an object with a 'basis' list")
     basis = array_from_json(rows, (len(rows), algebra.dim)).T
     return check_introverted(algebra, basis, config.tolerance)
+
+
+def _load_group_params(path: str) -> dict:
+    """Group-family parameters: an object whose ``table`` is a matrix of indices."""
+    params = read_json(path)
+    table = params.get("table") if isinstance(params, dict) else None
+    try:
+        is_matrix = np.asarray(table, dtype=int).ndim == 2
+    except (TypeError, ValueError):
+        is_matrix = False
+    if not is_matrix:
+        raise ParseError(f"group params {path} must be an object with a 'table' matrix "
+                         "of element indices")
+    return params
 
 
 def _cmd_check(config: RunConfig) -> dict:
@@ -293,7 +311,7 @@ def _cmd_search(config: RunConfig) -> dict:
     if family == "function":
         family_spec: dict = {"family": "function_indicator"}
     elif family == "group":
-        params = read_json(_need(config, "params"))
+        params = _load_group_params(_need(config, "params"))
         family_spec = {"family": "group_quotient", **params}
     else:
         raise UsageError(f"unsupported CLI family {family!r}; use 'function' or 'group' "

@@ -56,7 +56,6 @@ from .linalg import (
     echelon_rows,
     max_abs,
     reduce_vector,
-    solve_exact,
 )
 from .instances import _involutive_permutations_canonical, averaging_trivolution, indicator_trivolution
 from .starmap import AlgMap, apply, classify_multiplicativity, make_map
@@ -280,7 +279,7 @@ class DualQuotientRep:
 def dual_quotient_rep(space: IntrovertedSpace) -> DualQuotientRep:
     xb = space.basis.canonical_columns()
     n = space.algebra.dim
-    _, annihilator = column_space_and_nullspace(xb.T)  # X deg = null of evaluation
+    _, annihilator, _, _ = column_space_and_nullspace(xb.T)  # X deg = null of evaluation
     if annihilator.shape[1]:
         ech, pivots = echelon_rows(annihilator.T)
     else:
@@ -439,8 +438,7 @@ def tim_set(algebra: Algebra, space: IntrovertedSpace, phi: Character,
     target = np.zeros(2 * n * k + 1, dtype=complex)
     target[-1] = 1.0
 
-    u, residual = solve_exact(system, target)
-    _, kernel = column_space_and_nullspace(system, eps_rank)
+    _, kernel, u, residual = column_space_and_nullspace(system, eps_rank, target)
     if residual > eps:
         return TimSolutionSet(particular=None,
                               homogeneous=np.zeros((algebra.dim, 0), dtype=complex), rep=rep)

@@ -4,6 +4,21 @@ Everything here operates on plain numpy arrays.  Ranks and memberships
 use absolute thresholds: the targeted instances are small (dim <= ~64)
 and well conditioned, so absolute tolerances are both simpler and more
 reproducible than relative ones.
+
+A linear system takes one of three routes:
+
+- a solve-only system goes to ``solve_exact`` (``lstsq``), which was
+  measured faster than a thin SVD on tall systems such as the
+  8192 x 64 identity system of C[Z64];
+- a system whose kernel or image is needed, with or without a solve, goes
+  to ``column_space_and_nullspace``: one thin SVD gives all of them;
+- a rank test alone calls ``np.linalg.matrix_rank``, singular values only.
+
+Two cutoffs apply.  A singular value counts towards the rank, so its
+vector leaves the kernel, when it exceeds the absolute ``eps_rank``
+(``EPS_RANK`` by default).  A least-squares solution drops the singular
+values at most ``eps * max(m, n) * s_max``, ``lstsq``'s ``rcond=None``
+cutoff, with ``eps`` the float64 machine epsilon.
 """
 
 from __future__ import annotations
@@ -97,25 +112,27 @@ def column_products(structure: np.ndarray, left: np.ndarray, right: np.ndarray) 
     return (left.T @ partial.reshape(n_a, n_j * n_k)).reshape(n_i, n_j, n_k)
 
 
-def svd_rank(mat: np.ndarray, tol: float = EPS_RANK) -> int:
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(as_complex(mat), compute_uv=False)
-    return int(np.sum(s > tol))
+def column_space_and_nullspace(mat: np.ndarray, tol: float = EPS_RANK,
+                               rhs: np.ndarray | None = None) -> tuple:
+    """``(image, kernel, solution, residual)`` of ``mat`` from one SVD.
 
-
-def column_space_and_nullspace(mat: np.ndarray, tol: float = EPS_RANK) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the column space and null space.
-
-    Both come from one SVD, so the rank-nullity identity
-    ``cols(image) + cols(kernel) == ncols`` holds exactly.
+    Image and kernel are orthonormal columns split at ``tol``.  The SVD is
+    thin: only a wide matrix gets the full ``vh``, since only its kernel
+    needs rows beyond ``min(m, n)``.  Given the vector ``rhs``,
+    ``solution`` is its minimum-norm least-squares solution and
+    ``residual`` the worst residual; both are None without it.  A real
+    matrix keeps real arithmetic, so its kernel basis is real.
     """
-    m = as_complex(mat)
-    u, s, vh = np.linalg.svd(m)
+    a = np.asarray(mat)
+    m, n = a.shape
+    u, s, vh = np.linalg.svd(a, full_matrices=m < n)
     r = int(np.sum(s > tol))
-    image = u[:, :r]
-    kernel = vh[r:, :].conj().T
-    return image, kernel
+    image, kernel = u[:, :r], vh[r:, :].conj().T
+    if rhs is None:
+        return image, kernel, None, None
+    k = int(np.sum(s > np.finfo(float).eps * max(m, n) * np.max(s, initial=0.0)))
+    x = vh[:k, :].conj().T @ ((u[:, :k].conj().T @ rhs) / s[:k])
+    return image, kernel, x, max_abs(a @ x - rhs)
 
 
 def solve_exact(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -140,9 +157,7 @@ def realify_conjugation_fixed_points(m: np.ndarray, tol: float = EPS_RANK) -> np
     top = np.hstack([p - np.eye(n), q])
     bot = np.hstack([q, -p - np.eye(n)])
     system = np.vstack([top, bot]).astype(float)
-    _, s, vh = np.linalg.svd(system)
-    r = int(np.sum(s > tol))
-    real_basis = vh[r:, :].T  # real arithmetic keeps the basis real
+    _, real_basis, _, _ = column_space_and_nullspace(system, tol)
     if real_basis.shape[1] == 0:
         return np.zeros((n, 0), dtype=complex)
     return real_basis[:n, :] + 1j * real_basis[n:, :]

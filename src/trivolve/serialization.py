@@ -168,6 +168,8 @@ def load_map(source: str | Path | dict, default_source: Algebra,
     entry is absent.
     """
     data = source if isinstance(source, dict) else read_json(source)
+    if not isinstance(data, dict):
+        raise ParseError(f"malformed map spec: expected an object, got {type(data).__name__}")
     if base_dir is None and not isinstance(source, dict):
         base_dir = Path(source).parent
 

@@ -22,7 +22,7 @@ from .algebra import (
     unitize_algebra,
 )
 from .errors import BNotUnital, NotUnital
-from .linalg import EPS, EPS_RANK, max_abs, solve_exact, svd_rank
+from .linalg import EPS, EPS_RANK, max_abs, solve_exact
 from .starmap import AlgMap, apply, kernel_image
 
 SPECTRUM_TOL = 1e-7
@@ -59,7 +59,7 @@ def inverse_element(algebra: Algebra, x: Element, eps: float = EPS,
     if not algebra.is_unital():
         raise NotUnital("inverses need an identity")
     l_x = left_mult_matrix(algebra, x)
-    if svd_rank(l_x, eps_rank) < algebra.dim:
+    if np.linalg.matrix_rank(l_x, eps_rank) < algebra.dim:
         return None
     y_coords = np.linalg.solve(l_x, algebra.identity_coords)
     y = Element(y_coords, algebra)

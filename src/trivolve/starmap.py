@@ -165,7 +165,7 @@ def kernel_image(f: AlgMap, tol: float = EPS_RANK) -> tuple[Subspace, Subspace]:
     For a conjugating map the kernel is the conjugate of the matrix null
     space (still a complex subspace), since ``f(x) = M conj(x)``.
     """
-    image_cols, null_cols = column_space_and_nullspace(f.matrix, tol)
+    image_cols, null_cols, _, _ = column_space_and_nullspace(f.matrix, tol)
     kernel_cols = np.conj(null_cols) if f.conjugating else null_cols
     return (Subspace(kernel_cols, f.source), Subspace(image_cols, f.target))
 

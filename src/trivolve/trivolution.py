@@ -48,10 +48,10 @@ from .linalg import (
     EPS_RANK,
     as_complex,
     column_products,
+    column_space_and_nullspace,
     max_abs,
     realify_conjugation_fixed_points,
     solve_exact,
-    svd_rank,
 )
 from .starmap import (
     AlgMap,
@@ -101,7 +101,7 @@ def classify_star_map(algebra: Algebra, f: AlgMap, eps: float = EPS,
     cubed = power(f, 3)
     cube_residual = max_abs(cubed.matrix - f.matrix)
     cubes = cubed.conjugating == f.conjugating and cube_residual <= eps
-    injective = svd_rank(f.matrix, eps_rank) == algebra.dim
+    injective = np.linalg.matrix_rank(f.matrix, eps_rank) == algebra.dim
     ok = nonzero and f.conjugating and mult.anti_homomorphism and cubes
     if not ok:
         kind = KIND_NOT_STAR
@@ -575,8 +575,8 @@ def hermitian_decomposition(algebra: Algebra, tau: AlgMap, x: Element,
         bot = np.hstack([h.imag, h.real])
         system = np.vstack([top, bot]).astype(float)
         target = np.concatenate([x.coords.real, x.coords.imag])
-        coeffs, residual = solve_exact(system, target)
-        null_dim = system.shape[1] - svd_rank(system, eps_rank)
+        _, kernel, coeffs, residual = column_space_and_nullspace(system, eps_rank, target)
+        null_dim = kernel.shape[1]
         if residual > 1e3 * eps or null_dim != 0:
             raise CertificationFailure("hermitian pair is not unique",
                                        law="uniqueness of x = x1 + i x2",

@@ -195,7 +195,7 @@ def _annihilator_intersect_kernel(algebra: Algebra, tau: AlgMap,
         rows.append(right_mult_matrix(algebra, col))  # x . q = 0
         rows.append(left_mult_matrix(algebra, col))   # q . x = 0
     stacked = np.vstack(rows)
-    _, kernel = column_space_and_nullspace(stacked, eps_rank)
+    _, kernel, _, _ = column_space_and_nullspace(stacked, eps_rank)
     return kernel
 
 

@@ -264,3 +264,65 @@ def test_non_finite_spec_is_usage_error(spec_files, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out, parse_constant=reject)
     assert code == 2
     assert report["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("command, flag, content", [
+    ("arens", "--dual-basis", {"foo": 1}),
+    ("arens", "--dual-basis", {"basis": 5}),
+    ("search", "--params", {}),
+    ("search", "--params", {"table": 5}),
+    ("check", "--map", [1, 2]),
+], ids=["dual-basis-no-key", "dual-basis-not-list", "params-no-table",
+        "params-table-not-matrix", "map-not-object"])
+def test_malformed_spec_file_is_usage_error(tmp_path, z2, command, flag, content):
+    z2_path = tmp_path / "z2.json"
+    z2_path.write_text(json.dumps(algebra_to_json(z2)))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    args = [command, "--algebra", str(z2_path), flag, str(bad)]
+    if command == "search":
+        args += ["--family", "group"]
+    code, report = run_cli(args, tmp_path)
+    assert code == 2 and report["error"] == "ParseError"
+
+
+def test_tim_solves_each_character_with_one_svd(tmp_path, monkeypatch):
+    # tim_set's affine solve is one SVD and no lstsq; dual_quotient_rep, which
+    # tim_set also calls, factors the evaluation matrix on its own
+    table = cyclic_group_table(4)
+    z4 = group_algebra(table)
+    z4_path = tmp_path / "z4.json"
+    z4_path.write_text(json.dumps(algebra_to_json(z4)))
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(json.dumps(map_to_json(standard_group_involution(z4, table))))
+    where: list[str] = []
+    calls: list[tuple[str, str | None]] = []
+
+    def inside(label, fn):
+        def wrapped(*args, **kwargs):
+            where.append(label)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                where.pop()
+        return wrapped
+
+    def recorded(label, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((label, where[-1] if where else None))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    tim_calls = count_calls(monkeypatch, "tim_set")
+    for name in ("tim_set", "dual_quotient_rep"):
+        for key, module in sorted(sys.modules.items()):
+            if key.split(".")[0] == "trivolve" and hasattr(module, name):
+                monkeypatch.setattr(module, name, inside(name, getattr(module, name)))
+    monkeypatch.setattr(np.linalg, "svd", recorded("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "lstsq", recorded("lstsq", np.linalg.lstsq))
+    code, report = run_cli(["tim", "--algebra", str(z4_path), "--map", str(theta_path)],
+                           tmp_path)
+    assert code == 0 and report["characters"] == len(tim_calls) == 4
+    assert all(entry["affine_dim"] == 0 for entry in report["means"])
+    in_tim_set = [label for label, site in calls if site == "tim_set"]
+    assert in_tim_set == ["svd"] * 4

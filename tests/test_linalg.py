@@ -1,0 +1,81 @@
+"""The one-SVD image/kernel/solve helper against lstsq plus a full SVD."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from trivolve.linalg import EPS_RANK, column_space_and_nullspace
+
+
+def reference(a, b, tol=EPS_RANK):
+    """The two-factorization route: ``lstsq`` for the solve, a full SVD for the kernel."""
+    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    _, s, vh = np.linalg.svd(a)
+    r = int(np.sum(s > tol))
+    return x, float(np.max(np.abs(a @ x - b))), vh[r:, :].conj().T
+
+
+def gaussian_integers(rng, m, n):
+    return (rng.integers(-3, 4, (m, n)) + 1j * rng.integers(-3, 4, (m, n))).astype(complex)
+
+
+def low_rank(rng, m, n, r):
+    # integer factors keep the product exact, so the rank is exactly r
+    return gaussian_integers(rng, m, r) @ gaussian_integers(rng, r, n)
+
+
+CASES = {
+    "tall": lambda rng: gaussian_integers(rng, 12, 5),
+    "square": lambda rng: gaussian_integers(rng, 6, 6),
+    "wide": lambda rng: gaussian_integers(rng, 4, 7),
+    "tall_rank_deficient": lambda rng: low_rank(rng, 10, 6, 3),
+    "square_rank_deficient": lambda rng: low_rank(rng, 6, 6, 4),
+    "wide_rank_deficient": lambda rng: low_rank(rng, 4, 8, 2),
+    "zero_kernel": lambda rng: np.vstack([np.eye(5), gaussian_integers(rng, 3, 5)]),
+    "zero_matrix": lambda rng: np.zeros((5, 3), dtype=complex),
+    "real": lambda rng: low_rank(rng, 9, 6, 4).real.copy(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "least_squares"])
+def test_helper_matches_lstsq_and_full_svd(name, consistent):
+    rng = np.random.default_rng(7)
+    a = CASES[name](rng)
+    m, n = a.shape
+    b = a @ gaussian_integers(rng, n, 1)[:, 0] if consistent else gaussian_integers(rng, m, 1)[:, 0]
+    if np.isrealobj(a):
+        b = b.real.copy()
+    x_ref, residual_ref, kernel_ref = reference(a, b)
+
+    image, kernel, x, residual = column_space_and_nullspace(a, EPS_RANK, rhs=b)
+    assert kernel.shape == kernel_ref.shape
+    assert image.shape[1] + kernel.shape[1] == n
+    assert np.allclose(kernel.conj().T @ kernel, np.eye(kernel.shape[1]), rtol=0, atol=1e-12)
+    assert np.allclose(image.conj().T @ image, np.eye(image.shape[1]), rtol=0, atol=1e-12)
+    assert np.max(np.abs(a @ kernel), initial=0.0) <= 1e-12 * max(1.0, np.abs(a).max())
+    assert np.max(np.abs(x - x_ref), initial=0.0) <= 1e-12
+    assert abs(residual - residual_ref) <= 1e-12
+    assert x.dtype == kernel.dtype == np.result_type(a, float)
+    # without a right-hand side: the same bases, no solve
+    plain = column_space_and_nullspace(a, EPS_RANK)
+    assert np.array_equal(plain[0], image) and np.array_equal(plain[1], kernel)
+    assert plain[2:] == (None, None)
+
+
+def test_helper_never_builds_the_tall_left_factor():
+    # the TIM system of C[Z24]'s full dual: (2nk+1) x k = 1153 x 24
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((1153, 24)) + 1j * rng.standard_normal((1153, 24))
+    b = rng.standard_normal(1153) + 0j
+    full_left_factor = 1153 * 1153 * np.dtype(complex).itemsize  # about 21 MB
+    for call in (lambda: column_space_and_nullspace(a),
+                 lambda: column_space_and_nullspace(a, EPS_RANK, rhs=b)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_left_factor
