@@ -15,9 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
-
-import numpy as np
 
 from .algebra import Algebra
 from .duality import (
@@ -31,18 +28,18 @@ from .duality import (
     tim_set,
     verify_character,
 )
-from .errors import CertificationFailure, ParseError, UsageError
+from .errors import CertificationFailure, UsageError
 from .linalg import EPS, EPS_RANK
 from .serialization import (
-    array_from_json,
     array_to_json,
     dumps_report,
     jsonable,
     load_algebra,
+    load_dual_basis,
     load_element,
+    load_group_params,
     load_map,
     map_to_json,
-    read_json,
 )
 from .spectra import spectrum, verify_spectral_inclusion
 from .starmap import conjugation_map, map_norm
@@ -50,78 +47,29 @@ from .suite import run_suite
 from .trivolution import canonical_decomposition, classify_star_map, factor_through_involution, check_trivolutive_hom
 from .unitization import find_type1_solutions, range_identity, verify_extension
 
-COMMANDS = ("check", "decompose", "factor", "hom", "extend", "spectra",
-            "arens", "tim", "search", "suite")
-
-
-@dataclass
-class RunConfig:
-    """Everything one batch run needs; mirrors the CLI flags."""
-
-    command: str
-    tolerance: float = EPS
-    rank_threshold: float = EPS_RANK
-    seed: int = 0
-    output_format: str = "text"
-    out: str | None = None
-    algebra: str | None = None
-    algebra2: str | None = None
-    map: str | None = None
-    map2: str | None = None
-    map3: str | None = None
-    element: str | None = None
-    family: str | None = None
-    params: str | None = None
-    character: str | None = None
-    dual_basis: str | None = None
-
-    def __post_init__(self):
-        if self.tolerance <= 0 or self.rank_threshold <= 0:
-            raise UsageError("tolerances must be positive")
-
-
-def _need(config: RunConfig, attr: str) -> str:
-    value = getattr(config, attr)
+def _need(args: argparse.Namespace, attr: str) -> str:
+    value = getattr(args, attr)
     if value is None:
-        raise UsageError(f"command {config.command!r} requires --{attr.replace('_', '-')}")
+        raise UsageError(f"command {args.command!r} requires --{attr.replace('_', '-')}")
     return value
 
 
-def _load_pair(config: RunConfig):
-    algebra = load_algebra(_need(config, "algebra"))
-    tau = load_map(_need(config, "map"), default_source=algebra)
+def _load_pair(args: argparse.Namespace):
+    algebra = load_algebra(_need(args, "algebra"))
+    tau = load_map(_need(args, "map"), default_source=algebra)
     return algebra, tau
 
 
-def _load_space(config: RunConfig, algebra: Algebra):
-    if config.dual_basis is None:
+def _load_space(args: argparse.Namespace, algebra: Algebra):
+    if args.dual_basis is None:
         return full_dual(algebra)
-    data = read_json(config.dual_basis)
-    rows = data.get("basis") if isinstance(data, dict) else data
-    if not isinstance(rows, list):
-        raise ParseError(f"dual basis {config.dual_basis} must be a list of rows "
-                         "or an object with a 'basis' list")
-    basis = array_from_json(rows, (len(rows), algebra.dim)).T
-    return check_introverted(algebra, basis, config.tolerance)
+    basis = load_dual_basis(args.dual_basis, algebra.dim)
+    return check_introverted(algebra, basis, args.tolerance)
 
 
-def _load_group_params(path: str) -> dict:
-    """Group-family parameters: an object whose ``table`` is a matrix of indices."""
-    params = read_json(path)
-    table = params.get("table") if isinstance(params, dict) else None
-    try:
-        is_matrix = np.asarray(table, dtype=int).ndim == 2
-    except (TypeError, ValueError):
-        is_matrix = False
-    if not is_matrix:
-        raise ParseError(f"group params {path} must be an object with a 'table' matrix "
-                         "of element indices")
-    return params
-
-
-def _cmd_check(config: RunConfig) -> dict:
-    algebra, tau = _load_pair(config)
-    verdict = classify_star_map(algebra, tau, config.tolerance, config.rank_threshold)
+def _cmd_check(args: argparse.Namespace) -> dict:
+    algebra, tau = _load_pair(args)
+    verdict = classify_star_map(algebra, tau, args.tolerance, args.rank_threshold)
     return {
         "classification": verdict.kind,
         "is_conjugate_linear": verdict.is_conjugate_linear,
@@ -134,9 +82,9 @@ def _cmd_check(config: RunConfig) -> dict:
     }
 
 
-def _cmd_decompose(config: RunConfig) -> dict:
-    algebra, tau = _load_pair(config)
-    dec = canonical_decomposition(algebra, tau, config.tolerance, config.rank_threshold)
+def _cmd_decompose(args: argparse.Namespace) -> dict:
+    algebra, tau = _load_pair(args)
+    dec = canonical_decomposition(algebra, tau, args.tolerance, args.rank_threshold)
     return {
         "classification": dec.verdict.kind,
         "decomposition": {
@@ -149,13 +97,13 @@ def _cmd_decompose(config: RunConfig) -> dict:
     }
 
 
-def _cmd_factor(config: RunConfig) -> dict:
-    algebra, tau = _load_pair(config)
-    if config.map2 is not None:
-        j = load_map(config.map2, default_source=algebra)
+def _cmd_factor(args: argparse.Namespace) -> dict:
+    algebra, tau = _load_pair(args)
+    if args.map2 is not None:
+        j = load_map(args.map2, default_source=algebra)
     else:
         j = conjugation_map(algebra)
-    fact = factor_through_involution(algebra, tau, j, config.tolerance, config.rank_threshold)
+    fact = factor_through_involution(algebra, tau, j, args.tolerance, args.rank_threshold)
     return {
         "c_dim": fact.c.dim,
         "lambda": map_to_json(fact.lam),
@@ -165,15 +113,15 @@ def _cmd_factor(config: RunConfig) -> dict:
     }
 
 
-def _cmd_hom(config: RunConfig) -> dict:
-    a1 = load_algebra(_need(config, "algebra"))
-    a2 = load_algebra(config.algebra2) if config.algebra2 else a1
-    tau1 = load_map(_need(config, "map"), default_source=a1)
-    tau2 = (load_map(config.map2 or config.map, default_source=a2)
-            if config.map2 or config.algebra2 else tau1)
-    pi = load_map(_need(config, "map3"), default_source=a1, default_target=a2)
+def _cmd_hom(args: argparse.Namespace) -> dict:
+    a1 = load_algebra(_need(args, "algebra"))
+    a2 = load_algebra(args.algebra2) if args.algebra2 else a1
+    tau1 = load_map(_need(args, "map"), default_source=a1)
+    tau2 = (load_map(args.map2 or args.map, default_source=a2)
+            if args.map2 or args.algebra2 else tau1)
+    pi = load_map(_need(args, "map3"), default_source=a1, default_target=a2)
     blocks = check_trivolutive_hom(a1, tau1, a2, tau2, pi,
-                                   config.tolerance, config.rank_threshold)
+                                   args.tolerance, args.rank_threshold)
     return {
         "pi11": map_to_json(blocks.pi11),
         "pi22": map_to_json(blocks.pi22),
@@ -193,11 +141,11 @@ def _extension_record(spec) -> dict:
     }
 
 
-def _cmd_extend(config: RunConfig) -> dict:
-    algebra, tau = _load_pair(config)
-    eps, rank = config.tolerance, config.rank_threshold
+def _cmd_extend(args: argparse.Namespace) -> dict:
+    algebra, tau = _load_pair(args)
+    eps, rank = args.tolerance, args.rank_threshold
     records = []
-    solutions = find_type1_solutions(algebra, tau, seed=config.seed, eps=eps, eps_rank=rank)
+    solutions = find_type1_solutions(algebra, tau, seed=args.seed, eps=eps, eps_rank=rank)
     for spec in solutions.specs:
         record = _extension_record(spec)
         record["best_effort"] = spec.best_effort or solutions.best_effort
@@ -209,19 +157,19 @@ def _cmd_extend(config: RunConfig) -> dict:
     return {"extensions": records, "count": len(records)}
 
 
-def _cmd_spectra(config: RunConfig) -> dict:
-    algebra = load_algebra(_need(config, "algebra"))
-    x = load_element(_need(config, "element"), algebra)
+def _cmd_spectra(args: argparse.Namespace) -> dict:
+    algebra = load_algebra(_need(args, "algebra"))
+    x = load_element(_need(args, "element"), algebra)
     spec = spectrum(algebra, x)
     report = {
         "spectrum": [[v.real, v.imag] for v in spec.values],
         "computed_in": spec.computed_in,
     }
-    if config.map is not None:
-        tau = load_map(config.map, default_source=algebra)
+    if args.map is not None:
+        tau = load_map(args.map, default_source=algebra)
         inclusion = verify_spectral_inclusion(algebra, tau, x,
-                                              eps=config.tolerance,
-                                              eps_rank=config.rank_threshold)
+                                              eps=args.tolerance,
+                                              eps_rank=args.rank_threshold)
         report["inclusion"] = {
             "range_spectrum": [[v.real, v.imag] for v in inclusion.spectrum_in_range.values],
             "max_mismatch": inclusion.max_mismatch,
@@ -237,10 +185,10 @@ def _cmd_spectra(config: RunConfig) -> dict:
     return report
 
 
-def _cmd_arens(config: RunConfig) -> dict:
-    algebra = load_algebra(_need(config, "algebra"))
-    space = _load_space(config, algebra)
-    structure = arens_products(algebra, space, config.tolerance)
+def _cmd_arens(args: argparse.Namespace) -> dict:
+    algebra = load_algebra(_need(args, "algebra"))
+    space = _load_space(args, algebra)
+    structure = arens_products(algebra, space, args.tolerance)
     report = {
         "x_dim": space.basis.dim,
         "flags": {
@@ -254,30 +202,30 @@ def _cmd_arens(config: RunConfig) -> dict:
         "regular": structure.regular,
         "residuals": structure.residuals,
     }
-    if config.map is not None:
-        theta = load_map(config.map, default_source=algebra)
+    if args.map is not None:
+        theta = load_map(args.map, default_source=algebra)
         extension = extend_involution(algebra, theta, structure,
-                                      config.tolerance, config.rank_threshold)
+                                      args.tolerance, args.rank_threshold)
         report["extension"] = map_to_json(extension)
     return report
 
 
-def _cmd_tim(config: RunConfig) -> dict:
-    algebra = load_algebra(_need(config, "algebra"))
-    space = _load_space(config, algebra)
-    eps, rank = config.tolerance, config.rank_threshold
-    if config.character is not None:
-        element = load_element(config.character, algebra)
+def _cmd_tim(args: argparse.Namespace) -> dict:
+    algebra = load_algebra(_need(args, "algebra"))
+    space = _load_space(args, algebra)
+    eps, rank = args.tolerance, args.rank_threshold
+    if args.character is not None:
+        element = load_element(args.character, algebra)
         characters = [verify_character(algebra, element.coords, eps)]
         possibly_incomplete = False
     else:
-        search = find_characters(algebra, eps, rank, config.seed)
+        search = find_characters(algebra, eps, rank, args.seed)
         characters = search.characters
         possibly_incomplete = search.possibly_incomplete
 
     star = None
-    if config.map is not None:
-        theta = load_map(config.map, default_source=algebra)
+    if args.map is not None:
+        theta = load_map(args.map, default_source=algebra)
         arens = arens_products(algebra, space, eps)
         star = extend_involution(algebra, theta, arens, eps, rank)
         star_verdict = classify_star_map(arens.box_algebra, star, eps, rank)
@@ -305,54 +253,54 @@ def _cmd_tim(config: RunConfig) -> dict:
             "means": results}
 
 
-def _cmd_search(config: RunConfig) -> dict:
-    algebra = load_algebra(_need(config, "algebra"))
-    family = _need(config, "family")
+def _cmd_search(args: argparse.Namespace) -> dict:
+    algebra = load_algebra(_need(args, "algebra"))
+    family = _need(args, "family")
     if family == "function":
         family_spec: dict = {"family": "function_indicator"}
     elif family == "group":
-        params = _load_group_params(_need(config, "params"))
+        params = load_group_params(_need(args, "params"))
         family_spec = {"family": "group_quotient", **params}
     else:
         raise UsageError(f"unsupported CLI family {family!r}; use 'function' or 'group' "
                          "(explicit pairs are available through the library API)")
-    found = search_trivolutions(algebra, family_spec, config.tolerance, config.rank_threshold)
+    found = search_trivolutions(algebra, family_spec, args.tolerance, args.rank_threshold)
     return {"family": family_spec["family"], "count": len(found),
             "maps": [map_to_json(f) for f in found]}
 
 
-def _cmd_suite(config: RunConfig) -> tuple[int, dict]:
-    passed, report = run_suite(config.seed, config.tolerance, config.rank_threshold)
+def _cmd_suite(args: argparse.Namespace) -> tuple[int, dict]:
+    passed, report = run_suite(args.seed, args.tolerance, args.rank_threshold)
     return (0 if passed else 1), report
 
 
-def run(config: RunConfig) -> tuple[int, dict]:
-    """Execute one command; returns (exit_code, report)."""
-    handlers = {
-        "check": _cmd_check,
-        "decompose": _cmd_decompose,
-        "factor": _cmd_factor,
-        "hom": _cmd_hom,
-        "extend": _cmd_extend,
-        "spectra": _cmd_spectra,
-        "arens": _cmd_arens,
-        "tim": _cmd_tim,
-        "search": _cmd_search,
-    }
+HANDLERS = {
+    "check": _cmd_check,
+    "decompose": _cmd_decompose,
+    "factor": _cmd_factor,
+    "hom": _cmd_hom,
+    "extend": _cmd_extend,
+    "spectra": _cmd_spectra,
+    "arens": _cmd_arens,
+    "tim": _cmd_tim,
+    "search": _cmd_search,
+}
+
+
+def run(args: argparse.Namespace) -> tuple[int, dict]:
+    """Execute one parsed command; returns (exit_code, report)."""
     try:
-        if config.command == "suite":
-            return _cmd_suite(config)
-        if config.command not in handlers:
-            raise UsageError(f"unknown command {config.command!r}")
-        report = handlers[config.command](config)
-        report["command"] = config.command
+        if args.command == "suite":
+            return _cmd_suite(args)
+        report = HANDLERS[args.command](args)
+        report["command"] = args.command
         return 0, report
     except UsageError as exc:
-        return 2, {"command": config.command, "error": type(exc).__name__,
+        return 2, {"command": args.command, "error": type(exc).__name__,
                    "message": str(exc)}
     except CertificationFailure as exc:
         report = exc.report()
-        report["command"] = config.command
+        report["command"] = args.command
         return 1, report
 
 
@@ -378,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trivolve",
                                      description="workbench for involutions and trivolutions "
                                                  "on finite-dimensional complex algebras")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=(*HANDLERS, "suite"))
     parser.add_argument("--algebra", help="algebra spec file (JSON)")
     parser.add_argument("--algebra2", help="second algebra spec file (hom)")
     parser.add_argument("--map", help="map spec file (JSON)")
@@ -413,25 +361,19 @@ def _seed(default: int) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        seed = _seed(args.seed)
-        config = RunConfig(command=args.command, tolerance=args.tolerance,
-                           rank_threshold=args.rank_threshold, seed=seed,
-                           output_format=args.output_format, out=args.out,
-                           algebra=args.algebra, algebra2=args.algebra2,
-                           map=args.map, map2=args.map2, map3=args.map3,
-                           element=args.element, family=args.family,
-                           params=args.params, character=args.character,
-                           dual_basis=args.dual_basis)
+        args.seed = _seed(args.seed)
+        if not (args.tolerance > 0 and args.rank_threshold > 0):  # NaN fails too
+            raise UsageError("tolerances must be positive")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    code, report = run(config)
-    if config.output_format == "json":
+    code, report = run(args)
+    if args.output_format == "json":
         text = dumps_report(report)
     else:
         text = _render_text(jsonable(report)) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

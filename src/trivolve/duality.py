@@ -141,7 +141,7 @@ def find_characters(algebra: Algebra, eps: float = EPS, eps_rank: float = EPS_RA
     """
     if not is_commutative(algebra, eps):
         raise NotCommutative("character discovery is implemented for commutative algebras; "
-                             "verify user-supplied candidates instead")
+                             "verify user-supplied candidates instead", law="ab = ba")
     found: list[Character] = []
 
     def try_generic(rng_seed: int) -> None:

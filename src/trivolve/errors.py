@@ -42,10 +42,11 @@ class CertificationFailure(TrivolveError):
     """A mathematical law failed to hold within tolerance.
 
     ``law`` names the violated identity, ``residual`` is the worst
-    magnitude observed, ``details`` is free-form diagnostic data.
+    magnitude observed (``None`` where no magnitude applies, so reports
+    stay valid JSON), ``details`` is free-form diagnostic data.
     """
 
-    def __init__(self, message: str, *, law: str = "", residual: float = float("nan"),
+    def __init__(self, message: str, *, law: str = "", residual: float | None = None,
                  details: dict | None = None):
         super().__init__(message)
         self.law = law

@@ -1,40 +1,39 @@
 """JSON file formats and deterministic report encoding.
 
-Complex numbers are always ``[re, im]`` pairs.  A list or tuple of numbers
-with at least one complex entry is a complex vector and is written wholly as
-pairs, real entries included, exactly as the same values in a complex
-``ndarray`` would be; lists without a complex entry are written as they are.
-Algebra files carry the structure tensor (or a group table); map files carry
-the matrix and the conjugation flag.  Reports are emitted with sorted keys so identical
+Each spec file kind has one reader here: ``load_algebra`` (a structure
+tensor or a group table), ``load_map`` (the matrix and the conjugation
+flag), ``load_element``, ``load_group_params`` and ``load_dual_basis``.
+Each raises ``ParseError`` for anything it cannot use.
+
+An array declared of shape ``s`` is read by one ``np.asarray``: it holds
+either real numbers, in shape ``s``, or ``[re, im]`` pairs, in shape
+``s + (2,)``.  Any other shape, a mix of reals and pairs, a string, a
+null, a non-finite number or an integer too large for a float is a
+``ParseError``.  A group table is a square matrix of integer element
+indices that satisfies the group axioms.
+
+Complex numbers are always written as ``[re, im]`` pairs.  A list or tuple
+of numbers with at least one complex entry is a complex vector and is
+written wholly as pairs, real entries included, exactly as the same values
+in a complex ``ndarray`` would be; lists without a complex entry are
+written as they are.  Reports are emitted with sorted keys so identical
 inputs produce byte-identical output.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import NORM_ELL1, NORM_OPNORM, Algebra, Element, group_algebra, make_algebra
-from .errors import CertificationFailure, ParseError
+from .algebra import (NORM_ELL1, NORM_OPNORM, Algebra, Element, _verify_group_table,
+                      group_algebra, make_algebra)
+from .errors import CertificationFailure, NotAGroup, ParseError
 from .starmap import AlgMap, make_map
 
 _NORM_TAGS = {"ell1": NORM_ELL1, "opnorm": NORM_OPNORM}
-
-
-def pair_to_complex(pair) -> complex:
-    """A spec number: a real or an ``[re, im]`` pair, finite in both parts."""
-    if isinstance(pair, (int, float)):
-        z = complex(pair)
-    elif isinstance(pair, (list, tuple)) and len(pair) == 2:
-        z = complex(float(pair[0]), float(pair[1]))
-    else:
-        raise ParseError(f"expected [re, im] pair, got {pair!r}")
-    if not cmath.isfinite(z):
-        raise ParseError(f"expected a finite number, got {pair!r}")
-    return z
 
 
 def complex_to_pair(z) -> list[float]:
@@ -43,26 +42,44 @@ def complex_to_pair(z) -> list[float]:
 
 
 def array_from_json(data, shape: tuple[int, ...]) -> np.ndarray:
-    flat: list[complex] = []
+    """The complex array of ``shape`` that ``data`` holds as reals or as pairs."""
+    shape = tuple(shape)
+    try:
+        arr = np.asarray(data)
+        if arr.dtype.kind not in "biufO":
+            raise TypeError(f"non-numeric entries ({arr.dtype})")
+        if arr.dtype == object:  # an integer beyond 64 bits, or something not a number
+            arr = np.asarray(arr - 0)  # keeps each number (-0.0 too), raises on the rest
+        arr = arr.astype(float, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"expected an array of numbers or [re, im] pairs: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise ParseError(f"expected finite numbers, got {arr[~np.isfinite(arr)][0]}")
+    if arr.shape == shape:
+        return arr.astype(complex)
+    if arr.shape == shape + (2,):
+        return arr.view(complex).reshape(shape)  # a view keeps every bit, -0.0 included
+    if arr.size == 0 and arr.shape == shape[:arr.ndim]:  # [] for a leading zero length
+        return np.zeros(shape, dtype=complex)
+    raise ParseError(f"expected an array of shape {shape}, or of [re, im] pairs of shape "
+                     f"{shape + (2,)}; got shape {arr.shape}")
 
-    def walk(node, depth):
-        if depth == len(shape):
-            flat.append(pair_to_complex(node))
-            return
-        if not isinstance(node, (list, tuple)) or len(node) != shape[depth]:
-            raise ParseError(f"expected a list of length {shape[depth]} at depth {depth}")
-        for child in node:
-            walk(child, depth + 1)
 
-    walk(data, 0)
-    return np.array(flat, dtype=complex).reshape(shape)
+def group_table(data) -> np.ndarray:
+    """A group multiplication table: integer element indices, group axioms checked."""
+    try:
+        table = np.asarray(data)
+        if table.dtype.kind not in "iu" or table.ndim != 2:
+            raise ParseError("group table must be a matrix of integer element indices")
+        _verify_group_table(table)
+    except (ValueError, NotAGroup) as exc:
+        raise ParseError(f"malformed group table: {exc}") from exc
+    return table
 
 
 def array_to_json(arr: np.ndarray):
     arr = np.asarray(arr, dtype=complex)
-    if arr.ndim == 0:
-        return complex_to_pair(arr[()])
-    return [array_to_json(sub) for sub in arr]
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def _is_complex_vector(items) -> bool:
@@ -110,21 +127,28 @@ def dumps_report(report: dict) -> str:
     return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
 
 
-def read_json(path: str | Path) -> dict:
+def read_json(path: str | Path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
+
+
+def _spec_object(source: str | Path | dict, kind: str) -> dict:
+    data = source if isinstance(source, dict) else read_json(source)
+    if not isinstance(data, dict):
+        raise ParseError(f"malformed {kind} spec: expected an object, got {type(data).__name__}")
+    return data
 
 
 def load_algebra(source: str | Path | dict) -> Algebra:
     """Load an algebra spec file (structure tensor or group table)."""
-    data = source if isinstance(source, dict) else read_json(source)
+    data = _spec_object(source, "algebra")
     try:
         if "group" in data:
             group = data["group"]
-            table = np.asarray(group["table"], dtype=int)
+            table = group_table(group["table"])
             if "order" in group and int(group["order"]) != table.shape[0]:
                 raise ParseError("declared group order does not match the table")
             return group_algebra(table, data.get("labels"))
@@ -143,7 +167,7 @@ def load_algebra(source: str | Path | dict) -> Algebra:
         raise
     except CertificationFailure as exc:
         raise ParseError(f"algebra file failed validation: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed algebra spec: {exc}") from exc
 
 
@@ -167,32 +191,30 @@ def load_map(source: str | Path | dict, default_source: Algebra,
     A named file must exist and parse; the defaults apply only when the
     entry is absent.
     """
-    data = source if isinstance(source, dict) else read_json(source)
-    if not isinstance(data, dict):
-        raise ParseError(f"malformed map spec: expected an object, got {type(data).__name__}")
+    data = _spec_object(source, "map")
     if base_dir is None and not isinstance(source, dict):
         base_dir = Path(source).parent
 
     def resolve(tag, fallback):
         name = data.get(tag)
-        if isinstance(name, str):
-            candidate = Path(name)
-            if base_dir is not None and not candidate.is_absolute():
-                candidate = Path(base_dir) / candidate
-            return load_algebra(candidate)  # a missing file is a ParseError, not a fallback
-        return fallback
+        if name is None:
+            return fallback
+        if not isinstance(name, str):
+            raise ParseError(f"map {tag} must name an algebra file, got {name!r}")
+        candidate = Path(name)
+        if base_dir is not None and not candidate.is_absolute():
+            candidate = Path(base_dir) / candidate
+        return load_algebra(candidate)  # a missing file is a ParseError, not a fallback
 
     src = resolve("source", default_source)
     tgt = resolve("target", default_target or src)
-    try:
-        matrix_rows = data["matrix"]
-        matrix = array_from_json(matrix_rows, (tgt.dim, src.dim))
-        conjugating = bool(data.get("conjugating", False))
-        return make_map(matrix, conjugating=conjugating, source=src, target=tgt)
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed map spec: {exc}") from exc
+    if "matrix" not in data:
+        raise ParseError("malformed map spec: no 'matrix'")
+    conjugating = data.get("conjugating", False)
+    if not isinstance(conjugating, bool):
+        raise ParseError(f"map 'conjugating' must be true or false, got {conjugating!r}")
+    matrix = array_from_json(data["matrix"], (tgt.dim, src.dim))
+    return make_map(matrix, conjugating=conjugating, source=src, target=tgt)
 
 
 def map_to_json(f: AlgMap) -> dict:
@@ -203,20 +225,44 @@ def load_element(source, algebra: Algebra) -> Element:
     """Element coordinates from a file path, inline JSON text, or a list."""
     data = source
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        if path.exists():
-            data = read_json(path)
+        if os.path.isfile(source):  # False, not OSError, for inline text too long for a name
+            data = read_json(source)
         else:
             try:
                 data = json.loads(str(source))
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ParseError(f"element is neither a file nor inline JSON: {source!r}") from exc
     if isinstance(data, dict):
         data = data.get("coords", data)
-    try:
-        coords = array_from_json(data, (algebra.dim,))
-    except ParseError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed element coordinates: {exc}") from exc
-    return algebra.element(coords)
+    return algebra.element(array_from_json(data, (algebra.dim,)))
+
+
+def load_group_params(path: str | Path) -> dict:
+    """Group-family search parameters: a ``table`` and optional ``normal_subgroups``.
+
+    Only those two keys are returned; each subgroup is a list of element indices.
+    """
+    data = read_json(path)
+    if not isinstance(data, dict) or "table" not in data:
+        raise ParseError(f"group params {path} must be an object with a 'table' matrix "
+                         "of element indices")
+    params = {"table": group_table(data["table"])}
+    if "normal_subgroups" in data:
+        subgroups, n = data["normal_subgroups"], len(params["table"])
+        if not (isinstance(subgroups, list)
+                and all(isinstance(s, list) and all(type(g) is int and 0 <= g < n for g in s)
+                        for s in subgroups)):
+            raise ParseError(f"group params {path}: 'normal_subgroups' must be a list of "
+                             f"lists of element indices below {n}")
+        params["normal_subgroups"] = subgroups
+    return params
+
+
+def load_dual_basis(path: str | Path, dim: int) -> np.ndarray:
+    """Dual-subspace basis file: a list of functionals (rows), returned as columns."""
+    data = read_json(path)
+    rows = data.get("basis") if isinstance(data, dict) else data
+    if not isinstance(rows, list):
+        raise ParseError(f"dual basis {path} must be a list of rows "
+                         "or an object with a 'basis' list")
+    return array_from_json(rows, (len(rows), dim)).T

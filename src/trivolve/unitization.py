@@ -264,7 +264,8 @@ def find_type1_solutions(algebra: Algebra, tau: AlgMap, *, seed: int = 0,
     """
     verdict = classify_star_map(algebra, tau, eps, eps_rank)
     if not verdict.is_trivolution:
-        raise NotATrivolution("solver requires a trivolution")
+        raise NotATrivolution("solver requires a trivolution",
+                              law="conjugate-linear anti-homomorphism with t^3 = t")
     n_basis = _annihilator_intersect_kernel(algebra, tau, eps_rank)
     best_effort = False
     candidates = [np.zeros(algebra.dim, dtype=complex)]

@@ -272,8 +272,17 @@ def test_non_finite_spec_is_usage_error(spec_files, tmp_path, capsys):
     ("search", "--params", {}),
     ("search", "--params", {"table": 5}),
     ("check", "--map", [1, 2]),
+    ("search", "--params", {"table": [[0, 1], [1, 0]], "normal_subgroups": 5}),
+    ("search", "--params", {"table": [[0, 1], [1, 0]], "normal_subgroups": [[7]]}),
+    ("search", "--params", {"table": [[0, 1]]}),
+    ("check", "--algebra", {"group": {"table": [[0, 1.7], [1.2, 0]]}}),
+    ("check", "--algebra", {"dim": 2, "identity": [1, 10**400],
+                            "structure": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}),
+    ("check", "--map", {"matrix": [[1, [0, 0]], [0, 0]], "conjugating": True}),
 ], ids=["dual-basis-no-key", "dual-basis-not-list", "params-no-table",
-        "params-table-not-matrix", "map-not-object"])
+        "params-table-not-matrix", "map-not-object", "params-subgroups-not-list",
+        "params-subgroup-index-out-of-range", "params-table-not-square",
+        "group-table-not-integer", "identity-overflows-float", "map-mixes-reals-and-pairs"])
 def test_malformed_spec_file_is_usage_error(tmp_path, z2, command, flag, content):
     z2_path = tmp_path / "z2.json"
     z2_path.write_text(json.dumps(algebra_to_json(z2)))
@@ -326,3 +335,15 @@ def test_tim_solves_each_character_with_one_svd(tmp_path, monkeypatch):
     assert all(entry["affine_dim"] == 0 for entry in report["means"])
     in_tim_set = [label for label, site in calls if site == "tim_set"]
     assert in_tim_set == ["svd"] * 4
+
+
+def test_failure_without_residual_reports_null(tmp_path, m2, capsys):
+    def reject(constant):
+        raise ValueError(f"report holds {constant}")
+
+    m2_path = tmp_path / "m2.json"
+    m2_path.write_text(json.dumps(algebra_to_json(m2)))
+    code = main(["tim", "--algebra", str(m2_path), "--format", "json"])
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == 1 and report["error"] == "NotCommutative"
+    assert report["law"] and report["residual"] is None

@@ -16,7 +16,6 @@ from trivolve.serialization import (
     load_element,
     load_map,
     map_to_json,
-    pair_to_complex,
 )
 
 
@@ -96,7 +95,7 @@ def test_parse_errors(tmp_path, c2):
                                     ["nan", 0.0]])
 def test_non_finite_number_is_parse_error(number):
     with pytest.raises(ParseError):
-        pair_to_complex(number)
+        array_from_json(number, ())
 
 
 def test_nonassociative_file_is_parse_error(tmp_path):
