@@ -4,6 +4,7 @@ finite-dimensional complex associative algebras."""
 from .algebra import (
     Algebra,
     Element,
+    GroupTable,
     Subspace,
     SubspaceFlags,
     analyze_subspace,
@@ -22,6 +23,7 @@ from .algebra import (
     quotient,
     subalgebra_closure,
     unitize_algebra,
+    verify_group_table,
 )
 from .duality import (
     ArensStructure,

@@ -10,6 +10,7 @@ All values are immutable after construction; operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Iterable, Sequence
@@ -24,10 +25,10 @@ from .errors import (
     NotAnIdeal,
     NotASubalgebra,
     UsageError,
+    certify,
 )
 from .linalg import (
     EPS,
-    EPS_RANK,
     as_complex,
     column_products,
     echelon_rows,
@@ -166,8 +167,10 @@ class Subspace:
         reduced = reduce_vector(columns, self.echelon, list(self.pivots))
         return np.abs(reduced).max(axis=0, initial=0.0)
 
-    def contains_subspace(self, other: "Subspace", tol: float = EPS) -> bool:
-        return bool(np.all(self.residuals(other.basis) <= tol))
+    def same_span(self, other: "Subspace", tol: float = EPS) -> bool:
+        """Each of the two subspaces contains the other, within ``tol``."""
+        return bool(np.all(self.residuals(other.basis) <= tol)
+                    and np.all(other.residuals(self.basis) <= tol))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim} of {self.algebra.dim})"
@@ -180,9 +183,12 @@ def _require_same_algebra(a: Algebra, b: Algebra) -> None:
 
 def algebras_compatible(a: Algebra, b: Algebra, tol: float = EPS) -> bool:
     """Same object, or structurally identical within tolerance."""
-    if a is b:
-        return True
-    return a.dim == b.dim and max_abs(a.structure - b.structure) <= tol
+    return a is b or same_structure(a.structure, b.structure, tol)
+
+
+def same_structure(s: np.ndarray, t: np.ndarray, tol: float = EPS) -> bool:
+    """Structure tensors of one shape whose entries agree within ``tol``."""
+    return s.shape == t.shape and max_abs(s - t) <= tol
 
 
 def _associativity_check(structure: np.ndarray, eps: float) -> None:
@@ -200,9 +206,10 @@ def _associativity_check(structure: np.ndarray, eps: float) -> None:
         left = structure[i] @ rows    # [j, (k, l)]: (b_i b_j) b_k
         right = pairs @ structure[i]  # [(j, k), l]: b_i (b_j b_k)
         gap = np.abs(left.reshape(-1) - right.reshape(-1))
-        flat = int(np.argmax(gap))
-        if gap[flat] > worst:  # strict: an earlier i keeps a tie
-            worst, where = float(gap[flat]), (i, *np.unravel_index(flat, (n, n, n)))
+        flat = int(np.argmax(gap))  # the first NaN, when there is one
+        largest = math.inf if np.isnan(gap[flat]) else float(gap[flat])  # overflow violates
+        if largest > worst:  # strict: an earlier i keeps a tie
+            worst, where = largest, (i, *np.unravel_index(flat, (n, n, n)))
     if worst > eps:
         i, j, k, l = where
         raise AssociativityViolation(
@@ -260,11 +267,9 @@ def make_algebra(dim: int, structure, labels: Sequence[str] | None = None,
         basis_vecs = np.eye(dim, dtype=complex)
         left = np.einsum("m,mik->ik", e, structure)   # row i: e . b_i
         right = np.einsum("m,imk->ik", e, structure)  # row i: b_i . e
-        worst = max(max_abs(left - basis_vecs), max_abs(right - basis_vecs))
-        if worst > eps:
-            raise IdentityMismatch(
-                f"declared identity fails with residual {worst:.3e}",
-                law="e b_i = b_i = b_i e", residual=worst)
+        certify(max(max_abs(left - basis_vecs), max_abs(right - basis_vecs)), eps,
+                "e b_i = b_i = b_i e", "declared identity fails with residual {residual:.3e}",
+                IdentityMismatch)
         identity = freeze(e)
     else:
         found = _find_identity(structure, eps)
@@ -334,12 +339,30 @@ def matrix_algebra(n: int, *, norm_kind: str = NORM_ELL1) -> Algebra:
     return make_algebra(dim, structure, labels, declared_identity=identity, norm_kind=norm_kind)
 
 
-def _verify_group_table(table: np.ndarray) -> tuple[int, np.ndarray]:
-    """Check group axioms on a multiplication table.
+@dataclass(frozen=True)
+class GroupTable:
+    """A multiplication table of element indices that satisfies the group axioms.
 
-    Returns the identity index and the array of inverses
-    (``table[g, inverse[g]]`` is the identity).
+    Only ``verify_group_table`` makes one, so whoever holds it verifies
+    nothing again.  ``table[g, inverse[g]]`` is ``identity``.
     """
+
+    table: np.ndarray
+    identity: int
+    inverse: np.ndarray
+
+    def structure(self) -> np.ndarray:
+        """Structure tensor of the group algebra: ``g_i g_j = g_table[i, j]``."""
+        n = len(self.table)
+        structure = np.zeros((n, n, n), dtype=complex)
+        structure[np.arange(n)[:, None], np.arange(n), self.table] = 1.0
+        return structure
+
+
+def verify_group_table(table) -> GroupTable:
+    """Check the group axioms on a multiplication table (``NotAGroup`` if one fails)."""
+    table = np.array(table, dtype=int)
+    table.setflags(write=False)
     n = table.shape[0]
     if table.shape != (n, n):
         raise NotAGroup("group table must be square", law="group table shape")
@@ -363,28 +386,26 @@ def _verify_group_table(table: np.ndarray) -> tuple[int, np.ndarray]:
     if failures.size:
         i, j, k = failures[0]
         raise NotAGroup(f"associativity fails at ({i},{j},{k})", law="associativity")
-    return identity, np.argmax(table == identity, axis=1)
+    inverse = np.argmax(table == identity, axis=1)
+    inverse.setflags(write=False)
+    return GroupTable(table=table, identity=identity, inverse=inverse)
 
 
-def group_algebra(table, labels: Sequence[str] | None = None, *,
+def group_algebra(group: GroupTable, labels: Sequence[str] | None = None, *,
                   norm_kind: str = NORM_ELL1) -> Algebra:
-    """Group algebra C[G] from a multiplication table of element indices."""
-    table = np.asarray(table, dtype=int)
-    identity_idx, _ = _verify_group_table(table)
-    n = table.shape[0]
-    structure = np.zeros((n, n, n), dtype=complex)
-    for i, j in iter_product(range(n), repeat=2):
-        structure[i, j, table[i, j]] = 1.0
+    """Group algebra C[G] of a verified multiplication table."""
+    n = len(group.table)
     if labels is None:
         labels = [f"g{i}" for i in range(n)]
-        labels[identity_idx] = "e"
+        labels[group.identity] = "e"
     identity = np.zeros(n, dtype=complex)
-    identity[identity_idx] = 1.0
-    return make_algebra(n, structure, labels, declared_identity=identity, norm_kind=norm_kind)
+    identity[group.identity] = 1.0
+    return make_algebra(n, group.structure(), labels, declared_identity=identity,
+                        norm_kind=norm_kind)
 
 
-def cyclic_group_table(n: int) -> np.ndarray:
-    return np.fromfunction(lambda i, j: (i + j) % n, (n, n), dtype=int)
+def cyclic_group_table(n: int) -> GroupTable:
+    return verify_group_table(np.fromfunction(lambda i, j: (i + j) % n, (n, n), dtype=int))
 
 
 def product_algebra(a: Algebra, b: Algebra) -> Algebra:
@@ -496,10 +517,9 @@ def induced_subalgebra(algebra: Algebra, s: Subspace, *, eps: float = EPS,
         return make_algebra(0, np.zeros((0, 0, 0)), [], norm_kind=algebra.norm_kind), q
     products = _pair_products(algebra, q)
     coeffs, residual = solve_exact(q, products)
-    if residual > eps:
-        raise NotASubalgebra(
-            f"a product of basis vectors escapes the subspace (residual {residual:.3e})",
-            law="closure under multiplication", residual=residual)
+    certify(residual, eps, "closure under multiplication",
+            "a product of basis vectors escapes the subspace (residual {residual:.3e})",
+            NotASubalgebra)
     structure = coeffs.reshape(k, k, k).transpose(1, 2, 0)
     if labels is None:
         labels = [algebra.basis_labels[p] for p in s.pivots]
@@ -542,10 +562,8 @@ def quotient(algebra: Algebra, s: Subspace, tol: float = EPS):
     # certify q(xy) = q(x)q(y) on all basis pairs
     lhs = q_matrix @ algebra.structure.reshape(n * n, n).T
     rhs = column_products(structure, q_matrix, q_matrix).transpose(2, 0, 1).reshape(k, n * n)
-    worst = max_abs(lhs - rhs)
-    if worst > tol:
-        raise NotAnIdeal(f"quotient map fails multiplicativity (residual {worst:.3e})",
-                         law="q(xy) = q(x) q(y)", residual=worst)
+    certify(max_abs(lhs - rhs), tol, "q(xy) = q(x) q(y)",
+            "quotient map fails multiplicativity (residual {residual:.3e})", NotAnIdeal)
     return quot, qmap
 
 

@@ -3,7 +3,8 @@
 Exit codes separate mathematical failures from usage failures so CI can
 tell a law regression from a bad input: 0 means every certification
 passed, 1 means a mathematical certification failed (the report carries
-the violated law and residual), 2 means the inputs did not parse.
+the violated law and residual), 2 means the inputs did not parse, or
+overflowed float64 so that the report would hold a non-finite number.
 
 Reports are deterministic: identical inputs and seed produce
 byte-identical JSON.  The ``TRIVOLVE_SEED`` environment variable
@@ -296,12 +297,22 @@ def run(args: argparse.Namespace) -> tuple[int, dict]:
         report["command"] = args.command
         return 0, report
     except UsageError as exc:
-        return 2, {"command": args.command, "error": type(exc).__name__,
-                   "message": str(exc)}
+        return 2, _usage_report(args, exc)
     except CertificationFailure as exc:
         report = exc.report()
         report["command"] = args.command
         return 1, report
+
+
+def _usage_report(args: argparse.Namespace, exc: UsageError) -> dict:
+    return {"command": args.command, "error": type(exc).__name__, "message": str(exc)}
+
+
+def _render(report: dict, output_format: str) -> str:
+    """The report as text; ``UsageError`` when it holds a non-finite number."""
+    if output_format == "json":
+        return dumps_report(report)
+    return _render_text(jsonable(report)) + "\n"
 
 
 def _render_text(report: dict, indent: int = 0) -> str:
@@ -368,10 +379,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     code, report = run(args)
-    if args.output_format == "json":
-        text = dumps_report(report)
-    else:
-        text = _render_text(jsonable(report)) + "\n"
+    try:
+        text = _render(report, args.output_format)
+    except UsageError as exc:
+        code, text = 2, _render(_usage_report(args, exc), args.output_format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

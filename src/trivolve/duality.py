@@ -26,14 +26,13 @@ import numpy as np
 from .algebra import (
     Algebra,
     Element,
+    GroupTable,
     Subspace,
-    _verify_group_table,
-    algebras_compatible,
-    group_algebra,
     is_commutative,
     left_mult_matrix,
     make_algebra,
     right_mult_matrix,
+    same_structure,
 )
 from .errors import (
     AlgebraMismatch,
@@ -46,6 +45,7 @@ from .errors import (
     NotIntroverted,
     NotInvariant,
     UnsupportedFamily,
+    certify,
 )
 from .linalg import (
     EPS,
@@ -116,11 +116,8 @@ def verify_character(algebra: Algebra, coords, eps: float = EPS) -> Character:
         raise CertificationFailure("the zero functional is not a character",
                                    law="characters are non-zero")
     prods = np.einsum("ijk,k->ij", algebra.structure, coords)
-    outer = np.outer(coords, coords)
-    worst = max_abs(prods - outer)
-    if worst > eps:
-        raise CertificationFailure("functional is not multiplicative",
-                                   law="phi(xy) = phi(x) phi(y)", residual=worst)
+    worst = certify(max_abs(prods - np.outer(coords, coords)), eps, "phi(xy) = phi(x) phi(y)",
+                    "functional is not multiplicative")
     return Character(coords=coords, algebra=algebra, residual=worst)
 
 
@@ -325,11 +322,10 @@ def arens_products(algebra: Algebra, space: IntrovertedSpace,
     right, left = _dual_actions(algebra, space.basis.canonical_columns())
     # Psi_j . lambda_s is right[s, :, free_j]; lambda_s . Phi_i is left[s, :, free_i]
     intermediates = np.concatenate([right[:, :, free], left[:, :, free]], axis=2)
-    escape = float(space.basis.residuals(
-        intermediates.transpose(1, 0, 2).reshape(n, -1)).max(initial=0.0))
-    if escape > eps:
-        raise NotIntroverted(f"an intermediate action escaped X (residual {escape:.3e})",
-                             law="Psi . lambda in X", residual=escape)
+    escape = certify(float(space.basis.residuals(
+        intermediates.transpose(1, 0, 2).reshape(n, -1)).max(initial=0.0)), eps,
+        "Psi . lambda in X", "an intermediate action escaped X (residual {residual:.3e})",
+        NotIntroverted)
     # values on the X basis, [i, j, s]: <Psi_j . lambda_s, b_free_i>, <lambda_s . Phi_i, b_free_j>
     box_values = right[:, free][:, :, free].transpose(1, 2, 0)
     diamond_values = left[:, free][:, :, free].transpose(2, 1, 0)
@@ -381,14 +377,11 @@ def extend_involution(algebra: Algebra, theta: AlgMap, arens: ArensStructure,
     if verdict.kind != KIND_INVOLUTION:
         raise CertificationFailure("the double adjoint failed to be an involution on X*",
                                    law="Theta is an involution on (X*, box)",
-                                   residual=max(verdict.anti_residual, verdict.cube_residual))
+                                   residual=verdict.residual)
     if space.faithful:
         images = rep.rep_coords(np.eye(algebra.dim))  # column a: the class of b_a
-        worst = max_abs(extension.matrix @ np.conj(images) - rep.rep_coords(theta.matrix))
-        if worst > eps:
-            raise CertificationFailure("extension does not restrict to theta",
-                                       law="Theta extends theta along A -> X*",
-                                       residual=worst)
+        certify(max_abs(extension.matrix @ np.conj(images) - rep.rep_coords(theta.matrix)), eps,
+                "Theta extends theta along A -> X*", "extension does not restrict to theta")
     return extension
 
 
@@ -420,9 +413,8 @@ class TimSolutionSet:
 def tim_set(algebra: Algebra, space: IntrovertedSpace, phi: Character,
             eps: float = EPS, eps_rank: float = EPS_RANK) -> TimSolutionSet:
     """Solve ``<m, phi> = 1`` and ``a.m = m.a = phi(a) m`` for ``m`` in ``X*``."""
-    if not space.basis.contains(phi.coords, eps):
-        raise CharacterNotInX("the character does not lie in X",
-                              law="phi in X", residual=space.basis.residual(phi.coords))
+    certify(space.basis.residual(phi.coords), eps, "phi in X", "the character does not lie in X",
+            CharacterNotInX)
     rep = dual_quotient_rep(space)
     n = algebra.dim
     k = rep.dim
@@ -473,14 +465,12 @@ def tim_obstruction_check(algebra: Algebra, means: TimSolutionSet, phi: Characte
     if star_verdict.kind != KIND_INVOLUTION:
         raise NotCompatibleInvolution("star is not an involution on (X*, box)",
                                       law="star^2 = id, anti-multiplicative",
-                                      residual=max(star_verdict.anti_residual,
-                                                   star_verdict.cube_residual))
+                                      residual=star_verdict.residual)
     a_reps = rep.rep_coords(np.eye(algebra.dim))  # column a: the class of b_a
     starred = rep.embed_coords(star.matrix @ np.conj(a_reps))
-    compat = max_abs(phi.coords @ starred - np.conj(phi.coords @ rep.embed_coords(a_reps)))
-    if compat > eps:
-        raise NotCompatibleInvolution("star is not compatible with the character",
-                                      law="<phi, a*> = conj <phi, a>", residual=compat)
+    certify(max_abs(phi.coords @ starred - np.conj(phi.coords @ rep.embed_coords(a_reps))), eps,
+            "<phi, a*> = conj <phi, a>", "star is not compatible with the character",
+            NotCompatibleInvolution)
 
     if means.is_empty:
         return TimObstructionReport(vacuous=True, unique=True, chain_residuals={})
@@ -511,11 +501,9 @@ def tim_obstruction_check(algebra: Algebra, means: TimSolutionSet, phi: Characte
     residuals["normalization"] = abs(m_phi - 1.0)
     residuals["star_fixed"] = max_abs(m - m_star)
 
-    worst = max(residuals.values())
-    if worst > eps:
-        raise CertificationFailure("the invariant-mean identity chain failed",
-                                   law="a.m* = m*.a = phi(a) m*; n box m* = <n,phi> m*; m = m*",
-                                   residual=worst, details=residuals)
+    certify(max(residuals.values()), eps,
+            "a.m* = m*.a = phi(a) m*; n box m* = <n,phi> m*; m = m*",
+            "the invariant-mean identity chain failed", details=residuals)
     if not means.is_unique:
         raise CertificationFailure(
             "multiple invariant means coexist with a compatible involution",
@@ -542,7 +530,8 @@ def search_trivolutions(algebra: Algebra, family_spec: dict,
     Families: ``function_indicator`` (indicator projection composed with
     conjugation and a canonical involutive permutation of the selected
     coordinates), ``group_quotient`` (standard group-algebra involution
-    composed with averaging over supplied normal subgroups), and
+    composed with averaging over supplied normal subgroups of the
+    ``GroupTable`` under ``table``), and
     ``pairs`` (explicit projection/involution pairs).  Only candidates
     passing classification are returned; the enumeration is exhaustive
     within the declared family only.
@@ -563,12 +552,11 @@ def search_trivolutions(algebra: Algebra, family_spec: dict,
         return results
 
     if family == "group_quotient":
-        table = np.asarray(family_spec["table"], dtype=int)
-        if not algebras_compatible(group_algebra(table), algebra, eps):
+        group: GroupTable = family_spec["table"]
+        if not same_structure(group.structure(), algebra.structure, eps):
             raise UnsupportedFamily("algebra does not match the supplied group table")
-        identity, _ = _verify_group_table(table)
-        for subgroup in family_spec.get("normal_subgroups", [[identity]]):
-            candidate = averaging_trivolution(algebra, table, subgroup)
+        for subgroup in family_spec.get("normal_subgroups", [[group.identity]]):
+            candidate = averaging_trivolution(algebra, group, subgroup)
             if classify_star_map(algebra, candidate, eps, eps_rank).is_trivolution:
                 results.append(candidate)
         return results

@@ -1,13 +1,20 @@
-"""Exception hierarchy.
+"""Exception hierarchy and the pass rule.
 
 Two families matter to callers: ``UsageError`` for malformed inputs and
 plumbing mistakes (CLI exit code 2), and ``CertificationFailure`` for
 mathematical laws that fail to certify on well-formed inputs (CLI exit
 code 1).  Certification failures carry the violated law by name and the
 worst residual observed, so reports stay auditable.
+
+The pass rule: a law holds when its residual is finite and at most the
+tolerance (a NaN or infinite residual means the arithmetic overflowed).
+``certify`` is its one home: a check that raises on one residual goes
+through it, unless its report needs a witness found on the way.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class TrivolveError(Exception):
@@ -42,15 +49,16 @@ class CertificationFailure(TrivolveError):
     """A mathematical law failed to hold within tolerance.
 
     ``law`` names the violated identity, ``residual`` is the worst
-    magnitude observed (``None`` where no magnitude applies, so reports
-    stay valid JSON), ``details`` is free-form diagnostic data.
+    magnitude observed (``None`` where no magnitude applies or it is not
+    finite, so reports stay valid JSON), ``details`` is free-form
+    diagnostic data.
     """
 
     def __init__(self, message: str, *, law: str = "", residual: float | None = None,
                  details: dict | None = None):
         super().__init__(message)
         self.law = law
-        self.residual = residual
+        self.residual = residual if residual is not None and math.isfinite(residual) else None
         self.details = details or {}
 
     def report(self) -> dict:
@@ -61,6 +69,18 @@ class CertificationFailure(TrivolveError):
             "residual": self.residual,
             "details": self.details,
         }
+
+
+def certify(residual: float, tol: float, law: str, message: str,
+            exc: type[CertificationFailure] = CertificationFailure,
+            details: dict | None = None) -> float:
+    """Return ``residual`` when ``law`` holds by the pass rule, else raise ``exc``.
+
+    ``message`` may quote ``{residual:.3e}``; it is formatted only on failure.
+    """
+    if math.isfinite(residual) and residual <= tol:
+        return residual
+    raise exc(message.format(residual=residual), law=law, residual=residual, details=details)
 
 
 class AssociativityViolation(CertificationFailure):

@@ -17,13 +17,14 @@ import numpy as np
 
 from .algebra import (
     Algebra,
-    _verify_group_table,
+    GroupTable,
     cyclic_group_table,
     function_algebra,
     group_algebra,
     matrix_algebra,
     opposite_algebra,
     product_algebra,
+    verify_group_table,
 )
 from .starmap import AlgMap, conjugation_map, make_map
 
@@ -51,25 +52,23 @@ def indicator_trivolution(algebra: Algebra, k_set, perm: dict[int, int] | None =
     return make_map(matrix, conjugating=True, source=algebra)
 
 
-def standard_group_involution(algebra: Algebra, table) -> AlgMap:
+def standard_group_involution(algebra: Algebra, group: GroupTable) -> AlgMap:
     """g -> g^{-1} with conjugated coefficients."""
-    _, inverse = _verify_group_table(np.asarray(table, dtype=int))
-    n = len(inverse)
+    n = len(group.inverse)
     matrix = np.zeros((n, n), dtype=complex)
-    matrix[inverse, np.arange(n)] = 1.0
+    matrix[group.inverse, np.arange(n)] = 1.0
     return make_map(matrix, conjugating=True, source=algebra)
 
 
-def averaging_trivolution(algebra: Algebra, table, subgroup) -> AlgMap:
+def averaging_trivolution(algebra: Algebra, group: GroupTable, subgroup) -> AlgMap:
     """Standard involution composed with averaging over a normal subgroup."""
-    table = np.asarray(table, dtype=int)
-    n = table.shape[0]
+    n = len(group.table)
     members = [int(s) for s in subgroup]
     averaging = np.zeros((n, n), dtype=complex)
     for g in range(n):
         for s in members:
-            averaging[table[g, s], g] += 1.0 / len(members)
-    standard = standard_group_involution(algebra, table)
+            averaging[group.table[g, s], g] += 1.0 / len(members)
+    standard = standard_group_involution(algebra, group)
     return make_map(standard.matrix @ averaging, conjugating=True, source=algebra)
 
 
@@ -108,11 +107,11 @@ def c4_indicator_pair() -> tuple[Algebra, AlgMap]:
     return algebra, indicator_trivolution(algebra, (0, 1))
 
 
-def klein_table() -> np.ndarray:
-    return np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+def klein_table() -> GroupTable:
+    return verify_group_table([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
 
 
-def s3_table() -> np.ndarray:
+def s3_table() -> GroupTable:
     """Symmetric group on three letters, elements indexed 0..5."""
     perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
     index = {p: i for i, p in enumerate(perms)}
@@ -121,7 +120,7 @@ def s3_table() -> np.ndarray:
         for j, q in enumerate(perms):
             composed = tuple(p[q[t]] for t in range(3))
             table[i, j] = index[composed]
-    return table
+    return verify_group_table(table)
 
 
 def _involutive_permutations_canonical(k_sorted: tuple[int, ...]) -> list[dict[int, int]]:
@@ -201,7 +200,7 @@ def _function_instances(seed: int) -> list[TrivolutionInstance]:
 
 def _group_instances() -> list[TrivolutionInstance]:
     out = []
-    group_specs: list[tuple[str, np.ndarray, list[list[int]]]] = []
+    group_specs: list[tuple[str, GroupTable, list[list[int]]]] = []
     for n in range(2, 7):
         table = cyclic_group_table(n)
         subgroups = [[0]]
@@ -249,10 +248,10 @@ def _product_instances() -> list[TrivolutionInstance]:
     factors.append(("F2", f2, conjugation_map(f2)))
     f3 = function_algebra(3)
     factors.append(("F3", f3, conjugation_map(f3)))
-    z2 = group_algebra(cyclic_group_table(2), labels=["e", "g"])
-    factors.append(("Z2", z2, standard_group_involution(z2, cyclic_group_table(2))))
-    z3 = group_algebra(cyclic_group_table(3), labels=["e", "g", "g2"])
-    factors.append(("Z3", z3, standard_group_involution(z3, cyclic_group_table(3))))
+    for name, labels in (("Z2", ["e", "g"]), ("Z3", ["e", "g", "g2"])):
+        group = cyclic_group_table(len(labels))
+        algebra = group_algebra(group, labels=labels)
+        factors.append((name, algebra, standard_group_involution(algebra, group)))
     m2 = matrix_algebra(2)
     factors.append(("M2", m2, conjugate_transpose_involution(m2, 2)))
 
@@ -282,9 +281,10 @@ def _product_instances() -> list[TrivolutionInstance]:
 
 def _opposite_instances() -> list[TrivolutionInstance]:
     out = []
-    s3 = group_algebra(s3_table())
+    group = s3_table()
+    s3 = group_algebra(group)
     op = opposite_algebra(s3)
-    inv = standard_group_involution(s3, s3_table())
+    inv = standard_group_involution(s3, group)
     # an anti-homomorphism of A stays one on the opposite algebra
     out.append(TrivolutionInstance(
         name="opposite_S3", algebra=op,

@@ -23,6 +23,8 @@ cutoff, with ``eps`` the float64 machine epsilon.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Entrywise equality tolerance and rank pivot threshold.  Operations
@@ -43,8 +45,10 @@ def freeze(a: np.ndarray) -> np.ndarray:
 
 
 def max_abs(a) -> float:
+    """Largest entry magnitude; a NaN reads as ``inf``, which ``max()`` cannot drop."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    worst = float(np.max(np.abs(a))) if a.size else 0.0
+    return math.inf if math.isnan(worst) else worst
 
 
 def rref_rows(mat: np.ndarray, tol: float = EPS_RANK) -> tuple[np.ndarray, list[int]]:

@@ -12,7 +12,9 @@ null, a non-finite number or an integer too large for a float is a
 ``ParseError``.  A group table is a square matrix of integer element
 indices that satisfies the group axioms.
 
-Complex numbers are always written as ``[re, im]`` pairs.  A list or tuple
+Complex numbers are always written as ``[re, im]`` pairs.  A non-finite
+number, which JSON cannot hold, means the inputs overflowed float64: a
+``UsageError``.  A list or tuple
 of numbers with at least one complex entry is a complex vector and is
 written wholly as pairs, real entries included, exactly as the same values
 in a complex ``ndarray`` would be; lists without a complex entry are
@@ -23,14 +25,15 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import (NORM_ELL1, NORM_OPNORM, Algebra, Element, _verify_group_table,
-                      group_algebra, make_algebra)
-from .errors import CertificationFailure, NotAGroup, ParseError
+from .algebra import (NORM_ELL1, NORM_OPNORM, Algebra, Element, GroupTable, group_algebra,
+                      make_algebra, verify_group_table)
+from .errors import CertificationFailure, NotAGroup, ParseError, UsageError
 from .starmap import AlgMap, make_map
 
 _NORM_TAGS = {"ell1": NORM_ELL1, "opnorm": NORM_OPNORM}
@@ -38,7 +41,13 @@ _NORM_TAGS = {"ell1": NORM_ELL1, "opnorm": NORM_OPNORM}
 
 def complex_to_pair(z) -> list[float]:
     z = complex(z)
-    return [z.real, z.imag]
+    return [_finite(z.real), _finite(z.imag)]
+
+
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
+        raise UsageError(f"the inputs overflow float64: the report would hold {x}")
+    return x
 
 
 def array_from_json(data, shape: tuple[int, ...]) -> np.ndarray:
@@ -65,16 +74,15 @@ def array_from_json(data, shape: tuple[int, ...]) -> np.ndarray:
                      f"{shape + (2,)}; got shape {arr.shape}")
 
 
-def group_table(data) -> np.ndarray:
+def group_table(data) -> GroupTable:
     """A group multiplication table: integer element indices, group axioms checked."""
     try:
         table = np.asarray(data)
         if table.dtype.kind not in "iu" or table.ndim != 2:
             raise ParseError("group table must be a matrix of integer element indices")
-        _verify_group_table(table)
+        return verify_group_table(table)
     except (ValueError, NotAGroup) as exc:
         raise ParseError(f"malformed group table: {exc}") from exc
-    return table
 
 
 def array_to_json(arr: np.ndarray):
@@ -98,8 +106,11 @@ def jsonable(value):
     A list or tuple of numbers holding any complex entry is a complex vector:
     every entry becomes an ``[re, im]`` pair, so ``jsonable(list(v))`` equals
     ``jsonable(np.array(v))``.  Any other list is converted item by item;
-    nested lists are not treated as complex arrays.
+    nested lists are not treated as complex arrays.  A non-finite number
+    raises ``UsageError``.
     """
+    if isinstance(value, (float, np.floating)):
+        return _finite(float(value))
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -107,15 +118,11 @@ def jsonable(value):
             return [complex_to_pair(v) for v in value]
         return [jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return array_to_json(value)
-        return value.tolist()
+        return jsonable(array_to_json(value) if np.iscomplexobj(value) else value.tolist())
     if isinstance(value, complex):
         return complex_to_pair(value)
     if isinstance(value, (np.complexfloating,)):
         return complex_to_pair(complex(value))
-    if isinstance(value, (np.floating,)):
-        return float(value)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.bool_,)):
@@ -149,7 +156,7 @@ def load_algebra(source: str | Path | dict) -> Algebra:
         if "group" in data:
             group = data["group"]
             table = group_table(group["table"])
-            if "order" in group and int(group["order"]) != table.shape[0]:
+            if "order" in group and int(group["order"]) != len(table.table):
                 raise ParseError("declared group order does not match the table")
             return group_algebra(table, data.get("labels"))
         dim = int(data["dim"])
@@ -248,7 +255,7 @@ def load_group_params(path: str | Path) -> dict:
                          "of element indices")
     params = {"table": group_table(data["table"])}
     if "normal_subgroups" in data:
-        subgroups, n = data["normal_subgroups"], len(params["table"])
+        subgroups, n = data["normal_subgroups"], len(params["table"].table)
         if not (isinstance(subgroups, list)
                 and all(isinstance(s, list) and all(type(g) is int and 0 <= g < n for g in s)
                         for s in subgroups)):

@@ -42,6 +42,7 @@ from .errors import (
     NotRightIdentity,
     SubalgebraMismatch,
     UsageError,
+    certify,
 )
 from .linalg import (
     EPS,
@@ -58,10 +59,8 @@ from .starmap import (
     apply,
     classify_multiplicativity,
     compose,
-    identity_map,
     kernel_image,
     make_map,
-    maps_equal,
     power,
 )
 
@@ -85,6 +84,11 @@ class StarClass:
     @property
     def is_trivolution(self) -> bool:
         return self.kind != KIND_NOT_STAR
+
+    @property
+    def residual(self) -> float:
+        """The worse of the two audit residuals."""
+        return max(self.anti_residual, self.cube_residual)
 
 
 def classify_star_map(algebra: Algebra, f: AlgMap, eps: float = EPS,
@@ -165,8 +169,7 @@ def canonical_decomposition(algebra: Algebra, tau: AlgMap, eps: float = EPS,
         raise NotATrivolution(
             "map is not a trivolution "
             f"(anti residual {verdict.anti_residual:.3e}, cube residual {verdict.cube_residual:.3e})",
-            law="conjugate-linear anti-homomorphism with t^3 = t",
-            residual=max(verdict.anti_residual, verdict.cube_residual))
+            law="conjugate-linear anti-homomorphism with t^3 = t", residual=verdict.residual)
 
     p = compose(tau, tau)
     ideal, image = kernel_image(tau, eps_rank)
@@ -180,50 +183,43 @@ def canonical_decomposition(algebra: Algebra, tau: AlgMap, eps: float = EPS,
         raise CertificationFailure("kernel and image do not span the algebra",
                                    law="A = I (+) B direct sum")
 
-    p_mult = classify_multiplicativity(p, eps)
-    residuals["p_homomorphism"] = p_mult.hom_residual
-    if not p_mult.homomorphism:
-        raise CertificationFailure("t^2 is not multiplicative", law="p = t^2 is a homomorphism",
-                                   residual=p_mult.hom_residual)
-    residuals["p_idempotent"] = max_abs(compose(p, p).matrix - p.matrix)
-    if residuals["p_idempotent"] > eps:
-        raise CertificationFailure("t^2 is not idempotent", law="p o p = p",
-                                   residual=residuals["p_idempotent"])
+    residuals["p_homomorphism"] = certify(classify_multiplicativity(p, eps).hom_residual, eps,
+                                          "p = t^2 is a homomorphism", "t^2 is not multiplicative")
+    residuals["p_idempotent"] = certify(max_abs(compose(p, p).matrix - p.matrix), eps,
+                                        "p o p = p", "t^2 is not idempotent")
 
     p_kernel, p_image = kernel_image(p, eps_rank)
-    if not (p_image.contains_subspace(image, eps) and image.contains_subspace(p_image, eps)):
+    if not p_image.same_span(image, eps):
         raise CertificationFailure("image of p differs from image of t", law="p(A) = t(A)")
-    if not (p_kernel.contains_subspace(ideal, eps) and ideal.contains_subspace(p_kernel, eps)):
+    if not p_kernel.same_span(ideal, eps):
         raise CertificationFailure("kernel of p differs from kernel of t", law="ker p = ker t")
 
     subalg, embedding = induced_subalgebra(algebra, image, eps=eps)
     rho_matrix, restrict_residual = solve_exact(embedding, tau.matrix @ np.conj(embedding))
-    residuals["rho_restriction"] = restrict_residual
-    if restrict_residual > eps:
-        raise CertificationFailure("t does not restrict to its image",
-                                   law="t(B) contained in B", residual=restrict_residual)
+    residuals["rho_restriction"] = certify(restrict_residual, eps, "t(B) contained in B",
+                                           "t does not restrict to its image")
     rho = AlgMap(matrix=rho_matrix, conjugating=True, source=subalg, target=subalg)
     rho_verdict = classify_star_map(subalg, rho, eps, eps_rank)
     if rho_verdict.kind != KIND_INVOLUTION:
         raise CertificationFailure("restriction of t to its image is not an involution",
-                                   law="rho = t|_B is an involution",
-                                   residual=max(rho_verdict.anti_residual, rho_verdict.cube_residual))
+                                   law="rho = t|_B is an involution", residual=rho_verdict.residual)
     residuals["rho_squared"] = max_abs(compose(rho, rho).matrix - np.eye(subalg.dim))
 
-    rebuilt = _rho_after_p(algebra, p_image.canonical_columns(), p, rho)
-    residuals["reconstruction"] = max_abs(rebuilt.matrix - tau.matrix)
-    if residuals["reconstruction"] > eps:
-        raise CertificationFailure("rho o p does not reproduce the original map",
-                                   law="tau = rho o p", residual=residuals["reconstruction"])
+    rebuilt = _rho_after_p(algebra, p_image.canonical_columns(), p.matrix, rho.matrix)
+    residuals["reconstruction"] = certify(max_abs(rebuilt.matrix - tau.matrix), eps,
+                                          "tau = rho o p",
+                                          "rho o p does not reproduce the original map")
     return Decomposition(ideal_I=ideal, subalg_B=image, projection_p=p,
                          involution_rho=rho, subalgebra=subalg, embedding=embedding,
                          verdict=verdict, residuals=residuals)
 
 
-def _rho_after_p(algebra: Algebra, embedding: np.ndarray, p: AlgMap, rho: AlgMap) -> AlgMap:
-    """``rho o p`` on ``algebra``, for ``rho`` in the coordinates of the columns ``embedding``."""
+def _rho_after_p(algebra: Algebra, embedding: np.ndarray, p: np.ndarray,
+                 rho: np.ndarray) -> AlgMap:
+    """``rho o p`` on ``algebra``, for the matrix ``rho`` in the coordinates of the columns
+    ``embedding`` and the linear ``p`` with image in their span."""
     coords_of = np.linalg.pinv(embedding)
-    matrix = embedding @ rho.matrix @ np.conj(coords_of @ p.matrix)
+    matrix = embedding @ rho @ np.conj(coords_of @ p)
     return AlgMap(matrix=matrix, conjugating=True, source=algebra, target=algebra)
 
 
@@ -238,16 +234,13 @@ def make_trivolution(algebra: Algebra, p: AlgMap, rho: AlgMap, eps: float = EPS,
         raise NotAProjection("projection must be linear", law="p linear")
     if not (algebras_compatible(p.source, algebra) and algebras_compatible(p.target, algebra)):
         raise AlgebraMismatch("projection is not an endomorphism of the given algebra")
-    p_mult = classify_multiplicativity(p, eps)
-    if not p_mult.homomorphism:
-        raise NotAHomomorphism("p is not multiplicative", law="p(xy) = p(x) p(y)",
-                               residual=p_mult.hom_residual)
-    idem_residual = max_abs(compose(p, p).matrix - p.matrix)
-    if idem_residual > eps:
-        raise NotAProjection("p is not idempotent", law="p o p = p", residual=idem_residual)
+    certify(classify_multiplicativity(p, eps).hom_residual, eps, "p(xy) = p(x) p(y)",
+            "p is not multiplicative", NotAHomomorphism)
+    certify(max_abs(compose(p, p).matrix - p.matrix), eps, "p o p = p", "p is not idempotent",
+            NotAProjection)
     _, image = kernel_image(p, eps_rank)
     subalg, embedding = induced_subalgebra(algebra, image, eps=eps)
-    if rho.source.dim != subalg.dim or max_abs(rho.source.structure - subalg.structure) > eps:
+    if not algebras_compatible(rho.source, subalg, eps):
         raise AlgebraMismatch(
             "rho is not defined on the induced algebra of the projection's image")
     if not rho.conjugating:
@@ -256,8 +249,8 @@ def make_trivolution(algebra: Algebra, p: AlgMap, rho: AlgMap, eps: float = EPS,
     if rho_verdict.kind != KIND_INVOLUTION:
         raise NotAnInvolution("rho is not an involution on the image subalgebra",
                               law="rho^2 = id, rho anti-multiplicative",
-                              residual=max(rho_verdict.anti_residual, rho_verdict.cube_residual))
-    return _rho_after_p(algebra, embedding, p, rho)
+                              residual=rho_verdict.residual)
+    return _rho_after_p(algebra, embedding, p.matrix, rho.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +287,12 @@ def factor_through_involution(algebra: Algebra, tau: AlgMap, j: AlgMap,
 
     ideal_alg, ideal_cols = induced_subalgebra(algebra, dec.ideal_I, eps=eps)
     j_restricted, escape = solve_exact(ideal_cols, j.matrix @ np.conj(ideal_cols))
-    if escape > eps:
-        raise JNotInvolution("j does not preserve the ideal", law="j(I) contained in I",
-                             residual=escape)
+    certify(escape, eps, "j(I) contained in I", "j does not preserve the ideal", JNotInvolution)
     j_on_ideal = AlgMap(matrix=j_restricted, conjugating=True, source=ideal_alg, target=ideal_alg)
     j_verdict = classify_star_map(ideal_alg, j_on_ideal, eps, eps_rank)
     if j_verdict.kind != KIND_INVOLUTION:
         raise JNotInvolution("j restricted to the ideal is not an involution",
-                             law="j|_I is an involution",
-                             residual=max(j_verdict.anti_residual, j_verdict.cube_residual))
+                             law="j|_I is an involution", residual=j_verdict.residual)
 
     n = algebra.dim
     p_b = dec.projection_p.matrix
@@ -327,17 +317,12 @@ def factor_through_involution(algebra: Algebra, tau: AlgMap, j: AlgMap,
     mu_mult = classify_multiplicativity(mu, eps)
     residuals["lambda_homomorphism"] = lam_mult.hom_residual
     residuals["mu_homomorphism"] = mu_mult.hom_residual
-    if not (lam_mult.homomorphism and mu_mult.homomorphism):
-        raise CertificationFailure("factorization legs are not homomorphisms",
-                                   law="lambda, mu multiplicative",
-                                   residual=max(lam_mult.hom_residual, mu_mult.hom_residual))
-    sigma_mult = classify_multiplicativity(sigma, eps)
-    residuals["sigma_anti"] = sigma_mult.anti_residual
+    certify(max(lam_mult.hom_residual, mu_mult.hom_residual), eps, "lambda, mu multiplicative",
+            "factorization legs are not homomorphisms")
+    residuals["sigma_anti"] = classify_multiplicativity(sigma, eps).anti_residual
     residuals["sigma_squared"] = max_abs(compose(sigma, sigma).matrix - np.eye(2 * n))
-    if not sigma_mult.anti_homomorphism or residuals["sigma_squared"] > eps:
-        raise CertificationFailure("sigma is not an involution on C",
-                                   law="sigma^2 = id, sigma anti-multiplicative",
-                                   residual=max(sigma_mult.anti_residual, residuals["sigma_squared"]))
+    certify(max(residuals["sigma_anti"], residuals["sigma_squared"]), eps,
+            "sigma^2 = id, sigma anti-multiplicative", "sigma is not an involution on C")
     rebuilt = compose(mu, compose(sigma, lam))
     residuals["factorization"] = max_abs(rebuilt.matrix - tau.matrix)
     if residuals["factorization"] > eps or rebuilt.conjugating != tau.conjugating:
@@ -373,16 +358,11 @@ def check_trivolutive_hom(a1: Algebra, tau1: AlgMap, a2: Algebra, tau2: AlgMap,
     """
     if pi.conjugating:
         raise UsageError("pi must be a linear map")
-    lhs = compose(pi, tau1)
-    rhs = compose(tau2, pi)
-    intertwine = max_abs(lhs.matrix - rhs.matrix)
-    if intertwine > eps:
-        raise NotIntertwining(f"pi o tau1 != tau2 o pi (residual {intertwine:.3e})",
-                              law="pi o tau1 = tau2 o pi", residual=intertwine)
-    pi_mult = classify_multiplicativity(pi, eps)
-    if not pi_mult.homomorphism:
-        raise NotAHomomorphism("pi is not multiplicative", law="pi(xy) = pi(x) pi(y)",
-                               residual=pi_mult.hom_residual)
+    intertwine = certify(max_abs(compose(pi, tau1).matrix - compose(tau2, pi).matrix), eps,
+                         "pi o tau1 = tau2 o pi", "pi o tau1 != tau2 o pi (residual {residual:.3e})",
+                         NotIntertwining)
+    certify(classify_multiplicativity(pi, eps).hom_residual, eps, "pi(xy) = pi(x) pi(y)",
+            "pi is not multiplicative", NotAHomomorphism)
 
     dec1 = canonical_decomposition(a1, tau1, eps, eps_rank)
     dec2 = dec1 if a2 is a1 and tau2 is tau1 else canonical_decomposition(a2, tau2, eps, eps_rank)
@@ -399,12 +379,9 @@ def check_trivolutive_hom(a1: Algebra, tau1: AlgMap, a2: Algebra, tau2: AlgMap,
 
     residuals = {
         "intertwine": intertwine,
-        "off_diagonal": max(max_abs(pi12_m), max_abs(pi21_m)),
+        "off_diagonal": certify(max(max_abs(pi12_m), max_abs(pi21_m)), eps,
+                                "pi12 = 0 and pi21 = 0", "off-diagonal blocks do not vanish"),
     }
-    if residuals["off_diagonal"] > eps:
-        raise CertificationFailure("off-diagonal blocks do not vanish",
-                                   law="pi12 = 0 and pi21 = 0",
-                                   residual=residuals["off_diagonal"])
 
     ideal1_alg, _ = induced_subalgebra(a1, dec1.ideal_I, eps=eps)
     ideal2_alg = ideal1_alg if dec2 is dec1 else induced_subalgebra(a2, dec2.ideal_I, eps=eps)[0]
@@ -412,22 +389,16 @@ def check_trivolutive_hom(a1: Algebra, tau1: AlgMap, a2: Algebra, tau2: AlgMap,
     pi22 = make_map(pi22_m, conjugating=False, source=dec1.subalgebra, target=dec2.subalgebra)
 
     if ideal1_alg.dim and ideal2_alg.dim:
-        m11 = classify_multiplicativity(pi11, eps)
-        residuals["pi11_homomorphism"] = m11.hom_residual
-        if not m11.homomorphism:
-            raise NotAHomomorphism("ideal block is not a homomorphism",
-                                   law="pi11 multiplicative", residual=m11.hom_residual)
-    m22 = classify_multiplicativity(pi22, eps)
-    residuals["pi22_homomorphism"] = m22.hom_residual
-    if not m22.homomorphism:
-        raise NotAHomomorphism("subalgebra block is not a homomorphism",
-                               law="pi22 multiplicative", residual=m22.hom_residual)
-    involutive = max_abs(compose(pi22, dec1.involution_rho).matrix
-                         - compose(dec2.involution_rho, pi22).matrix)
-    residuals["pi22_involutive"] = involutive
-    if involutive > eps:
-        raise CertificationFailure("subalgebra block does not intertwine the involutions",
-                                   law="pi22 o rho1 = rho2 o pi22", residual=involutive)
+        residuals["pi11_homomorphism"] = certify(
+            classify_multiplicativity(pi11, eps).hom_residual, eps, "pi11 multiplicative",
+            "ideal block is not a homomorphism", NotAHomomorphism)
+    residuals["pi22_homomorphism"] = certify(
+        classify_multiplicativity(pi22, eps).hom_residual, eps, "pi22 multiplicative",
+        "subalgebra block is not a homomorphism", NotAHomomorphism)
+    residuals["pi22_involutive"] = certify(
+        max_abs(compose(pi22, dec1.involution_rho).matrix
+                - compose(dec2.involution_rho, pi22).matrix), eps,
+        "pi22 o rho1 = rho2 o pi22", "subalgebra block does not intertwine the involutions")
     return HomBlocks(pi11=pi11, pi22=pi22, source_decomposition=dec1,
                      target_decomposition=dec2, residuals=residuals)
 
@@ -446,37 +417,30 @@ def right_identity_trivolution(c: Algebra, e: Element, a_sub: Subspace,
     that subalgebra.  Returns ``tau1 = tau o ell_e`` with the trivolution
     axioms and the range identity certified.
     """
-    r_e = right_mult_matrix(c, e)
-    right_residual = max_abs(r_e - np.eye(c.dim))
-    if right_residual > eps:
-        raise NotRightIdentity(f"e is not a right identity (residual {right_residual:.3e})",
-                               law="x e = x", residual=right_residual)
+    certify(max_abs(right_mult_matrix(c, e) - np.eye(c.dim)), eps, "x e = x",
+            "e is not a right identity (residual {residual:.3e})", NotRightIdentity)
     l_e = left_mult_matrix(c, e)
-    e_c = Subspace(l_e, c)
-    if not (e_c.contains_subspace(a_sub, eps) and a_sub.contains_subspace(e_c, eps)):
+    if not Subspace(l_e, c).same_span(a_sub, eps):
         raise SubalgebraMismatch("a_sub differs from eC", law="A = eC")
     sub_alg, embedding = induced_subalgebra(c, a_sub, eps=eps)
-    if tau_on_a.source.dim != sub_alg.dim or max_abs(tau_on_a.source.structure - sub_alg.structure) > eps:
+    if not algebras_compatible(tau_on_a.source, sub_alg, eps):
         raise AlgebraMismatch("tau_on_a is not defined on the induced algebra of a_sub")
     inner_verdict = classify_star_map(sub_alg, tau_on_a, eps, eps_rank)
     if not inner_verdict.is_trivolution:
         raise NotATrivolution("tau_on_a is not a trivolution on eC",
                               law="trivolution axioms on the subalgebra")
 
-    coords_of = np.linalg.pinv(embedding)
-    matrix = embedding @ tau_on_a.matrix @ np.conj(coords_of @ l_e)
-    tau1 = AlgMap(matrix=matrix, conjugating=True, source=c, target=c)
+    tau1 = _rho_after_p(c, embedding, l_e, tau_on_a.matrix)
     verdict = classify_star_map(c, tau1, eps, eps_rank)
     if not verdict.is_trivolution:
         raise CertificationFailure("tau o ell_e failed the trivolution axioms",
                                    law="tau1 = tau o ell_e is a trivolution",
-                                   residual=max(verdict.anti_residual, verdict.cube_residual))
+                                   residual=verdict.residual)
     _, tau1_image = kernel_image(tau1, eps_rank)
     _, inner_image = kernel_image(tau_on_a, eps_rank)
     embedded = Subspace(embedding @ inner_image.basis if inner_image.dim else
                         np.zeros((c.dim, 0)), c)
-    if not (tau1_image.contains_subspace(embedded, eps)
-            and embedded.contains_subspace(tau1_image, eps)):
+    if not tau1_image.same_span(embedded, eps):
         raise CertificationFailure("range of the extension differs from the range of tau",
                                    law="tau1(C) = tau(A)")
     return tau1
@@ -552,21 +516,16 @@ def hermitian_decomposition(algebra: Algebra, tau: AlgMap, x: Element,
     and checking the solution set is a single point.
     """
     kernel, image = kernel_image(tau, eps_rank)
-    if not image.contains(x.coords, eps):
-        raise NotInRange(f"element is outside the range (residual {image.residual(x.coords):.3e})",
-                         law="x in tau(A)", residual=image.residual(x.coords))
+    certify(image.residual(x.coords), eps, "x in tau(A)",
+            "element is outside the range (residual {residual:.3e})", NotInRange)
     tx = apply(tau, x)
     x1 = Element((x.coords + tx.coords) / 2.0, algebra)
     x2 = Element((x.coords - tx.coords) / 2.0j, algebra)
     for part in (x1, x2):
-        res = max_abs(apply(tau, part).coords - part.coords)
-        if res > eps:
-            raise CertificationFailure("computed part is not hermitian",
-                                       law="tau(x1) = x1, tau(x2) = x2", residual=res)
-    recon = max_abs(x1.coords + 1j * x2.coords - x.coords)
-    if recon > eps:
-        raise CertificationFailure("parts do not sum back to the element",
-                                   law="x = x1 + i x2", residual=recon)
+        certify(max_abs(apply(tau, part).coords - part.coords), eps,
+                "tau(x1) = x1, tau(x2) = x2", "computed part is not hermitian")
+    certify(max_abs(x1.coords + 1j * x2.coords - x.coords), eps, "x = x1 + i x2",
+            "parts do not sum back to the element")
 
     # uniqueness: solve H a + i H b = x over real coefficients and compare
     h = hermitian_real_basis(algebra, tau, eps_rank)
@@ -585,10 +544,8 @@ def hermitian_decomposition(algebra: Algebra, tau: AlgMap, x: Element,
         half = h.shape[1]
         alt1 = h @ coeffs[:half]
         alt2 = h @ coeffs[half:]
-        gap = max(max_abs(alt1 - x1.coords), max_abs(alt2 - x2.coords))
-        if gap > 1e3 * eps:
-            raise CertificationFailure("alternative hermitian pair differs",
-                                       law="uniqueness of x = x1 + i x2", residual=gap)
+        certify(max(max_abs(alt1 - x1.coords), max_abs(alt2 - x2.coords)), 1e3 * eps,
+                "uniqueness of x = x1 + i x2", "alternative hermitian pair differs")
     return x1, x2
 
 

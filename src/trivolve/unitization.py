@@ -34,11 +34,11 @@ from .errors import (
     InvalidExtension,
     NotATrivolution,
     NotContractive,
+    certify,
 )
 from .linalg import (
     EPS,
     EPS_RANK,
-    as_complex,
     column_products,
     column_space_and_nullspace,
     max_abs,
@@ -137,7 +137,7 @@ def verify_extension(algebra: Algebra, tau: AlgMap, lambda0: complex, x0,
         raise CertificationFailure(
             "extension family conditions disagree with direct classification",
             law="t# is a trivolution iff (lambda0, x0) is of family I or II",
-            residual=max(verdict.anti_residual, verdict.cube_residual),
+            residual=verdict.residual,
             details={"family": family, "classified": verdict.kind})
 
     # a sampled norm is only a lower bound: ``contractive`` is then best effort
@@ -150,22 +150,18 @@ def verify_extension(algebra: Algebra, tau: AlgMap, lambda0: complex, x0,
 def unitize_with_trivolution(algebra: Algebra, tau: AlgMap,
                              ext: ExtensionSpec, eps: float = EPS,
                              eps_rank: float = EPS_RANK) -> tuple[Algebra, AlgMap]:
-    """Build ``(A#, t#)`` for a verified extension and certify it restricts."""
+    """Build ``(A#, t#)`` for a verified extension and certify it restricts.
+
+    ``t#`` is a trivolution: ``verify_extension`` certified that for any admissible family.
+    """
     checked = verify_extension(algebra, tau, ext.lambda0, ext.x0, eps, eps_rank,
                                e_b=range_identity(algebra, tau, eps, eps_rank))
     if checked.family == FAMILY_INVALID:
         raise InvalidExtension("candidate (lambda0, x0) is not an admissible extension",
                                law="family I or II conditions")
     sharp, tau_sharp = extension_map(algebra, tau, ext.lambda0, ext.x0)
-    restriction = max_abs(tau_sharp.matrix[1:, 1:] - tau.matrix) + max_abs(tau_sharp.matrix[0, 1:])
-    if restriction > eps:
-        raise CertificationFailure("extension does not restrict to the original map",
-                                   law="t#(0, x) = (0, t(x))", residual=restriction)
-    verdict = classify_star_map(sharp, tau_sharp, eps, eps_rank)
-    if not verdict.is_trivolution:
-        raise CertificationFailure("verified extension failed classification",
-                                   law="t# is a trivolution",
-                                   residual=max(verdict.anti_residual, verdict.cube_residual))
+    certify(max_abs(tau_sharp.matrix[1:, 1:] - tau.matrix) + max_abs(tau_sharp.matrix[0, 1:]),
+            eps, "t#(0, x) = (0, t(x))", "extension does not restrict to the original map")
     return sharp, tau_sharp
 
 

@@ -21,6 +21,14 @@ def spec_files(tmp_path, c2, remark_tau):
     return str(algebra_path), str(map_path)
 
 
+BIG_NONASSOCIATIVE = {"dim": 3, "structure": (
+    1e200 * np.random.default_rng(0).standard_normal((3, 3, 3))).tolist()}
+
+
+def reject_constant(constant):
+    raise ValueError(f"report holds {constant}")
+
+
 def run_cli(args, tmp_path, name="out.json"):
     out = tmp_path / name
     code = main(args + ["--format", "json", "--out", str(out)])
@@ -279,10 +287,13 @@ def test_non_finite_spec_is_usage_error(spec_files, tmp_path, capsys):
     ("check", "--algebra", {"dim": 2, "identity": [1, 10**400],
                             "structure": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}),
     ("check", "--map", {"matrix": [[1, [0, 0]], [0, 0]], "conjugating": True}),
+    ("check", "--algebra", BIG_NONASSOCIATIVE),
+    ("arens", "--algebra", BIG_NONASSOCIATIVE),
 ], ids=["dual-basis-no-key", "dual-basis-not-list", "params-no-table",
         "params-table-not-matrix", "map-not-object", "params-subgroups-not-list",
         "params-subgroup-index-out-of-range", "params-table-not-square",
-        "group-table-not-integer", "identity-overflows-float", "map-mixes-reals-and-pairs"])
+        "group-table-not-integer", "identity-overflows-float", "map-mixes-reals-and-pairs",
+        "check-products-overflow", "arens-products-overflow"])
 def test_malformed_spec_file_is_usage_error(tmp_path, z2, command, flag, content):
     z2_path = tmp_path / "z2.json"
     z2_path.write_text(json.dumps(algebra_to_json(z2)))
@@ -347,3 +358,35 @@ def test_failure_without_residual_reports_null(tmp_path, m2, capsys):
     report = json.loads(capsys.readouterr().out, parse_constant=reject)
     assert code == 1 and report["error"] == "NotCommutative"
     assert report["law"] and report["residual"] is None
+
+
+@pytest.mark.parametrize("output_format", ["json", "text"])
+def test_report_with_a_non_finite_number_is_usage_error(spec_files, tmp_path, capsys,
+                                                        output_format):
+    # finite entries whose products overflow: the residuals would be inf and NaN
+    algebra, _ = spec_files
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"matrix": (1e300 * np.eye(2)).tolist(), "conjugating": True}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["check", "--algebra", algebra, "--map", str(big),
+                     "--format", output_format])
+    out = capsys.readouterr().out
+    assert code == 2 and "the inputs overflow float64" in out
+    if output_format == "json":
+        assert json.loads(out, parse_constant=reject_constant)["error"] == "UsageError"
+
+
+def test_search_verifies_each_group_table_once(tmp_path, monkeypatch):
+    # one verification per file read, and the algebra is built once
+    table = cyclic_group_table(6).table.tolist()
+    z6 = tmp_path / "z6.json"
+    z6.write_text(json.dumps({"group": {"order": 6, "table": table}}))
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"table": table,
+                                  "normal_subgroups": [[0], [0, 3], [0, 2, 4], list(range(6))]}))
+    verified = count_calls(monkeypatch, "verify_group_table")
+    built = count_calls(monkeypatch, "make_algebra")
+    code, report = run_cli(["search", "--algebra", str(z6), "--family", "group",
+                            "--params", str(params)], tmp_path)
+    assert code == 0 and report["count"] == 4
+    assert len(verified) == 2 and len(built) == 1

@@ -54,6 +54,14 @@ def test_associativity_tie_across_blocks():
     assert violation(c) == (worst, where)
 
 
+def test_overflowing_products_violate_associativity():
+    # the products overflow to NaN gaps, which no tolerance comparison rejects
+    c = 1e200 * np.random.default_rng(0).standard_normal((3, 3, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual, _ = violation(c)
+    assert residual is None
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_associativity_matches_reference_on_random_tensors(seed):
     rng = np.random.default_rng(100 + seed)

@@ -269,7 +269,7 @@ class TestSearch:
         table = cyclic_group_table(4)
         z4 = group_algebra(table)
         found = search_trivolutions(z4, {"family": "group_quotient",
-                                         "table": table.tolist(),
+                                         "table": table,
                                          "normal_subgroups": [[0], [0, 2], [0, 1, 2, 3]]})
         assert len(found) == 3
         kinds = sorted(classify_star_map(z4, f).kind for f in found)

@@ -110,11 +110,15 @@ KINDS = {
 }
 
 REPLACEMENTS = {"null": None, "string": "x", "object": {}, "empty": [], "nan": float("nan"),
-                "inf": float("inf"), "huge": 10**400}
+                "inf": float("inf"), "huge": 10**400, "big": 1e300}
 OPS = (*REPLACEMENTS, "drop", "truncate", "extend", "mixed", "cut")
 
-# mutations that may leave a spec valid, by the keys on the path to the mutated node
+# mutations that may leave a spec valid, by the kind of spec and the keys on the path
+# to the mutated node
 LENIENT = {
+    "element": {"big"},
+    "inline element": {"big"},
+    "dual basis": {"big"},
     "labels": set(OPS) - {"cut"},
     "identity": {"drop", "null"},
     "norm": {"drop"},
@@ -174,7 +178,7 @@ def mutate(spec, op, path):
 
 
 def must_reject(kind, op, path):
-    keys = [key for key in path if isinstance(key, str)]
+    keys = [kind] + [key for key in path if isinstance(key, str)]
     if any(op in LENIENT.get(key, ()) for key in keys):
         return False
     # rows of a dual basis may be dropped or repeated, and a bare list of rows is a basis too
