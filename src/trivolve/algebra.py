@@ -162,10 +162,18 @@ class Subspace:
     def residual(self, vector) -> float:
         return float(self.residuals(as_complex(vector).reshape(-1, 1))[0])
 
+    @property
+    def free(self) -> list[int]:
+        """The non-pivot coordinates: they span a complement, the quotient's basis."""
+        return [i for i in range(self.algebra.dim) if i not in self.pivots]
+
+    def reduce(self, columns) -> np.ndarray:
+        """Canonical residual of every column (zero at each pivot), in one reduction."""
+        return reduce_vector(columns, self.echelon, list(self.pivots))
+
     def residuals(self, columns) -> np.ndarray:
-        """Membership residual of every column of ``columns``, in one reduction."""
-        reduced = reduce_vector(columns, self.echelon, list(self.pivots))
-        return np.abs(reduced).max(axis=0, initial=0.0)
+        """Membership residual of every column of ``columns``."""
+        return np.abs(self.reduce(columns)).max(axis=0, initial=0.0)
 
     def same_span(self, other: "Subspace", tol: float = EPS) -> bool:
         """Each of the two subspaces contains the other, within ``tol``."""
@@ -544,19 +552,18 @@ def quotient(algebra: Algebra, s: Subspace, tol: float = EPS):
             f"subspace is not a two-sided ideal: {witness} escapes the subspace",
             law="A.S and S.A contained in S")
     n = algebra.dim
-    pivots = list(s.pivots)
-    free = [i for i in range(n) if i not in pivots]
+    free = s.free
     k = len(free)
     if k == 0:
         raise UsageError("quotient by the whole algebra is trivial")
 
     # reduce each product b_i b_j (i, j free) and each b_i onto the free coordinates
     products = algebra.structure[np.ix_(free, free)].reshape(k * k, n).T
-    structure = reduce_vector(products, s.echelon, pivots)[free].T.reshape(k, k, k)
+    structure = s.reduce(products)[free].T.reshape(k, k, k)
     labels = [algebra.basis_labels[i] for i in free]
     quot = make_algebra(k, structure, labels, norm_kind=algebra.norm_kind)
 
-    q_matrix = reduce_vector(np.eye(n, dtype=complex), s.echelon, pivots)[free]
+    q_matrix = s.reduce(np.eye(n, dtype=complex))[free]
     qmap = make_map(q_matrix, conjugating=False, source=algebra, target=quot)
 
     # certify q(xy) = q(x)q(y) on all basis pairs

@@ -14,8 +14,11 @@ overrides ``--seed``.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+
+import numpy as np
 
 from .algebra import Algebra
 from .duality import (
@@ -271,7 +274,10 @@ def _cmd_search(args: argparse.Namespace) -> dict:
 
 
 def _cmd_suite(args: argparse.Namespace) -> tuple[int, dict]:
-    passed, report = run_suite(args.seed, args.tolerance, args.rank_threshold)
+    if (args.tolerance, args.rank_threshold) != (EPS, EPS_RANK):
+        raise UsageError("suite checks each section against its own fixed threshold "
+                         "(1e-9, 1e-8 or 1e-6); it takes no --tolerance or --rank-threshold")
+    passed, report = run_suite(args.seed)
     return (0 if passed else 1), report
 
 
@@ -373,16 +379,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.seed = _seed(args.seed)
-        if not (args.tolerance > 0 and args.rank_threshold > 0):  # NaN fails too
-            raise UsageError("tolerances must be positive")
+        if not (0 < args.tolerance < math.inf and 0 < args.rank_threshold < math.inf):  # and NaN
+            raise UsageError("tolerances must be finite and positive")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    code, report = run(args)
-    try:
-        text = _render(report, args.output_format)
-    except UsageError as exc:
-        code, text = 2, _render(_usage_report(args, exc), args.output_format)
+    # an overflow is reported as exit 2 when the report is rendered, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, report = run(args)
+        try:
+            text = _render(report, args.output_format)
+        except UsageError as exc:
+            code, text = 2, _render(_usage_report(args, exc), args.output_format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

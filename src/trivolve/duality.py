@@ -1,11 +1,12 @@
 """Dual module actions, Arens products, involution extension, characters, TIMs.
 
 Functionals live in the dual basis, paired bilinearly: ``<f, x> = sum f_i x_i``.
-For an introverted subspace ``X`` of the dual, ``X*`` is realized as the
-quotient of the second dual by the annihilator of ``X``, with the fixed
-complement spanned by the non-pivot coordinates of the annihilator's
-echelon form.  Both Arens products are computed by unwinding their
-three-step definitions literally on dual bases.
+For an introverted subspace ``X`` of the dual, ``X*`` is the quotient
+``A / X^perp`` of the second dual (which is ``A`` in finite dimension) by
+the annihilator of ``X``, in the coordinates that are not pivots of the
+annihilator's echelon form.  These are the coordinates ``algebra.quotient``
+uses for the same quotient.  Both Arens products are computed by
+unwinding their three-step definitions literally on dual bases.
 
 Every module action is taken over the whole basis at once: the stacks
 ``lambda . b_i`` and ``b_i . lambda`` for all ``i`` are one contraction
@@ -53,12 +54,10 @@ from .linalg import (
     as_complex,
     column_products,
     column_space_and_nullspace,
-    echelon_rows,
     max_abs,
-    reduce_vector,
 )
 from .instances import _involutive_permutations_canonical, averaging_trivolution, indicator_trivolution
-from .starmap import AlgMap, apply, classify_multiplicativity, make_map
+from .starmap import AlgMap, adjoint
 from .trivolution import KIND_INVOLUTION, StarClass, classify_star_map
 
 
@@ -71,9 +70,6 @@ class DualVector:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", as_complex(self.coords).reshape(-1))
-
-    def pair(self, x: Element) -> complex:
-        return complex(self.coords @ x.coords)
 
 
 @dataclass(frozen=True)
@@ -88,12 +84,6 @@ def dual_vector(algebra: Algebra, coords) -> DualVector:
     if coords.shape != (algebra.dim,):
         raise AlgebraMismatch("dual vector length does not match the algebra")
     return DualVector(coords=coords, algebra=algebra)
-
-
-def pairing(f, x) -> complex:
-    f_coords = getattr(f, "coords", f)
-    x_coords = getattr(x, "coords", x)
-    return complex(np.asarray(f_coords) @ np.asarray(x_coords))
 
 
 def dual_action(algebra: Algebra, lam, a: Element, side: str) -> DualVector:
@@ -173,10 +163,17 @@ def find_characters(algebra: Algebra, eps: float = EPS, eps_rank: float = EPS_RA
 
 @dataclass(frozen=True)
 class IntrovertedSpace:
-    """A subspace of the dual with its module/introversion certificates."""
+    """A subspace ``X`` of the dual with its module/introversion certificates and ``X*``.
+
+    ``X*`` is ``A / X^perp``: a class is represented by its one member
+    supported on the annihilator's free (non-pivot) coordinates, which are
+    the coordinates ``algebra.quotient(algebra, annihilator)`` uses.  The
+    methods take a vector or a matrix of columns.
+    """
 
     algebra: Algebra
     basis: Subspace  # columns are dual-basis coordinate vectors
+    annihilator: Subspace  # X^perp in the second dual
     submodule: bool
     left_introverted: bool
     right_introverted: bool
@@ -186,6 +183,27 @@ class IntrovertedSpace:
     @property
     def introverted(self) -> bool:
         return self.left_introverted and self.right_introverted
+
+    @property
+    def free(self) -> list[int]:
+        """The coordinates of ``X*``."""
+        return self.annihilator.free
+
+    def rep_coords(self, vector) -> np.ndarray:
+        """``X*`` coordinates of the class of a second-dual vector."""
+        return self.annihilator.reduce(vector)[self.free]
+
+    def embed_coords(self, coords) -> np.ndarray:
+        """The representative in the second dual of ``X*`` coordinates."""
+        coords = as_complex(coords)
+        out = np.zeros((self.algebra.dim,) + coords.shape[1:], dtype=complex)
+        out[self.free] = coords
+        return out
+
+    def from_values(self, values) -> np.ndarray:
+        """Representative of the functional with given values on the X basis."""
+        evaluation = self.basis.echelon[:, self.free]  # rows over X basis, cols over free coords
+        return self.embed_coords(np.linalg.solve(evaluation, as_complex(values)))
 
 
 def full_dual(algebra: Algebra) -> IntrovertedSpace:
@@ -218,7 +236,8 @@ def check_introverted(algebra: Algebra, x_basis, eps: float = EPS) -> Introverte
     """
     x = Subspace(as_complex(x_basis), algebra)
     n = algebra.dim
-    right, left = _dual_actions(algebra, x.canonical_columns())
+    lams = x.canonical_columns()
+    right, left = _dual_actions(algebra, lams)
     stacks = np.stack([right, left], axis=2)  # [s, i, side, :]
     escapes = x.residuals(stacks.reshape(-1, n).T).reshape(stacks.shape[:3]) > eps
     submodule = not escapes.any()
@@ -227,65 +246,11 @@ def check_introverted(algebra: Algebra, x_basis, eps: float = EPS) -> Introverte
         s, i, side = np.unravel_index(int(np.argmax(escapes)), escapes.shape)
         diagnostic = (f"lambda_{s} . b_{i} escapes X" if side == 0
                       else f"b_{i} . lambda_{s} escapes X")
-    return IntrovertedSpace(algebra=algebra, basis=x, submodule=submodule,
-                            left_introverted=submodule, right_introverted=submodule,
-                            faithful=x.dim == n, diagnostic=diagnostic)
-
-
-@dataclass(frozen=True)
-class DualQuotientRep:
-    """Concrete model of ``X*`` as a complement of the annihilator.
-
-    Classes of the second dual are represented by their unique member
-    supported on the free (non-pivot) coordinates of the annihilator's
-    echelon form; ``eval_matrix`` inverts evaluation against the basis
-    of ``X``.
-    """
-
-    space: IntrovertedSpace
-    annihilator_echelon: np.ndarray
-    annihilator_pivots: tuple[int, ...]
-    free: tuple[int, ...]
-    eval_matrix: np.ndarray  # (k, k): rows over X basis, cols over free coords
-
-    @property
-    def dim(self) -> int:
-        return len(self.free)
-
-    def reduce(self, vector) -> np.ndarray:
-        """Canonical representative (full length, supported on free coords).
-
-        Like the other methods, takes a vector or a matrix of columns.
-        """
-        return reduce_vector(vector, self.annihilator_echelon, list(self.annihilator_pivots))
-
-    def rep_coords(self, vector) -> np.ndarray:
-        return self.reduce(vector)[list(self.free)]
-
-    def embed_coords(self, coords) -> np.ndarray:
-        coords = as_complex(coords)
-        out = np.zeros((self.space.algebra.dim,) + coords.shape[1:], dtype=complex)
-        out[list(self.free)] = coords
-        return out
-
-    def from_values(self, values) -> np.ndarray:
-        """Representative of the functional with given values on the X basis."""
-        return self.embed_coords(np.linalg.solve(self.eval_matrix, as_complex(values)))
-
-
-def dual_quotient_rep(space: IntrovertedSpace) -> DualQuotientRep:
-    xb = space.basis.canonical_columns()
-    n = space.algebra.dim
-    _, annihilator, _, _ = column_space_and_nullspace(xb.T)  # X deg = null of evaluation
-    if annihilator.shape[1]:
-        ech, pivots = echelon_rows(annihilator.T)
-    else:
-        ech, pivots = np.zeros((0, n), dtype=complex), []
-    free = tuple(i for i in range(n) if i not in pivots)
-    eval_matrix = xb.T[:, list(free)]
-    return DualQuotientRep(space=space, annihilator_echelon=ech,
-                           annihilator_pivots=tuple(pivots), free=free,
-                           eval_matrix=eval_matrix)
+    _, annihilator, _, _ = column_space_and_nullspace(lams.T)  # the null space of evaluation
+    return IntrovertedSpace(algebra=algebra, basis=x, annihilator=Subspace(annihilator, algebra),
+                            submodule=submodule, left_introverted=submodule,
+                            right_introverted=submodule, faithful=x.dim == n,
+                            diagnostic=diagnostic)
 
 
 @dataclass(frozen=True)
@@ -295,7 +260,7 @@ class ArensStructure:
     box: np.ndarray
     diamond: np.ndarray
     regular: bool
-    rep: DualQuotientRep
+    space: IntrovertedSpace
     box_algebra: Algebra
     residuals: dict = field(default_factory=dict, repr=False)
 
@@ -313,10 +278,9 @@ def arens_products(algebra: Algebra, space: IntrovertedSpace,
     if not space.introverted:
         raise NotIntroverted("both Arens products need a two-sided introverted subspace",
                              law="X topologically introverted")
-    rep = dual_quotient_rep(space)
     n = algebra.dim
-    k = rep.dim
-    free = list(rep.free)
+    free = space.free
+    k = len(free)
 
     # [s, a, y]: lambda_s . b_a and b_a . lambda_s over the standard basis
     right, left = _dual_actions(algebra, space.basis.canonical_columns())
@@ -330,13 +294,13 @@ def arens_products(algebra: Algebra, space: IntrovertedSpace,
     box_values = right[:, free][:, :, free].transpose(1, 2, 0)
     diamond_values = left[:, free][:, :, free].transpose(2, 1, 0)
     # convert values-on-X-basis into representatives on the free coordinates
-    box = rep.from_values(box_values.reshape(k * k, k).T)[free].T.reshape(k, k, k)
-    diamond = rep.from_values(diamond_values.reshape(k * k, k).T)[free].T.reshape(k, k, k)
+    box = space.from_values(box_values.reshape(k * k, k).T)[free].T.reshape(k, k, k)
+    diamond = space.from_values(diamond_values.reshape(k * k, k).T)[free].T.reshape(k, k, k)
 
     gap = max_abs(box - diamond)
     labels = [algebra.basis_labels[f] for f in free]
     box_algebra = make_algebra(k, box, labels, norm_kind=algebra.norm_kind, eps=max(eps, 1e-12))
-    return ArensStructure(box=box, diamond=diamond, regular=gap <= eps, rep=rep,
+    return ArensStructure(box=box, diamond=diamond, regular=gap <= eps, space=space,
                           box_algebra=box_algebra,
                           residuals={"regularity_gap": gap, "introversion_escape": escape})
 
@@ -352,14 +316,12 @@ def extend_involution(algebra: Algebra, theta: AlgMap, arens: ArensStructure,
     involution of the box product, and certified to agree with ``theta``
     along the canonical embedding when ``X`` is faithful.
     """
-    space = arens.rep.space
+    space = arens.space
     theta_verdict = classify_star_map(algebra, theta, eps, eps_rank)
     if theta_verdict.kind != KIND_INVOLUTION:
         raise NotAnInvolution("theta is not an involution on the algebra",
                               law="theta^2 = id, conjugate-linear anti-homomorphism")
-    # theta*(f) = conj(theta_matrix^T f) on dual coordinates
-    adj_matrix = np.conj(theta.matrix.T)
-    moved = space.basis.residuals(adj_matrix @ np.conj(space.basis.canonical_columns()))
+    moved = space.basis.residuals(adjoint(theta).matrix @ np.conj(space.basis.canonical_columns()))
     if np.any(moved > eps):
         raise NotInvariant("the adjoint moves X off itself",
                            law="theta*(X) contained in X",
@@ -368,9 +330,8 @@ def extend_involution(algebra: Algebra, theta: AlgMap, arens: ArensStructure,
         raise NotArensRegular("the two Arens products differ on X*",
                               law="box = diamond on X*",
                               residual=arens.residuals["regularity_gap"])
-    rep = arens.rep
     # column i: theta applied to the real basis vector b_f, f = free[i]
-    matrix = rep.rep_coords(theta.matrix[:, list(rep.free)])
+    matrix = space.rep_coords(theta.matrix[:, space.free])
     extension = AlgMap(matrix=matrix, conjugating=True,
                        source=arens.box_algebra, target=arens.box_algebra)
     verdict = classify_star_map(arens.box_algebra, extension, eps, eps_rank)
@@ -379,8 +340,8 @@ def extend_involution(algebra: Algebra, theta: AlgMap, arens: ArensStructure,
                                    law="Theta is an involution on (X*, box)",
                                    residual=verdict.residual)
     if space.faithful:
-        images = rep.rep_coords(np.eye(algebra.dim))  # column a: the class of b_a
-        certify(max_abs(extension.matrix @ np.conj(images) - rep.rep_coords(theta.matrix)), eps,
+        images = space.rep_coords(np.eye(algebra.dim))  # column a: the class of b_a
+        certify(max_abs(extension.matrix @ np.conj(images) - space.rep_coords(theta.matrix)), eps,
                 "Theta extends theta along A -> X*", "extension does not restrict to theta")
     return extension
 
@@ -395,7 +356,6 @@ class TimSolutionSet:
 
     particular: np.ndarray | None
     homogeneous: np.ndarray  # columns; full-length representatives
-    rep: DualQuotientRep
 
     @property
     def affine_dim(self) -> int | None:
@@ -415,14 +375,13 @@ def tim_set(algebra: Algebra, space: IntrovertedSpace, phi: Character,
     """Solve ``<m, phi> = 1`` and ``a.m = m.a = phi(a) m`` for ``m`` in ``X*``."""
     certify(space.basis.residual(phi.coords), eps, "phi in X", "the character does not lie in X",
             CharacterNotInX)
-    rep = dual_quotient_rep(space)
     n = algebra.dim
-    k = rep.dim
-    free = list(rep.free)
+    free = space.free
+    k = len(free)
     c = algebra.structure
     # [row, a, t]: b_a . b_free_t (left) and b_free_t . b_a (right), as classes in X*
-    left = rep.rep_coords(c[:, free, :].transpose(2, 0, 1).reshape(n, n * k)).reshape(k, n, k)
-    right = rep.rep_coords(c[free, :, :].transpose(2, 1, 0).reshape(n, n * k)).reshape(k, n, k)
+    left = space.rep_coords(c[:, free, :].transpose(2, 0, 1).reshape(n, n * k)).reshape(k, n, k)
+    right = space.rep_coords(c[free, :, :].transpose(2, 1, 0).reshape(n, n * k)).reshape(k, n, k)
     # per a, the block rows a.m - phi(a) m and m.a - phi(a) m, then <m, phi> = 1
     blocks = (np.stack([left, right]).transpose(2, 0, 1, 3)
               - phi.coords[:, None, None, None] * np.eye(k))
@@ -432,10 +391,9 @@ def tim_set(algebra: Algebra, space: IntrovertedSpace, phi: Character,
 
     _, kernel, u, residual = column_space_and_nullspace(system, eps_rank, target)
     if residual > eps:
-        return TimSolutionSet(particular=None,
-                              homogeneous=np.zeros((algebra.dim, 0), dtype=complex), rep=rep)
-    return TimSolutionSet(particular=rep.embed_coords(u), homogeneous=rep.embed_coords(kernel),
-                          rep=rep)
+        return TimSolutionSet(particular=None, homogeneous=np.zeros((n, 0), dtype=complex))
+    return TimSolutionSet(particular=space.embed_coords(u),
+                          homogeneous=space.embed_coords(kernel))
 
 
 @dataclass(frozen=True)
@@ -459,31 +417,31 @@ def tim_obstruction_check(algebra: Algebra, means: TimSolutionSet, phi: Characte
     forces any mean to be star-fixed and absorbing, hence unique; the
     solver's affine dimension is certified to agree.
     """
-    rep = arens.rep
+    space = arens.space
     box = arens.box
 
     if star_verdict.kind != KIND_INVOLUTION:
         raise NotCompatibleInvolution("star is not an involution on (X*, box)",
                                       law="star^2 = id, anti-multiplicative",
                                       residual=star_verdict.residual)
-    a_reps = rep.rep_coords(np.eye(algebra.dim))  # column a: the class of b_a
-    starred = rep.embed_coords(star.matrix @ np.conj(a_reps))
-    certify(max_abs(phi.coords @ starred - np.conj(phi.coords @ rep.embed_coords(a_reps))), eps,
+    a_reps = space.rep_coords(np.eye(algebra.dim))  # column a: the class of b_a
+    starred = space.embed_coords(star.matrix @ np.conj(a_reps))
+    certify(max_abs(phi.coords @ starred - np.conj(phi.coords @ space.embed_coords(a_reps))), eps,
             "<phi, a*> = conj <phi, a>", "star is not compatible with the character",
             NotCompatibleInvolution)
 
     if means.is_empty:
         return TimObstructionReport(vacuous=True, unique=True, chain_residuals={})
 
-    free = list(rep.free)
+    free = space.free
     m = means.particular[free]
     m_star = star.matrix @ np.conj(m)
     residuals: dict[str, float] = {}
 
     # invariance transported through star: a . m* = m* . a = phi(a) m*, column a each
-    m_star_full = rep.embed_coords(m_star)
-    left_action = rep.rep_coords(np.einsum("ayk,y->ka", algebra.structure, m_star_full))
-    right_action = rep.rep_coords(np.einsum("yak,y->ka", algebra.structure, m_star_full))
+    m_star_full = space.embed_coords(m_star)
+    left_action = space.rep_coords(np.einsum("ayk,y->ka", algebra.structure, m_star_full))
+    right_action = space.rep_coords(np.einsum("yak,y->ka", algebra.structure, m_star_full))
     scaled = np.outer(phi.coords, m_star).T  # phi(a) first: products keep the scalar's side
     residuals["star_invariance"] = max(max_abs(left_action - scaled),
                                        max_abs(right_action - scaled))
@@ -496,7 +454,7 @@ def tim_obstruction_check(algebra: Algebra, means: TimSolutionSet, phi: Characte
     m_star_star = star.matrix @ np.conj(m_star)
     residuals["double_star"] = max_abs(m_star_star - m)
     m_box_mstar = column_products(box, m[:, None], m_star[:, None])[0, 0]
-    m_phi = pairing(phi.coords, rep.embed_coords(m))
+    m_phi = complex(phi.coords @ space.embed_coords(m))
     residuals["product_vs_scaling"] = max_abs(m_box_mstar - m_phi * m_star)
     residuals["normalization"] = abs(m_phi - 1.0)
     residuals["star_fixed"] = max_abs(m - m_star)

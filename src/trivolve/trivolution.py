@@ -56,6 +56,7 @@ from .linalg import (
 )
 from .starmap import (
     AlgMap,
+    adjoint,
     apply,
     classify_multiplicativity,
     compose,
@@ -500,12 +501,6 @@ def check_positive(algebra: Algebra, tau: AlgMap, x: Element, y: Element,
     return max_abs(x.coords - ty_y.coords) <= eps
 
 
-def hermitian_real_basis(algebra: Algebra, tau: AlgMap,
-                         tol: float = EPS_RANK) -> np.ndarray:
-    """Columns spanning the real subspace of hermitian elements."""
-    return realify_conjugation_fixed_points(tau.matrix, tol)
-
-
 def hermitian_decomposition(algebra: Algebra, tau: AlgMap, x: Element,
                             eps: float = EPS,
                             eps_rank: float = EPS_RANK) -> tuple[Element, Element]:
@@ -528,7 +523,7 @@ def hermitian_decomposition(algebra: Algebra, tau: AlgMap, x: Element,
             "parts do not sum back to the element")
 
     # uniqueness: solve H a + i H b = x over real coefficients and compare
-    h = hermitian_real_basis(algebra, tau, eps_rank)
+    h = realify_conjugation_fixed_points(tau.matrix, eps_rank)  # spans the hermitians over R
     if h.shape[1]:
         top = np.hstack([h.real, -h.imag])
         bot = np.hstack([h.imag, h.real])
@@ -570,11 +565,11 @@ def hermitian_functional_check(algebra: Algebra, tau: AlgMap, f_coords,
     f = as_complex(getattr(f_coords, "coords", f_coords)).reshape(-1)
     if f.shape != (algebra.dim,):
         raise AlgebraMismatch("functional has wrong length for the algebra")
-    f_tau = np.conj(tau.matrix.T @ f)
+    f_tau = adjoint(tau, "conjugate_linear").matrix @ np.conj(f)
     adjoint_residual = max_abs(f_tau - f)
     primary = adjoint_residual <= eps
 
-    h = hermitian_real_basis(algebra, tau, eps_rank)
+    h = realify_conjugation_fixed_points(tau.matrix, eps_rank)
     max_imag = max((abs(float((f @ col).imag)) for col in h.T), default=0.0)
     kernel, _ = kernel_image(tau, eps_rank)
     max_kernel = max((abs(complex(f @ col)) for col in kernel.basis.T), default=0.0)

@@ -307,8 +307,8 @@ def test_malformed_spec_file_is_usage_error(tmp_path, z2, command, flag, content
 
 
 def test_tim_solves_each_character_with_one_svd(tmp_path, monkeypatch):
-    # tim_set's affine solve is one SVD and no lstsq; dual_quotient_rep, which
-    # tim_set also calls, factors the evaluation matrix on its own
+    # tim_set's affine solve is one SVD and no lstsq; the annihilator's SVD
+    # belongs to check_introverted, which builds X* once for every character
     table = cyclic_group_table(4)
     z4 = group_algebra(table)
     z4_path = tmp_path / "z4.json"
@@ -334,10 +334,9 @@ def test_tim_solves_each_character_with_one_svd(tmp_path, monkeypatch):
         return wrapped
 
     tim_calls = count_calls(monkeypatch, "tim_set")
-    for name in ("tim_set", "dual_quotient_rep"):
-        for key, module in sorted(sys.modules.items()):
-            if key.split(".")[0] == "trivolve" and hasattr(module, name):
-                monkeypatch.setattr(module, name, inside(name, getattr(module, name)))
+    for key, module in sorted(sys.modules.items()):
+        if key.split(".")[0] == "trivolve" and hasattr(module, "tim_set"):
+            monkeypatch.setattr(module, "tim_set", inside("tim_set", module.tim_set))
     monkeypatch.setattr(np.linalg, "svd", recorded("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "lstsq", recorded("lstsq", np.linalg.lstsq))
     code, report = run_cli(["tim", "--algebra", str(z4_path), "--map", str(theta_path)],
@@ -360,18 +359,18 @@ def test_failure_without_residual_reports_null(tmp_path, m2, capsys):
     assert report["law"] and report["residual"] is None
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("output_format", ["json", "text"])
 def test_report_with_a_non_finite_number_is_usage_error(spec_files, tmp_path, capsys,
                                                         output_format):
-    # finite entries whose products overflow: the residuals would be inf and NaN
+    # finite entries whose products overflow: the residuals would be inf and NaN,
+    # which the exit code reports without a numpy warning
     algebra, _ = spec_files
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"matrix": (1e300 * np.eye(2)).tolist(), "conjugating": True}))
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["check", "--algebra", algebra, "--map", str(big),
-                     "--format", output_format])
-    out = capsys.readouterr().out
-    assert code == 2 and "the inputs overflow float64" in out
+    code = main(["check", "--algebra", algebra, "--map", str(big), "--format", output_format])
+    out, err = capsys.readouterr()
+    assert code == 2 and "the inputs overflow float64" in out and err == ""
     if output_format == "json":
         assert json.loads(out, parse_constant=reject_constant)["error"] == "UsageError"
 
@@ -390,3 +389,22 @@ def test_search_verifies_each_group_table_once(tmp_path, monkeypatch):
                             "--params", str(params)], tmp_path)
     assert code == 0 and report["count"] == 4
     assert len(verified) == 2 and len(built) == 1
+
+
+@pytest.mark.parametrize("flag", ["--tolerance", "--rank-threshold"])
+def test_suite_rejects_a_tolerance_flag(tmp_path, flag):
+    # the suite's sections keep their own thresholds, so a flag would be ignored
+    code, report = run_cli(["suite", "--seed", "0", flag, "1e-3"], tmp_path)
+    assert code == 2 and report["error"] == "UsageError"
+    assert "fixed threshold" in report["message"] and flag in report["message"]
+
+
+@pytest.mark.parametrize("flag", ["--tolerance", "--rank-threshold"])
+def test_infinite_tolerance_is_usage_error(spec_files, tmp_path, capsys, flag):
+    # at tolerance inf every map would classify as zero, hence not a star map
+    algebra, _ = spec_files
+    swap = tmp_path / "swap.json"
+    swap.write_text(json.dumps({"matrix": [[0, 1], [1, 0]], "conjugating": True}))
+    code = main(["check", "--algebra", algebra, "--map", str(swap), flag, "inf"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.startswith("error: ")

@@ -1,5 +1,7 @@
 """Dual actions, Arens products, involution extension, characters, means."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from trivolve.algebra import (
     cyclic_group_table,
     function_algebra,
     group_algebra,
+    is_commutative,
     make_algebra,
     matrix_algebra,
+    quotient,
 )
 from trivolve.duality import (
     arens_products,
@@ -305,3 +309,23 @@ def test_arens_oracle_battery(battery):
         assert np.max(np.abs(structure.diamond - inst.algebra.structure)) < 1e-8
         if len(seen) >= 10:
             break
+
+
+def test_x_star_shares_the_quotient_coordinates(battery):
+    # X* = A / X^perp: the box product is the quotient's structure in the same
+    # coordinates, on the full dual and on every span of a proper subset of characters
+    algebras = {id(inst.algebra): inst.algebra for inst in battery if inst.algebra.dim <= 6}
+    count = 0
+    for algebra in algebras.values():
+        spaces = [full_dual(algebra)]
+        if is_commutative(algebra):
+            chars = [c.coords for c in find_characters(algebra).characters]
+            spaces += [check_introverted(algebra, np.column_stack(subset))
+                       for size in range(1, len(chars)) for subset in combinations(chars, size)]
+        for space in spaces:
+            arens = arens_products(algebra, space)
+            quot, _ = quotient(algebra, space.annihilator)
+            assert arens.box_algebra.basis_labels == quot.basis_labels
+            assert np.max(np.abs(arens.box - quot.structure)) <= 1e-12
+            count += 1
+    assert count == 462
