@@ -4,11 +4,12 @@ Exit codes separate mathematical failures from usage failures so CI can
 tell a law regression from a bad input: 0 means every certification
 passed, 1 means a mathematical certification failed (the report carries
 the violated law and residual), 2 means the inputs did not parse, or
-overflowed float64 so that the report would hold a non-finite number.
+overflowed float64 so that the report would hold a non-finite number, or
+the report could not be written to ``--out``.
 
 Reports are deterministic: identical inputs and seed produce
 byte-identical JSON.  The ``TRIVOLVE_SEED`` environment variable
-overrides ``--seed``.
+overrides ``--seed``; a seed must be non-negative.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from .duality import (
     verify_character,
 )
 from .errors import CertificationFailure, UsageError
-from .linalg import EPS, EPS_RANK
+from .linalg import EPS, EPS_RANK, as_complex
 from .serialization import (
-    array_to_json,
     dumps_report,
     jsonable,
     load_algebra,
@@ -43,13 +43,18 @@ from .serialization import (
     load_element,
     load_group_params,
     load_map,
-    map_to_json,
 )
 from .spectra import spectrum, verify_spectral_inclusion
-from .starmap import conjugation_map, map_norm
+from .starmap import AlgMap, conjugation_map, map_norm
 from .suite import run_suite
 from .trivolution import canonical_decomposition, classify_star_map, factor_through_involution, check_trivolutive_hom
 from .unitization import find_type1_solutions, range_identity, verify_extension
+
+
+def _map_record(f: AlgMap) -> dict:
+    """A map in a report; its matrix is written as ``[re, im]`` pairs."""
+    return {"matrix": as_complex(f.matrix), "conjugating": f.conjugating}
+
 
 def _need(args: argparse.Namespace, attr: str) -> str:
     value = getattr(args, attr)
@@ -92,10 +97,10 @@ def _cmd_decompose(args: argparse.Namespace) -> dict:
     return {
         "classification": dec.verdict.kind,
         "decomposition": {
-            "I_basis": array_to_json(dec.ideal_I.canonical_columns()),
-            "B_basis": array_to_json(dec.embedding),
-            "p": array_to_json(dec.projection_p.matrix),
-            "rho": array_to_json(dec.involution_rho.matrix),
+            "I_basis": as_complex(dec.ideal_I.canonical_columns()),
+            "B_basis": as_complex(dec.embedding),
+            "p": as_complex(dec.projection_p.matrix),
+            "rho": as_complex(dec.involution_rho.matrix),
         },
         "residuals": dec.residuals,
     }
@@ -110,9 +115,9 @@ def _cmd_factor(args: argparse.Namespace) -> dict:
     fact = factor_through_involution(algebra, tau, j, args.tolerance, args.rank_threshold)
     return {
         "c_dim": fact.c.dim,
-        "lambda": map_to_json(fact.lam),
-        "sigma": map_to_json(fact.sigma),
-        "mu": map_to_json(fact.mu),
+        "lambda": _map_record(fact.lam),
+        "sigma": _map_record(fact.sigma),
+        "mu": _map_record(fact.mu),
         "residuals": fact.residuals,
     }
 
@@ -127,8 +132,8 @@ def _cmd_hom(args: argparse.Namespace) -> dict:
     blocks = check_trivolutive_hom(a1, tau1, a2, tau2, pi,
                                    args.tolerance, args.rank_threshold)
     return {
-        "pi11": map_to_json(blocks.pi11),
-        "pi22": map_to_json(blocks.pi22),
+        "pi11": _map_record(blocks.pi11),
+        "pi22": _map_record(blocks.pi22),
         "residuals": blocks.residuals,
     }
 
@@ -137,7 +142,7 @@ def _extension_record(spec) -> dict:
     return {
         "family": spec.family,
         "lambda0": [spec.lambda0.real, spec.lambda0.imag],
-        "x0": array_to_json(spec.x0.coords),
+        "x0": as_complex(spec.x0.coords),
         "norm_of_extension": spec.norm_of_extension,
         "contractive": spec.contractive,
         "best_effort": spec.best_effort,
@@ -201,8 +206,8 @@ def _cmd_arens(args: argparse.Namespace) -> dict:
             "right_introverted": space.right_introverted,
             "faithful": space.faithful,
         },
-        "box": array_to_json(structure.box),
-        "diamond": array_to_json(structure.diamond),
+        "box": as_complex(structure.box),
+        "diamond": as_complex(structure.diamond),
         "regular": structure.regular,
         "residuals": structure.residuals,
     }
@@ -210,7 +215,7 @@ def _cmd_arens(args: argparse.Namespace) -> dict:
         theta = load_map(args.map, default_source=algebra)
         extension = extend_involution(algebra, theta, structure,
                                       args.tolerance, args.rank_threshold)
-        report["extension"] = map_to_json(extension)
+        report["extension"] = _map_record(extension)
     return report
 
 
@@ -238,9 +243,9 @@ def _cmd_tim(args: argparse.Namespace) -> dict:
     for phi in characters:
         means = tim_set(algebra, space, phi, eps, rank)
         entry = {
-            "character": array_to_json(phi.coords),
-            "particular": None if means.particular is None else array_to_json(means.particular),
-            "homogeneous_basis": array_to_json(means.homogeneous),
+            "character": as_complex(phi.coords),
+            "particular": None if means.particular is None else as_complex(means.particular),
+            "homogeneous_basis": as_complex(means.homogeneous),
             "affine_dim": means.affine_dim,
         }
         if star is not None:
@@ -270,7 +275,7 @@ def _cmd_search(args: argparse.Namespace) -> dict:
                          "(explicit pairs are available through the library API)")
     found = search_trivolutions(algebra, family_spec, args.tolerance, args.rank_threshold)
     return {"family": family_spec["family"], "count": len(found),
-            "maps": [map_to_json(f) for f in found]}
+            "maps": [_map_record(f) for f in found]}
 
 
 def _cmd_suite(args: argparse.Namespace) -> tuple[int, dict]:
@@ -335,7 +340,7 @@ def _render_text(report: dict, indent: int = 0) -> str:
                 lines.append(f"{pad}  [{i}]")
                 lines.append(_render_text(item, indent + 2))
         else:
-            lines.append(f"{pad}{key}: {jsonable(value)}")
+            lines.append(f"{pad}{key}: {value}")
     return "\n".join(line for line in lines if line)
 
 
@@ -379,6 +384,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.seed = _seed(args.seed)
+        if args.seed < 0:  # numpy's generators take no negative seed
+            raise UsageError(f"the seed must be non-negative, got {args.seed}")
         if not (0 < args.tolerance < math.inf and 0 < args.rank_threshold < math.inf):  # and NaN
             raise UsageError("tolerances must be finite and positive")
     except UsageError as exc:
@@ -392,8 +399,12 @@ def main(argv=None) -> int:
         except UsageError as exc:
             code, text = 2, _render(_usage_report(args, exc), args.output_format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

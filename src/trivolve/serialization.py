@@ -4,6 +4,8 @@ Each spec file kind has one reader here: ``load_algebra`` (a structure
 tensor or a group table), ``load_map`` (the matrix and the conjugation
 flag), ``load_element``, ``load_group_params`` and ``load_dual_basis``.
 Each raises ``ParseError`` for anything it cannot use.
+``algebra_to_json``, ``array_to_json`` and ``map_to_json`` write spec
+files; reports hold ``ndarray``s instead.
 
 An array declared of shape ``s`` is read by one ``np.asarray``: it holds
 either real numbers, in shape ``s``, or ``[re, im]`` pairs, in shape
@@ -20,6 +22,14 @@ written wholly as pairs, real entries included, exactly as the same values
 in a complex ``ndarray`` would be; lists without a complex entry are
 written as they are.  Reports are emitted with sorted keys so identical
 inputs produce byte-identical output.
+
+In a report a complex ``ndarray`` is written as pairs, a real one as it
+is.  ``dumps_report(r)`` is byte for byte
+``json.dumps(jsonable(r), sort_keys=True, indent=2) + "\n"``, written in
+one walk: an array's numbers go through one ``repr`` pass and one
+``str.join`` instead of the pure-Python encoder that ``indent`` selects.
+On a non-finite number it raises the ``UsageError`` that ``jsonable``
+raises, which names the first one in insertion order.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +48,7 @@ from .errors import CertificationFailure, NotAGroup, ParseError, UsageError
 from .starmap import AlgMap, make_map
 
 _NORM_TAGS = {"ell1": NORM_ELL1, "opnorm": NORM_OPNORM}
+_INDENT = "  "
 
 
 def complex_to_pair(z) -> list[float]:
@@ -130,8 +142,83 @@ def jsonable(value):
     return value
 
 
+def _write(value, level: int, out: list[str]) -> None:
+    """Append the JSON text of ``jsonable(value)`` at indent ``level`` to ``out``."""
+    if isinstance(value, (float, np.floating)):
+        out.append(float.__repr__(_finite(float(value))))
+    elif isinstance(value, dict):
+        members = sorted({str(k): v for k, v in value.items()}.items())
+        _write_members([(encode_basestring_ascii(k) + ": ", v) for k, v in members], "{}",
+                       level, out)
+    elif isinstance(value, (list, tuple)):
+        items = [complex_to_pair(v) for v in value] if _is_complex_vector(value) else value
+        _write_members([("", v) for v in items], "[]", level, out)
+    elif isinstance(value, np.ndarray):
+        _write_array(value, level, out)
+    elif isinstance(value, (complex, np.complexfloating)):
+        _write(complex_to_pair(value), level, out)
+    elif isinstance(value, (np.integer, np.bool_)):
+        _write(value.item(), level, out)
+    else:  # a str, int, bool or None; anything else raises the reference's TypeError
+        out.append(json.dumps(value))
+
+
+def _write_members(members: list, brackets: str, level: int, out: list[str]) -> None:
+    """``(prefix, value)`` members between ``brackets``, one per line."""
+    if not members:
+        out.append(brackets)
+        return
+    sep, pad = brackets[0], "\n" + _INDENT * (level + 1)
+    for prefix, item in members:
+        out.append(sep + pad + prefix)
+        _write(item, level + 1, out)
+        sep = ","
+    out.append("\n" + _INDENT * level + brackets[1])
+
+
+def _write_array(arr: np.ndarray, level: int, out: list[str]) -> None:
+    """One ``repr`` pass over the numbers, joined by precomputed separators."""
+    if np.iscomplexobj(arr):
+        arr = np.asarray(arr, dtype=complex)
+        arr = np.stack([arr.real, arr.imag], axis=-1)
+    if arr.dtype.kind != "f" or not arr.size or not arr.ndim:
+        _write(arr.tolist(), level, out)  # as ``jsonable`` walks it
+        return
+    arr = np.asarray(arr, dtype=float)
+    if not np.isfinite(arr).all():
+        _finite(arr[~np.isfinite(arr)][0])  # raises UsageError
+    leaves = map(float.__repr__, arr.ravel().tolist())
+    depth, size = arr.ndim, arr.size
+    pads = ["\n" + _INDENT * (level + d) for d in range(depth + 1)]
+
+    def closing(rolled: int) -> str:
+        return "".join(pads[depth - 1 - i] + "]" for i in range(rolled))
+
+    def opening(rolled: int) -> str:
+        return "".join("[" + pads[depth - rolled + i + 1] for i in range(rolled))
+
+    def separator(rolled: int) -> str:
+        """Between two numbers where the last ``rolled`` indices roll over."""
+        return closing(rolled) + "," + pads[depth - rolled] + opening(rolled)
+
+    parts = [separator(0)] * (2 * size - 1)
+    parts[::2] = leaves
+    step = 2
+    for rolled in range(1, depth):
+        step *= arr.shape[depth - rolled]
+        slots = range(step - 1, 2 * size - 1, step)
+        parts[step - 1::step] = [separator(rolled)] * len(slots)
+    out.append(opening(depth) + "".join(parts) + closing(depth))
+
+
 def dumps_report(report: dict) -> str:
-    return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
+    out: list[str] = []
+    try:
+        _write(report, 0, out)
+    except (TypeError, UsageError):
+        jsonable(report)  # raises on the first non-finite number in insertion order
+        raise
+    return "".join(out) + "\n"
 
 
 def read_json(path: str | Path):

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ def spec_files(tmp_path, c2, remark_tau):
     map_path.write_text(json.dumps(map_to_json(remark_tau)))
     return str(algebra_path), str(map_path)
 
+
+Z2_SPEC = Path(__file__).resolve().parent.parent / "sample_specs" / "z2.json"
 
 BIG_NONASSOCIATIVE = {"dim": 3, "structure": (
     1e200 * np.random.default_rng(0).standard_normal((3, 3, 3))).tolist()}
@@ -408,3 +411,44 @@ def test_infinite_tolerance_is_usage_error(spec_files, tmp_path, capsys, flag):
     code = main(["check", "--algebra", algebra, "--map", str(swap), flag, "inf"])
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_json_report_is_written_without_jsonable(tmp_path, monkeypatch):
+    # the arrays of an arens --map report go straight from ndarrays to text
+    table = cyclic_group_table(12)
+    z12 = group_algebra(table)
+    z12_path = tmp_path / "z12.json"
+    z12_path.write_text(json.dumps(algebra_to_json(z12)))
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(json.dumps(map_to_json(standard_group_involution(z12, table))))
+    calls = count_calls(monkeypatch, "jsonable")
+    code, report = run_cli(["arens", "--algebra", str(z12_path), "--map", str(theta_path)],
+                           tmp_path)
+    assert code == 0 and report["x_dim"] == 12 and "extension" in report
+    assert calls == []
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_out_is_usage_error(spec_files, tmp_path, capsys, target):
+    # a missing directory and a directory: exit 2 with one line, not a traceback
+    algebra, tau = spec_files
+    code = main(["check", "--algebra", algebra, "--map", tau, "--out", str(tmp_path / target)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write the report: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["suite", "--seed", "-1"],
+                                  ["tim", "--algebra", str(Z2_SPEC), "--seed", "-3"]])
+def test_negative_seed_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: the seed must be non-negative, got {argv[-1]}\n"
+
+
+def test_negative_seed_from_the_environment_is_usage_error(spec_files, monkeypatch, capsys):
+    algebra, tau = spec_files
+    monkeypatch.setenv("TRIVOLVE_SEED", "-1")
+    assert main(["extend", "--algebra", algebra, "--map", tau]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: the seed must be non-negative, got -1\n"

@@ -1,11 +1,16 @@
 """File format round trips and parse failures."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from trivolve.errors import ParseError
+from trivolve.cli import build_parser, run
+from trivolve.errors import ParseError, UsageError
 from trivolve.serialization import (
     algebra_to_json,
     array_from_json,
@@ -129,3 +134,90 @@ def test_complex_vector_encoding_boundaries():
     assert jsonable([True, 1j]) == [True, [0.0, 1.0]]
     assert jsonable([]) == []
     assert jsonable([{"x": 1j}]) == [{"x": [0.0, 1.0]}]
+
+
+def reference(report) -> str:
+    """The stdlib encoding that ``dumps_report`` must reproduce byte for byte."""
+    return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
+
+
+EDGE_REPORTS = {
+    "0-d arrays": {"r": np.array(2.5), "c": np.array(1 - 2j), "i": np.array(3),
+                   "b": np.array(True)},
+    "empty arrays": {"a": np.zeros(0), "b": np.zeros((2, 0)), "c": np.zeros((2, 0), complex),
+                     "d": np.zeros((0, 3))},
+    "array dtypes": {"b": np.array([[True, False]]), "i": np.arange(-3, 3).reshape(2, 3),
+                     "u": np.arange(4, dtype=np.uint8),
+                     "f": np.linspace(-1, 1, 24).reshape(2, 3, 4),
+                     "f32": np.array([0.1, 1e30], dtype=np.float32),
+                     "c": np.arange(12).reshape(3, 4) * (0.5 - 1.5j),
+                     "nested": [[np.ones((1, 1, 2, 1), complex)]]},
+    "signed zeros and subnormals": {"z": -0.0, "a": np.array([-0.0, 5e-324, -2.2e-308]),
+                                    "c": np.array([complex(-0.0, 5e-324)]), "s": 5e-324},
+    "big ints": {"i": 10 ** 30, "neg": -(10 ** 30), "np": np.int64(-(2 ** 63))},
+    "strings": {"é\n\"\\": "ünïcødé \u2603 \U0001F600", "tab": "a\tb\x00", "": ""},
+    "tuples and complex vectors": {"t": (1, 2.5), "v": [1 + 2j, 3.0],
+                                   "w": (2, np.complex128(-1j)), "mixed": [True, 1j],
+                                   "empty": [], "deep": [[], {}, [[]]]},
+    "numpy scalars": {"f": np.float64(0.1), "f32": np.float32(0.1), "i": np.int32(-7),
+                      "b": np.bool_(False), "c": np.complex64(1 + 1j), "n": None},
+    "non-str keys": {1: "one", 2.5: [1], None: {True: False}, "z": 0},
+}
+
+
+@pytest.mark.parametrize("report", EDGE_REPORTS.values(), ids=EDGE_REPORTS.keys())
+def test_dumps_report_matches_the_reference_on_edge_cases(report):
+    assert dumps_report(report) == reference(report)
+
+
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10 ** 30), 10 ** 30), st.text(max_size=5),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    hnp.arrays(st.sampled_from([np.float64, np.complex128, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+               elements={"allow_nan": False, "allow_infinity": False}),
+)
+_reports = st.dictionaries(st.text(max_size=4), st.recursive(
+    _leaves, lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                     st.lists(inner, max_size=3).map(tuple),
+                                     st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12), max_size=5)
+
+
+@given(report=_reports)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_dumps_report_matches_the_reference_on_nested_reports(report):
+    assert dumps_report(report) == reference(report)
+
+
+SAMPLE_SPECS = Path(__file__).resolve().parent.parent / "sample_specs"
+_C2, _TAU, _Z2 = (str(SAMPLE_SPECS / name) for name in ("c2.json", "tau.json", "z2.json"))
+SAMPLE_COMMANDS = {
+    "check": ["check", "--algebra", _C2, "--map", _TAU],
+    "check z2": ["check", "--algebra", _Z2, "--map", _TAU],
+    "decompose": ["decompose", "--algebra", _C2, "--map", _TAU],
+    "factor": ["factor", "--algebra", _C2, "--map", _TAU],
+    "hom": ["hom", "--algebra", _C2, "--map", _TAU, "--map3", _TAU],
+    "extend": ["extend", "--algebra", _C2, "--map", _TAU],
+    "spectra": ["spectra", "--algebra", _C2, "--element", "[[2, 1], [5, 0]]", "--map", _TAU],
+    "arens": ["arens", "--algebra", _Z2],
+    "tim": ["tim", "--algebra", _Z2],
+    "search": ["search", "--algebra", _C2, "--family", "function"],
+    "suite": ["suite", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", SAMPLE_COMMANDS.values(), ids=SAMPLE_COMMANDS.keys())
+def test_dumps_report_matches_the_reference_on_cli_reports(argv):
+    _, report = run(build_parser().parse_args(argv))
+    assert dumps_report(report) == reference(report)
+
+
+@pytest.mark.parametrize("report", [{"b": float("nan"), "a": float("inf")},
+                                    {"b": np.array([float("nan")]), "a": np.array([np.inf])}])
+def test_non_finite_report_names_the_first_number_in_insertion_order(report):
+    # a walk in sorted key order would meet inf first
+    with pytest.raises(UsageError) as caught:
+        dumps_report(report)
+    assert str(caught.value) == "the inputs overflow float64: the report would hold nan"
