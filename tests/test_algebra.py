@@ -1,5 +1,7 @@
 """Structure-constant algebra construction, products, ideals, closures."""
 
+from itertools import product as iter_product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,72 @@ class TestConstructStandard:
             verify_group_table([[0, 0], [0, 0]])
         with pytest.raises(NotAGroup):
             verify_group_table([[0, 1], [1, 1]])
+
+
+# the smallest loop that is not a group: a Latin square with identity 0
+NON_ASSOCIATIVE_LOOP = [[0, 1, 2, 3, 4],
+                        [1, 0, 3, 4, 2],
+                        [2, 4, 0, 1, 3],
+                        [3, 2, 4, 0, 1],
+                        [4, 3, 1, 2, 0]]
+
+
+def axiom_failure(table):
+    """Independent oracle: the first failing axiom of a square table, element by element."""
+    n = len(table)
+    if any(v < 0 or v >= n for row in table for v in row):
+        return "closure", "table entries must index group elements"
+    if not any(all(table[e][i] == i and table[i][e] == i for i in range(n)) for e in range(n)):
+        return "identity axiom", "no identity element in table"
+    for i in range(n):
+        if sorted(table[i]) != list(range(n)) or sorted(row[i] for row in table) != list(range(n)):
+            return "inverse axiom", f"element {i} has no inverse (table not a Latin square)"
+    for i, j, k in iter_product(range(n), repeat=3):
+        if table[table[i][j]][k] != table[i][table[j][k]]:
+            return "associativity", f"associativity fails at ({i},{j},{k})"
+    return None
+
+
+class TestVerifyGroupTable:
+    @pytest.mark.parametrize("table, law, message", [
+        ([[0, 1]], "group table shape", "group table must be square"),
+        ([[0, 2], [1, 0]], "closure", "table entries must index group elements"),
+        ([[0, -1], [1, 0]], "closure", "table entries must index group elements"),
+        # row 0 reads 0, 1 but column 0 does not, and no row 1 reads 0, 1
+        ([[0, 1], [0, 1]], "identity axiom", "no identity element in table"),
+        ([[0, 0], [0, 0]], "identity axiom", "no identity element in table"),
+        # column 1 repeats 2 and so does row 2: element 1 fails first
+        ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 2, 0, 1], [3, 0, 1, 2]], "inverse axiom",
+         "element 1 has no inverse (table not a Latin square)"),
+        # element 1's row and column are permutations; element 2's are not
+        ([[0, 1, 2], [1, 2, 0], [2, 0, 0]], "inverse axiom",
+         "element 2 has no inverse (table not a Latin square)"),
+        (NON_ASSOCIATIVE_LOOP, "associativity", "associativity fails at (1,1,2)"),
+    ])
+    def test_each_failure_names_its_axiom(self, table, law, message):
+        with pytest.raises(NotAGroup) as info:
+            verify_group_table(table)
+        assert info.value.law == law
+        assert str(info.value) == message
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.tuples(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                                     min_size=n, max_size=n),
+                            st.booleans())))
+    def test_agrees_with_elementwise_axioms(self, drawn):
+        table, unital = drawn
+        n = len(table)
+        if unital:  # make 0 an identity, so the later axioms get reached
+            table = [list(range(n))] + [[i] + row[1:] for i, row in enumerate(table[1:], 1)]
+        expected = axiom_failure(table)
+        if expected is None:
+            group = verify_group_table(table)
+            assert [table[g][group.inverse[g]] for g in range(n)] == [group.identity] * n
+            return
+        with pytest.raises(NotAGroup) as info:
+            verify_group_table(table)
+        assert (info.value.law, str(info.value)) == expected
 
 
 class TestQuotient:
