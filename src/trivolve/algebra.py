@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iter_product
 from typing import Iterable, Sequence
 
@@ -80,6 +81,11 @@ class Algebra:
 
     def is_unital(self) -> bool:
         return self.identity_coords is not None
+
+    @cached_property
+    def unitization(self) -> "Algebra":
+        """``unitize_algebra(self)``, built once per algebra."""
+        return unitize_algebra(self)
 
     def __repr__(self) -> str:  # keep reprs short; tensors are noisy
         return f"Algebra(dim={self.dim}, labels={list(self.basis_labels)!r})"

@@ -369,6 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # one per process: ``parse_args`` leaves it as it is
+
+
 def _seed(default: int) -> int:
     """``TRIVOLVE_SEED`` when it is set, else ``default``."""
     raw = os.environ.get("TRIVOLVE_SEED")
@@ -381,7 +384,7 @@ def _seed(default: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         args.seed = _seed(args.seed)
         if args.seed < 0:  # numpy's generators take no negative seed

@@ -4,8 +4,8 @@ Each spec file kind has one reader here: ``load_algebra`` (a structure
 tensor or a group table), ``load_map`` (the matrix and the conjugation
 flag), ``load_element``, ``load_group_params`` and ``load_dual_basis``.
 Each raises ``ParseError`` for anything it cannot use.
-``algebra_to_json``, ``array_to_json`` and ``map_to_json`` write spec
-files; reports hold ``ndarray``s instead.
+``array_to_json`` writes an array as spec files hold it; reports hold
+``ndarray``s instead.
 
 An array declared of shape ``s`` is read by one ``np.asarray``: it holds
 either real numbers, in shape ``s``, or ``[re, im]`` pairs, in shape
@@ -13,6 +13,19 @@ either real numbers, in shape ``s``, or ``[re, im]`` pairs, in shape
 null, a non-finite number or an integer too large for a float is a
 ``ParseError``.  A group table is a square matrix of integer element
 indices that satisfies the group axioms.
+
+``load_algebra`` and ``load_map`` read a spec file one top-level member at
+a time.  The arrays they read (``structure``, ``identity``, ``matrix``)
+are decoded flat when they are regular arrays of numbers: the text's
+brackets and commas must be those of the array's shape, no number may
+touch a bracket from outside, and the numbers go through one
+``json.loads`` and one ``np.asarray``.  The result is the array that
+``np.asarray`` makes of what ``json`` decodes, bit for bit (ints, ``-0``,
+``1E400`` and integers beyond 64 bits included); a big tensor just skips
+the hundreds of thousands of nested lists.  Every other member goes
+through ``json``'s own decoder.  A file that is not one JSON object, or
+whose syntax is bad anywhere, is read again by ``read_json``, so an error
+takes the path it always took and keeps its message.
 
 Complex numbers are always written as ``[re, im]`` pairs.  A non-finite
 number, which JSON cannot hold, means the inputs overflowed float64: a
@@ -37,6 +50,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -49,6 +64,13 @@ from .starmap import AlgMap, make_map
 
 _NORM_TAGS = {"ell1": NORM_ELL1, "opnorm": NORM_OPNORM}
 _INDENT = "  "
+
+_WHITESPACE = " \t\n\r"  # JSON whitespace, as ``json`` reads it
+_WS = re.compile(f"[{_WHITESPACE}]*")
+_NUMBER_ARRAY = re.compile(f"\\[[-+.0-9eE\\[\\],{_WHITESPACE}]*\\]")
+_MARK_NUMBERS = bytes.maketrans(b"-+.0123456789eE", b"x" * 15)
+_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
+_DECODER = json.JSONDecoder()
 
 
 def complex_to_pair(z) -> list[float]:
@@ -229,8 +251,93 @@ def read_json(path: str | Path):
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _spec_object(source: str | Path | dict, kind: str) -> dict:
-    data = source if isinstance(source, dict) else read_json(source)
+def _regular_shape(skeleton: bytes) -> tuple[int, ...] | None:
+    """The shape of an array with the brackets and commas ``skeleton``, if it is regular.
+
+    The shape is read off the first element at each depth; the skeleton of
+    that shape must then be ``skeleton``.  ``[]`` reads as shape ``(1,)``.
+    """
+    depth = len(skeleton) - len(skeleton.lstrip(b"["))
+    if depth > 32:  # deeper than an ndarray may be
+        return None
+    shape = [skeleton.count(b"]" * (depth - k - 1) + b",", k,
+                            skeleton.find(b"]" * (depth - k), k)) + 1 for k in range(depth)]
+    regular = b""
+    for n in reversed(shape):
+        if n * (len(regular) + 1) + 1 > len(skeleton):  # never longer than the text
+            return None
+        regular = b"[" + b",".join([regular] * n) + b"]"
+    return tuple(shape) if regular == skeleton else None
+
+
+def _flat_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
+    """The array of numbers at ``text[start]``, decoded flat, and where it ends.
+
+    None unless it is a regular array: its skeleton (``text`` without
+    numbers and whitespace) is that of its shape, and no number touches a
+    bracket from outside.  The numbers, between commas only, then go
+    through one ``json.loads``, which checks each of them.
+    """
+    array = _NUMBER_ARRAY.match(text, start)
+    if array is None:
+        return None
+    raw = array.group().encode("ascii")
+    marked = raw.translate(_MARK_NUMBERS, _WHITESPACE.encode())
+    if b"x[" in marked or b"]x" in marked:
+        return None
+    shape = _regular_shape(marked.translate(None, b"x"))
+    if shape is None:
+        return None
+    try:
+        numbers = json.loads(b"[" + raw.translate(_BLANK_BRACKETS) + b"]")
+        return np.asarray(numbers).reshape(shape), array.end()
+    except (ValueError, OverflowError):  # a bad number, or the "[]" read as shape (1,)
+        return None
+
+
+def _members(text: str, arrays: tuple[str, ...]) -> dict | None:
+    """The members of the JSON object ``text``; None if it is not one.
+
+    A member named in ``arrays`` whose value is a regular array of numbers
+    is an ndarray; every other value is what ``json`` decodes.
+    """
+    idx = _WS.match(text).end()
+    if not text.startswith("{", idx):
+        return None
+    members, idx, sep = {}, _WS.match(text, idx + 1).end(), ","
+    while sep == ",":  # an empty object is left to ``read_json``
+        if not text.startswith('"', idx):
+            return None
+        key, idx = scanstring(text, idx + 1)
+        idx = _WS.match(text, idx).end()
+        if not text.startswith(":", idx):
+            return None
+        idx = _WS.match(text, idx + 1).end()
+        flat = _flat_array(text, idx) if key in arrays and text.startswith("[", idx) else None
+        members[key], idx = flat or _DECODER.raw_decode(text, idx)
+        idx = _WS.match(text, idx).end()
+        sep = text[idx:idx + 1]
+        if sep not in ("}", ","):
+            return None
+        idx = _WS.match(text, idx + 1).end()
+    return members if idx == len(text) else None
+
+
+def _spec_object(source: str | Path | dict, kind: str, arrays: tuple[str, ...]) -> dict:
+    """The members of a spec object; those named in ``arrays`` may come as ndarrays.
+
+    A file that ``_members`` declines is read again by ``read_json``, which
+    raises the ``ParseError`` it always raised.
+    """
+    data = source
+    if not isinstance(source, dict):
+        try:
+            with open(source, "r", encoding="utf-8") as handle:
+                data = _members(handle.read(), arrays)
+        except (OSError, ValueError, RecursionError):  # ValueError: bad JSON or UTF-8
+            data = None
+        if data is None:
+            data = read_json(source)
     if not isinstance(data, dict):
         raise ParseError(f"malformed {kind} spec: expected an object, got {type(data).__name__}")
     return data
@@ -238,7 +345,7 @@ def _spec_object(source: str | Path | dict, kind: str) -> dict:
 
 def load_algebra(source: str | Path | dict) -> Algebra:
     """Load an algebra spec file (structure tensor or group table)."""
-    data = _spec_object(source, "algebra")
+    data = _spec_object(source, "algebra", ("structure", "identity"))
     try:
         if "group" in data:
             group = data["group"]
@@ -265,18 +372,6 @@ def load_algebra(source: str | Path | dict) -> Algebra:
         raise ParseError(f"malformed algebra spec: {exc}") from exc
 
 
-def algebra_to_json(algebra: Algebra) -> dict:
-    out = {
-        "dim": algebra.dim,
-        "labels": list(algebra.basis_labels),
-        "structure": array_to_json(algebra.structure),
-        "norm": "ell1" if algebra.norm_kind == NORM_ELL1 else "opnorm",
-    }
-    if algebra.identity_coords is not None:
-        out["identity"] = array_to_json(algebra.identity_coords)
-    return out
-
-
 def load_map(source: str | Path | dict, default_source: Algebra,
              default_target: Algebra | None = None,
              base_dir: str | Path | None = None) -> AlgMap:
@@ -285,7 +380,7 @@ def load_map(source: str | Path | dict, default_source: Algebra,
     A named file must exist and parse; the defaults apply only when the
     entry is absent.
     """
-    data = _spec_object(source, "map")
+    data = _spec_object(source, "map", ("matrix",))
     if base_dir is None and not isinstance(source, dict):
         base_dir = Path(source).parent
 
@@ -309,10 +404,6 @@ def load_map(source: str | Path | dict, default_source: Algebra,
         raise ParseError(f"map 'conjugating' must be true or false, got {conjugating!r}")
     matrix = array_from_json(data["matrix"], (tgt.dim, src.dim))
     return make_map(matrix, conjugating=conjugating, source=src, target=tgt)
-
-
-def map_to_json(f: AlgMap) -> dict:
-    return {"matrix": array_to_json(f.matrix), "conjugating": f.conjugating}
 
 
 def load_element(source, algebra: Algebra) -> Element:

@@ -19,7 +19,6 @@ from .algebra import (
     induced_subalgebra,
     left_mult_matrix,
     multiply,
-    unitize_algebra,
 )
 from .errors import BNotUnital, NotUnital
 from .linalg import EPS, EPS_RANK, max_abs, solve_exact
@@ -47,7 +46,7 @@ def spectrum(algebra: Algebra, x: Element) -> Spectrum:
     if algebra.is_unital():
         values = np.linalg.eigvals(left_mult_matrix(algebra, x))
         return Spectrum(values=_sorted_values(values), computed_in="algebra")
-    sharp = unitize_algebra(algebra)
+    sharp = algebra.unitization
     coords = np.concatenate([[0.0], x.coords])
     values = np.linalg.eigvals(left_mult_matrix(sharp, coords))
     return Spectrum(values=_sorted_values(values), computed_in="unitization")

@@ -42,10 +42,6 @@ class AlgMap:
     def __post_init__(self):
         object.__setattr__(self, "matrix", freeze(self.matrix))
 
-    @property
-    def is_endomorphism(self) -> bool:
-        return algebras_compatible(self.source, self.target)
-
     def __call__(self, x: Element) -> Element:
         return apply(self, x)
 

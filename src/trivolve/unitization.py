@@ -26,7 +26,6 @@ from .algebra import (
     multiply,
     right_mult_matrix,
     is_commutative,
-    unitize_algebra,
 )
 from .errors import (
     AlgebraMismatch,
@@ -68,7 +67,7 @@ def extension_map(algebra: Algebra, tau: AlgMap, lambda0: complex, x0: Element) 
     """Generic candidate ``t#(l, x) = (conj(l) lambda0, conj(l) x0 + tau(x))``."""
     if not algebras_compatible(x0.algebra, algebra):
         raise AlgebraMismatch("x0 must belong to the algebra being unitized")
-    sharp = unitize_algebra(algebra)
+    sharp = algebra.unitization
     n = algebra.dim
     matrix = np.zeros((n + 1, n + 1), dtype=complex)
     matrix[0, 0] = complex(lambda0)

@@ -10,7 +10,9 @@ import pytest
 from trivolve.algebra import cyclic_group_table, group_algebra
 from trivolve.cli import main
 from trivolve.instances import standard_group_involution
-from trivolve.serialization import algebra_to_json, array_to_json, map_to_json
+from trivolve.serialization import array_to_json
+
+from spec_writers import algebra_to_json, map_to_json
 
 
 @pytest.fixture()
@@ -251,6 +253,16 @@ def test_extend_builds_range_identity_once_per_solver(spec_files, tmp_path, monk
     code, report = run_cli(["extend", "--algebra", algebra, "--map", tau], tmp_path)
     assert code == 0 and report["count"] == len(verified) == 3
     assert len(built) == 2
+
+
+def test_extend_unitizes_the_algebra_once(spec_files, tmp_path, monkeypatch):
+    # every candidate extension, verified or built, lives on the one cached unitization
+    unitized = count_calls(monkeypatch, "unitize_algebra")
+    extended = count_calls(monkeypatch, "extension_map")
+    algebra, tau = spec_files
+    code, report = run_cli(["extend", "--algebra", algebra, "--map", tau], tmp_path)
+    assert code == 0 and len(extended) >= 3
+    assert len(unitized) == 1
 
 
 def test_extend_on_operator_norm_is_best_effort(spec_files, tmp_path, c2):

@@ -12,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 from trivolve.cli import build_parser, run
 from trivolve.errors import ParseError, UsageError
 from trivolve.serialization import (
-    algebra_to_json,
     array_from_json,
     array_to_json,
     dumps_report,
@@ -20,8 +19,9 @@ from trivolve.serialization import (
     load_algebra,
     load_element,
     load_map,
-    map_to_json,
 )
+
+from spec_writers import algebra_to_json, map_to_json
 
 
 def test_array_round_trip():

@@ -1,15 +1,21 @@
-"""Spec readers: the vectorised array rule and mutated specs of every file kind."""
+"""Spec readers: the vectorised array rule, the flat reader and mutated specs."""
 
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trivolve.algebra import cyclic_group_table, function_algebra, group_algebra
 from trivolve.cli import main
 from trivolve.errors import ParseError
-from trivolve.serialization import array_from_json
+from trivolve.serialization import (_spec_object, array_from_json, load_algebra, load_map,
+                                    read_json)
+
+from spec_writers import algebra_to_json
 
 
 def walk_array_from_json(data, shape):
@@ -231,3 +237,226 @@ def test_unmutated_spec_passes(spec_dir, kind):
     spec, argv = KINDS[kind]
     code, report = run_spec(spec_dir, argv, json.dumps(spec))
     assert code == 0, report
+
+
+# ---------------------------------------------------------------------------
+# the flat reader against ``read_json`` and the nested lists it decodes
+# ---------------------------------------------------------------------------
+
+NUMBER_TEXTS = st.one_of(
+    st.integers(-2**70, 2**70).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0", "0", "-0.0", "1e5", "1E400", "-1E400", "2.5E-3", "1.0",
+                     str(2**64 + 1), str(-2**65)]))
+# the texts of 0 and 1 that a valid algebra, C^n, may be written with
+ZERO_TEXTS = st.sampled_from(["0", "-0", "0.0", "-0.0", "0e3"])
+ONE_TEXTS = st.sampled_from(["1", "1.0", "1e0", "10E-1", "0.1e1"])
+SPACES = st.text(" \t\n\r", max_size=2)
+BAD_ARRAYS = ["[1[,2]]", "[1 2]", "[[1, 2], [3]]", "[[1], [2, 3]]", "[]", "[[]]", "[[]1]",
+              "[1[]]", "[[1,2][3,4]]", "[[1,2],[3,4]]]", "[1,]", "[,1]", "[1,,2]", "[01]",
+              "[+1]", "[1.]", "[.5]", "[1e]", "[--1]", "[NaN, 1]", "[Infinity, -Infinity]",
+              "[1, [0, 1]]", "[true, 1]", "[\f1]", "[1\u00a0]", "[\"1\"]"]
+MUTATIONS = ("none", "none", "none", "drop comma", "extra comma", "drop bracket",
+             "extra bracket", "bad array", "truncate", "trailing", "odd space", "non-finite",
+             "duplicate key", "nested key")
+NUMBER = re.compile(r"-?[0-9][-+.0-9eE]*")
+
+
+def array_text(draw, numbers, shape):
+    """A nested JSON array of number texts, with drawn whitespace around each item."""
+    items = iter(numbers)
+
+    def node(depth):
+        if depth == len(shape):
+            return next(items)
+        return "[" + ",".join(draw(SPACES) + node(depth + 1) + draw(SPACES)
+                              for _ in range(shape[depth])) + "]"
+    return node(0)
+
+
+@st.composite
+def spec_texts(draw):
+    """(kind, dim, text): an algebra or map spec, written freely, then maybe mutated."""
+    kind, n = draw(st.sampled_from(["algebra", "map"])), draw(st.integers(1, 3))
+    pairs = (2,) if draw(st.booleans()) else ()
+    shape = ((n, n, n) if kind == "algebra" else (n, n)) + pairs
+    size = int(np.prod(shape))
+    if kind == "algebra" and draw(st.booleans()):  # C^n: e_i e_i = e_i
+        values = np.zeros((n, n, n) + pairs)
+        values[(range(n), range(n), range(n)) + ((0,) if pairs else ())] = 1
+        numbers = [draw(ONE_TEXTS if v else ZERO_TEXTS) for v in values.ravel()]
+    else:
+        numbers = draw(st.lists(NUMBER_TEXTS, min_size=size, max_size=size))
+    array = array_text(draw, numbers, shape)
+    if kind == "algebra":
+        members = [("dim", str(n)), ("structure", array)]
+        if draw(st.booleans()):
+            members.append(("identity", array_text(draw, ["1"] * n, (n,))))
+        members += [("labels", json.dumps([f"e{i}" for i in range(n)])), ("norm", '"ell1"')]
+    else:
+        members = [("matrix", array), ("conjugating", draw(st.sampled_from(["true", "false"])))]
+    members = draw(st.permutations(members))
+
+    op = draw(st.sampled_from(MUTATIONS), label="mutation")
+    if op == "bad array":
+        name = "structure" if kind == "algebra" else "matrix"
+        members = [(k, draw(st.sampled_from(BAD_ARRAYS)) if k == name else v)
+                   for k, v in members]
+    elif op == "duplicate key":
+        name = "structure" if kind == "algebra" else "matrix"
+        other = array_text(draw, draw(st.lists(NUMBER_TEXTS, min_size=size, max_size=size)),
+                           shape)
+        members.insert(draw(st.integers(0, len(members))), (name, other))
+    elif op == "nested key":
+        members.insert(draw(st.integers(0, len(members))),
+                       ("meta", '{"structure": [1, 2], "matrix": [[0]]}'))
+    text = (draw(SPACES) + "{" + ",".join(draw(SPACES) + json.dumps(k) + draw(SPACES) + ":"
+                                          + draw(SPACES) + v + draw(SPACES)
+                                          for k, v in members)
+            + "}" + draw(SPACES))
+
+    edits = {"drop comma": (",", lambda match: ""),
+             "extra comma": ("[,\\]]", lambda match: "," + match.group()),
+             "drop bracket": ("[][{}]", lambda match: ""),
+             "extra bracket": ("[][{}]", lambda match: match.group() * 2),
+             "non-finite": (NUMBER, lambda match: draw(st.sampled_from(
+                 ["NaN", "Infinity", "-Infinity"])))}
+    if op in edits:
+        pattern, edit = edits[op]
+        found = list(re.finditer(pattern, text))
+        if found:
+            match = draw(st.sampled_from(found))
+            text = text[:match.start()] + edit(match) + text[match.end():]
+    elif op == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif op == "trailing":
+        text += draw(st.sampled_from(["}", "]", ",", "0", "{}", "x"]))
+    elif op == "odd space":
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + draw(st.sampled_from(["\f", "\u00a0"])) + text[cut:]
+    return kind, n, text
+
+
+def parse_error_or(read):
+    """``read()``'s value, or the message of the ``ParseError`` it raises."""
+    try:
+        return read()
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def array_or_error(data, shape):
+    got = parse_error_or(lambda: array_from_json(data, shape))
+    return got if isinstance(got, str) else got.tobytes()
+
+
+def outcome(read):
+    """What a spec reads as: its arrays' bits and flags, or the ParseError message."""
+    got = parse_error_or(read)
+    if isinstance(got, str):
+        return got
+    if hasattr(got, "matrix"):
+        return got.matrix.tobytes(), got.conjugating, got.source.dim
+    identity = None if got.identity_coords is None else got.identity_coords.tobytes()
+    return got.structure.tobytes(), identity, got.basis_labels, got.norm_kind
+
+
+def reference_members(kind, path):
+    """The reader before flat arrays: what ``read_json`` decodes, or the message."""
+    data = parse_error_or(lambda: read_json(path))
+    if isinstance(data, (str, dict)):
+        return data
+    return f"ParseError: malformed {kind} spec: expected an object, got {type(data).__name__}"
+
+
+def reference_outcome(kind, n, path):
+    """What the reader before flat arrays made of the spec: nested lists everywhere."""
+    data = reference_members(kind, path)
+    if isinstance(data, str):
+        return data
+    if kind == "algebra":
+        return outcome(lambda: load_algebra(data))
+    return outcome(lambda: load_map(data, function_algebra(n), base_dir=path.parent))
+
+
+ARRAY_SHAPES = {"algebra": {"structure": "nnn", "identity": "n"}, "map": {"matrix": "nn"}}
+
+
+@given(spec=spec_texts())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_flat_reader_matches_the_json_reader(spec_dir, spec):
+    kind, n, text = spec
+    with np.errstate(over="ignore", invalid="ignore"):  # as in ``cli.main``
+        check_against_json_reader(spec_dir / "differential.json", kind, n, text)
+
+
+def check_against_json_reader(path, kind, n, text):
+    path.write_text(text, encoding="utf-8")
+    shapes = ARRAY_SHAPES[kind]
+    # the members: the same keys, and arrays that read to the same bits or the same error
+    members = parse_error_or(lambda: _spec_object(path, kind, tuple(shapes)))
+    expected = reference_members(kind, path)
+    if isinstance(members, str) or isinstance(expected, str):
+        assert members == expected
+    else:
+        assert list(members) == list(expected)
+        for key in members:
+            if key in shapes:
+                shape = (n,) * len(shapes[key])
+                assert array_or_error(members[key], shape) == array_or_error(expected[key],
+                                                                             shape)
+            else:
+                assert repr(members[key]) == repr(expected[key])
+    # the whole spec: the same algebra or map, or the same message
+    if kind == "algebra":
+        got = outcome(lambda: load_algebra(path))
+    else:
+        got = outcome(lambda: load_map(path, function_algebra(n)))
+    assert got == reference_outcome(kind, n, path)
+
+
+@pytest.mark.parametrize("array", BAD_ARRAYS + ["[[1, 0], [0, 1]]", "[\n[ 1 ,0 ] ,[0,1]\r]"])
+def test_flat_reader_on_hand_written_arrays(spec_dir, array):
+    path = spec_dir / "bad.json"
+    path.write_text('{"matrix": %s, "conjugating": true}' % array, encoding="utf-8")
+    c2 = function_algebra(2)
+    assert outcome(lambda: load_map(path, c2)) == reference_outcome("map", 2, path)
+
+
+def test_flat_reader_decodes_regular_arrays_without_lists(spec_dir):
+    path = spec_dir / "flat.json"
+    path.write_text('{"labels": [[1]], "matrix": [[[1, -0.0], [0, 0]], [[0, 0], [1E400, 0]]], '
+                    '"meta": {"matrix": [1]}, "rows": [1, 2]}')
+    data = _spec_object(path, "map", ("matrix",))
+    assert isinstance(data["matrix"], np.ndarray) and data["matrix"].shape == (2, 2, 2)
+    assert np.signbit(data["matrix"][0, 0, 1]) and data["matrix"][1, 1, 0] == np.inf
+    # only the named top-level members: labels may be numbers, and are read as json reads them
+    assert data["labels"] == [[1]] and data["meta"] == {"matrix": [1]} and data["rows"] == [1, 2]
+
+
+def test_flat_reader_builds_no_skeleton_longer_than_the_text(spec_dir):
+    # the first row, plane and block claim 300^3 numbers: a 27 MB skeleton for 3 kB of text
+    row = "[" + ",".join(["0"] * 300) + "]"
+    path = spec_dir / "ragged.json"
+    path.write_text('{"matrix": [[%s%s]%s]}' % (row, ",[0]" * 299, ",[[0]]" * 299))
+    tracemalloc.start()
+    try:
+        data = _spec_object(path, "map", ("matrix",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(data["matrix"], list) and peak < 2**20
+
+
+def test_reading_a_large_structure_tensor_stays_small(tmp_path):
+    # json.load builds 266k lists and 524k floats for C[Z64]: 56 MiB at the peak
+    path = tmp_path / "z64.json"
+    path.write_text(json.dumps(algebra_to_json(group_algebra(cyclic_group_table(64)))))
+    tracemalloc.start()
+    try:
+        algebra = load_algebra(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert algebra.dim == 64 and algebra.is_unital()
+    assert peak < 40 * 2**20
