@@ -8,7 +8,6 @@ from .algebra import (
     Subspace,
     SubspaceFlags,
     analyze_subspace,
-    construct_standard,
     cyclic_group_table,
     element_norm,
     function_algebra,
@@ -36,7 +35,6 @@ from .duality import (
     arens_products,
     check_introverted,
     dual_action,
-    dual_vector,
     extend_involution,
     find_characters,
     full_dual,

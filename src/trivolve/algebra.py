@@ -579,21 +579,6 @@ def opposite_algebra(a: Algebra) -> Algebra:
                         declared_identity=a.identity_coords, norm_kind=a.norm_kind)
 
 
-def construct_standard(kind: str, **params) -> Algebra:
-    """Dispatcher over the named constructors (see the individual helpers)."""
-    if kind == "function":
-        return function_algebra(int(params["n"]))
-    if kind == "matrix":
-        return matrix_algebra(int(params["n"]))
-    if kind == "group":
-        return group_algebra(params["table"], params.get("labels"))
-    if kind == "product":
-        return product_algebra(params["a"], params["b"])
-    if kind == "opposite":
-        return opposite_algebra(params["a"])
-    raise UsageError(f"unknown standard algebra kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # subspace analysis
 # ---------------------------------------------------------------------------

@@ -8,13 +8,15 @@ overflowed float64 so that the report would hold a non-finite number, or
 the report could not be written to ``--out``.
 
 Reports are deterministic: identical inputs and seed produce
-byte-identical JSON.  The ``TRIVOLVE_SEED`` environment variable
-overrides ``--seed``; a seed must be non-negative.
+byte-identical JSON.  ``--format text``, the default, is rendered from
+that JSON, so both formats show the same numbers.  The ``TRIVOLVE_SEED``
+environment variable overrides ``--seed``; a seed must be non-negative.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -37,7 +39,6 @@ from .errors import CertificationFailure, UsageError
 from .linalg import EPS, EPS_RANK, as_complex
 from .serialization import (
     dumps_report,
-    jsonable,
     load_algebra,
     load_dual_basis,
     load_element,
@@ -190,7 +191,7 @@ def _cmd_spectra(args: argparse.Namespace) -> dict:
             raise CertificationFailure("spectral inclusion failed",
                                        law="spec_B(t(x)) inside conj spec_A(x)",
                                        residual=inclusion.max_mismatch,
-                                       details=jsonable(report))
+                                       details=report)
     return report
 
 
@@ -321,9 +322,10 @@ def _usage_report(args: argparse.Namespace, exc: UsageError) -> dict:
 
 def _render(report: dict, output_format: str) -> str:
     """The report as text; ``UsageError`` when it holds a non-finite number."""
+    text = dumps_report(report)
     if output_format == "json":
-        return dumps_report(report)
-    return _render_text(jsonable(report)) + "\n"
+        return text
+    return _render_text(json.loads(text)) + "\n"
 
 
 def _render_text(report: dict, indent: int = 0) -> str:

@@ -79,13 +79,6 @@ class Character(DualVector):
     residual: float = 0.0
 
 
-def dual_vector(algebra: Algebra, coords) -> DualVector:
-    coords = as_complex(coords).reshape(-1)
-    if coords.shape != (algebra.dim,):
-        raise AlgebraMismatch("dual vector length does not match the algebra")
-    return DualVector(coords=coords, algebra=algebra)
-
-
 def dual_action(algebra: Algebra, lam, a: Element, side: str) -> DualVector:
     """Module actions on the dual: ``<lam.a, b> = <lam, ab>``, ``<a.lam, b> = <lam, ba>``.
 

@@ -4,8 +4,6 @@ Each spec file kind has one reader here: ``load_algebra`` (a structure
 tensor or a group table), ``load_map`` (the matrix and the conjugation
 flag), ``load_element``, ``load_group_params`` and ``load_dual_basis``.
 Each raises ``ParseError`` for anything it cannot use.
-``array_to_json`` writes an array as spec files hold it; reports hold
-``ndarray``s instead.
 
 An array declared of shape ``s`` is read by one ``np.asarray``: it holds
 either real numbers, in shape ``s``, or ``[re, im]`` pairs, in shape
@@ -27,22 +25,21 @@ through ``json``'s own decoder.  A file that is not one JSON object, or
 whose syntax is bad anywhere, is read again by ``read_json``, so an error
 takes the path it always took and keeps its message.
 
-Complex numbers are always written as ``[re, im]`` pairs.  A non-finite
-number, which JSON cannot hold, means the inputs overflowed float64: a
-``UsageError``.  A list or tuple
-of numbers with at least one complex entry is a complex vector and is
-written wholly as pairs, real entries included, exactly as the same values
-in a complex ``ndarray`` would be; lists without a complex entry are
-written as they are.  Reports are emitted with sorted keys so identical
-inputs produce byte-identical output.
-
-In a report a complex ``ndarray`` is written as pairs, a real one as it
-is.  ``dumps_report(r)`` is byte for byte
-``json.dumps(jsonable(r), sort_keys=True, indent=2) + "\n"``, written in
-one walk: an array's numbers go through one ``repr`` pass and one
-``str.join`` instead of the pure-Python encoder that ``indent`` selects.
-On a non-finite number it raises the ``UsageError`` that ``jsonable``
-raises, which names the first one in insertion order.
+``dumps_report`` writes a report as JSON: two-space indents, one member
+or item to a line, ``[]`` and ``{}`` when empty, keys sorted (a key that
+is not a string is written as ``str(key)``), strings ASCII-escaped, and a
+final newline, so identical inputs produce byte-identical output.  A
+float is written as its ``repr``, a NumPy scalar as the Python number it
+holds, a tuple as a list.  Complex numbers are always written as
+``[re, im]`` pairs.  A list or tuple of numbers with at least one complex
+entry is a complex vector and is written wholly as pairs, real entries
+included, exactly as the same values in a complex ``ndarray`` would be;
+lists without a complex entry are written as they are.  A complex
+``ndarray`` is written as pairs, a real one as it is; an array's numbers
+go through one ``repr`` pass and one ``str.join``.  A non-finite number,
+which JSON cannot hold, means the inputs overflowed float64: a
+``UsageError`` naming the first one in insertion order, since a dict's
+members are encoded in insertion order and sorted afterwards.
 """
 
 from __future__ import annotations
@@ -119,11 +116,6 @@ def group_table(data) -> GroupTable:
         raise ParseError(f"malformed group table: {exc}") from exc
 
 
-def array_to_json(arr: np.ndarray):
-    arr = np.asarray(arr, dtype=complex)
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
-
-
 def _is_complex_vector(items) -> bool:
     """True for a non-empty sequence of numbers (bools excluded) with a complex entry."""
     has_complex = False
@@ -134,78 +126,46 @@ def _is_complex_vector(items) -> bool:
     return has_complex
 
 
-def jsonable(value):
-    """Recursively convert numpy/complex values into JSON-safe structures.
-
-    A list or tuple of numbers holding any complex entry is a complex vector:
-    every entry becomes an ``[re, im]`` pair, so ``jsonable(list(v))`` equals
-    ``jsonable(np.array(v))``.  Any other list is converted item by item;
-    nested lists are not treated as complex arrays.  A non-finite number
-    raises ``UsageError``.
-    """
+def _encode(value, level: int) -> str:
+    """The JSON text of ``value`` at indent ``level``."""
     if isinstance(value, (float, np.floating)):
-        return _finite(float(value))
+        return float.__repr__(_finite(float(value)))
     if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
+        # encoded in insertion order, so the first non-finite number is the one named
+        members = {str(k): _encode(v, level + 1) for k, v in value.items()}
+        return _join([(encode_basestring_ascii(k) + ": ", text)
+                      for k, text in sorted(members.items())], "{}", level)
     if isinstance(value, (list, tuple)):
-        if _is_complex_vector(value):
-            return [complex_to_pair(v) for v in value]
-        return [jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return jsonable(array_to_json(value) if np.iscomplexobj(value) else value.tolist())
-    if isinstance(value, complex):
-        return complex_to_pair(value)
-    if isinstance(value, (np.complexfloating,)):
-        return complex_to_pair(complex(value))
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
-
-
-def _write(value, level: int, out: list[str]) -> None:
-    """Append the JSON text of ``jsonable(value)`` at indent ``level`` to ``out``."""
-    if isinstance(value, (float, np.floating)):
-        out.append(float.__repr__(_finite(float(value))))
-    elif isinstance(value, dict):
-        members = sorted({str(k): v for k, v in value.items()}.items())
-        _write_members([(encode_basestring_ascii(k) + ": ", v) for k, v in members], "{}",
-                       level, out)
-    elif isinstance(value, (list, tuple)):
         items = [complex_to_pair(v) for v in value] if _is_complex_vector(value) else value
-        _write_members([("", v) for v in items], "[]", level, out)
-    elif isinstance(value, np.ndarray):
-        _write_array(value, level, out)
-    elif isinstance(value, (complex, np.complexfloating)):
-        _write(complex_to_pair(value), level, out)
-    elif isinstance(value, (np.integer, np.bool_)):
-        _write(value.item(), level, out)
-    else:  # a str, int, bool or None; anything else raises the reference's TypeError
-        out.append(json.dumps(value))
+        return _join([("", _encode(v, level + 1)) for v in items], "[]", level)
+    if isinstance(value, np.ndarray):
+        return _encode_array(value, level)
+    if isinstance(value, (complex, np.complexfloating)):
+        return _encode(complex_to_pair(value), level)
+    if isinstance(value, (np.integer, np.bool_)):
+        return _encode(value.item(), level)
+    return json.dumps(value)  # a str, int, bool or None; anything else raises TypeError
 
 
-def _write_members(members: list, brackets: str, level: int, out: list[str]) -> None:
-    """``(prefix, value)`` members between ``brackets``, one per line."""
+def _join(members: list[tuple[str, str]], brackets: str, level: int) -> str:
+    """``(prefix, text)`` members between ``brackets``, one per line; a text is copied once."""
     if not members:
-        out.append(brackets)
-        return
-    sep, pad = brackets[0], "\n" + _INDENT * (level + 1)
-    for prefix, item in members:
-        out.append(sep + pad + prefix)
-        _write(item, level + 1, out)
-        sep = ","
-    out.append("\n" + _INDENT * level + brackets[1])
+        return brackets
+    pad = "\n" + _INDENT * (level + 1)
+    parts = [brackets[0]]
+    for prefix, text in members:
+        parts += [pad, prefix, text, ","]
+    parts[-1] = "\n" + _INDENT * level + brackets[1]
+    return "".join(parts)
 
 
-def _write_array(arr: np.ndarray, level: int, out: list[str]) -> None:
+def _encode_array(arr: np.ndarray, level: int) -> str:
     """One ``repr`` pass over the numbers, joined by precomputed separators."""
     if np.iscomplexobj(arr):
         arr = np.asarray(arr, dtype=complex)
         arr = np.stack([arr.real, arr.imag], axis=-1)
     if arr.dtype.kind != "f" or not arr.size or not arr.ndim:
-        _write(arr.tolist(), level, out)  # as ``jsonable`` walks it
-        return
+        return _encode(arr.tolist(), level)
     arr = np.asarray(arr, dtype=float)
     if not np.isfinite(arr).all():
         _finite(arr[~np.isfinite(arr)][0])  # raises UsageError
@@ -230,17 +190,12 @@ def _write_array(arr: np.ndarray, level: int, out: list[str]) -> None:
         step *= arr.shape[depth - rolled]
         slots = range(step - 1, 2 * size - 1, step)
         parts[step - 1::step] = [separator(rolled)] * len(slots)
-    out.append(opening(depth) + "".join(parts) + closing(depth))
+    return opening(depth) + "".join(parts) + closing(depth)
 
 
 def dumps_report(report: dict) -> str:
-    out: list[str] = []
-    try:
-        _write(report, 0, out)
-    except (TypeError, UsageError):
-        jsonable(report)  # raises on the first non-finite number in insertion order
-        raise
-    return "".join(out) + "\n"
+    """The report as JSON text, by the rules in the module docstring."""
+    return _encode(report, 0) + "\n"
 
 
 def read_json(path: str | Path):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from trivolve.algebra import (
     Subspace,
     analyze_subspace,
-    construct_standard,
     cyclic_group_table,
     function_algebra,
     group_algebra,
@@ -143,7 +142,7 @@ class TestMultiply:
 
 class TestConstructStandard:
     def test_function(self):
-        f3 = construct_standard("function", n=3)
+        f3 = function_algebra(3)
         assert np.allclose(f3.identity_coords, [1, 1, 1])
 
     def test_group_z3(self, z3):
@@ -152,7 +151,7 @@ class TestConstructStandard:
         assert np.allclose(z3.structure, z3.structure.transpose(1, 0, 2))
 
     def test_opposite_matrix_units(self, m2):
-        op = construct_standard("opposite", a=m2)
+        op = opposite_algebra(m2)
         e11, e12 = op.basis_element(0), op.basis_element(1)
         # oracle: E12 E11 = 0 in M2, so the opposite product E11 . E12 vanishes
         assert np.allclose(multiply(op, e11, e12).coords, 0.0)

@@ -2,17 +2,16 @@
 
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trivolve.algebra import cyclic_group_table, group_algebra
-from trivolve.cli import main
+from trivolve.cli import _render_text, build_parser, main, run
 from trivolve.instances import standard_group_involution
-from trivolve.serialization import array_to_json
 
-from spec_writers import algebra_to_json, map_to_json
+from spec_writers import (SAMPLE_COMMANDS, SAMPLE_SPECS, algebra_to_json, array_to_json, jsonable,
+                          map_to_json)
 
 
 @pytest.fixture()
@@ -24,7 +23,7 @@ def spec_files(tmp_path, c2, remark_tau):
     return str(algebra_path), str(map_path)
 
 
-Z2_SPEC = Path(__file__).resolve().parent.parent / "sample_specs" / "z2.json"
+Z2_SPEC = SAMPLE_SPECS / "z2.json"
 
 BIG_NONASSOCIATIVE = {"dim": 3, "structure": (
     1e200 * np.random.default_rng(0).standard_normal((3, 3, 3))).tolist()}
@@ -425,19 +424,49 @@ def test_infinite_tolerance_is_usage_error(spec_files, tmp_path, capsys, flag):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
-def test_json_report_is_written_without_jsonable(tmp_path, monkeypatch):
-    # the arrays of an arens --map report go straight from ndarrays to text
+def text_and_reference(argv, capsys):
+    """``(code, stdout)`` of ``--format text``, and the same rendered from ``jsonable``."""
+    code = main(argv + ["--format", "text"])
+    out = capsys.readouterr().out
+    reference_code, report = run(build_parser().parse_args(argv))
+    return (code, out), (reference_code, _render_text(jsonable(report)) + "\n")
+
+
+@pytest.mark.parametrize("argv", SAMPLE_COMMANDS.values(), ids=SAMPLE_COMMANDS.keys())
+def test_text_report_matches_the_reference(argv, capsys):
+    text, reference = text_and_reference(argv, capsys)
+    assert text == reference
+
+
+def test_text_report_is_rendered_from_the_json(tmp_path, capsys):
+    # the arrays of an arens --map report reach the text through dumps_report
     table = cyclic_group_table(12)
     z12 = group_algebra(table)
     z12_path = tmp_path / "z12.json"
     z12_path.write_text(json.dumps(algebra_to_json(z12)))
     theta_path = tmp_path / "theta.json"
     theta_path.write_text(json.dumps(map_to_json(standard_group_involution(z12, table))))
-    calls = count_calls(monkeypatch, "jsonable")
-    code, report = run_cli(["arens", "--algebra", str(z12_path), "--map", str(theta_path)],
-                           tmp_path)
+    argv = ["arens", "--algebra", str(z12_path), "--map", str(theta_path)]
+    code, report = run_cli(argv, tmp_path)
     assert code == 0 and report["x_dim"] == 12 and "extension" in report
-    assert calls == []
+    text, reference = text_and_reference(argv, capsys)
+    assert text == reference
+
+
+def test_failed_spectral_inclusion_exits_1(tmp_path, capsys):
+    # tau(x) = (7, 0) has spectrum {7, 0}; x = (2, 5) has spectrum {2, 5}
+    tau = tmp_path / "tau.json"
+    tau.write_text(json.dumps({"matrix": [[1, 1], [0, 0]], "conjugating": True}))
+    argv = ["spectra", "--algebra", str(SAMPLE_SPECS / "c2.json"), "--element", "[2, 5]",
+            "--map", str(tau)]
+    code, report = run_cli(argv, tmp_path)
+    assert code == 1 and report["error"] == "CertificationFailure"
+    assert report["law"] == "spec_B(t(x)) inside conj spec_A(x)" and report["residual"] == 2.0
+    assert report["details"]["inclusion"]["range_spectrum"] == [[7.0, 0.0]]
+    (code, out), reference = text_and_reference(argv, capsys)
+    assert (code, out) == reference and code == 1
+    assert "law: spec_B(t(x)) inside conj spec_A(x)\n" in out and "residual: 2.0\n" in out
+    assert "\n    range_spectrum: [[7.0, 0.0]]\n" in out
 
 
 @pytest.mark.parametrize("target", ["missing/x.json", "."])
