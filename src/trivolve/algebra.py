@@ -19,16 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    AlgebraMismatch,
-    AssociativityViolation,
-    IdentityMismatch,
-    NotAGroup,
-    NotAnIdeal,
-    NotASubalgebra,
-    UsageError,
-    certify,
-)
+from .errors import CertificationFailure, UsageError, certify
 from .linalg import (
     EPS,
     as_complex,
@@ -67,7 +58,7 @@ class Algebra:
     def element(self, coords) -> "Element":
         coords = as_complex(coords).reshape(-1)
         if coords.shape != (self.dim,):
-            raise AlgebraMismatch(
+            raise UsageError(
                 f"coordinate vector of length {coords.shape[0]} for algebra of dim {self.dim}")
         return Element(freeze(coords), self)
 
@@ -148,7 +139,7 @@ class Subspace:
         if basis.ndim == 1:
             basis = basis.reshape(-1, 1)
         if basis.shape[0] != self.algebra.dim:
-            raise AlgebraMismatch(
+            raise UsageError(
                 f"subspace basis has {basis.shape[0]} rows for algebra of dim {self.algebra.dim}")
         ech, piv = echelon_rows(basis.T)
         object.__setattr__(self, "basis", freeze(basis))
@@ -193,7 +184,7 @@ class Subspace:
 
 def _require_same_algebra(a: Algebra, b: Algebra) -> None:
     if not algebras_compatible(a, b):
-        raise AlgebraMismatch("operands belong to different algebras")
+        raise UsageError("operands belong to different algebras")
 
 
 def algebras_compatible(a: Algebra, b: Algebra, tol: float = EPS) -> bool:
@@ -364,7 +355,7 @@ def _associativity_check(structure: np.ndarray, eps: float) -> None:
             worst, where = largest, (i, *np.unravel_index(flat, (n, n, n)))
     if worst > eps:
         i, j, k, l = where
-        raise AssociativityViolation(
+        raise CertificationFailure(
             f"associativity fails at (i,j,k,l)=({i},{j},{k},{l}) with residual {worst:.3e}",
             law="(b_i b_j) b_k = b_i (b_j b_k)",
             residual=worst,
@@ -393,7 +384,7 @@ def make_algebra(dim: int, structure, labels: Sequence[str] | None = None,
     """Build an algebra, verifying associativity and detecting the identity.
 
     ``structure`` is a dim^3 complex tensor.  If ``declared_identity`` is
-    given it is verified (IdentityMismatch on failure); otherwise the
+    given it is verified (law ``e b_i = b_i = b_i e``); otherwise the
     identity is auto-detected by solving ``e . b_i = b_i = b_i . e``.
     """
     structure = as_complex(structure)
@@ -420,8 +411,7 @@ def make_algebra(dim: int, structure, labels: Sequence[str] | None = None,
         left = np.einsum("m,mik->ik", e, structure)   # row i: e . b_i
         right = np.einsum("m,imk->ik", e, structure)  # row i: b_i . e
         certify(max(max_abs(left - basis_vecs), max_abs(right - basis_vecs)), eps,
-                "e b_i = b_i = b_i e", "declared identity fails with residual {residual:.3e}",
-                IdentityMismatch)
+                "e b_i = b_i = b_i e", "declared identity fails with residual {residual:.3e}")
         identity = freeze(e)
     else:
         found = _find_identity(structure, eps)
@@ -434,7 +424,7 @@ def make_algebra(dim: int, structure, labels: Sequence[str] | None = None,
 def multiply(algebra: Algebra, x: Element, y: Element) -> Element:
     """Product ``x . y`` via the structure tensor."""
     if not (algebras_compatible(algebra, x.algebra) and algebras_compatible(algebra, y.algebra)):
-        raise AlgebraMismatch("multiply: elements do not belong to the given algebra")
+        raise UsageError("multiply: elements do not belong to the given algebra")
     coords = column_products(algebra.structure, x.coords[:, None], y.coords[:, None])[0, 0]
     return Element(coords, algebra)
 
@@ -512,31 +502,32 @@ class GroupTable:
 
 
 def verify_group_table(table) -> GroupTable:
-    """Check the group axioms on a multiplication table (``NotAGroup`` if one fails)."""
+    """Check the group axioms on a multiplication table (``CertificationFailure`` if one fails)."""
     table = np.array(table, dtype=int)
     table.setflags(write=False)
     n = table.shape[0]
     if table.shape != (n, n):
-        raise NotAGroup("group table must be square", law="group table shape")
+        raise CertificationFailure("group table must be square", law="group table shape")
     if table.min() < 0 or table.max() >= n:
-        raise NotAGroup("table entries must index group elements", law="closure")
+        raise CertificationFailure("table entries must index group elements", law="closure")
     order = np.arange(n)
     # e is an identity when row e and column e both read 0..n-1
     identities = np.flatnonzero((table == order).all(axis=1) & (table == order[:, None]).all(axis=0))
     if not identities.size:
-        raise NotAGroup("no identity element in table", law="identity axiom")
+        raise CertificationFailure("no identity element in table", law="identity axiom")
     identity = int(identities[0])
     # entries lie in 0..n-1, so a row or column is a permutation iff it sorts to 0..n-1
     latin = ((np.sort(table, axis=1) == order).all(axis=1)
              & (np.sort(table, axis=0) == order[:, None]).all(axis=0))
     if not latin.all():
-        raise NotAGroup(f"element {int(np.argmin(latin))} has no inverse (table not a Latin square)",
-                        law="inverse axiom")
+        raise CertificationFailure(
+            f"element {int(np.argmin(latin))} has no inverse (table not a Latin square)",
+            law="inverse axiom")
     # [i, j, k]: (g_i g_j) g_k against g_i (g_j g_k); the first failure in C order is reported
     failures = np.argwhere(table[table] != table[:, table])
     if failures.size:
         i, j, k = failures[0]
-        raise NotAGroup(f"associativity fails at ({i},{j},{k})", law="associativity")
+        raise CertificationFailure(f"associativity fails at ({i},{j},{k})", law="associativity")
     inverse = np.argmax(table == identity, axis=1)
     inverse.setflags(write=False)
     return GroupTable(table=table, identity=identity, inverse=inverse)
@@ -644,8 +635,8 @@ def induced_subalgebra(algebra: Algebra, s: Subspace, *, eps: float = EPS,
     """Algebra structure on a multiplicatively closed subspace.
 
     Returns the induced algebra on the canonical echelon basis of ``s``
-    together with the embedding columns (dim x k).  Raises
-    NotASubalgebra when a basis product escapes the span.
+    together with the embedding columns (dim x k).  Fails the law
+    "closure under multiplication" when a basis product escapes the span.
     """
     q = s.canonical_columns()
     k = q.shape[1]
@@ -654,8 +645,7 @@ def induced_subalgebra(algebra: Algebra, s: Subspace, *, eps: float = EPS,
     products = _pair_products(algebra, q)
     coeffs, residual = solve_exact(q, products)
     certify(residual, eps, "closure under multiplication",
-            "a product of basis vectors escapes the subspace (residual {residual:.3e})",
-            NotASubalgebra)
+            "a product of basis vectors escapes the subspace (residual {residual:.3e})")
     structure = coeffs.reshape(k, k, k).transpose(1, 2, 0)
     if labels is None:
         labels = [algebra.basis_labels[p] for p in s.pivots]
@@ -676,7 +666,7 @@ def quotient(algebra: Algebra, s: Subspace, tol: float = EPS):
     if escapes.any():
         i, j, side = np.unravel_index(int(np.argmax(escapes)), escapes.shape)
         witness = f"b_{i} . s_{j}" if side == 0 else f"s_{j} . b_{i}"
-        raise NotAnIdeal(
+        raise CertificationFailure(
             f"subspace is not a two-sided ideal: {witness} escapes the subspace",
             law="A.S and S.A contained in S")
     n = algebra.dim
@@ -698,7 +688,7 @@ def quotient(algebra: Algebra, s: Subspace, tol: float = EPS):
     lhs = q_matrix @ algebra.structure.reshape(n * n, n).T
     rhs = column_products(structure, q_matrix, q_matrix).transpose(2, 0, 1).reshape(k, n * n)
     certify(max_abs(lhs - rhs), tol, "q(xy) = q(x) q(y)",
-            "quotient map fails multiplicativity (residual {residual:.3e})", NotAnIdeal)
+            "quotient map fails multiplicativity (residual {residual:.3e})")
     return quot, qmap
 
 

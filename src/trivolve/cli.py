@@ -2,10 +2,11 @@
 
 Exit codes separate mathematical failures from usage failures so CI can
 tell a law regression from a bad input: 0 means every certification
-passed, 1 means a mathematical certification failed (the report carries
-the violated law and residual), 2 means the inputs did not parse, or
-overflowed float64 so that the report would hold a non-finite number, or
-the report could not be written to ``--out``.
+passed, 1 means a mathematical certification failed (the report's
+``error`` is ``CertificationFailure``, with the violated ``law`` and its
+``residual``), 2 means the inputs did not parse, or overflowed float64
+so that the report would hold a non-finite number, or the report could
+not be written to ``--out``.
 
 Reports are deterministic: identical inputs and seed produce
 byte-identical JSON.  ``--format text``, the default, is rendered from
@@ -230,7 +231,10 @@ def _cmd_tim(args: argparse.Namespace) -> dict:
         possibly_incomplete = False
     else:
         search = find_characters(algebra, eps, rank, args.seed)
-        characters = search.characters
+        # a mean needs its character in X; the characters of A outside X have none to solve for
+        coords = np.array([phi.coords for phi in search.characters]).reshape(-1, algebra.dim)
+        in_x = space.basis.residuals(coords.T) <= eps
+        characters = [phi for phi, keep in zip(search.characters, in_x) if keep]
         possibly_incomplete = search.possibly_incomplete
 
     star = None

@@ -35,19 +35,7 @@ from .algebra import (
     right_mult_matrix,
     same_structure,
 )
-from .errors import (
-    AlgebraMismatch,
-    CertificationFailure,
-    CharacterNotInX,
-    NotAnInvolution,
-    NotArensRegular,
-    NotCommutative,
-    NotCompatibleInvolution,
-    NotIntroverted,
-    NotInvariant,
-    UnsupportedFamily,
-    certify,
-)
+from .errors import CertificationFailure, UsageError, certify
 from .linalg import (
     EPS,
     EPS_RANK,
@@ -89,7 +77,7 @@ def dual_action(algebra: Algebra, lam, a: Element, side: str) -> DualVector:
         return DualVector(left_mult_matrix(algebra, a).T @ coords, algebra)
     if side == "left":
         return DualVector(right_mult_matrix(algebra, a).T @ coords, algebra)
-    raise AlgebraMismatch(f"unknown action side {side!r}")
+    raise UsageError(f"unknown action side {side!r}")
 
 
 def verify_character(algebra: Algebra, coords, eps: float = EPS) -> Character:
@@ -120,8 +108,8 @@ def find_characters(algebra: Algebra, eps: float = EPS, eps_rank: float = EPS_RA
     semisimple algebras and flagged ``possibly_incomplete`` otherwise.
     """
     if not is_commutative(algebra, eps):
-        raise NotCommutative("character discovery is implemented for commutative algebras; "
-                             "verify user-supplied candidates instead", law="ab = ba")
+        raise CertificationFailure("character discovery is implemented for commutative algebras; "
+                                   "verify user-supplied candidates instead", law="ab = ba")
     found: list[Character] = []
 
     def try_generic(rng_seed: int) -> None:
@@ -269,8 +257,8 @@ def arens_products(algebra: Algebra, space: IntrovertedSpace,
     certified to stay inside ``X`` on the way.
     """
     if not space.introverted:
-        raise NotIntroverted("both Arens products need a two-sided introverted subspace",
-                             law="X topologically introverted")
+        raise CertificationFailure("both Arens products need a two-sided introverted subspace",
+                                   law="X topologically introverted")
     n = algebra.dim
     free = space.free
     k = len(free)
@@ -281,8 +269,7 @@ def arens_products(algebra: Algebra, space: IntrovertedSpace,
     intermediates = np.concatenate([right[:, :, free], left[:, :, free]], axis=2)
     escape = certify(float(space.basis.residuals(
         intermediates.transpose(1, 0, 2).reshape(n, -1)).max(initial=0.0)), eps,
-        "Psi . lambda in X", "an intermediate action escaped X (residual {residual:.3e})",
-        NotIntroverted)
+        "Psi . lambda in X", "an intermediate action escaped X (residual {residual:.3e})")
     # values on the X basis, [i, j, s]: <Psi_j . lambda_s, b_free_i>, <lambda_s . Phi_i, b_free_j>
     box_values = right[:, free][:, :, free].transpose(1, 2, 0)
     diamond_values = left[:, free][:, :, free].transpose(2, 1, 0)
@@ -312,17 +299,17 @@ def extend_involution(algebra: Algebra, theta: AlgMap, arens: ArensStructure,
     space = arens.space
     theta_verdict = classify_star_map(algebra, theta, eps, eps_rank)
     if theta_verdict.kind != KIND_INVOLUTION:
-        raise NotAnInvolution("theta is not an involution on the algebra",
-                              law="theta^2 = id, conjugate-linear anti-homomorphism")
+        raise CertificationFailure("theta is not an involution on the algebra",
+                                   law="theta^2 = id, conjugate-linear anti-homomorphism")
     moved = space.basis.residuals(adjoint(theta).matrix @ np.conj(space.basis.canonical_columns()))
     if np.any(moved > eps):
-        raise NotInvariant("the adjoint moves X off itself",
-                           law="theta*(X) contained in X",
-                           residual=float(moved[np.argmax(moved > eps)]))
+        raise CertificationFailure("the adjoint moves X off itself",
+                                   law="theta*(X) contained in X",
+                                   residual=float(moved[np.argmax(moved > eps)]))
     if not arens.regular:
-        raise NotArensRegular("the two Arens products differ on X*",
-                              law="box = diamond on X*",
-                              residual=arens.residuals["regularity_gap"])
+        raise CertificationFailure("the two Arens products differ on X*",
+                                   law="box = diamond on X*",
+                                   residual=arens.residuals["regularity_gap"])
     # column i: theta applied to the real basis vector b_f, f = free[i]
     matrix = space.rep_coords(theta.matrix[:, space.free])
     extension = AlgMap(matrix=matrix, conjugating=True,
@@ -366,8 +353,7 @@ class TimSolutionSet:
 def tim_set(algebra: Algebra, space: IntrovertedSpace, phi: Character,
             eps: float = EPS, eps_rank: float = EPS_RANK) -> TimSolutionSet:
     """Solve ``<m, phi> = 1`` and ``a.m = m.a = phi(a) m`` for ``m`` in ``X*``."""
-    certify(space.basis.residual(phi.coords), eps, "phi in X", "the character does not lie in X",
-            CharacterNotInX)
+    certify(space.basis.residual(phi.coords), eps, "phi in X", "the character does not lie in X")
     n = algebra.dim
     free = space.free
     k = len(free)
@@ -414,14 +400,13 @@ def tim_obstruction_check(algebra: Algebra, means: TimSolutionSet, phi: Characte
     box = arens.box
 
     if star_verdict.kind != KIND_INVOLUTION:
-        raise NotCompatibleInvolution("star is not an involution on (X*, box)",
-                                      law="star^2 = id, anti-multiplicative",
-                                      residual=star_verdict.residual)
+        raise CertificationFailure("star is not an involution on (X*, box)",
+                                   law="star^2 = id, anti-multiplicative",
+                                   residual=star_verdict.residual)
     a_reps = space.rep_coords(np.eye(algebra.dim))  # column a: the class of b_a
     starred = space.embed_coords(star.matrix @ np.conj(a_reps))
     certify(max_abs(phi.coords @ starred - np.conj(phi.coords @ space.embed_coords(a_reps))), eps,
-            "<phi, a*> = conj <phi, a>", "star is not compatible with the character",
-            NotCompatibleInvolution)
+            "<phi, a*> = conj <phi, a>", "star is not compatible with the character")
 
     if means.is_empty:
         return TimObstructionReport(vacuous=True, unique=True, chain_residuals={})
@@ -492,7 +477,7 @@ def search_trivolutions(algebra: Algebra, family_spec: dict,
 
     if family == "function_indicator":
         if not _is_pointwise(algebra, eps):
-            raise UnsupportedFamily("function_indicator requires a pointwise function algebra")
+            raise UsageError("function_indicator requires a pointwise function algebra")
         n = algebra.dim
         for size in range(1, n + 1):
             for k_set in combinations(range(n), size):
@@ -505,7 +490,7 @@ def search_trivolutions(algebra: Algebra, family_spec: dict,
     if family == "group_quotient":
         group: GroupTable = family_spec["table"]
         if not same_structure(group.structure(), algebra.structure, eps):
-            raise UnsupportedFamily("algebra does not match the supplied group table")
+            raise UsageError("algebra does not match the supplied group table")
         for subgroup in family_spec.get("normal_subgroups", [[group.identity]]):
             candidate = averaging_trivolution(algebra, group, subgroup)
             if classify_star_map(algebra, candidate, eps, eps_rank).is_trivolution:
@@ -524,4 +509,4 @@ def search_trivolutions(algebra: Algebra, family_spec: dict,
                 results.append(candidate)
         return results
 
-    raise UnsupportedFamily(f"unknown family {family!r}")
+    raise UsageError(f"unknown family {family!r}")

@@ -1,10 +1,13 @@
-"""Exception hierarchy and the pass rule.
+"""The four exception classes and the pass rule.
 
-Two families matter to callers: ``UsageError`` for malformed inputs and
-plumbing mistakes (CLI exit code 2), and ``CertificationFailure`` for
-mathematical laws that fail to certify on well-formed inputs (CLI exit
-code 1).  Certification failures carry the violated law by name and the
-worst residual observed, so reports stay auditable.
+``TrivolveError`` is the base of the other three.  ``UsageError`` is a
+malformed input or a plumbing mistake: a wrong shape, an element or map
+of another algebra, an unknown family (CLI exit code 2).  ``ParseError``,
+a ``UsageError``, is an input file or inline value that does not parse.
+``CertificationFailure`` is a mathematical law that fails to certify on
+well-formed inputs (CLI exit code 1).  A failure is identified by its
+``law``, the name of the violated identity, not by a subclass; it also
+carries the worst residual observed, so reports stay auditable.
 
 The pass rule: a law holds when its residual is finite and at most the
 tolerance (a NaN or infinite residual means the arithmetic overflowed).
@@ -22,27 +25,11 @@ class TrivolveError(Exception):
 
 
 class UsageError(TrivolveError):
-    """Malformed input, wrong shapes, unknown modes or families."""
+    """Malformed input, wrong shapes, mismatched algebras, unknown families."""
 
 
 class ParseError(UsageError):
     """An input file or inline value failed to parse or validate."""
-
-
-class AlgebraMismatch(UsageError):
-    """An element or map was used with an algebra it does not belong to."""
-
-
-class ShapeMismatch(UsageError):
-    """A matrix shape does not match the declared source/target dims."""
-
-
-class ModeUnsupported(UsageError):
-    """Requested adjoint mode is incompatible with the map's linearity."""
-
-
-class UnsupportedFamily(UsageError):
-    """Unknown family tag passed to the structured trivolution search."""
 
 
 class CertificationFailure(TrivolveError):
@@ -54,7 +41,7 @@ class CertificationFailure(TrivolveError):
     diagnostic data.
     """
 
-    def __init__(self, message: str, *, law: str = "", residual: float | None = None,
+    def __init__(self, message: str, *, law: str, residual: float | None = None,
                  details: dict | None = None):
         super().__init__(message)
         self.law = law
@@ -72,112 +59,12 @@ class CertificationFailure(TrivolveError):
 
 
 def certify(residual: float, tol: float, law: str, message: str,
-            exc: type[CertificationFailure] = CertificationFailure,
             details: dict | None = None) -> float:
-    """Return ``residual`` when ``law`` holds by the pass rule, else raise ``exc``.
+    """Return ``residual`` when ``law`` holds by the pass rule, else raise a failure of ``law``.
 
     ``message`` may quote ``{residual:.3e}``; it is formatted only on failure.
     """
     if math.isfinite(residual) and residual <= tol:
         return residual
-    raise exc(message.format(residual=residual), law=law, residual=residual, details=details)
-
-
-class AssociativityViolation(CertificationFailure):
-    pass
-
-
-class IdentityMismatch(CertificationFailure):
-    pass
-
-
-class NotAGroup(CertificationFailure):
-    pass
-
-
-class NotAnIdeal(CertificationFailure):
-    pass
-
-
-class NotASubalgebra(CertificationFailure):
-    pass
-
-
-class NotATrivolution(CertificationFailure):
-    pass
-
-
-class NotAProjection(CertificationFailure):
-    pass
-
-
-class NotAHomomorphism(CertificationFailure):
-    pass
-
-
-class NotAnInvolution(CertificationFailure):
-    pass
-
-
-class KernelTrivial(CertificationFailure):
-    """The map is injective, so the splitting factorization degenerates."""
-
-
-class JNotInvolution(CertificationFailure):
-    pass
-
-
-class NotIntertwining(CertificationFailure):
-    pass
-
-
-class NotRightIdentity(CertificationFailure):
-    pass
-
-
-class SubalgebraMismatch(CertificationFailure):
-    pass
-
-
-class NotInRange(CertificationFailure):
-    pass
-
-
-class InvalidExtension(CertificationFailure):
-    pass
-
-
-class NotContractive(CertificationFailure):
-    pass
-
-
-class NotUnital(CertificationFailure):
-    pass
-
-
-class BNotUnital(CertificationFailure):
-    pass
-
-
-class NotIntroverted(CertificationFailure):
-    pass
-
-
-class NotInvariant(CertificationFailure):
-    pass
-
-
-class NotArensRegular(CertificationFailure):
-    pass
-
-
-class NotCommutative(CertificationFailure):
-    pass
-
-
-class CharacterNotInX(CertificationFailure):
-    pass
-
-
-class NotCompatibleInvolution(CertificationFailure):
-    pass
+    raise CertificationFailure(message.format(residual=residual), law=law, residual=residual,
+                               details=details)

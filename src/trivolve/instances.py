@@ -313,12 +313,12 @@ def first_column_algebra() -> Algebra:
     return make_algebra(2, structure, ["E11", "E21"])
 
 
-def instance_battery(seed: int = 0, minimum: int = 200) -> list[TrivolutionInstance]:
-    """Deterministic battery of trivolution instances, at least ``minimum`` long."""
+def instance_battery(seed: int = 0) -> list[TrivolutionInstance]:
+    """Deterministic battery of at least 200 trivolution instances."""
     out = (_function_instances(seed) + _group_instances() + _matrix_instances()
            + _product_instances() + _opposite_instances())
     extra_seed = seed + 1
-    while len(out) < minimum:
+    while len(out) < 200:
         out.extend(_function_instances(extra_seed)[-12:])
         extra_seed += 1
     return out

@@ -56,7 +56,7 @@ import numpy as np
 
 from .algebra import (NORM_ELL1, NORM_OPNORM, Algebra, Element, GroupTable, group_algebra,
                       make_algebra, verify_group_table)
-from .errors import CertificationFailure, NotAGroup, ParseError, UsageError
+from .errors import CertificationFailure, ParseError, UsageError
 from .starmap import AlgMap, make_map
 
 _NORM_TAGS = {"ell1": NORM_ELL1, "opnorm": NORM_OPNORM}
@@ -112,7 +112,7 @@ def group_table(data) -> GroupTable:
         if table.dtype.kind not in "iu" or table.ndim != 2:
             raise ParseError("group table must be a matrix of integer element indices")
         return verify_group_table(table)
-    except (ValueError, NotAGroup) as exc:
+    except (ValueError, CertificationFailure) as exc:
         raise ParseError(f"malformed group table: {exc}") from exc
 
 

@@ -20,7 +20,7 @@ from .algebra import (
     left_mult_matrix,
     multiply,
 )
-from .errors import BNotUnital, NotUnital
+from .errors import CertificationFailure
 from .linalg import EPS, EPS_RANK, max_abs, solve_exact
 from .starmap import AlgMap, apply, kernel_image
 
@@ -56,7 +56,7 @@ def inverse_element(algebra: Algebra, x: Element, eps: float = EPS,
                     eps_rank: float = EPS_RANK) -> Element | None:
     """Two-sided inverse, or None when ``L_x`` is singular."""
     if not algebra.is_unital():
-        raise NotUnital("inverses need an identity", law="A has an identity")
+        raise CertificationFailure("inverses need an identity", law="A has an identity")
     l_x = left_mult_matrix(algebra, x)
     if np.linalg.matrix_rank(l_x, eps_rank) < algebra.dim:
         return None
@@ -93,12 +93,13 @@ def verify_spectral_inclusion(algebra: Algebra, tau: AlgMap, x: Element,
     ``tau(x) tau(x^-1) = tau(x^-1) tau(x) = e_B`` is certified too.
     """
     if not algebra.is_unital():
-        raise NotUnital("spectral inclusion needs a unital ambient algebra",
-                        law="A has an identity")
+        raise CertificationFailure("spectral inclusion needs a unital ambient algebra",
+                                   law="A has an identity")
     _, image = kernel_image(tau, eps_rank)
     sub, embedding = induced_subalgebra(algebra, image, eps=eps)
     if not sub.is_unital():
-        raise BNotUnital("the range subalgebra has no identity", law="tau(A) has an identity")
+        raise CertificationFailure("the range subalgebra has no identity",
+                                   law="tau(A) has an identity")
 
     spec_a = spectrum(algebra, x)
     tau_x = apply(tau, x)

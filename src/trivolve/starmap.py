@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import NORM_ELL1, Algebra, Element, Subspace, algebras_compatible, element_norm
-from .errors import AlgebraMismatch, ModeUnsupported, ShapeMismatch
+from .errors import UsageError
 from .linalg import (
     EPS,
     EPS_RANK,
@@ -56,7 +56,7 @@ def make_map(matrix, conjugating: bool, source: Algebra, target: Algebra | None 
         target = source
     matrix = as_complex(matrix)
     if matrix.shape != (target.dim, source.dim):
-        raise ShapeMismatch(
+        raise UsageError(
             f"matrix shape {matrix.shape} does not match (target dim, source dim) = "
             f"({target.dim}, {source.dim})")
     return AlgMap(matrix=matrix, conjugating=bool(conjugating), source=source, target=target)
@@ -74,7 +74,7 @@ def conjugation_map(algebra: Algebra) -> AlgMap:
 def apply(f: AlgMap, x: Element) -> Element:
     """Apply the map per the action contract."""
     if not algebras_compatible(f.source, x.algebra):
-        raise AlgebraMismatch("apply: element does not belong to the map's source algebra")
+        raise UsageError("apply: element does not belong to the map's source algebra")
     coords = np.conj(x.coords) if f.conjugating else x.coords
     return Element(f.matrix @ coords, f.target)
 
@@ -82,7 +82,7 @@ def apply(f: AlgMap, x: Element) -> Element:
 def compose(f: AlgMap, g: AlgMap) -> AlgMap:
     """Composite ``f o g``; the conjugating flag is the XOR of the flags."""
     if not algebras_compatible(f.source, g.target):
-        raise AlgebraMismatch("compose: source of f differs from target of g")
+        raise UsageError("compose: source of f differs from target of g")
     gm = np.conj(g.matrix) if f.conjugating else g.matrix
     return AlgMap(matrix=f.matrix @ gm, conjugating=f.conjugating != g.conjugating,
                   source=g.source, target=f.target)
@@ -130,29 +130,17 @@ def classify_multiplicativity(f: AlgMap, tol: float = EPS) -> MultiplicativityFl
                                  hom_residual=hom, anti_residual=anti)
 
 
-def adjoint(f: AlgMap, mode: str = "auto") -> AlgMap:
+def adjoint(f: AlgMap) -> AlgMap:
     """Map on dual coordinate vectors induced by ``f``.
 
-    Linear mode (for linear maps): ``<f*(phi), a> = <phi, f(a)>``, which
-    gives the transpose matrix.  Conjugate-linear mode (for conjugating
-    maps): ``<f*(phi), a> = conj <phi, f(a)>``, which gives the entrywise
-    conjugate of the transpose, again conjugating.  Mixing modes would
-    require the defining pairing to be simultaneously linear and
-    conjugate-linear in ``a``, so it is rejected.
+    For a linear map ``<f*(phi), a> = <phi, f(a)>``, which gives the
+    transpose matrix.  For a conjugating map
+    ``<f*(phi), a> = conj <phi, f(a)>``, which gives the entrywise
+    conjugate of the transpose, again conjugating.  The pairing follows the map's linearity: the other one
+    would have to be linear and conjugate-linear in ``a`` at once.
     """
-    if mode == "auto":
-        mode = "conjugate_linear" if f.conjugating else "linear"
-    if mode == "linear":
-        if f.conjugating:
-            raise ModeUnsupported("linear adjoint of a conjugate-linear map is not a dual map")
-        matrix = f.matrix.T
-        return AlgMap(matrix=matrix, conjugating=False, source=f.target, target=f.source)
-    if mode == "conjugate_linear":
-        if not f.conjugating:
-            raise ModeUnsupported("conjugate-linear adjoint of a linear map is not a dual map")
-        matrix = np.conj(f.matrix.T)
-        return AlgMap(matrix=matrix, conjugating=True, source=f.target, target=f.source)
-    raise ModeUnsupported(f"unknown adjoint mode {mode!r}")
+    matrix = np.conj(f.matrix.T) if f.conjugating else f.matrix.T
+    return AlgMap(matrix=matrix, conjugating=f.conjugating, source=f.target, target=f.source)
 
 
 def kernel_image(f: AlgMap, tol: float = EPS_RANK) -> tuple[Subspace, Subspace]:
@@ -171,22 +159,23 @@ def norm_is_sampled(f: AlgMap) -> bool:
     return not (f.source.norm_kind == NORM_ELL1 and f.target.norm_kind == NORM_ELL1)
 
 
-def map_norm(f: AlgMap, *, samples: int = 200, seed: int = 0) -> float:
+def map_norm(f: AlgMap) -> float:
     """Operator norm of the map under the source algebra's norm.
 
     Exact for the ell-1 norm (max column ell-1 norm, valid for
     conjugating maps too).  For the left-regular operator norm this is a
-    sampled lower-bound estimate (``norm_is_sampled``), which must not
+    sampled lower-bound estimate (``norm_is_sampled``) over the basis and
+    200 random directions of a generator seeded with 0, which must not
     certify an upper bound such as contractivity.
     """
     if not norm_is_sampled(f):
         if f.matrix.size == 0:
             return 0.0
         return float(np.max(np.sum(np.abs(f.matrix), axis=0)))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best = 0.0
     candidates = [f.source.basis_element(i).coords for i in range(f.source.dim)]
-    for _ in range(samples):
+    for _ in range(200):
         candidates.append(rng.standard_normal(f.source.dim)
                           + 1j * rng.standard_normal(f.source.dim))
     for c in candidates:

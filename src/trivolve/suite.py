@@ -27,7 +27,7 @@ from .duality import (
     tim_obstruction_check,
     tim_set,
 )
-from .errors import CertificationFailure, NotIntertwining
+from .errors import CertificationFailure
 from .instances import (
     TrivolutionInstance,
     c4_indicator_pair,
@@ -103,7 +103,9 @@ def _section_homs(battery: list[TrivolutionInstance], seed: int, eps: float) -> 
         attempted += 1
         try:
             check_trivolutive_hom(inst.algebra, inst.tau, inst.algebra, inst.tau, perturbed)
-        except NotIntertwining:
+        except CertificationFailure as exc:
+            if exc.law != "pi o tau1 = tau2 o pi":
+                raise
             rejected += 1
     return {"name": "trivolutive_homs", "instances": len(sample),
             "max_residual": worst, "perturbed_rejected": rejected,

@@ -28,22 +28,7 @@ from .algebra import (
     product_algebra,
     right_mult_matrix,
 )
-from .errors import (
-    AlgebraMismatch,
-    CertificationFailure,
-    JNotInvolution,
-    KernelTrivial,
-    NotAHomomorphism,
-    NotAnInvolution,
-    NotAProjection,
-    NotATrivolution,
-    NotInRange,
-    NotIntertwining,
-    NotRightIdentity,
-    SubalgebraMismatch,
-    UsageError,
-    certify,
-)
+from .errors import CertificationFailure, UsageError, certify
 from .linalg import (
     EPS,
     EPS_RANK,
@@ -100,7 +85,7 @@ def classify_star_map(algebra: Algebra, f: AlgMap, eps: float = EPS,
     is an involution exactly when it is injective.
     """
     if not (algebras_compatible(f.source, algebra) and algebras_compatible(f.target, algebra)):
-        raise AlgebraMismatch("classify_star_map expects an endomorphism of the given algebra")
+        raise UsageError("classify_star_map expects an endomorphism of the given algebra")
     nonzero = max_abs(f.matrix) > eps
     mult = classify_multiplicativity(f, eps)
     cubed = power(f, 3)
@@ -167,7 +152,7 @@ def canonical_decomposition(algebra: Algebra, tau: AlgMap, eps: float = EPS,
     """
     verdict = classify_star_map(algebra, tau, eps, eps_rank)
     if not verdict.is_trivolution:
-        raise NotATrivolution(
+        raise CertificationFailure(
             "map is not a trivolution "
             f"(anti residual {verdict.anti_residual:.3e}, cube residual {verdict.cube_residual:.3e})",
             law="conjugate-linear anti-homomorphism with t^3 = t", residual=verdict.residual)
@@ -232,25 +217,23 @@ def make_trivolution(algebra: Algebra, p: AlgMap, rho: AlgMap, eps: float = EPS,
     coordinates of ``B = p(A)`` (as produced by ``induced_subalgebra``).
     """
     if p.conjugating:
-        raise NotAProjection("projection must be linear", law="p linear")
+        raise CertificationFailure("projection must be linear", law="p linear")
     if not (algebras_compatible(p.source, algebra) and algebras_compatible(p.target, algebra)):
-        raise AlgebraMismatch("projection is not an endomorphism of the given algebra")
+        raise UsageError("projection is not an endomorphism of the given algebra")
     certify(classify_multiplicativity(p, eps).hom_residual, eps, "p(xy) = p(x) p(y)",
-            "p is not multiplicative", NotAHomomorphism)
-    certify(max_abs(compose(p, p).matrix - p.matrix), eps, "p o p = p", "p is not idempotent",
-            NotAProjection)
+            "p is not multiplicative")
+    certify(max_abs(compose(p, p).matrix - p.matrix), eps, "p o p = p", "p is not idempotent")
     _, image = kernel_image(p, eps_rank)
     subalg, embedding = induced_subalgebra(algebra, image, eps=eps)
     if not algebras_compatible(rho.source, subalg, eps):
-        raise AlgebraMismatch(
-            "rho is not defined on the induced algebra of the projection's image")
+        raise UsageError("rho is not defined on the induced algebra of the projection's image")
     if not rho.conjugating:
-        raise NotAnInvolution("rho must be conjugate-linear", law="rho conjugate-linear")
+        raise CertificationFailure("rho must be conjugate-linear", law="rho conjugate-linear")
     rho_verdict = classify_star_map(subalg, rho, eps, eps_rank)
     if rho_verdict.kind != KIND_INVOLUTION:
-        raise NotAnInvolution("rho is not an involution on the image subalgebra",
-                              law="rho^2 = id, rho anti-multiplicative",
-                              residual=rho_verdict.residual)
+        raise CertificationFailure("rho is not an involution on the image subalgebra",
+                                   law="rho^2 = id, rho anti-multiplicative",
+                                   residual=rho_verdict.residual)
     return _rho_after_p(algebra, embedding, p.matrix, rho.matrix)
 
 
@@ -281,19 +264,19 @@ def factor_through_involution(algebra: Algebra, tau: AlgMap, j: AlgMap,
     """
     dec = canonical_decomposition(algebra, tau, eps, eps_rank)
     if dec.ideal_I.dim == 0:
-        raise KernelTrivial("kernel is trivial, the map is an involution and the "
-                            "factorization degenerates", law="ker tau != 0")
+        raise CertificationFailure("kernel is trivial, the map is an involution and the "
+                                   "factorization degenerates", law="ker tau != 0")
     if not j.conjugating:
-        raise JNotInvolution("j must be conjugate-linear", law="j conjugate-linear")
+        raise CertificationFailure("j must be conjugate-linear", law="j conjugate-linear")
 
     ideal_alg, ideal_cols = induced_subalgebra(algebra, dec.ideal_I, eps=eps)
     j_restricted, escape = solve_exact(ideal_cols, j.matrix @ np.conj(ideal_cols))
-    certify(escape, eps, "j(I) contained in I", "j does not preserve the ideal", JNotInvolution)
+    certify(escape, eps, "j(I) contained in I", "j does not preserve the ideal")
     j_on_ideal = AlgMap(matrix=j_restricted, conjugating=True, source=ideal_alg, target=ideal_alg)
     j_verdict = classify_star_map(ideal_alg, j_on_ideal, eps, eps_rank)
     if j_verdict.kind != KIND_INVOLUTION:
-        raise JNotInvolution("j restricted to the ideal is not an involution",
-                             law="j|_I is an involution", residual=j_verdict.residual)
+        raise CertificationFailure("j restricted to the ideal is not an involution",
+                                   law="j|_I is an involution", residual=j_verdict.residual)
 
     n = algebra.dim
     p_b = dec.projection_p.matrix
@@ -360,10 +343,10 @@ def check_trivolutive_hom(a1: Algebra, tau1: AlgMap, a2: Algebra, tau2: AlgMap,
     if pi.conjugating:
         raise UsageError("pi must be a linear map")
     intertwine = certify(max_abs(compose(pi, tau1).matrix - compose(tau2, pi).matrix), eps,
-                         "pi o tau1 = tau2 o pi", "pi o tau1 != tau2 o pi (residual {residual:.3e})",
-                         NotIntertwining)
+                         "pi o tau1 = tau2 o pi",
+                         "pi o tau1 != tau2 o pi (residual {residual:.3e})")
     certify(classify_multiplicativity(pi, eps).hom_residual, eps, "pi(xy) = pi(x) pi(y)",
-            "pi is not multiplicative", NotAHomomorphism)
+            "pi is not multiplicative")
 
     dec1 = canonical_decomposition(a1, tau1, eps, eps_rank)
     dec2 = dec1 if a2 is a1 and tau2 is tau1 else canonical_decomposition(a2, tau2, eps, eps_rank)
@@ -392,10 +375,10 @@ def check_trivolutive_hom(a1: Algebra, tau1: AlgMap, a2: Algebra, tau2: AlgMap,
     if ideal1_alg.dim and ideal2_alg.dim:
         residuals["pi11_homomorphism"] = certify(
             classify_multiplicativity(pi11, eps).hom_residual, eps, "pi11 multiplicative",
-            "ideal block is not a homomorphism", NotAHomomorphism)
+            "ideal block is not a homomorphism")
     residuals["pi22_homomorphism"] = certify(
         classify_multiplicativity(pi22, eps).hom_residual, eps, "pi22 multiplicative",
-        "subalgebra block is not a homomorphism", NotAHomomorphism)
+        "subalgebra block is not a homomorphism")
     residuals["pi22_involutive"] = certify(
         max_abs(compose(pi22, dec1.involution_rho).matrix
                 - compose(dec2.involution_rho, pi22).matrix), eps,
@@ -419,17 +402,17 @@ def right_identity_trivolution(c: Algebra, e: Element, a_sub: Subspace,
     axioms and the range identity certified.
     """
     certify(max_abs(right_mult_matrix(c, e) - np.eye(c.dim)), eps, "x e = x",
-            "e is not a right identity (residual {residual:.3e})", NotRightIdentity)
+            "e is not a right identity (residual {residual:.3e})")
     l_e = left_mult_matrix(c, e)
     if not Subspace(l_e, c).same_span(a_sub, eps):
-        raise SubalgebraMismatch("a_sub differs from eC", law="A = eC")
+        raise CertificationFailure("a_sub differs from eC", law="A = eC")
     sub_alg, embedding = induced_subalgebra(c, a_sub, eps=eps)
     if not algebras_compatible(tau_on_a.source, sub_alg, eps):
-        raise AlgebraMismatch("tau_on_a is not defined on the induced algebra of a_sub")
+        raise UsageError("tau_on_a is not defined on the induced algebra of a_sub")
     inner_verdict = classify_star_map(sub_alg, tau_on_a, eps, eps_rank)
     if not inner_verdict.is_trivolution:
-        raise NotATrivolution("tau_on_a is not a trivolution on eC",
-                              law="trivolution axioms on the subalgebra")
+        raise CertificationFailure("tau_on_a is not a trivolution on eC",
+                                   law="trivolution axioms on the subalgebra")
 
     tau1 = _rho_after_p(c, embedding, l_e, tau_on_a.matrix)
     verdict = classify_star_map(c, tau1, eps, eps_rank)
@@ -512,7 +495,7 @@ def hermitian_decomposition(algebra: Algebra, tau: AlgMap, x: Element,
     """
     kernel, image = kernel_image(tau, eps_rank)
     certify(image.residual(x.coords), eps, "x in tau(A)",
-            "element is outside the range (residual {residual:.3e})", NotInRange)
+            "element is outside the range (residual {residual:.3e})")
     tx = apply(tau, x)
     x1 = Element((x.coords + tx.coords) / 2.0, algebra)
     x2 = Element((x.coords - tx.coords) / 2.0j, algebra)
@@ -564,8 +547,10 @@ def hermitian_functional_check(algebra: Algebra, tau: AlgMap, f_coords,
     """
     f = as_complex(getattr(f_coords, "coords", f_coords)).reshape(-1)
     if f.shape != (algebra.dim,):
-        raise AlgebraMismatch("functional has wrong length for the algebra")
-    f_tau = adjoint(tau, "conjugate_linear").matrix @ np.conj(f)
+        raise UsageError("functional has wrong length for the algebra")
+    if not tau.conjugating:
+        raise UsageError("a hermitian functional needs a conjugate-linear map")
+    f_tau = adjoint(tau).matrix @ np.conj(f)
     adjoint_residual = max_abs(f_tau - f)
     primary = adjoint_residual <= eps
 

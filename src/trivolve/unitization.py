@@ -27,14 +27,7 @@ from .algebra import (
     right_mult_matrix,
     is_commutative,
 )
-from .errors import (
-    AlgebraMismatch,
-    CertificationFailure,
-    InvalidExtension,
-    NotATrivolution,
-    NotContractive,
-    certify,
-)
+from .errors import CertificationFailure, UsageError, certify
 from .linalg import (
     EPS,
     EPS_RANK,
@@ -66,7 +59,7 @@ class ExtensionSpec:
 def extension_map(algebra: Algebra, tau: AlgMap, lambda0: complex, x0: Element) -> tuple[Algebra, AlgMap]:
     """Generic candidate ``t#(l, x) = (conj(l) lambda0, conj(l) x0 + tau(x))``."""
     if not algebras_compatible(x0.algebra, algebra):
-        raise AlgebraMismatch("x0 must belong to the algebra being unitized")
+        raise UsageError("x0 must belong to the algebra being unitized")
     sharp = algebra.unitization
     n = algebra.dim
     matrix = np.zeros((n + 1, n + 1), dtype=complex)
@@ -156,8 +149,8 @@ def unitize_with_trivolution(algebra: Algebra, tau: AlgMap,
     checked = verify_extension(algebra, tau, ext.lambda0, ext.x0, eps, eps_rank,
                                e_b=range_identity(algebra, tau, eps, eps_rank))
     if checked.family == FAMILY_INVALID:
-        raise InvalidExtension("candidate (lambda0, x0) is not an admissible extension",
-                               law="family I or II conditions")
+        raise CertificationFailure("candidate (lambda0, x0) is not an admissible extension",
+                                   law="family I or II conditions")
     sharp, tau_sharp = extension_map(algebra, tau, ext.lambda0, ext.x0)
     certify(max_abs(tau_sharp.matrix[1:, 1:] - tau.matrix) + max_abs(tau_sharp.matrix[0, 1:]),
             eps, "t#(0, x) = (0, t(x))", "extension does not restrict to the original map")
@@ -259,8 +252,8 @@ def find_type1_solutions(algebra: Algebra, tau: AlgMap, *, seed: int = 0,
     """
     verdict = classify_star_map(algebra, tau, eps, eps_rank)
     if not verdict.is_trivolution:
-        raise NotATrivolution("solver requires a trivolution",
-                              law="conjugate-linear anti-homomorphism with t^3 = t")
+        raise CertificationFailure("solver requires a trivolution",
+                                   law="conjugate-linear anti-homomorphism with t^3 = t")
     n_basis = _annihilator_intersect_kernel(algebra, tau, eps_rank)
     best_effort = False
     candidates = [np.zeros(algebra.dim, dtype=complex)]
@@ -311,8 +304,8 @@ def contractive_extensions(algebra: Algebra, tau: AlgMap, *, seed: int = 0,
     """
     tau_norm = map_norm(tau)
     if tau_norm > 1.0 + eps:
-        raise NotContractive(f"the map itself has norm {tau_norm:.6f} > 1",
-                             law="||tau|| <= 1", residual=tau_norm - 1.0)
+        raise CertificationFailure(f"the map itself has norm {tau_norm:.6f} > 1",
+                                   law="||tau|| <= 1", residual=tau_norm - 1.0)
     e_b = range_identity(algebra, tau, eps, eps_rank)
     included = [verify_extension(algebra, tau, 1.0, algebra.zero(), eps, eps_rank, e_b=e_b)]
     if e_b is not None:

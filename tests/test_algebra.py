@@ -23,13 +23,7 @@ from trivolve.algebra import (
     verify_group_table,
 )
 from trivolve.linalg import echelon_rows, reduce_vector
-from trivolve.errors import (
-    AssociativityViolation,
-    IdentityMismatch,
-    NotAGroup,
-    NotAnIdeal,
-    UsageError,
-)
+from trivolve.errors import CertificationFailure, UsageError
 
 complex_scalars = st.builds(complex,
                             st.floats(-5, 5, allow_nan=False),
@@ -69,8 +63,9 @@ class TestMakeAlgebra:
         structure[1, 0, 0] = 2.0
         oracle_worst, oracle_where = brute_force_associativity(structure)
         assert oracle_worst > 1.0  # genuinely non-associative
-        with pytest.raises(AssociativityViolation) as excinfo:
+        with pytest.raises(CertificationFailure) as excinfo:
             make_algebra(2, structure)
+        assert excinfo.value.law == "(b_i b_j) b_k = b_i (b_j b_k)"
         assert excinfo.value.residual == pytest.approx(oracle_worst)
         assert tuple(excinfo.value.details["quadruple"]) == oracle_where
 
@@ -78,8 +73,9 @@ class TestMakeAlgebra:
         structure = np.zeros((2, 2, 2), dtype=complex)
         structure[0, 0, 0] = 1.0
         structure[1, 1, 1] = 1.0
-        with pytest.raises(IdentityMismatch):
+        with pytest.raises(CertificationFailure) as info:
             make_algebra(2, structure, declared_identity=[1.0, 0.0])
+        assert info.value.law == "e b_i = b_i = b_i e"
 
     def test_non_finite_input_rejected(self, c2):
         # NaN residuals compare false against eps, so the checks alone would pass
@@ -167,10 +163,12 @@ class TestConstructStandard:
         assert np.allclose(prod.identity_coords, [1, 1, 1, 0])
 
     def test_bad_group_table(self):
-        with pytest.raises(NotAGroup):
+        with pytest.raises(CertificationFailure) as info:
             verify_group_table([[0, 0], [0, 0]])
-        with pytest.raises(NotAGroup):
+        assert info.value.law == "identity axiom"
+        with pytest.raises(CertificationFailure) as info:
             verify_group_table([[0, 1], [1, 1]])
+        assert info.value.law == "inverse axiom"
 
 
 # the smallest loop that is not a group: a Latin square with identity 0
@@ -214,7 +212,7 @@ class TestVerifyGroupTable:
         (NON_ASSOCIATIVE_LOOP, "associativity", "associativity fails at (1,1,2)"),
     ])
     def test_each_failure_names_its_axiom(self, table, law, message):
-        with pytest.raises(NotAGroup) as info:
+        with pytest.raises(CertificationFailure) as info:
             verify_group_table(table)
         assert info.value.law == law
         assert str(info.value) == message
@@ -234,7 +232,7 @@ class TestVerifyGroupTable:
             group = verify_group_table(table)
             assert [table[g][group.inverse[g]] for g in range(n)] == [group.identity] * n
             return
-        with pytest.raises(NotAGroup) as info:
+        with pytest.raises(CertificationFailure) as info:
             verify_group_table(table)
         assert (info.value.law, str(info.value)) == expected
 
@@ -268,16 +266,18 @@ class TestQuotient:
     def test_one_sided_ideal_witness(self, m2, units, witness):
         basis = np.zeros((4, 2), dtype=complex)
         basis[list(units), [0, 1]] = 1.0
-        with pytest.raises(NotAnIdeal) as caught:
+        with pytest.raises(CertificationFailure) as caught:
             quotient(m2, Subspace(basis, m2))
+        assert caught.value.law == "A.S and S.A contained in S"
         assert str(caught.value) == (
             f"subspace is not a two-sided ideal: {witness} escapes the subspace")
 
     def test_identity_span_not_ideal(self, c2):
         s = Subspace(np.array([[1.0], [1.0]]), c2)
         # oracle: (1,1).(1,0) = (1,0) is outside span{(1,1)}
-        with pytest.raises(NotAnIdeal):
+        with pytest.raises(CertificationFailure) as info:
             quotient(c2, s)
+        assert info.value.law == "A.S and S.A contained in S"
 
 
 class TestAnalyzeSubspace:

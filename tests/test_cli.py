@@ -116,8 +116,28 @@ def test_certification_failure_exit_code(spec_files, tmp_path):
     code, report = run_cli(["decompose", "--algebra", algebra,
                             "--map", str(linear)], tmp_path)
     assert code == 1
-    assert report["error"] == "NotATrivolution"
-    assert "law" in report
+    assert report["error"] == "CertificationFailure"
+    assert report["law"] == "conjugate-linear anti-homomorphism with t^3 = t"
+
+
+def test_map_of_another_algebra_is_usage_error(tmp_path):
+    (tmp_path / "z2.json").write_text(Z2_SPEC.read_text())
+    other = tmp_path / "on_z2.json"
+    other.write_text(json.dumps({"matrix": array_to_json(np.eye(2)), "conjugating": True,
+                                 "source": "z2.json"}))
+    code, report = run_cli(["check", "--algebra", str(SAMPLE_SPECS / "c2.json"),
+                            "--map", str(other)], tmp_path)
+    assert code == 2
+    assert report == {"command": "check", "error": "UsageError", "message":
+                      "classify_star_map expects an endomorphism of the given algebra"}
+
+
+def test_function_family_on_a_group_algebra_is_usage_error(tmp_path):
+    code, report = run_cli(["search", "--algebra", str(Z2_SPEC), "--family", "function"],
+                           tmp_path)
+    assert code == 2
+    assert report == {"command": "search", "error": "UsageError", "message":
+                      "function_indicator requires a pointwise function algebra"}
 
 
 def test_missing_flag_is_usage_error(tmp_path):
@@ -161,6 +181,19 @@ def test_tim_with_involution(tmp_path, z2, z2_involution):
     for entry in report["means"]:
         assert entry["affine_dim"] == 0
         assert entry["obstruction"]["unique"]
+
+
+def test_tim_on_a_subspace_solves_only_the_characters_in_it(tmp_path):
+    # X = span{e1*} on C^2 holds the character e1* and misses e2*
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps({"basis": [[1, 0]]}))
+    argv = ["tim", "--algebra", str(SAMPLE_SPECS / "c2.json"), "--dual-basis", str(line)]
+    code, report = run_cli(argv, tmp_path)
+    assert code == 0 and report["characters"] == 1
+    assert [entry["particular"] for entry in report["means"]] == [[[1.0, 0.0], [0.0, 0.0]]]
+    code, report = run_cli(argv + ["--character", "[0, 1]"], tmp_path, name="outside.json")
+    assert code == 1
+    assert report["error"] == "CertificationFailure" and report["law"] == "phi in X"
 
 
 def test_seed_env_override(tmp_path, monkeypatch, spec_files):
@@ -369,8 +402,8 @@ def test_failure_without_residual_reports_null(tmp_path, m2, capsys):
     m2_path.write_text(json.dumps(algebra_to_json(m2)))
     code = main(["tim", "--algebra", str(m2_path), "--format", "json"])
     report = json.loads(capsys.readouterr().out, parse_constant=reject)
-    assert code == 1 and report["error"] == "NotCommutative"
-    assert report["law"] and report["residual"] is None
+    assert code == 1 and report["error"] == "CertificationFailure"
+    assert report["law"] == "ab = ba" and report["residual"] is None
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

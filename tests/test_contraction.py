@@ -20,9 +20,11 @@ from trivolve.algebra import (
     matrix_algebra,
     product_algebra,
 )
-from trivolve.errors import AssociativityViolation
+from trivolve.errors import CertificationFailure
 from trivolve.linalg import EPS, column_products
 from trivolve.starmap import classify_multiplicativity, compose
+
+ASSOCIATIVITY = "(b_i b_j) b_k = b_i (b_j b_k)"
 
 
 def reference_associativity(c):
@@ -41,8 +43,9 @@ def reference_multiplicativity(f):
 
 
 def violation(c):
-    with pytest.raises(AssociativityViolation) as info:
+    with pytest.raises(CertificationFailure) as info:
         make_algebra(c.shape[0], c)
+    assert info.value.law == ASSOCIATIVITY
     return info.value.residual, info.value.details["quadruple"]
 
 
@@ -106,7 +109,8 @@ def outcome(c, sparse):
         mp.setattr(algebra, "_join_pays", lambda structure: sparse)
         try:
             make_algebra(c.shape[0], c)
-        except AssociativityViolation as exc:
+        except CertificationFailure as exc:
+            assert exc.law == ASSOCIATIVITY
             return str(exc), exc.residual, exc.details["quadruple"]
     return None
 
@@ -183,8 +187,9 @@ def test_perturbed_group_algebra_reports_the_dense_violation(non_zero, value):
     row = c[3, 5]  # g_3 g_5: one entry is 1, the rest 0
     row[np.flatnonzero((row != 0) == non_zero)[0]] = value
     assert _join_pays(c)
-    with pytest.raises(AssociativityViolation) as info:
+    with pytest.raises(CertificationFailure) as info:
         make_algebra(64, c)
+    assert info.value.law == ASSOCIATIVITY
     got = str(info.value), info.value.residual, info.value.details["quadruple"]
     assert got == outcome(c, sparse=False)
 

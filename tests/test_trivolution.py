@@ -11,16 +11,7 @@ from trivolve.algebra import (
     multiply,
     product_algebra,
 )
-from trivolve.errors import (
-    CertificationFailure,
-    KernelTrivial,
-    NotAnInvolution,
-    NotAProjection,
-    NotATrivolution,
-    NotInRange,
-    NotIntertwining,
-    NotRightIdentity,
-)
+from trivolve.errors import CertificationFailure, UsageError
 from trivolve.linalg import max_abs
 from trivolve.instances import (
     conjugate_transpose_involution,
@@ -110,8 +101,9 @@ class TestCanonicalDecomposition:
         assert dec.subalg_B.contains([1, 0, 0]) and dec.subalg_B.contains([0, 1, 0])
 
     def test_rejects_non_star(self, c2):
-        with pytest.raises(NotATrivolution):
+        with pytest.raises(CertificationFailure) as info:
             canonical_decomposition(c2, identity_map(c2))
+        assert info.value.law == "conjugate-linear anti-homomorphism with t^3 = t"
 
     def test_round_trip_battery(self, battery):
         for inst in battery[::6]:
@@ -154,14 +146,16 @@ class TestMakeTrivolution:
         sub, _ = induced_subalgebra(c2, Subspace(np.eye(2), c2))
         rho = make_map(np.eye(2), conjugating=True, source=sub)
         nilpotent = make_map([[0, 1], [0, 0]], conjugating=False, source=c2)
-        with pytest.raises((NotAProjection, CertificationFailure)):
+        with pytest.raises(CertificationFailure) as info:
             make_trivolution(c2, nilpotent, rho)
+        assert info.value.law == "p o p = p"
 
     def test_rejects_bad_involution(self, c2):
         sub, _ = induced_subalgebra(c2, Subspace(np.eye(2), c2))
         not_inv = make_map([[2, 0], [0, 2]], conjugating=True, source=sub)
-        with pytest.raises(NotAnInvolution):
+        with pytest.raises(CertificationFailure) as info:
             make_trivolution(c2, identity_map(c2), not_inv)
+        assert info.value.law == "rho^2 = id, rho anti-multiplicative"
 
     def test_surjective_factorization_identity(self, c2, remark_tau, m2, m2_star):
         # rho1 = rho2 o tau is a surjective homomorphism onto the range,
@@ -194,8 +188,9 @@ class TestFactorThroughInvolution:
         assert fact.c.dim == 6
 
     def test_involution_degenerates(self, m2, m2_star):
-        with pytest.raises(KernelTrivial):
+        with pytest.raises(CertificationFailure) as info:
             factor_through_involution(m2, m2_star, conjugation_map(m2))
+        assert info.value.law == "ker tau != 0"
 
 
 class TestTrivolutiveHom:
@@ -217,8 +212,9 @@ class TestTrivolutiveHom:
         lhs = apply(remark_tau, apply(swap, c2.basis_element(0)))
         rhs = apply(swap, apply(remark_tau, c2.basis_element(0)))
         assert np.max(np.abs(lhs.coords - rhs.coords)) > 0.5
-        with pytest.raises(NotIntertwining):
+        with pytest.raises(CertificationFailure) as info:
             check_trivolutive_hom(c2, remark_tau, c2, remark_tau, swap)
+        assert info.value.law == "pi o tau1 = tau2 o pi"
 
     def test_diagonal_embedding(self, c2, remark_tau):
         prod = product_algebra(c2, c2)
@@ -272,8 +268,9 @@ class TestRightIdentity:
         sub = Subspace(np.array([[1.0], [0.0]]), col)
         sub_alg, _ = induced_subalgebra(col, sub)
         inner = make_map(np.eye(1), conjugating=True, source=sub_alg)
-        with pytest.raises(NotRightIdentity):
+        with pytest.raises(CertificationFailure) as info:
             right_identity_trivolution(col, col.element([0.0, 1.0]), sub, inner)
+        assert info.value.law == "x e = x"
 
     def test_unique_right_identity_in_range(self):
         # a right identity inside the range is fixed by the map and unique there
@@ -355,8 +352,9 @@ class TestHermitianTheory:
         assert np.allclose(x2.coords, [1.0, 0.0])
 
     def test_outside_range(self, c2, remark_tau):
-        with pytest.raises(NotInRange):
+        with pytest.raises(CertificationFailure) as info:
             hermitian_decomposition(c2, remark_tau, c2.element([0.0, 1.0]))
+        assert info.value.law == "x in tau(A)"
 
     def test_functional_checks(self, c2, remark_tau):
         conj2 = conjugation_map(c2)
@@ -368,6 +366,10 @@ class TestHermitianTheory:
         c1 = function_algebra(1)
         conj = conjugation_map(c1)
         assert not hermitian_functional_check(c1, conj, [1j]).is_hermitian
+
+    def test_functional_check_rejects_a_linear_map(self, c2):
+        with pytest.raises(UsageError, match="needs a conjugate-linear map"):
+            hermitian_functional_check(c2, identity_map(c2), [1.0, 2.0])
 
     def test_adjoint_triple_power_collapses(self, battery):
         rng = np.random.default_rng(9)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trivolve.algebra import NORM_ELL1, NORM_OPNORM, function_algebra, make_algebra, multiply
-from trivolve.errors import InvalidExtension, NotContractive
+from trivolve.errors import CertificationFailure
 from trivolve.instances import c4_indicator_pair, indicator_trivolution, remark_pair
 from trivolve.starmap import apply, conjugation_map, make_map
 from trivolve.trivolution import classify_star_map
@@ -113,8 +113,9 @@ class TestUnitize:
         algebra, tau = remark_pair()
         bad = verify_extension(algebra, tau, 1.0, algebra.element([0.0, 1.0]),
                                e_b=range_identity(algebra, tau))
-        with pytest.raises(InvalidExtension):
+        with pytest.raises(CertificationFailure) as info:
             unitize_with_trivolution(algebra, tau, bad)
+        assert info.value.law == "family I or II conditions"
 
 
 class TestType1Solver:
@@ -206,8 +207,9 @@ class TestContractive:
                                 e_b=range_identity(algebra, tau))
         sharp, tau_sharp = extension_map(algebra, tau, spec.lambda0, spec.x0)
         assert classify_star_map(sharp, tau_sharp).is_trivolution
-        with pytest.raises(NotContractive):
+        with pytest.raises(CertificationFailure) as info:
             contractive_extensions(sharp, tau_sharp)
+        assert info.value.law == "||tau|| <= 1"
 
     def test_involution_type1_always_trivial(self, m2, m2_star):
         # for involutions every family-I solution collapses to zero
