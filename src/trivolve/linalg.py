@@ -8,8 +8,9 @@ reproducible than relative ones.
 A linear system takes one of three routes:
 
 - a solve-only system goes to ``solve_exact`` (``lstsq``), which was
-  measured faster than a thin SVD on tall systems such as the
-  8192 x 64 identity system of C[Z64];
+  measured faster than a thin SVD on tall systems.  The identity system
+  (``algebra._find_identity``, 8192 x 64 for C[Z64]) comes here only when
+  the solution of its normal equations fails the residual;
 - a system whose kernel or image is needed, with or without a solve, goes
   to ``column_space_and_nullspace``: one thin SVD gives all of them;
 - a rank test alone calls ``np.linalg.matrix_rank``, singular values only.

@@ -8,19 +8,23 @@ Each raises ``ParseError`` for anything it cannot use.
 An array declared of shape ``s`` is read by one ``np.asarray``: it holds
 either real numbers, in shape ``s``, or ``[re, im]`` pairs, in shape
 ``s + (2,)``.  Any other shape, a mix of reals and pairs, a string, a
-null, a non-finite number or an integer too large for a float is a
-``ParseError``.  A group table is a square matrix of integer element
-indices that satisfies the group axioms.
+null, ``true`` or ``false``, a non-finite number or an integer too large
+for a float is a ``ParseError``.  So is a ``dim`` or a group ``order``
+that is not a JSON integer of at least 1.  A group table is a square
+matrix of integer element indices that satisfies the group axioms.
 
 ``load_algebra`` and ``load_map`` read a spec file one top-level member at
 a time.  The arrays they read (``structure``, ``identity``, ``matrix``)
 are decoded flat when they are regular arrays of numbers: the text's
 brackets and commas must be those of the array's shape, no number may
 touch a bracket from outside, and the numbers go through one
-``json.loads`` and one ``np.asarray``.  The result is the array that
-``np.asarray`` makes of what ``json`` decodes, bit for bit (ints, ``-0``,
-``1E400`` and integers beyond 64 bits included); a big tensor just skips
-the hundreds of thousands of nested lists.  Every other member goes
+``json.loads`` and one ``np.asarray``.  A number written exactly ``0.0``,
+with only whitespace around it, skips ``json``: it is ``+0.0``, and only
+the other numbers are decoded, as long as they are float64 next to it.
+The result is the array that ``np.asarray`` makes of what ``json`` decodes,
+bit for bit (ints, ``-0``, ``1E400`` and integers beyond 64 bits
+included); a big tensor just skips the hundreds of thousands of nested
+lists, and a sparse one most of its numbers.  Every other member goes
 through ``json``'s own decoder.  A file that is not one JSON object, or
 whose syntax is bad anywhere, is read again by ``read_json``, so an error
 takes the path it always took and keeps its message.
@@ -67,6 +71,7 @@ _WS = re.compile(f"[{_WHITESPACE}]*")
 _NUMBER_ARRAY = re.compile(f"\\[[-+.0-9eE\\[\\],{_WHITESPACE}]*\\]")
 _MARK_NUMBERS = bytes.maketrans(b"-+.0123456789eE", b"x" * 15)
 _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
+_PIECE = 2 ** 18  # bytes of number text scanned at once
 _DECODER = json.JSONDecoder()
 
 
@@ -86,8 +91,10 @@ def array_from_json(data, shape: tuple[int, ...]) -> np.ndarray:
     shape = tuple(shape)
     try:
         arr = np.asarray(data)
-        if arr.dtype.kind not in "biufO":
+        if arr.dtype.kind not in "iufO":
             raise TypeError(f"non-numeric entries ({arr.dtype})")
+        if _holds_bool(data):
+            raise TypeError("true and false are not numbers")
         if arr.dtype == object:  # an integer beyond 64 bits, or something not a number
             arr = np.asarray(arr - 0)  # keeps each number (-0.0 too), raises on the rest
         arr = arr.astype(float, order="C")
@@ -105,11 +112,26 @@ def array_from_json(data, shape: tuple[int, ...]) -> np.ndarray:
                      f"{shape + (2,)}; got shape {arr.shape}")
 
 
+def _holds_bool(data) -> bool:
+    """Whether the regular array ``data`` holds a boolean, which ``np.asarray`` reads as 0 or 1."""
+    if isinstance(data, np.ndarray) and data.dtype != object:
+        return data.dtype.kind == "b"
+    leaves = np.asarray(data, dtype=object).ravel().tolist()
+    return not {bool, np.bool_}.isdisjoint(map(type, leaves))
+
+
+def _positive_int(value, name: str) -> int:
+    """``value`` when it is a JSON integer of at least 1; a ``ParseError`` otherwise."""
+    if type(value) is not int or value < 1:
+        raise ParseError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 def group_table(data) -> GroupTable:
     """A group multiplication table: integer element indices, group axioms checked."""
     try:
         table = np.asarray(data)
-        if table.dtype.kind not in "iu" or table.ndim != 2:
+        if table.dtype.kind not in "iu" or table.ndim != 2 or _holds_bool(data):
             raise ParseError("group table must be a matrix of integer element indices")
         return verify_group_table(table)
     except (ValueError, CertificationFailure) as exc:
@@ -231,7 +253,8 @@ def _flat_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
     None unless it is a regular array: its skeleton (``text`` without
     numbers and whitespace) is that of its shape, and no number touches a
     bracket from outside.  The numbers, between commas only, then go
-    through one ``json.loads``, which checks each of them.
+    through one ``json.loads``, which checks each of them; ``_skip_zeros``
+    spares it the ``0.0`` tokens.
     """
     array = _NUMBER_ARRAY.match(text, start)
     if array is None:
@@ -243,11 +266,61 @@ def _flat_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
     shape = _regular_shape(marked.translate(None, b"x"))
     if shape is None:
         return None
+    numbers = raw.translate(_BLANK_BRACKETS)
     try:
-        numbers = json.loads(b"[" + raw.translate(_BLANK_BRACKETS) + b"]")
-        return np.asarray(numbers).reshape(shape), array.end()
+        flat = _skip_zeros(b"," + numbers + b",")
+        if flat is None:
+            flat = np.asarray(json.loads(b"[" + numbers + b"]"))
+        return flat.reshape(shape), array.end()
     except (ValueError, OverflowError):  # a bad number, or the "[]" read as shape (1,)
         return None
+
+
+def _skip_zeros(text: bytes) -> np.ndarray | None:
+    """``np.asarray`` of the numbers ``text[1:-1]``, its ``0.0`` tokens read without ``json``.
+
+    ``text`` is the comma-separated numbers with a comma added at each end,
+    so that every token lies between two commas.  It is scanned in pieces
+    of about ``_PIECE`` bytes that begin and end with a comma.  A token that
+    is ``0.0`` with only whitespace around it is ``+0.0``, which is what
+    ``json`` makes of it; the others go through one ``json.loads``.  The
+    result is that of ``json`` on all the numbers, bit for bit.  None, so
+    that ``json`` reads them all, when no token is ``0.0``, when a token is
+    not one run of number characters (it is empty, or whitespace splits
+    it), or when the others are not all float64 next to a ``0.0``: then
+    ``np.asarray`` might pick another dtype.
+    """
+    if b"0.0" not in text:  # no token is 0.0: spare the scan
+        return None
+    zeros, kept, start, last = [], [], 0, len(text) - 1
+    while start < last:
+        stop = text.find(b",", min(start + _PIECE, last))
+        piece = np.frombuffer(text, dtype=np.uint8, count=stop + 1 - start, offset=start)
+        commas = np.flatnonzero(piece == ord(","))
+        # a number character is neither a comma nor whitespace, which sorts below it
+        number = (piece > ord(" ")) & (piece != ord(","))
+        firsts = np.flatnonzero(number[1:] > number[:-1]) + 1
+        ends = np.flatnonzero(number[:-1] > number[1:]) + 1
+        if len(firsts) != len(commas) - 1 or not (np.all(commas[:-1] < firsts)
+                                                  and np.all(firsts < commas[1:])):
+            return None  # a token is not one run: empty, or split by whitespace
+        three = np.flatnonzero(ends - firsts == 3)
+        at = firsts[three]
+        zero = np.zeros(len(firsts), dtype=bool)
+        zero[three] = ((piece[at] == ord("0")) & (piece[at + 1] == ord("."))
+                       & (piece[at + 2] == ord("0")))
+        kept.append(piece[:-1][np.repeat(~zero, commas[1:] - commas[:-1])].tobytes())
+        zeros.append(zero)
+        start = stop
+    zero = np.concatenate(zeros)
+    if not zero.any():
+        return None
+    others = np.asarray([0.0] + json.loads(b"[" + b"".join(kept)[1:] + b"]"))
+    if others.dtype != np.float64:
+        return None
+    numbers = np.zeros(len(zero))
+    numbers[~zero] = others[1:]
+    return numbers
 
 
 def _members(text: str, arrays: tuple[str, ...]) -> dict | None:
@@ -305,10 +378,10 @@ def load_algebra(source: str | Path | dict) -> Algebra:
         if "group" in data:
             group = data["group"]
             table = group_table(group["table"])
-            if "order" in group and int(group["order"]) != len(table.table):
+            if "order" in group and _positive_int(group["order"], "order") != len(table.table):
                 raise ParseError("declared group order does not match the table")
             return group_algebra(table, data.get("labels"))
-        dim = int(data["dim"])
+        dim = _positive_int(data["dim"], "dim")
         structure = array_from_json(data["structure"], (dim, dim, dim))
         labels = data.get("labels")
         identity = None

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from trivolve.algebra import (
     Subspace,
+    _find_identity,
     analyze_subspace,
     cyclic_group_table,
     function_algebra,
@@ -22,7 +23,8 @@ from trivolve.algebra import (
     subalgebra_closure,
     verify_group_table,
 )
-from trivolve.linalg import echelon_rows, reduce_vector
+from trivolve.instances import instance_battery
+from trivolve.linalg import EPS, echelon_rows, reduce_vector, solve_exact
 from trivolve.errors import CertificationFailure, UsageError
 
 complex_scalars = st.builds(complex,
@@ -98,6 +100,60 @@ class TestMakeAlgebra:
                 right = multiply(algebra, basis, algebra.element(e))
                 assert np.max(np.abs(left.coords - basis.coords)) <= 1e-9
                 assert np.max(np.abs(right.coords - basis.coords)) <= 1e-9
+
+
+def lstsq_identity(structure):
+    """The identity as ``lstsq`` finds it from the stacked system, or None."""
+    n = structure.shape[0]
+    system = np.stack([structure.transpose(1, 2, 0), structure.transpose(0, 2, 1)],
+                      axis=1).reshape(2 * n * n, n)
+    target = np.broadcast_to(np.eye(n)[:, None, :], (n, 2, n)).reshape(-1)
+    e, residual = solve_exact(system, target)
+    return e if residual <= EPS else None
+
+
+def random_basis_m3(scale):
+    """M_3 with its constants in a random basis (cond about 37), times ``scale``."""
+    p = np.random.default_rng(3).standard_normal((9, 9))
+    c = np.asarray(matrix_algebra(3).structure)
+    return scale * np.einsum("ai,bj,abm,km->ijk", p, p, c, np.linalg.inv(p))
+
+
+def identity_cases():
+    seen = {}
+    for seed in (0, 1, 7):
+        for inst in instance_battery(seed):
+            c = np.asarray(inst.algebra.structure)
+            seen.setdefault(c.tobytes(), (inst.name, c))
+    cases = list(seen.values())
+    cases.append(("zero product", np.zeros((3, 3, 3), dtype=complex)))
+    for n in (1, 4):  # b_i b_j = b_j: every stacked row b_m b_i holds n non-zeros
+        right_zero = np.zeros((n, n, n), dtype=complex)
+        right_zero[:, np.arange(n), np.arange(n)] = 1
+        cases.append((f"right zero {n}", right_zero))
+    cases += [(f"M3 random basis x{scale:g}", random_basis_m3(scale))
+              for scale in (1, 10, 100, 1e3, 1e4)]
+    return cases
+
+
+def test_identity_verdict_matches_lstsq():
+    cases = identity_cases()
+    assert len(cases) > 30
+    unital = 0
+    for name, c in cases:
+        found, expected = _find_identity(c, EPS), lstsq_identity(c)
+        assert (found is None) == (expected is None), name
+        if found is not None:
+            unital += 1
+            np.testing.assert_allclose(found, expected, rtol=0, atol=1e-9, err_msg=name)
+    assert 0 < unital < len(cases)
+
+
+def test_identity_of_a_group_algebra_is_exact():
+    c = np.asarray(group_algebra(cyclic_group_table(12)).structure)
+    p = np.random.default_rng(2).permutation(12)
+    e = _find_identity(np.ascontiguousarray(c[np.ix_(p, p, p)]), EPS)
+    assert e.tobytes() == np.eye(12, dtype=complex)[np.argmax(p == 0)].tobytes()
 
 
 class TestMultiply:

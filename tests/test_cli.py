@@ -438,6 +438,30 @@ def test_search_verifies_each_group_table_once(tmp_path, monkeypatch):
     assert len(verified) == 2 and len(built) == 1
 
 
+def test_check_on_a_group_algebra_runs_no_lstsq_and_no_fold(tmp_path, monkeypatch):
+    # C[Z64] without a declared identity: its table certifies associativity, and the
+    # normal equations certify the identity
+    table = cyclic_group_table(64)
+    z64 = group_algebra(table)
+    spec = {key: value for key, value in algebra_to_json(z64).items() if key != "identity"}
+    algebra_path, map_path = tmp_path / "z64.json", tmp_path / "star.json"
+    algebra_path.write_text(json.dumps(spec))
+    map_path.write_text(json.dumps(map_to_json(standard_group_involution(z64, table))))
+    dense = count_calls(monkeypatch, "_dense_gaps")
+    sparse = count_calls(monkeypatch, "_sparse_gaps")
+    lstsq, solved = np.linalg.lstsq, []
+
+    def counted_lstsq(*args, **kwargs):
+        solved.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    code, report = run_cli(["check", "--algebra", str(algebra_path), "--map", str(map_path)],
+                           tmp_path)
+    assert code == 0 and report["classification"] == "involution"
+    assert dense == sparse == solved == []
+
+
 @pytest.mark.parametrize("flag", ["--tolerance", "--rank-threshold"])
 def test_suite_rejects_a_tolerance_flag(tmp_path, flag):
     # the suite's sections keep their own thresholds, so a flag would be ignored

@@ -14,6 +14,7 @@ from trivolve.algebra import (
     _dense_gaps,
     _join_pays,
     _sparse_gaps,
+    _table_gap,
     cyclic_group_table,
     group_algebra,
     make_algebra,
@@ -302,6 +303,142 @@ def test_join_memory_follows_the_chunk():
     assert not _join_pays(c)  # the cost rule keeps it dense: the join takes about twice as long
     one_n4_array = n ** 4 * np.dtype(complex).itemsize  # 16 MiB
     assert peak_bytes(lambda: all(gap.size for gap in _sparse_gaps(c))) < one_n4_array
+
+
+# ---------------------------------------------------------------------------
+# product tables: every b_i b_j is 0 or one scaled basis vector, w_ij b_{t_ij}
+# ---------------------------------------------------------------------------
+
+def quaternion_table():
+    """The quaternions over C (so M_2): 1, i, j, k with the signs of ij = k, ji = -k."""
+    t = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+    w = np.ones((4, 4))
+    for a, b, sign in ((1, 2, 1), (2, 3, 1), (3, 1, 1), (2, 1, -1), (3, 2, -1), (1, 3, -1)):
+        w[a, b] = sign
+    w[[1, 2, 3], [1, 2, 3]] = -1
+    return t, w
+
+
+def matrix_unit_table(k):
+    """M_k: E_ab E_cd = [b = c] E_ad, the basis row-major."""
+    a, b = np.divmod(np.arange(k * k), k)
+    return a[:, None] * k + b[None, :], (b[:, None] == a[None, :]).astype(float)
+
+
+def s3_table():
+    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
+    index = {p: i for i, p in enumerate(perms)}
+    return np.array([[index[tuple(p[q[x]] for x in range(3))] for q in perms] for p in perms])
+
+
+def n_by_n(n, f):
+    return np.fromfunction(f, (n, n), dtype=int)
+
+
+ASSOCIATIVE_TABLES = {
+    "cyclic": lambda n: (n_by_n(n, lambda i, j: (i + j) % n), np.ones((n, n))),
+    "klein": lambda n: (np.bitwise_xor.outer(np.arange(4), np.arange(4)), np.ones((4, 4))),
+    "S3": lambda n: (s3_table(), np.ones((6, 6))),
+    "quaternions": lambda n: quaternion_table(),
+    "matrix units": lambda n: matrix_unit_table(2 + n % 2),
+    "functions": lambda n: (n_by_n(n, lambda i, j: i), np.eye(n)),
+    "right zero": lambda n: (n_by_n(n, lambda i, j: j), np.ones((n, n))),
+    "left zero": lambda n: (n_by_n(n, lambda i, j: i), np.ones((n, n))),
+    "zero product": lambda n: (np.zeros((n, n), dtype=int), np.zeros((n, n))),
+}
+WEIGHTS = [0, 1, -1, 2]
+SCALES = [1, -1, 2, 0.5, 1j, -2j]  # a basis rescaled by these keeps every product exact
+
+
+def table_tensor(t, w):
+    n = len(t)
+    c = np.zeros((n, n, n), dtype=complex)
+    c[np.arange(n)[:, None], np.arange(n), t] = w
+    return c
+
+
+@st.composite
+def table_tensors(draw):
+    """Tables that are associative, made so by one edit, or drawn at random."""
+    source = draw(st.sampled_from(["associative", "edited", "random"]))
+    if source == "random":
+        n = draw(st.integers(1, 7))
+        t = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)))
+        w = np.array(draw(st.lists(st.sampled_from(WEIGHTS + [1j]), min_size=n * n,
+                                   max_size=n * n)))
+        return table_tensor(t.reshape(n, n), w.reshape(n, n))
+    def pick():
+        name = draw(st.sampled_from(sorted(ASSOCIATIVE_TABLES)))
+        return table_tensor(*ASSOCIATIVE_TABLES[name](draw(st.integers(1, 5))))
+
+    c = pick()
+    if draw(st.booleans()):  # a direct product
+        a, b = c, pick()
+        c = np.zeros((len(a) + len(b),) * 3, dtype=complex)
+        c[:len(a), :len(a), :len(a)], c[len(a):, len(a):, len(a):] = a, b
+    if draw(st.booleans()):  # the opposite algebra
+        c = c.transpose(1, 0, 2)
+    n = len(c)
+    p = np.array(draw(st.permutations(range(n))))
+    s = np.array(draw(st.lists(st.sampled_from(SCALES), min_size=n, max_size=n)))
+    # b'_i = s_i b_{p_i}: b'_i b'_j = s_i s_j / s_k c[p_i, p_j, p_k] b'_k
+    c = c[np.ix_(p, p, p)] * s[:, None, None] * s[None, :, None] / s[None, None, :]
+    if source == "edited":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c[i, j] = 0
+        c[i, j, draw(st.integers(0, n - 1))] = draw(st.sampled_from(WEIGHTS))
+    return np.ascontiguousarray(c)
+
+
+def fold_outcome(c):
+    """``outcome`` of today's fold: the table path declines every tensor."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_table_gap", lambda structure: None)
+        return outcome(c, sparse=False)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(table_tensors())
+def test_table_path_matches_the_dense_fold(c):
+    gap = _table_gap(c)
+    if c.imag.any():
+        assert gap is None  # a complex table goes to the fold
+    else:
+        dense = max(float(block.max()) for block in _dense_gaps(c))
+        assert gap == dense  # one non-zero term in each dense sum: the same bits
+    assert outcome(c, sparse=False) == fold_outcome(c)
+
+
+def test_table_path_declines_a_fibre_with_two_non_zeros():
+    c = cyclic_group_table(5).structure()
+    c[1, 2, 0] = 1e-20
+    assert _table_gap(c) is None
+    assert outcome(c, sparse=False) == fold_outcome(c)
+
+
+@pytest.mark.parametrize("non_zero, value", [(True, 1.25), (False, 0.5j)],
+                         ids=["non-zero scaled", "zero made complex"])
+def test_a_failing_table_reports_the_fold_violation(non_zero, value):
+    c = permuted(cyclic_group_table(12).structure(), 4)
+    row = c[3, 5]
+    row[np.flatnonzero((row != 0) == non_zero)[0]] = value
+    assert (_table_gap(c) is None) == (not non_zero)
+    got = outcome(c, sparse=False)
+    assert got is not None and got == fold_outcome(c)
+
+
+def test_table_path_on_the_zero_algebra():
+    assert _table_gap(np.zeros((0, 0, 0), dtype=complex)) == 0.0
+    zero = make_algebra(0, np.zeros((0, 0, 0)))
+    assert zero.dim == 0 and not zero.is_unital()
+
+
+def test_table_path_on_overflowing_weights():
+    # a table whose products overflow: the table path declines it, the fold reports no residual
+    c = 1e200 * cyclic_group_table(3).structure()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(_table_gap(c)) or _table_gap(c) > EPS
+        assert outcome(c, sparse=False) == fold_outcome(c)
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 5, 2, 6), (1, 1, 1, 1, 1), (0, 0, 2, 3, 0),

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from trivolve.algebra import cyclic_group_table, function_algebra, group_algebra
 from trivolve.cli import main
 from trivolve.errors import ParseError
-from trivolve.serialization import (_spec_object, array_from_json, load_algebra, load_map,
-                                    read_json)
+from trivolve.serialization import (_BLANK_BRACKETS, _PIECE, _flat_array, _spec_object,
+                                    array_from_json, load_algebra, load_map, read_json)
 
 from spec_writers import algebra_to_json
 
@@ -22,13 +22,16 @@ def walk_array_from_json(data, shape):
     """The per-entry reader that ``array_from_json`` replaced, kept as a reference."""
     flat = []
 
+    def real(node):
+        if isinstance(node, bool) or not isinstance(node, (int, float)):
+            raise ParseError(f"expected a number, got {node!r}")
+        return node
+
     def number(node):
-        if isinstance(node, (int, float)):
-            z = complex(node)
-        elif isinstance(node, (list, tuple)) and len(node) == 2:
-            z = complex(float(node[0]), float(node[1]))
+        if isinstance(node, (list, tuple)) and len(node) == 2:
+            z = complex(float(real(node[0])), float(real(node[1])))
         else:
-            raise ParseError(f"expected [re, im] pair, got {node!r}")
+            z = complex(real(node))
         if not np.isfinite(z):
             raise ParseError(f"expected a finite number, got {node!r}")
         return z
@@ -65,7 +68,13 @@ def test_array_from_json_matches_the_walk_bit_for_bit(shape, pairs, data):
     if pairs:
         flat = [flat[i:i + 2] for i in range(0, size, 2)]
     nested = nest(list(flat), shape)
-    assert array_from_json(nested, shape).tobytes() == walk_array_from_json(nested, shape).tobytes()
+    expected = parse_error_or(lambda: walk_array_from_json(nested, shape))
+    got = parse_error_or(lambda: array_from_json(nested, shape))
+    if isinstance(expected, str):  # a boolean: both reject it
+        leaves = [v for item in flat for v in (item if pairs else [item])]
+        assert isinstance(got, str) and any(isinstance(v, bool) for v in leaves)
+    else:
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_array_from_json_keeps_negative_zero():
@@ -78,9 +87,11 @@ def test_array_from_json_keeps_negative_zero():
 
 @pytest.mark.parametrize("data", [
     [1, [0, 1]], [[1, 0], 2], ["1", 0], [[1, "0"], [0, 0]], [None, 1], [10**400, 1],
-    [[1, 0, 0], [0, 1, 0]], [1, 2, 3], [], {"re": 1},
+    [[1, 0, 0], [0, 1, 0]], [1, 2, 3], [], {"re": 1}, [True, False], [True, 1.5],
+    [[1, 0], [0, True]], [True, 2**70], np.array([True, False]),
 ], ids=["real-then-pair", "pair-then-real", "string", "string-in-pair", "null", "overflow",
-        "triples", "too-long", "empty", "object"])
+        "triples", "too-long", "empty", "object", "booleans", "boolean-and-float",
+        "boolean-in-pair", "boolean-and-big-integer", "boolean-array"])
 def test_array_from_json_rejects(data):
     with pytest.raises(ParseError):
         array_from_json(data, (2,))
@@ -116,20 +127,23 @@ KINDS = {
 }
 
 REPLACEMENTS = {"null": None, "string": "x", "object": {}, "empty": [], "nan": float("nan"),
-                "inf": float("inf"), "huge": 10**400, "big": 1e300}
+                "inf": float("inf"), "huge": 10**400, "big": 1e300, "true": True,
+                "fraction": 1.5, "digit string": "1"}
 OPS = (*REPLACEMENTS, "drop", "truncate", "extend", "mixed", "cut")
 
 # mutations that may leave a spec valid, by the kind of spec and the keys on the path
 # to the mutated node
 LENIENT = {
     "element": {"big"},
-    "inline element": {"big"},
-    "dual basis": {"big"},
+    "inline element": {"big", "fraction"},
+    "dual basis": {"big", "fraction"},
     "labels": set(OPS) - {"cut"},
     "identity": {"drop", "null"},
     "norm": {"drop"},
     "order": {"drop"},
-    "conjugating": {"drop"},
+    "conjugating": {"drop", "true"},
+    "matrix": {"fraction"},  # a map's matrix and an element's coordinates hold any number
+    "coords": {"fraction"},
     "normal_subgroups": {"drop", "truncate", "extend", "empty"},
 }
 
@@ -232,6 +246,40 @@ def test_mutated_spec_never_escapes_a_report(spec_dir, kind, data):
         assert code == 2, (op, path, report)
 
 
+C1 = {"dim": 1, "structure": [[[1]]]}
+REJECTED_ALGEBRAS = {
+    "zero algebra": {"dim": 0, "structure": []},
+    "negative dim": {"dim": -1, "structure": []},
+    "dim true": {**C1, "dim": True},
+    "dim 1.0": {**C1, "dim": 1.0},
+    "dim 1.5": {**C1, "dim": 1.5},
+    "dim string": {**C1, "dim": "1"},
+    "order 2.7": {"group": {"order": 2.7, "table": Z2_TABLE}},
+    "order 2.0": {"group": {"order": 2.0, "table": Z2_TABLE}},
+    "order string": {"group": {"order": "2", "table": Z2_TABLE}},
+    "true in table": {"group": {"table": [[0, True], [True, 0]]}},
+    "true in structure": {"dim": 1, "structure": [[[True]]]},
+    "true in a pair": {"dim": 1, "structure": [[[[1, False]]]]},
+    "true in identity": {**C1, "identity": [True]},
+}
+
+
+@pytest.mark.parametrize("command", ["check", "arens", "tim"])
+@pytest.mark.parametrize("spec", REJECTED_ALGEBRAS.values(), ids=REJECTED_ALGEBRAS)
+def test_coerced_or_empty_algebra_is_rejected(spec_dir, spec, command):
+    argv = [command, "--algebra", "SPEC"] + (["--map", "tau"] if command == "check" else [])
+    code, report = run_spec(spec_dir, argv, json.dumps(spec))
+    assert code == 2 and report["error"] == "ParseError", report
+
+
+@pytest.mark.parametrize("matrix", [[[True, 0], [0, 0]], [[[1, 0], [0, 0]], [[0, 0], [0, True]]]],
+                         ids=["reals", "pairs"])
+def test_true_in_a_matrix_is_rejected(spec_dir, matrix):
+    code, report = run_spec(spec_dir, ["check", "--algebra", "c2", "--map", "SPEC"],
+                            json.dumps({"matrix": matrix, "conjugating": True}))
+    assert code == 2 and report["error"] == "ParseError", report
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_unmutated_spec_passes(spec_dir, kind):
     spec, argv = KINDS[kind]
@@ -251,6 +299,9 @@ NUMBER_TEXTS = st.one_of(
 # the texts of 0 and 1 that a valid algebra, C^n, may be written with
 ZERO_TEXTS = st.sampled_from(["0", "-0", "0.0", "-0.0", "0e3"])
 ONE_TEXTS = st.sampled_from(["1", "1.0", "1e0", "10E-1", "0.1e1"])
+# mostly ``0.0``, which skips ``json``, next to the zeros and near-zeros that do not
+ZERO_HEAVY_TEXTS = st.one_of(st.just("0.0"), st.just("0.0"), st.sampled_from(
+    ["-0.0", "0", "0.00", "0e0", "00.0", "0 .0", "0.0\n", "\t0.0"]), NUMBER_TEXTS)
 SPACES = st.text(" \t\n\r", max_size=2)
 BAD_ARRAYS = ["[1[,2]]", "[1 2]", "[[1, 2], [3]]", "[[1], [2, 3]]", "[]", "[[]]", "[[]1]",
               "[1[]]", "[[1,2][3,4]]", "[[1,2],[3,4]]]", "[1,]", "[,1]", "[1,,2]", "[01]",
@@ -286,7 +337,8 @@ def spec_texts(draw):
         values[(range(n), range(n), range(n)) + ((0,) if pairs else ())] = 1
         numbers = [draw(ONE_TEXTS if v else ZERO_TEXTS) for v in values.ravel()]
     else:
-        numbers = draw(st.lists(NUMBER_TEXTS, min_size=size, max_size=size))
+        texts = draw(st.sampled_from([NUMBER_TEXTS, ZERO_HEAVY_TEXTS]))
+        numbers = draw(st.lists(texts, min_size=size, max_size=size))
     array = array_text(draw, numbers, shape)
     if kind == "algebra":
         members = [("dim", str(n)), ("structure", array)]
@@ -421,6 +473,54 @@ def test_flat_reader_on_hand_written_arrays(spec_dir, array):
     path.write_text('{"matrix": %s, "conjugating": true}' % array, encoding="utf-8")
     c2 = function_algebra(2)
     assert outcome(lambda: load_map(path, c2)) == reference_outcome("map", 2, path)
+
+
+ZERO_ARRAYS = {
+    "lone zero": (1, "[[0.0]]"),
+    "lone zero pair": (1, "[[[0.0, 0.0]]]"),
+    "all zeros": (2, "[[0.0, 0.0], [0.0, 0.0]]"),
+    "all zero pairs": (2, "[[[0.0,0.0],[0.0,0.0]],[[0.0,0.0],[0.0,0.0]]]"),
+    "signed and integer zeros": (2, "[[0.0, -0.0], [0, 0.00]]"),
+    "zero exponent": (2, "[[0e0, 0.0], [0.0, -0]]"),
+    "leading zero": (2, "[[00.0, 0.0], [0.0, 0.0]]"),
+    "split zero": (2, "[[0 .0, 0.0], [0.0, 0.0]]"),
+    "whitespace around zeros": (2, "[[0.0\n, \t0.0], [ 0.0\r\n,0.0 ]]"),
+    "zeros and integers": (2, "[[0.0, 1], [-2, 3]]"),
+    "zeros and an overflow": (2, "[[0.0, 1E400], [0, 0]]"),
+    "zeros and a big integer": (2, "[[0.0, 18446744073709551617], [0, 0]]"),
+    "empty token": (2, "[[0.0, ], [0.0, 0.0]]"),
+}
+
+
+@pytest.mark.parametrize("n, array", ZERO_ARRAYS.values(), ids=ZERO_ARRAYS)
+def test_flat_reader_on_zero_tokens(spec_dir, n, array):
+    # the array that np.asarray makes of what json decodes, its dtype included
+    try:
+        expected = np.asarray(json.loads(array))
+    except ValueError:
+        assert _flat_array(array, 0) is None
+    else:
+        got, _ = _flat_array(array, 0)
+        assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+        assert expected.dtype == object or got.tobytes() == expected.tobytes()
+    text = '{"matrix": %s, "conjugating": true}' % array
+    with np.errstate(over="ignore", invalid="ignore"):
+        check_against_json_reader(spec_dir / "zeros.json", "map", n, text)
+
+
+@pytest.mark.parametrize("cut", [-1, 0, 1], ids=["before", "at", "after"])
+def test_zero_skipping_across_pieces(cut):
+    # 0.0 tokens over more than two pieces, and a non-zero next to the first cut
+    tokens = ["0.0"] * (3 * _PIECE // 5)
+    text = "[" + ", ".join(tokens) + "]"
+    body = b"," + text.encode().translate(_BLANK_BRACKETS)  # what the decoder scans
+    first = body[:body.find(b",", _PIECE)].count(b",")  # the token the second piece starts with
+    tokens[first + cut] = "2.5"  # as long as 0.0, so the cut stays where it was
+    text = "[" + ", ".join(tokens) + "]"
+    decoded, end = _flat_array(text, 0)
+    assert end == len(text)
+    assert decoded.tobytes() == np.asarray(json.loads(text)).tobytes()
+    assert np.flatnonzero(decoded).tolist() == [first + cut]
 
 
 def test_flat_reader_decodes_regular_arrays_without_lists(spec_dir):
