@@ -6,9 +6,8 @@ downstream (star maps, decompositions, duals) reduces to dense linear
 algebra against this tensor, except in construction.  There a real
 product table (every ``b_i b_j`` is 0 or a real multiple of one basis
 vector, as in a group algebra or M_n in matrix units) has its
-associativity read off the table, another tensor may have its non-zeros
-joined when that costs less than the dense products, and the identity is
-proposed by the ``n x n`` normal equations before ``lstsq`` is asked.
+associativity read off the table, and the identity is proposed by the
+``n x n`` normal equations before ``lstsq`` is asked.
 
 All values are immutable after construction; operations are pure.
 """
@@ -158,8 +157,8 @@ class Subspace:
         """Echelon spanning vectors as columns (deterministic basis)."""
         return self.echelon.T.copy()
 
-    def contains(self, vector, tol: float = EPS) -> bool:
-        return self.residual(vector) <= tol
+    def contains(self, vector) -> bool:
+        return self.residual(vector) <= EPS
 
     def residual(self, vector) -> float:
         return float(self.residuals(as_complex(vector).reshape(-1, 1))[0])
@@ -201,44 +200,6 @@ def same_structure(s: np.ndarray, t: np.ndarray, tol: float = EPS) -> bool:
     return s.shape == t.shape and max_abs(s - t) <= tol
 
 
-# The cost rule, in units of one of the dense kernel's n^5 multiply-adds:
-# one pair of the join, one bin of a block's gap (both count twice when the
-# entries are complex: two bincounts), and a call's setup.  Fitted on the
-# sweep in _associativity_check's docstring.
-_PAIR_COST = 40
-_BIN_COST = 4
-_JOIN_SETUP = 2 ** 17
-
-
-def _block_joins(structure: np.ndarray) -> np.ndarray:
-    """The number of pairs ``_sparse_gaps`` forms for each block ``i``.
-
-    A non-zero ``c[i, j, m]`` meets the non-zeros ``c[m, k, l]`` on the left
-    and a non-zero ``c[i, m, l]`` meets the non-zeros ``c[j, k, m]`` on the
-    right.  Counting them costs O(n^3), not a pass over the pairs.
-    """
-    nonzero = structure != 0
-    left = nonzero.sum(axis=1) @ nonzero.sum(axis=(1, 2))
-    right = nonzero.sum(axis=2) @ nonzero.sum(axis=(0, 1))
-    return left + right
-
-
-def _join_chunk(n: int) -> int:
-    """The most pairs of the join held at once: O(n^3), like a dense block."""
-    return max(n ** 3, 2 ** 16)
-
-
-def _join_pays(structure: np.ndarray) -> bool:
-    """The cost rule: join iff that costs less than n^5 and every block fits in a chunk."""
-    n = structure.shape[0]
-    if n ** 5 <= _JOIN_SETUP:  # n <= 10: dense, without counting
-        return False
-    joins = _block_joins(structure)
-    passes = 2 if structure.imag.any() else 1
-    cost = passes * (_PAIR_COST * int(joins.sum()) + _BIN_COST * n ** 4) + _JOIN_SETUP
-    return cost < n ** 5 and int(joins.max()) <= _join_chunk(n)
-
-
 def _dense_gaps(structure: np.ndarray):
     """Yield block ``i``'s gap ``|(b_i b_j) b_k - b_i (b_j b_k)|``, flat over ``(j, k, l)``."""
     n = structure.shape[0]
@@ -248,64 +209,6 @@ def _dense_gaps(structure: np.ndarray):
         left = structure[i] @ rows    # [j, (k, l)]: (b_i b_j) b_k
         right = pairs @ structure[i]  # [(j, k), l]: b_i (b_j b_k)
         yield np.abs(left.reshape(-1) - right.reshape(-1))
-
-
-def _meet(keys: np.ndarray, order: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair ``(e, p)`` with ``keys[e]`` the key of entry ``p``, ``e`` ascending.
-
-    ``order`` lists the entries by key, stably; the entries with key ``m``
-    are ``order[bounds[m]:bounds[m + 1]]``.
-    """
-    lengths = bounds[keys + 1] - bounds[keys]
-    owner = np.repeat(np.arange(len(keys)), lengths)
-    offset = np.arange(owner.size) - (np.cumsum(lengths) - lengths)[owner]
-    return owner, order[bounds[keys][owner] + offset]
-
-
-def _sparse_gaps(structure: np.ndarray):
-    """Yield the same gaps as ``_dense_gaps`` from a join of the non-zeros.
-
-    The join is built for a run of blocks at a time, at most
-    ``_join_chunk(n)`` pairs; block ``i`` is the slice of pairs whose first
-    factor is a non-zero ``c[i, ., .]``, summed into ``n^3`` bins by
-    ``np.bincount``.
-    """
-    n = structure.shape[0]
-    flat = np.flatnonzero(structure)  # C order, so grouped by first index
-    values = structure.reshape(-1)[flat]
-    if not values.imag.any():
-        values = values.real
-    first, second, third = flat // (n * n), flat // n % n, flat % n
-    by_first = np.searchsorted(first, np.arange(n + 1))
-    by_third = np.argsort(third, kind="stable")
-    third_bounds = np.searchsorted(third[by_third], np.arange(n + 1))
-    pairs = np.diff(by_first)[third] + np.diff(third_bounds)[second]  # each non-zero's, as owner
-    done = np.concatenate(([0], np.cumsum(pairs)))[by_first]  # pairs before block i
-
-    def sums(target, weight):
-        if weight.dtype.kind != "c":
-            return np.bincount(target, weight, minlength=n ** 3)
-        bins = np.empty(n ** 3, dtype=complex)
-        bins.real = np.bincount(target, weight.real, minlength=n ** 3)
-        bins.imag = np.bincount(target, weight.imag, minlength=n ** 3)
-        return bins
-
-    lo = 0
-    while lo < n:  # blocks lo..hi-1 join together; _join_pays keeps each block within a chunk
-        hi = max(lo + 1, int(np.searchsorted(done, done[lo] + _join_chunk(n), side="right")) - 1)
-        owners = slice(by_first[lo], by_first[hi])
-        owner, partner = _meet(third[owners], np.arange(len(flat)), by_first)
-        owner += owners.start  # c[i, j, m] c[m, k, l] lands on (j, k, l)
-        left = (second[owner] * (n * n) + flat[partner] % (n * n), values[owner] * values[partner])
-        owner_r, partner_r = _meet(second[owners], by_third, third_bounds)
-        owner_r += owners.start  # c[i, m, l] c[j, k, m] lands on (j, k, l)
-        right = (flat[partner_r] // n * n + third[owner_r], values[partner_r] * values[owner_r])
-        left_cut = np.searchsorted(owner, by_first[lo:hi + 1])
-        right_cut = np.searchsorted(owner_r, by_first[lo:hi + 1])
-        for b in range(hi - lo):
-            yield np.abs(sums(*(side[left_cut[b]:left_cut[b + 1]] for side in left))
-                         - sums(*(side[right_cut[b]:right_cut[b + 1]] for side in right)))
-        lo = hi
 
 
 def _table_gap(structure: np.ndarray) -> float | None:
@@ -348,61 +251,25 @@ def _associativity_check(structure: np.ndarray, eps: float) -> None:
     dense sum then has one non-zero term, so the table's gaps are the dense
     kernel's, bit for bit.  A table that fails, a complex table and every
     other tensor go on to the fold below, which finds the violation's
-    residual and quadruple as before.  Best of 15, one BLAS thread, each in a
-    permuted basis (the fold as the cost rule picks it):
+    residual and quadruple.  ``_dense_gaps`` yields each block's ``n^3``
+    gap, one ``i`` at a time, with two matrix products: ``n^5``
+    multiply-adds in all, and memory stays O(n^3).  The worst gap and its
+    first ``(i, j, k, l)`` in C order are those of the full ``n^4``
+    comparison.  Best of 15, one BLAS thread, each in a permuted basis
+    (2-CPU Xeon, numpy 2.4.6):
 
         tensor     table     fold
-        C[Z64]     3.2 ms    86 ms
-        C[Z48]     1.8 ms    17 ms
-        M_6        1.1 ms    4.2 ms
-        C[Z16]     0.23 ms   0.76 ms
-
-    Two kernels yield each block's ``n^3`` gap, one ``i`` at a time, and
-    memory stays O(n^3).
-    ``_dense_gaps`` does two matrix products per block, ``n^5``
-    multiply-adds in all.  ``_sparse_gaps`` pairs the non-zeros that meet
-    (the coordinate join of Kjolstad et al., "The Tensor Algebra Compiler"),
-    at most ``_join_chunk(n)`` pairs at a time, and sums their products with
-    ``np.bincount``.  ``_join_pays`` picks one per call from exact counts:
-    the join iff ``p (40 join + 4 n^4) + 2**17 < n^5``, with ``p`` 2 for
-    complex entries and 1 for real ones, and only while every block's join
-    fits in a chunk; never for n <= 10.  The weights were fitted on both
-    kernels' times for group and matrix algebras, random tensors of density
-    1% to 60% (n = 12 to 64, real and complex) and sums of dense blocks, best
-    of 10 or more (2-CPU Xeon, numpy 2.4.6, OpenBLAS on one thread):
-
-        tensor               join     dense     sparse    rule
-        C[Z64]               5.2e5    510 ms    76 ms     sparse
-        C[Z48]               2.2e5    136 ms    17 ms     sparse
-        M_6                  2.6e3    31 ms     3.6 ms    sparse
-        C[Z16]               8.2e3    1.13 ms   0.73 ms   sparse
-        C[Z13]               4.4e3    0.57 ms   0.50 ms   dense
-        C[Z11]               2.7e3    0.36 ms   0.39 ms   dense
-        n=64, 1% real        2.1e5    454 ms    52 ms     sparse
-        n=64, 1% complex     2.1e5    492 ms    180 ms    sparse
-        n=64, 6% real        7.6e6    407 ms    184 ms    sparse
-        n=64, 6% complex     7.6e6    388 ms    419 ms    sparse
-        n=64, 10% real       2.2e7    477 ms    515 ms    dense
-        n=64, 10% complex    2.2e7    362 ms    869 ms    dense
-        n=16, 60% real       7.5e5    0.82 ms   13 ms     dense
-        dense C32 + C32      1.3e8    466 ms    4.9 s     dense
-
-    In two runs of the 115-tensor sweep, every join the rule picked took at
-    most 1.12 times the dense kernel's time; where it kept the dense kernel,
-    the join would at best have taken 0.6 times as long (n = 16, 10% real,
-    under a millisecond).  Both kernels feed one fold, so the worst gap and
-    its first ``(i, j, k, l)`` in C order are those of the full ``n^4``
-    comparison.  The join adds in another order: on integer entries every
-    sum is exact and both kernels agree bit for bit, but on other entries
-    the gaps, and so a violation's residual, may differ in the last bits.
+        C[Z64]     5.3 ms    550 ms
+        C[Z48]     1.8 ms    119 ms
+        M_6        1.2 ms    28 ms
+        C[Z16]     0.25 ms   0.85 ms
     """
     worst = _table_gap(structure)
     if worst is not None and worst <= eps:
         return
     n = structure.shape[0]
-    gaps = _sparse_gaps(structure) if _join_pays(structure) else _dense_gaps(structure)
     worst, where = 0.0, None
-    for i, gap in enumerate(gaps):
+    for i, gap in enumerate(_dense_gaps(structure)):
         flat = int(np.argmax(gap))  # the first NaN, when there is one
         largest = math.inf if np.isnan(gap[flat]) else float(gap[flat])  # overflow violates
         if largest > worst:  # strict: an earlier i keeps a tie
@@ -448,7 +315,8 @@ def _find_identity(structure: np.ndarray, eps: float) -> np.ndarray | None:
             return as_complex(e)
     except np.linalg.LinAlgError:  # a singular Gram matrix
         pass
-    e, residual = solve_exact(system, target)
+    with np.errstate(all="ignore"):  # likewise for lstsq on subnormal constants
+        e, residual = solve_exact(system, target)
     return e if residual <= eps else None
 
 
@@ -539,7 +407,7 @@ def function_algebra(n: int, *, norm_kind: str = NORM_ELL1) -> Algebra:
     return make_algebra(n, structure, labels, declared_identity=np.ones(n), norm_kind=norm_kind)
 
 
-def matrix_algebra(n: int, *, norm_kind: str = NORM_ELL1) -> Algebra:
+def matrix_algebra(n: int) -> Algebra:
     """Full matrix algebra M_n in the matrix-unit basis E_ij (row-major)."""
     dim = n * n
     structure = np.zeros((dim, dim, dim), dtype=complex)
@@ -552,7 +420,7 @@ def matrix_algebra(n: int, *, norm_kind: str = NORM_ELL1) -> Algebra:
     identity = np.zeros(dim, dtype=complex)
     for i in range(n):
         identity[idx(i, i)] = 1.0
-    return make_algebra(dim, structure, labels, declared_identity=identity, norm_kind=norm_kind)
+    return make_algebra(dim, structure, labels, declared_identity=identity)
 
 
 @dataclass(frozen=True)
@@ -607,8 +475,7 @@ def verify_group_table(table) -> GroupTable:
     return GroupTable(table=table, identity=identity, inverse=inverse)
 
 
-def group_algebra(group: GroupTable, labels: Sequence[str] | None = None, *,
-                  norm_kind: str = NORM_ELL1) -> Algebra:
+def group_algebra(group: GroupTable, labels: Sequence[str] | None = None) -> Algebra:
     """Group algebra C[G] of a verified multiplication table."""
     n = len(group.table)
     if labels is None:
@@ -616,8 +483,7 @@ def group_algebra(group: GroupTable, labels: Sequence[str] | None = None, *,
         labels[group.identity] = "e"
     identity = np.zeros(n, dtype=complex)
     identity[group.identity] = 1.0
-    return make_algebra(n, group.structure(), labels, declared_identity=identity,
-                        norm_kind=norm_kind)
+    return make_algebra(n, group.structure(), labels, declared_identity=identity)
 
 
 def cyclic_group_table(n: int) -> GroupTable:
@@ -648,20 +514,13 @@ def opposite_algebra(a: Algebra) -> Algebra:
 # subspace analysis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubspaceFlags:
-    is_subalgebra: bool
-    is_left_ideal: bool
-    is_right_ideal: bool
-
-
 def _pair_products(algebra: Algebra, cols: np.ndarray) -> np.ndarray:
     """``u . v`` for every ordered pair of columns, as columns in ``(u, v)`` order."""
     n, m = cols.shape
     return column_products(algebra.structure, cols, cols).transpose(2, 0, 1).reshape(n, m * m)
 
 
-def _action_escapes(algebra: Algebra, s: Subspace, tol: float) -> np.ndarray:
+def _action_escapes(algebra: Algebra, s: Subspace) -> np.ndarray:
     """Which products of the basis with ``s`` leave ``s``.
 
     Entry ``[i, j, 0]`` flags ``b_i . s_j`` and ``[i, j, 1]`` flags
@@ -672,16 +531,7 @@ def _action_escapes(algebra: Algebra, s: Subspace, tol: float) -> np.ndarray:
     n, m = cols.shape
     actions = np.stack([np.einsum("aj,iak->ijk", cols, algebra.structure),
                         np.einsum("aj,aik->ijk", cols, algebra.structure)], axis=2)
-    return s.residuals(actions.reshape(-1, n).T).reshape(n, m, 2) > tol
-
-
-def analyze_subspace(algebra: Algebra, s: Subspace, tol: float = EPS) -> SubspaceFlags:
-    """Decide subalgebra / left ideal / right ideal by basis products."""
-    products = _pair_products(algebra, s.canonical_columns())
-    escapes = _action_escapes(algebra, s, tol)
-    return SubspaceFlags(is_subalgebra=bool(np.all(s.residuals(products) <= tol)),
-                         is_left_ideal=not escapes[:, :, 0].any(),   # A . S subset S
-                         is_right_ideal=not escapes[:, :, 1].any())  # S . A subset S
+    return s.residuals(actions.reshape(-1, n).T).reshape(n, m, 2) > EPS
 
 
 def subalgebra_closure(algebra: Algebra, generators: Iterable) -> Subspace:
@@ -704,8 +554,8 @@ def subalgebra_closure(algebra: Algebra, generators: Iterable) -> Subspace:
         current = grown
 
 
-def induced_subalgebra(algebra: Algebra, s: Subspace, *, eps: float = EPS,
-                       labels: Sequence[str] | None = None) -> tuple[Algebra, np.ndarray]:
+def induced_subalgebra(algebra: Algebra, s: Subspace, *,
+                       eps: float = EPS) -> tuple[Algebra, np.ndarray]:
     """Algebra structure on a multiplicatively closed subspace.
 
     Returns the induced algebra on the canonical echelon basis of ``s``
@@ -721,13 +571,12 @@ def induced_subalgebra(algebra: Algebra, s: Subspace, *, eps: float = EPS,
     certify(residual, eps, "closure under multiplication",
             "a product of basis vectors escapes the subspace (residual {residual:.3e})")
     structure = coeffs.reshape(k, k, k).transpose(1, 2, 0)
-    if labels is None:
-        labels = [algebra.basis_labels[p] for p in s.pivots]
+    labels = [algebra.basis_labels[p] for p in s.pivots]
     sub = make_algebra(k, structure, labels, norm_kind=algebra.norm_kind, eps=eps)
     return sub, q
 
 
-def quotient(algebra: Algebra, s: Subspace, tol: float = EPS):
+def quotient(algebra: Algebra, s: Subspace):
     """Quotient by a two-sided ideal, with the certified quotient map.
 
     The complement is spanned by the coordinates that are not pivots of
@@ -736,7 +585,7 @@ def quotient(algebra: Algebra, s: Subspace, tol: float = EPS):
     """
     from .starmap import make_map  # deferred: starmap imports algebra
 
-    escapes = _action_escapes(algebra, s, tol)
+    escapes = _action_escapes(algebra, s)
     if escapes.any():
         i, j, side = np.unravel_index(int(np.argmax(escapes)), escapes.shape)
         witness = f"b_{i} . s_{j}" if side == 0 else f"s_{j} . b_{i}"
@@ -761,7 +610,7 @@ def quotient(algebra: Algebra, s: Subspace, tol: float = EPS):
     # certify q(xy) = q(x)q(y) on all basis pairs
     lhs = q_matrix @ algebra.structure.reshape(n * n, n).T
     rhs = column_products(structure, q_matrix, q_matrix).transpose(2, 0, 1).reshape(k, n * n)
-    certify(max_abs(lhs - rhs), tol, "q(xy) = q(x) q(y)",
+    certify(max_abs(lhs - rhs), EPS, "q(xy) = q(x) q(y)",
             "quotient map fails multiplicativity (residual {residual:.3e})")
     return quot, qmap
 

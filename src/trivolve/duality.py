@@ -26,13 +26,11 @@ import numpy as np
 
 from .algebra import (
     Algebra,
-    Element,
     GroupTable,
     Subspace,
     is_commutative,
     left_mult_matrix,
     make_algebra,
-    right_mult_matrix,
     same_structure,
 )
 from .errors import CertificationFailure, UsageError, certify
@@ -65,19 +63,6 @@ class Character(DualVector):
     """Nonzero multiplicative functional; certified at construction."""
 
     residual: float = 0.0
-
-
-def dual_action(algebra: Algebra, lam, a: Element, side: str) -> DualVector:
-    """Module actions on the dual: ``<lam.a, b> = <lam, ab>``, ``<a.lam, b> = <lam, ba>``.
-
-    ``side="right"`` computes ``lam . a``; ``side="left"`` computes ``a . lam``.
-    """
-    coords = getattr(lam, "coords", lam)
-    if side == "right":
-        return DualVector(left_mult_matrix(algebra, a).T @ coords, algebra)
-    if side == "left":
-        return DualVector(right_mult_matrix(algebra, a).T @ coords, algebra)
-    raise UsageError(f"unknown action side {side!r}")
 
 
 def verify_character(algebra: Algebra, coords, eps: float = EPS) -> Character:

@@ -52,7 +52,7 @@ def max_abs(a) -> float:
     return math.inf if math.isnan(worst) else worst
 
 
-def rref_rows(mat: np.ndarray, tol: float = EPS_RANK) -> tuple[np.ndarray, list[int]]:
+def rref_rows(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form with partial pivoting by magnitude.
 
     Returns the reduced matrix and the list of pivot column indices.
@@ -67,7 +67,7 @@ def rref_rows(mat: np.ndarray, tol: float = EPS_RANK) -> tuple[np.ndarray, list[
         if r >= rows:
             break
         i = r + int(np.argmax(np.abs(a[r:, c])))
-        if abs(a[i, c]) <= tol:
+        if abs(a[i, c]) <= EPS_RANK:
             continue
         if i != r:
             a[[r, i]] = a[[i, r]]
@@ -80,9 +80,9 @@ def rref_rows(mat: np.ndarray, tol: float = EPS_RANK) -> tuple[np.ndarray, list[
     return a, pivots
 
 
-def echelon_rows(vectors: np.ndarray, tol: float = EPS_RANK) -> tuple[np.ndarray, list[int]]:
+def echelon_rows(vectors: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Canonical spanning set (as rows) for the row space of ``vectors``."""
-    reduced, pivots = rref_rows(vectors, tol)
+    reduced, pivots = rref_rows(vectors)
     return reduced[: len(pivots)], pivots
 
 
@@ -148,7 +148,7 @@ def solve_exact(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return x, max_abs(a @ x - b)
 
 
-def realify_conjugation_fixed_points(m: np.ndarray, tol: float = EPS_RANK) -> np.ndarray:
+def realify_conjugation_fixed_points(m: np.ndarray) -> np.ndarray:
     """Complex basis columns of ``{x : m @ conj(x) = x}``.
 
     The fixed-point set of a conjugate-linear map is only a *real*
@@ -162,7 +162,7 @@ def realify_conjugation_fixed_points(m: np.ndarray, tol: float = EPS_RANK) -> np
     top = np.hstack([p - np.eye(n), q])
     bot = np.hstack([q, -p - np.eye(n)])
     system = np.vstack([top, bot]).astype(float)
-    _, real_basis, _, _ = column_space_and_nullspace(system, tol)
+    _, real_basis, _, _ = column_space_and_nullspace(system)
     if real_basis.shape[1] == 0:
         return np.zeros((n, 0), dtype=complex)
     return real_basis[:n, :] + 1j * real_basis[n:, :]

@@ -83,7 +83,7 @@ class SpectralInclusionReport:
 
 
 def verify_spectral_inclusion(algebra: Algebra, tau: AlgMap, x: Element,
-                              tol: float = SPECTRUM_TOL, eps: float = EPS,
+                              eps: float = EPS,
                               eps_rank: float = EPS_RANK) -> SpectralInclusionReport:
     """Match the range spectrum of ``tau(x)`` into the conjugated spectrum of ``x``.
 
@@ -127,7 +127,7 @@ def verify_spectral_inclusion(algebra: Algebra, tau: AlgMap, x: Element,
         spectrum_in_algebra=spec_a,
         spectrum_in_range=spec_b,
         max_mismatch=max_mismatch,
-        included=max_mismatch <= tol,
+        included=max_mismatch <= SPECTRUM_TOL,
         inverse_checked=inverse_checked,
         inverse_residual=inverse_residual,
         residuals={"range_restriction": restrict_residual},

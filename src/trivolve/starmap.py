@@ -95,12 +95,6 @@ def power(f: AlgMap, n: int) -> AlgMap:
     return out
 
 
-def maps_equal(f: AlgMap, g: AlgMap, tol: float = EPS) -> bool:
-    return (f.conjugating == g.conjugating
-            and f.matrix.shape == g.matrix.shape
-            and max_abs(f.matrix - g.matrix) <= tol)
-
-
 @dataclass(frozen=True)
 class MultiplicativityFlags:
     homomorphism: bool

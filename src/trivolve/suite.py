@@ -44,6 +44,7 @@ from .trivolution import (
     classify_star_map,
     element_classes,
     factor_through_involution,
+    hermitian_decomposition,
     hermitian_functional_check,
     right_identity_trivolution,
 )
@@ -284,6 +285,14 @@ def _section_misc_laws(battery: list[TrivolutionInstance], seed: int) -> dict:
     algebra, tau = remark_pair()
     ok &= hermitian_functional_check(algebra, tau, [1.0, 0.0]).is_hermitian
     ok &= not hermitian_functional_check(algebra, tau, [1.0, 1.0]).is_hermitian
+
+    # each x in tau(A) is x1 + i x2 with x1, x2 hermitian, and the pair is unique
+    for inst in _sample(battery, 8):
+        x = apply(inst.tau, inst.algebra.element(np.ones(inst.algebra.dim)))
+        try:
+            hermitian_decomposition(inst.algebra, inst.tau, x)
+        except CertificationFailure:
+            ok = False
 
     return {"name": "misc_laws", "max_residual": worst,
             "passed": bool(ok) and worst <= 1e-8}

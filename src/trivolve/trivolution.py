@@ -392,8 +392,7 @@ def check_trivolutive_hom(a1: Algebra, tau1: AlgMap, a2: Algebra, tau2: AlgMap,
 # ---------------------------------------------------------------------------
 
 def right_identity_trivolution(c: Algebra, e: Element, a_sub: Subspace,
-                               tau_on_a: AlgMap, eps: float = EPS,
-                               eps_rank: float = EPS_RANK) -> AlgMap:
+                               tau_on_a: AlgMap) -> AlgMap:
     """Extend a trivolution on ``eC`` to all of ``C`` via left multiplication.
 
     ``e`` must be a right identity of ``C`` and ``a_sub`` must equal the
@@ -401,30 +400,30 @@ def right_identity_trivolution(c: Algebra, e: Element, a_sub: Subspace,
     that subalgebra.  Returns ``tau1 = tau o ell_e`` with the trivolution
     axioms and the range identity certified.
     """
-    certify(max_abs(right_mult_matrix(c, e) - np.eye(c.dim)), eps, "x e = x",
+    certify(max_abs(right_mult_matrix(c, e) - np.eye(c.dim)), EPS, "x e = x",
             "e is not a right identity (residual {residual:.3e})")
     l_e = left_mult_matrix(c, e)
-    if not Subspace(l_e, c).same_span(a_sub, eps):
+    if not Subspace(l_e, c).same_span(a_sub):
         raise CertificationFailure("a_sub differs from eC", law="A = eC")
-    sub_alg, embedding = induced_subalgebra(c, a_sub, eps=eps)
-    if not algebras_compatible(tau_on_a.source, sub_alg, eps):
+    sub_alg, embedding = induced_subalgebra(c, a_sub)
+    if not algebras_compatible(tau_on_a.source, sub_alg):
         raise UsageError("tau_on_a is not defined on the induced algebra of a_sub")
-    inner_verdict = classify_star_map(sub_alg, tau_on_a, eps, eps_rank)
+    inner_verdict = classify_star_map(sub_alg, tau_on_a)
     if not inner_verdict.is_trivolution:
         raise CertificationFailure("tau_on_a is not a trivolution on eC",
                                    law="trivolution axioms on the subalgebra")
 
     tau1 = _rho_after_p(c, embedding, l_e, tau_on_a.matrix)
-    verdict = classify_star_map(c, tau1, eps, eps_rank)
+    verdict = classify_star_map(c, tau1)
     if not verdict.is_trivolution:
         raise CertificationFailure("tau o ell_e failed the trivolution axioms",
                                    law="tau1 = tau o ell_e is a trivolution",
                                    residual=verdict.residual)
-    _, tau1_image = kernel_image(tau1, eps_rank)
-    _, inner_image = kernel_image(tau_on_a, eps_rank)
+    _, tau1_image = kernel_image(tau1)
+    _, inner_image = kernel_image(tau_on_a)
     embedded = Subspace(embedding @ inner_image.basis if inner_image.dim else
                         np.zeros((c.dim, 0)), c)
-    if not tau1_image.same_span(embedded, eps):
+    if not tau1_image.same_span(embedded):
         raise CertificationFailure("range of the extension differs from the range of tau",
                                    law="tau1(C) = tau(A)")
     return tau1
@@ -444,8 +443,7 @@ class ElementFlags:
 
 
 def element_classes(algebra: Algebra, tau: AlgMap, x: Element,
-                    positive_witness: Element | None = None,
-                    eps: float = EPS) -> ElementFlags:
+                    positive_witness: Element | None = None) -> ElementFlags:
     """Hermitian / normal / projection / unitary flags for an element.
 
     The unitary flag needs an identity; it is reported False on
@@ -454,67 +452,65 @@ def element_classes(algebra: Algebra, tau: AlgMap, x: Element,
     """
     tx = apply(tau, x)
     t2x = apply(tau, tx)
-    hermitian = max_abs(tx.coords - x.coords) <= eps
+    hermitian = max_abs(tx.coords - x.coords) <= EPS
     xt = multiply(algebra, x, tx)
     tx_x = multiply(algebra, tx, x)
     xt2 = multiply(algebra, x, t2x)
     t2x_x = multiply(algebra, t2x, x)
-    normal = (max_abs(xt.coords - tx_x.coords) <= eps
-              and max_abs(xt2.coords - t2x_x.coords) <= eps)
+    normal = (max_abs(xt.coords - tx_x.coords) <= EPS
+              and max_abs(xt2.coords - t2x_x.coords) <= EPS)
     x_squared = multiply(algebra, x, x)
-    projection = hermitian and max_abs(x_squared.coords - x.coords) <= eps
+    projection = hermitian and max_abs(x_squared.coords - x.coords) <= EPS
     unitary = False
     if algebra.is_unital():
         e = algebra.identity_coords
-        unitary = (max_abs(xt.coords - e) <= eps and max_abs(tx_x.coords - e) <= eps)
+        unitary = (max_abs(xt.coords - e) <= EPS and max_abs(tx_x.coords - e) <= EPS)
     witness = None
-    if positive_witness is not None and check_positive(algebra, tau, x, positive_witness, eps):
+    if positive_witness is not None and check_positive(algebra, tau, x, positive_witness):
         witness = positive_witness
     return ElementFlags(hermitian=hermitian, normal=normal, projection=projection,
                         unitary=unitary, positive_witness=witness)
 
 
-def check_positive(algebra: Algebra, tau: AlgMap, x: Element, y: Element,
-                   eps: float = EPS) -> bool:
+def check_positive(algebra: Algebra, tau: AlgMap, x: Element, y: Element) -> bool:
     """True iff ``x`` is hermitian and ``x = tau(y) y`` for the witness ``y``."""
     tx = apply(tau, x)
-    if max_abs(tx.coords - x.coords) > eps:
+    if max_abs(tx.coords - x.coords) > EPS:
         return False
     ty_y = multiply(algebra, apply(tau, y), y)
-    return max_abs(x.coords - ty_y.coords) <= eps
+    return max_abs(x.coords - ty_y.coords) <= EPS
 
 
-def hermitian_decomposition(algebra: Algebra, tau: AlgMap, x: Element,
-                            eps: float = EPS,
-                            eps_rank: float = EPS_RANK) -> tuple[Element, Element]:
+def hermitian_decomposition(algebra: Algebra, tau: AlgMap,
+                            x: Element) -> tuple[Element, Element]:
     """Write ``x = x1 + i x2`` with both parts hermitian.
 
     Possible exactly when ``x`` lies in the range of the map; uniqueness
     is certified by solving for every hermitian pair summing to ``x``
     and checking the solution set is a single point.
     """
-    kernel, image = kernel_image(tau, eps_rank)
-    certify(image.residual(x.coords), eps, "x in tau(A)",
+    kernel, image = kernel_image(tau)
+    certify(image.residual(x.coords), EPS, "x in tau(A)",
             "element is outside the range (residual {residual:.3e})")
     tx = apply(tau, x)
     x1 = Element((x.coords + tx.coords) / 2.0, algebra)
     x2 = Element((x.coords - tx.coords) / 2.0j, algebra)
     for part in (x1, x2):
-        certify(max_abs(apply(tau, part).coords - part.coords), eps,
+        certify(max_abs(apply(tau, part).coords - part.coords), EPS,
                 "tau(x1) = x1, tau(x2) = x2", "computed part is not hermitian")
-    certify(max_abs(x1.coords + 1j * x2.coords - x.coords), eps, "x = x1 + i x2",
+    certify(max_abs(x1.coords + 1j * x2.coords - x.coords), EPS, "x = x1 + i x2",
             "parts do not sum back to the element")
 
     # uniqueness: solve H a + i H b = x over real coefficients and compare
-    h = realify_conjugation_fixed_points(tau.matrix, eps_rank)  # spans the hermitians over R
+    h = realify_conjugation_fixed_points(tau.matrix)  # spans the hermitians over R
     if h.shape[1]:
         top = np.hstack([h.real, -h.imag])
         bot = np.hstack([h.imag, h.real])
         system = np.vstack([top, bot]).astype(float)
         target = np.concatenate([x.coords.real, x.coords.imag])
-        _, kernel, coeffs, residual = column_space_and_nullspace(system, eps_rank, target)
+        _, kernel, coeffs, residual = column_space_and_nullspace(system, EPS_RANK, target)
         null_dim = kernel.shape[1]
-        if residual > 1e3 * eps or null_dim != 0:
+        if residual > 1e3 * EPS or null_dim != 0:
             raise CertificationFailure("hermitian pair is not unique",
                                        law="uniqueness of x = x1 + i x2",
                                        residual=float(residual),
@@ -522,7 +518,7 @@ def hermitian_decomposition(algebra: Algebra, tau: AlgMap, x: Element,
         half = h.shape[1]
         alt1 = h @ coeffs[:half]
         alt2 = h @ coeffs[half:]
-        certify(max(max_abs(alt1 - x1.coords), max_abs(alt2 - x2.coords)), 1e3 * eps,
+        certify(max(max_abs(alt1 - x1.coords), max_abs(alt2 - x2.coords)), 1e3 * EPS,
                 "uniqueness of x = x1 + i x2", "alternative hermitian pair differs")
     return x1, x2
 
@@ -535,9 +531,8 @@ class HermitianFunctionalReport:
     max_on_kernel: float
 
 
-def hermitian_functional_check(algebra: Algebra, tau: AlgMap, f_coords,
-                               eps: float = EPS,
-                               eps_rank: float = EPS_RANK) -> HermitianFunctionalReport:
+def hermitian_functional_check(algebra: Algebra, tau: AlgMap,
+                               f_coords) -> HermitianFunctionalReport:
     """Decide whether a functional is hermitian, two independent ways.
 
     Primary test: the conjugate-linear adjoint fixes ``f``.  Cross-check:
@@ -552,13 +547,13 @@ def hermitian_functional_check(algebra: Algebra, tau: AlgMap, f_coords,
         raise UsageError("a hermitian functional needs a conjugate-linear map")
     f_tau = adjoint(tau).matrix @ np.conj(f)
     adjoint_residual = max_abs(f_tau - f)
-    primary = adjoint_residual <= eps
+    primary = adjoint_residual <= EPS
 
-    h = realify_conjugation_fixed_points(tau.matrix, eps_rank)
+    h = realify_conjugation_fixed_points(tau.matrix)
     max_imag = max((abs(float((f @ col).imag)) for col in h.T), default=0.0)
-    kernel, _ = kernel_image(tau, eps_rank)
+    kernel, _ = kernel_image(tau)
     max_kernel = max((abs(complex(f @ col)) for col in kernel.basis.T), default=0.0)
-    secondary = max_imag <= eps and max_kernel <= eps
+    secondary = max_imag <= EPS and max_kernel <= EPS
 
     if primary != secondary:
         raise CertificationFailure(

@@ -27,7 +27,7 @@ from .algebra import (
     right_mult_matrix,
     is_commutative,
 )
-from .errors import CertificationFailure, UsageError, certify
+from .errors import CertificationFailure, UsageError
 from .linalg import (
     EPS,
     EPS_RANK,
@@ -137,24 +137,6 @@ def verify_extension(algebra: Algebra, tau: AlgMap, lambda0: complex, x0,
     return ExtensionSpec(lambda0=lambda0, x0=x0, family=family,
                          contractive=norm <= 1.0 + eps, norm_of_extension=norm,
                          best_effort=norm_is_sampled(tau), residuals=residuals)
-
-
-def unitize_with_trivolution(algebra: Algebra, tau: AlgMap,
-                             ext: ExtensionSpec, eps: float = EPS,
-                             eps_rank: float = EPS_RANK) -> tuple[Algebra, AlgMap]:
-    """Build ``(A#, t#)`` for a verified extension and certify it restricts.
-
-    ``t#`` is a trivolution: ``verify_extension`` certified that for any admissible family.
-    """
-    checked = verify_extension(algebra, tau, ext.lambda0, ext.x0, eps, eps_rank,
-                               e_b=range_identity(algebra, tau, eps, eps_rank))
-    if checked.family == FAMILY_INVALID:
-        raise CertificationFailure("candidate (lambda0, x0) is not an admissible extension",
-                                   law="family I or II conditions")
-    sharp, tau_sharp = extension_map(algebra, tau, ext.lambda0, ext.x0)
-    certify(max_abs(tau_sharp.matrix[1:, 1:] - tau.matrix) + max_abs(tau_sharp.matrix[0, 1:]),
-            eps, "t#(0, x) = (0, t(x))", "extension does not restrict to the original map")
-    return sharp, tau_sharp
 
 
 @dataclass(frozen=True)
@@ -293,8 +275,7 @@ class ContractiveExtensions:
     excluded: list[ExtensionSpec]
 
 
-def contractive_extensions(algebra: Algebra, tau: AlgMap, *, seed: int = 0,
-                           eps: float = EPS, eps_rank: float = EPS_RANK) -> ContractiveExtensions:
+def contractive_extensions(algebra: Algebra, tau: AlgMap) -> ContractiveExtensions:
     """Extensions of norm one under the unitization norm ``|l| + ||x||``.
 
     Exactly the canonical extension survives from family I, plus the
@@ -303,21 +284,21 @@ def contractive_extensions(algebra: Algebra, tau: AlgMap, *, seed: int = 0,
     and reported in ``excluded``.
     """
     tau_norm = map_norm(tau)
-    if tau_norm > 1.0 + eps:
+    if tau_norm > 1.0 + EPS:
         raise CertificationFailure(f"the map itself has norm {tau_norm:.6f} > 1",
                                    law="||tau|| <= 1", residual=tau_norm - 1.0)
-    e_b = range_identity(algebra, tau, eps, eps_rank)
-    included = [verify_extension(algebra, tau, 1.0, algebra.zero(), eps, eps_rank, e_b=e_b)]
+    e_b = range_identity(algebra, tau)
+    included = [verify_extension(algebra, tau, 1.0, algebra.zero(), e_b=e_b)]
     if e_b is not None:
-        type2 = verify_extension(algebra, tau, 0.0, e_b, eps, eps_rank, e_b=e_b)
+        type2 = verify_extension(algebra, tau, 0.0, e_b, e_b=e_b)
         if type2.family == FAMILY_TYPE_II and type2.contractive:
             included.append(type2)
 
     excluded = []
-    for spec in find_type1_solutions(algebra, tau, seed=seed, eps=eps, eps_rank=eps_rank).specs:
-        if max_abs(spec.x0.coords) <= eps:
+    for spec in find_type1_solutions(algebra, tau).specs:
+        if max_abs(spec.x0.coords) <= EPS:
             continue
-        if spec.norm_of_extension <= 1.0 + eps:
+        if spec.norm_of_extension <= 1.0 + EPS:
             raise CertificationFailure(
                 "a non-canonical family-I extension certified as contractive",
                 law="contractive family-I extensions have x0 = 0",

@@ -20,6 +20,18 @@ from trivolve.instances import (
 from trivolve.starmap import make_map
 
 
+def pytest_collection_modifyitems(items):
+    """Let a failing Hypothesis test report its failure under ``-W error::DeprecationWarning``.
+
+    Hypothesis then writes a patch with ``libcst``, whose ``mypy_extensions``
+    import warns; raised, that warning ends the run in an ``INTERNALERROR``.
+    A mark on the item outranks ``-W``, which an ini ``filterwarnings`` does not.
+    """
+    for item in items:
+        item.add_marker(pytest.mark.filterwarnings(
+            "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"))
+
+
 @pytest.fixture(scope="session")
 def c2():
     return function_algebra(2)

@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 from trivolve import algebra
 from trivolve.algebra import (
     _associativity_check,
-    _block_joins,
     _dense_gaps,
-    _join_pays,
-    _sparse_gaps,
     _table_gap,
     cyclic_group_table,
     group_algebra,
@@ -104,16 +101,25 @@ def test_associativity_memory_stays_below_one_n4_array():
     assert peak < one_n4_array
 
 
-def outcome(c, sparse):
-    """``make_algebra``'s verdict on ``c`` with the cost rule forced to one kernel."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(algebra, "_join_pays", lambda structure: sparse)
-        try:
-            make_algebra(c.shape[0], c)
-        except CertificationFailure as exc:
-            assert exc.law == ASSOCIATIVITY
-            return str(exc), exc.residual, exc.details["quadruple"]
+def outcome(c):
+    """``make_algebra``'s verdict on ``c``: None, or the violation's text, residual and quadruple."""
+    try:
+        make_algebra(c.shape[0], c)
+    except CertificationFailure as exc:
+        assert exc.law == ASSOCIATIVITY
+        return str(exc), exc.residual, exc.details["quadruple"]
     return None
+
+
+def fold_outcome(c):
+    """``outcome`` of the dense fold alone: the table path declines every tensor."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_table_gap", lambda structure: None)
+        return outcome(c)
+
+
+def dense_worst(c):
+    return max(float(gap.max()) for gap in _dense_gaps(c))
 
 
 ENTRY_KINDS = {
@@ -141,28 +147,32 @@ def fill(n, drawn):
 
 @pytest.mark.parametrize("kind", ENTRY_KINDS)
 def test_kernels_agree_on_sparse_tensors(kind):
+    # where the table kernel takes a sparse tensor (a real product table), its
+    # worst gap is the dense kernel's, bit for bit; every verdict is the fold's
+    tables = []
+
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(sparse_tensors(ENTRY_KINDS[kind]))
     def check(c):
-        a = np.abs(c)
-        bound = max(1.0, np.einsum("ijm,mkl->ijkl", a, a).max())
-        for dense, sparse in zip(_dense_gaps(c), _sparse_gaps(c), strict=True):
-            if kind == "integer":  # every sum is exact
-                assert np.array_equal(sparse, dense)
-            else:
-                np.testing.assert_allclose(sparse, dense, rtol=1e-12, atol=1e-12 * bound)
-        if kind == "integer":
-            assert outcome(c, sparse=True) == outcome(c, sparse=False)
+        gap = _table_gap(c)
+        if gap is not None:
+            tables.append(c)
+            assert gap == dense_worst(c)
+        assert outcome(c) == fold_outcome(c)
     check()
+    assert tables or kind == "complex"
 
 
 def test_kernels_agree_on_overflow():
-    # every product overflows: both kernels report the first quadruple, with no residual
-    c = 1e200 * np.random.default_rng(0).standard_normal((3, 3, 3))
+    # b_1 b_j scaled by 1e200: some products of the table overflow, both kernels'
+    # worst gap is inf, and the fold reports the violation with no residual
+    c = cyclic_group_table(4).structure()
+    c[1] *= 1e200
     with np.errstate(over="ignore", invalid="ignore"):
-        dense, sparse = outcome(c, sparse=False), outcome(c, sparse=True)
-    assert dense == sparse
-    assert dense[1:] == (None, [0, 0, 0, 0])
+        assert _table_gap(c) == dense_worst(c) == np.inf
+        got = outcome(c)
+        assert got == fold_outcome(c)
+    assert got[1] is None
 
 
 def permuted(c, seed):
@@ -175,9 +185,7 @@ def permuted(c, seed):
                          ids=["C[Z64]", "M6"])
 def test_kernels_agree_in_a_permuted_basis(c):
     c = permuted(c, 5)
-    assert _join_pays(c)
-    for dense, sparse in zip(_dense_gaps(c), _sparse_gaps(c), strict=True):
-        assert np.array_equal(sparse, dense)
+    assert _table_gap(c) == dense_worst(c) == 0.0
     _associativity_check(c, EPS)
 
 
@@ -187,74 +195,11 @@ def test_perturbed_group_algebra_reports_the_dense_violation(non_zero, value):
     c = permuted(cyclic_group_table(64).structure(), 9)
     row = c[3, 5]  # g_3 g_5: one entry is 1, the rest 0
     row[np.flatnonzero((row != 0) == non_zero)[0]] = value
-    assert _join_pays(c)
     with pytest.raises(CertificationFailure) as info:
         make_algebra(64, c)
     assert info.value.law == ASSOCIATIVITY
     got = str(info.value), info.value.residual, info.value.details["quadruple"]
-    assert got == outcome(c, sparse=False)
-
-
-@pytest.mark.parametrize("n", range(1, 11))
-def test_cost_rule_keeps_small_tensors_dense(n):
-    assert not _join_pays(cyclic_group_table(n).structure())
-    assert not _join_pays(np.ones((n, n, n), dtype=complex))
-
-
-def test_cost_rule_keeps_a_dense_tensor_dense():
-    assert not _join_pays(np.random.default_rng(3).standard_normal((16, 16, 16)).astype(complex))
-
-
-def brute_force_joins(c):
-    """Per block i, the pairs of non-zeros the join forms, counted one at a time."""
-    nonzero, joins = c != 0, np.zeros(c.shape[0], dtype=int)
-    for i, j, m in np.argwhere(nonzero):
-        joins[i] += nonzero[m].sum()  # c[i, j, m] meets c[m, k, l]
-    for i, m, l in np.argwhere(nonzero):
-        joins[i] += nonzero[:, :, m].sum()  # c[i, m, l] meets c[j, k, m]
-    return joins
-
-
-@pytest.mark.parametrize("weight", [1, 1 + 1j], ids=["real", "complex"])
-def test_cost_rule_counts_every_pair(weight):
-    # at n = 16 the join pays up to a density of a few percent
-    n, verdicts = 16, set()
-    for density in (0.01, 0.05, 0.1, 0.3):
-        nonzero = np.random.default_rng(int(100 * density)).random((n, n, n)) < density
-        c = nonzero * weight
-        joins = brute_force_joins(c)
-        assert np.array_equal(_block_joins(c), joins)
-        passes = 2 if weight == 1 + 1j else 1
-        cost = passes * (algebra._PAIR_COST * joins.sum() + algebra._BIN_COST * n ** 4)
-        verdict = _join_pays(c)
-        assert verdict == (cost + algebra._JOIN_SETUP < n ** 5)
-        verdicts.add(verdict)
-    assert verdicts == {True, False}
-
-
-def test_cost_rule_keeps_one_heavy_block_dense():
-    # C[Z64] with b_0 b_j dense: the join as a whole pays, but block 0 would not fit in a chunk
-    c = cyclic_group_table(64).structure()
-    c[0] = 1
-    joins = _block_joins(c)
-    assert joins.max() > algebra._join_chunk(64)
-    assert algebra._PAIR_COST * joins.sum() + algebra._BIN_COST * 64 ** 4 + algebra._JOIN_SETUP < 64 ** 5
-    assert not _join_pays(c)
-
-
-def test_cost_rule_keeps_dense_blocks_dense():
-    # the direct sum of two dense 32-dimensional algebras: a join of about 1.3e8 pairs
-    c = dense_blocks()
-    assert _block_joins(c).sum() == 4 * 32 ** 5
-    assert not _join_pays(c)
-
-
-@pytest.mark.parametrize("c", [cyclic_group_table(64).structure(),
-                               cyclic_group_table(48).structure(),
-                               np.asarray(matrix_algebra(6).structure)],
-                         ids=["C[Z64]", "C[Z48]", "M6"])
-def test_cost_rule_joins_sparse_tensors(c):
-    assert _join_pays(c)
+    assert got == fold_outcome(c)
 
 
 def test_sparse_check_memory():
@@ -291,18 +236,6 @@ def test_dense_blocks_check_memory():
     c = dense_blocks()
     assert np.count_nonzero(c) == 2 * 32 ** 3
     assert peak_bytes(lambda: _associativity_check(c, EPS)) < 32 * 2 ** 20
-
-
-def test_join_memory_follows_the_chunk():
-    # about 1.6e6 pairs in all, none of the 32 blocks above 2**16: the join is built a chunk at a time
-    n = 32
-    rng = np.random.default_rng(15)
-    c = (rng.random((n, n, n)) < 0.15) * rng.standard_normal((n, n, n))
-    joins = _block_joins(c)
-    assert joins.max() <= algebra._join_chunk(n) < joins.sum() // 16
-    assert not _join_pays(c)  # the cost rule keeps it dense: the join takes about twice as long
-    one_n4_array = n ** 4 * np.dtype(complex).itemsize  # 16 MiB
-    assert peak_bytes(lambda: all(gap.size for gap in _sparse_gaps(c))) < one_n4_array
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +323,6 @@ def table_tensors(draw):
     return np.ascontiguousarray(c)
 
 
-def fold_outcome(c):
-    """``outcome`` of today's fold: the table path declines every tensor."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(algebra, "_table_gap", lambda structure: None)
-        return outcome(c, sparse=False)
-
-
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(table_tensors())
 def test_table_path_matches_the_dense_fold(c):
@@ -404,16 +330,15 @@ def test_table_path_matches_the_dense_fold(c):
     if c.imag.any():
         assert gap is None  # a complex table goes to the fold
     else:
-        dense = max(float(block.max()) for block in _dense_gaps(c))
-        assert gap == dense  # one non-zero term in each dense sum: the same bits
-    assert outcome(c, sparse=False) == fold_outcome(c)
+        assert gap == dense_worst(c)  # one non-zero term in each dense sum: the same bits
+    assert outcome(c) == fold_outcome(c)
 
 
 def test_table_path_declines_a_fibre_with_two_non_zeros():
     c = cyclic_group_table(5).structure()
     c[1, 2, 0] = 1e-20
     assert _table_gap(c) is None
-    assert outcome(c, sparse=False) == fold_outcome(c)
+    assert outcome(c) == fold_outcome(c)
 
 
 @pytest.mark.parametrize("non_zero, value", [(True, 1.25), (False, 0.5j)],
@@ -423,7 +348,7 @@ def test_a_failing_table_reports_the_fold_violation(non_zero, value):
     row = c[3, 5]
     row[np.flatnonzero((row != 0) == non_zero)[0]] = value
     assert (_table_gap(c) is None) == (not non_zero)
-    got = outcome(c, sparse=False)
+    got = outcome(c)
     assert got is not None and got == fold_outcome(c)
 
 
@@ -438,7 +363,7 @@ def test_table_path_on_overflowing_weights():
     c = 1e200 * cyclic_group_table(3).structure()
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(_table_gap(c)) or _table_gap(c) > EPS
-        assert outcome(c, sparse=False) == fold_outcome(c)
+        assert outcome(c) == fold_outcome(c)
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 5, 2, 6), (1, 1, 1, 1, 1), (0, 0, 2, 3, 0),

@@ -15,9 +15,9 @@ from trivolve.algebra import (
     quotient,
 )
 from trivolve.duality import (
+    _dual_actions,
     arens_products,
     check_introverted,
-    dual_action,
     extend_involution,
     find_characters,
     full_dual,
@@ -44,24 +44,29 @@ def dual_numbers():
     return make_algebra(2, structure, ["one", "x"])
 
 
+def act(algebra, lam, a, side):
+    """``lam . a`` (side "right") or ``a . lam`` (side "left") from the basis stacks."""
+    right, left = _dual_actions(algebra, np.asarray(lam, dtype=complex)[:, None])
+    return a.coords @ (right if side == "right" else left)[0]
+
+
 class TestDualAction:
     def test_group_translation(self, z2):
         lam = np.array([1.0, 0.0])  # dual of e
-        moved = dual_action(z2, lam, z2.element([0.0, 1.0]), side="right")
-        assert np.allclose(moved.coords, [0.0, 1.0])  # dual of g
+        assert np.allclose(act(z2, lam, z2.element([0.0, 1.0]), "right"), [0.0, 1.0])  # dual of g
 
     def test_identity_acts_trivially(self, z3):
         rng = np.random.default_rng(0)
         lam = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        moved = dual_action(z3, lam, z3.identity, side="right")
-        assert np.allclose(moved.coords, lam)
+        for side in ("right", "left"):
+            assert np.allclose(act(z3, lam, z3.identity, side), lam)
 
     def test_pointwise_annihilation(self, c2):
-        moved = dual_action(c2, np.array([1.0, 0.0]), c2.element([0.0, 1.0]), side="right")
-        assert np.allclose(moved.coords, 0.0)
+        for side in ("right", "left"):
+            assert np.allclose(act(c2, np.array([1.0, 0.0]), c2.element([0.0, 1.0]), side), 0.0)
 
     def test_module_law(self, z3):
-        # (lam . a) . b = lam . (ab) on basis triples
+        # (lam . a) . b = lam . (ab) and a . (b . lam) = (ab) . lam on basis pairs
         from trivolve.algebra import multiply
 
         rng = np.random.default_rng(1)
@@ -69,9 +74,16 @@ class TestDualAction:
         for i in range(3):
             for j in range(3):
                 a, b = z3.basis_element(i), z3.basis_element(j)
-                step = dual_action(z3, dual_action(z3, lam, a, "right"), b, "right")
-                direct = dual_action(z3, lam, multiply(z3, a, b), "right")
-                assert np.max(np.abs(step.coords - direct.coords)) < 1e-9
+                ab = multiply(z3, a, b)
+                step = act(z3, act(z3, lam, a, "right"), b, "right")
+                assert np.max(np.abs(step - act(z3, lam, ab, "right"))) < 1e-9
+                step = act(z3, act(z3, lam, b, "left"), a, "left")
+                assert np.max(np.abs(step - act(z3, lam, ab, "left"))) < 1e-9
+
+    def test_left_action_of_a_matrix_unit(self, m2):
+        # <E12 . lam, b> = <lam, b E12>: only b = E21 (giving E22) and b = E11 (giving E12) count
+        lam = np.array([0.0, 2.0, 0.0, 3.0])  # 2 E12* + 3 E22*
+        assert np.allclose(act(m2, lam, m2.basis_element(1), "left"), [2.0, 0.0, 3.0, 0.0])
 
 
 class TestIntroverted:

@@ -12,7 +12,7 @@ from trivolve.algebra import (
     product_algebra,
 )
 from trivolve.errors import CertificationFailure, UsageError
-from trivolve.linalg import max_abs
+from trivolve.linalg import EPS, max_abs
 from trivolve.instances import (
     conjugate_transpose_involution,
     first_column_algebra,
@@ -28,7 +28,6 @@ from trivolve.starmap import (
     identity_map,
     kernel_image,
     make_map,
-    maps_equal,
 )
 from trivolve.trivolution import (
     canonical_decomposition,
@@ -42,6 +41,12 @@ from trivolve.trivolution import (
     make_trivolution,
     right_identity_trivolution,
 )
+
+
+def maps_equal(f, g, tol=EPS):
+    """The same conjugation flag, and matrices of one shape that agree within ``tol``."""
+    return (f.conjugating == g.conjugating and f.matrix.shape == g.matrix.shape
+            and max_abs(f.matrix - g.matrix) <= tol)
 
 
 class TestClassify:

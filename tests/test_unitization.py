@@ -11,12 +11,12 @@ from trivolve.instances import c4_indicator_pair, indicator_trivolution, remark_
 from trivolve.starmap import apply, conjugation_map, make_map
 from trivolve.trivolution import classify_star_map
 from trivolve.unitization import (
+    FAMILY_INVALID,
     ExtensionSpec,
     contractive_extensions,
     extension_map,
     find_type1_solutions,
     range_identity,
-    unitize_with_trivolution,
     verify_extension,
 )
 
@@ -91,10 +91,12 @@ class TestVerifyExtension:
 
 
 class TestUnitize:
+    """``(A#, t#)`` from ``extension_map`` for candidates ``verify_extension`` judged."""
+
     def test_canonical_extension_structure(self):
         algebra, tau = remark_pair()
         spec = verify_extension(algebra, tau, 1.0, algebra.zero(), e_b=range_identity(algebra, tau))
-        sharp, tau_sharp = unitize_with_trivolution(algebra, tau, spec)
+        sharp, tau_sharp = extension_map(algebra, tau, spec.lambda0, spec.x0)
         assert sharp.dim == 3
         assert np.allclose(sharp.identity_coords, [1.0, 0.0, 0.0])
         # restricts to tau on the embedded algebra
@@ -105,7 +107,7 @@ class TestUnitize:
         algebra, tau = remark_pair()
         spec = verify_extension(algebra, tau, 0.0, algebra.element([1.0, 0.0]),
                                 e_b=range_identity(algebra, tau))
-        sharp, tau_sharp = unitize_with_trivolution(algebra, tau, spec)
+        sharp, tau_sharp = extension_map(algebra, tau, spec.lambda0, spec.x0)
         unit = sharp.element([1.0, 0.0, 0.0])
         assert np.allclose(apply(tau_sharp, unit).coords, [0.0, 1.0, 0.0])
 
@@ -113,9 +115,9 @@ class TestUnitize:
         algebra, tau = remark_pair()
         bad = verify_extension(algebra, tau, 1.0, algebra.element([0.0, 1.0]),
                                e_b=range_identity(algebra, tau))
-        with pytest.raises(CertificationFailure) as info:
-            unitize_with_trivolution(algebra, tau, bad)
-        assert info.value.law == "family I or II conditions"
+        assert bad.family == FAMILY_INVALID
+        sharp, tau_sharp = extension_map(algebra, tau, bad.lambda0, bad.x0)
+        assert not classify_star_map(sharp, tau_sharp).is_trivolution
 
 
 class TestType1Solver:
