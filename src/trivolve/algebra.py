@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iter_product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,9 +34,6 @@ from .linalg import (
     solve_exact,
 )
 
-NORM_ELL1 = "ell1"
-NORM_OPNORM = "left_regular_operator"
-
 
 @dataclass(frozen=True)
 class Algebra:
@@ -50,7 +47,6 @@ class Algebra:
     basis_labels: tuple[str, ...]
     structure: np.ndarray
     identity_coords: np.ndarray | None = None
-    norm_kind: str = NORM_ELL1
 
     @property
     def identity(self) -> "Element | None":
@@ -63,11 +59,6 @@ class Algebra:
         if coords.shape != (self.dim,):
             raise UsageError(
                 f"coordinate vector of length {coords.shape[0]} for algebra of dim {self.dim}")
-        return Element(freeze(coords), self)
-
-    def basis_element(self, i: int) -> "Element":
-        coords = np.zeros(self.dim, dtype=complex)
-        coords[i] = 1.0
         return Element(freeze(coords), self)
 
     def zero(self) -> "Element":
@@ -114,12 +105,6 @@ class Element:
     def __rmul__(self, scalar) -> "Element":
         return Element(complex(scalar) * self.coords, self.algebra)
 
-    def norm(self) -> float:
-        return element_norm(self)
-
-    def allclose(self, other: "Element", tol: float = EPS) -> bool:
-        return max_abs(self.coords - other.coords) <= tol
-
     def __repr__(self) -> str:
         return f"Element({np.array2string(self.coords, precision=6)})"
 
@@ -156,9 +141,6 @@ class Subspace:
     def canonical_columns(self) -> np.ndarray:
         """Echelon spanning vectors as columns (deterministic basis)."""
         return self.echelon.T.copy()
-
-    def contains(self, vector) -> bool:
-        return self.residual(vector) <= EPS
 
     def residual(self, vector) -> float:
         return float(self.residuals(as_complex(vector).reshape(-1, 1))[0])
@@ -321,8 +303,7 @@ def _find_identity(structure: np.ndarray, eps: float) -> np.ndarray | None:
 
 
 def make_algebra(dim: int, structure, labels: Sequence[str] | None = None,
-                 declared_identity=None, *, norm_kind: str = NORM_ELL1,
-                 eps: float = EPS) -> Algebra:
+                 declared_identity=None, *, eps: float = EPS) -> Algebra:
     """Build an algebra, verifying associativity and detecting the identity.
 
     ``structure`` is a dim^3 complex tensor.  If ``declared_identity`` is
@@ -338,8 +319,6 @@ def make_algebra(dim: int, structure, labels: Sequence[str] | None = None,
         labels = tuple(str(s) for s in labels)
         if len(labels) != dim:
             raise UsageError(f"{len(labels)} labels for dim {dim}")
-    if norm_kind not in (NORM_ELL1, NORM_OPNORM):
-        raise UsageError(f"unknown norm kind {norm_kind!r}")
     # a NaN residual compares false against eps, so it would pass every check below
     if not np.isfinite(structure).all():
         raise UsageError("structure constants must be finite")
@@ -360,7 +339,7 @@ def make_algebra(dim: int, structure, labels: Sequence[str] | None = None,
         identity = freeze(found) if found is not None else None
 
     return Algebra(dim=dim, basis_labels=labels, structure=freeze(structure),
-                   identity_coords=identity, norm_kind=norm_kind)
+                   identity_coords=identity)
 
 
 def multiply(algebra: Algebra, x: Element, y: Element) -> Element:
@@ -388,23 +367,21 @@ def is_commutative(algebra: Algebra, tol: float = EPS) -> bool:
 
 
 def element_norm(x: Element) -> float:
-    """Element norm under the owning algebra's convention."""
-    if x.algebra.norm_kind == NORM_ELL1:
-        return float(np.sum(np.abs(x.coords)))
-    return float(np.linalg.norm(left_mult_matrix(x.algebra, x), ord=2))
+    """The ell-1 norm ``sum_i |x_i|`` of the coordinates."""
+    return float(np.sum(np.abs(x.coords)))
 
 
 # ---------------------------------------------------------------------------
 # standard constructors
 # ---------------------------------------------------------------------------
 
-def function_algebra(n: int, *, norm_kind: str = NORM_ELL1) -> Algebra:
+def function_algebra(n: int) -> Algebra:
     """C^n with the pointwise product."""
     structure = np.zeros((n, n, n), dtype=complex)
     for i in range(n):
         structure[i, i, i] = 1.0
     labels = [f"e{i + 1}" for i in range(n)]
-    return make_algebra(n, structure, labels, declared_identity=np.ones(n), norm_kind=norm_kind)
+    return make_algebra(n, structure, labels, declared_identity=np.ones(n))
 
 
 def matrix_algebra(n: int) -> Algebra:
@@ -500,14 +477,13 @@ def product_algebra(a: Algebra, b: Algebra) -> Algebra:
     identity = None
     if a.is_unital() and b.is_unital():
         identity = np.concatenate([a.identity_coords, b.identity_coords])
-    return make_algebra(n + m, structure, labels, declared_identity=identity,
-                        norm_kind=a.norm_kind)
+    return make_algebra(n + m, structure, labels, declared_identity=identity)
 
 
 def opposite_algebra(a: Algebra) -> Algebra:
     """Opposite algebra: c_op[i][j][k] = c[j][i][k]."""
     return make_algebra(a.dim, a.structure.transpose(1, 0, 2), a.basis_labels,
-                        declared_identity=a.identity_coords, norm_kind=a.norm_kind)
+                        declared_identity=a.identity_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -534,26 +510,6 @@ def _action_escapes(algebra: Algebra, s: Subspace) -> np.ndarray:
     return s.residuals(actions.reshape(-1, n).T).reshape(n, m, 2) > EPS
 
 
-def subalgebra_closure(algebra: Algebra, generators: Iterable) -> Subspace:
-    """Smallest multiplicatively closed subspace containing the generators.
-
-    Span growth terminates because rank is bounded by the dimension.
-    """
-    vecs = []
-    for g in generators:
-        coords = g.coords if isinstance(g, Element) else as_complex(g).reshape(-1)
-        vecs.append(coords)
-    if not vecs:
-        raise UsageError("subalgebra_closure requires at least one generator")
-    current = Subspace(np.column_stack(vecs), algebra)
-    while True:
-        cols = current.canonical_columns()
-        grown = Subspace(np.hstack([cols, _pair_products(algebra, cols)]), algebra)
-        if grown.dim == current.dim:
-            return current
-        current = grown
-
-
 def induced_subalgebra(algebra: Algebra, s: Subspace, *,
                        eps: float = EPS) -> tuple[Algebra, np.ndarray]:
     """Algebra structure on a multiplicatively closed subspace.
@@ -565,14 +521,14 @@ def induced_subalgebra(algebra: Algebra, s: Subspace, *,
     q = s.canonical_columns()
     k = q.shape[1]
     if k == 0:
-        return make_algebra(0, np.zeros((0, 0, 0)), [], norm_kind=algebra.norm_kind), q
+        return make_algebra(0, np.zeros((0, 0, 0)), []), q
     products = _pair_products(algebra, q)
     coeffs, residual = solve_exact(q, products)
     certify(residual, eps, "closure under multiplication",
             "a product of basis vectors escapes the subspace (residual {residual:.3e})")
     structure = coeffs.reshape(k, k, k).transpose(1, 2, 0)
     labels = [algebra.basis_labels[p] for p in s.pivots]
-    sub = make_algebra(k, structure, labels, norm_kind=algebra.norm_kind, eps=eps)
+    sub = make_algebra(k, structure, labels, eps=eps)
     return sub, q
 
 
@@ -602,7 +558,7 @@ def quotient(algebra: Algebra, s: Subspace):
     products = algebra.structure[np.ix_(free, free)].reshape(k * k, n).T
     structure = s.reduce(products)[free].T.reshape(k, k, k)
     labels = [algebra.basis_labels[i] for i in free]
-    quot = make_algebra(k, structure, labels, norm_kind=algebra.norm_kind)
+    quot = make_algebra(k, structure, labels)
 
     q_matrix = s.reduce(np.eye(n, dtype=complex))[free]
     qmap = make_map(q_matrix, conjugating=False, source=algebra, target=quot)
@@ -627,5 +583,4 @@ def unitize_algebra(algebra: Algebra) -> Algebra:
     labels = ["1"] + [str(s) for s in algebra.basis_labels]
     identity = np.zeros(n + 1, dtype=complex)
     identity[0] = 1.0
-    return make_algebra(n + 1, structure, labels, declared_identity=identity,
-                        norm_kind=algebra.norm_kind)
+    return make_algebra(n + 1, structure, labels, declared_identity=identity)

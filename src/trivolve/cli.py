@@ -140,14 +140,15 @@ def _cmd_hom(args: argparse.Namespace) -> dict:
     }
 
 
-def _extension_record(spec) -> dict:
+def _extension_record(spec, best_effort: bool) -> dict:
+    """An extension in a report; ``best_effort`` says its solver was the Newton search."""
     return {
         "family": spec.family,
         "lambda0": [spec.lambda0.real, spec.lambda0.imag],
         "x0": as_complex(spec.x0.coords),
         "norm_of_extension": spec.norm_of_extension,
         "contractive": spec.contractive,
-        "best_effort": spec.best_effort,
+        "best_effort": best_effort,
         "residuals": spec.residuals,
     }
 
@@ -158,13 +159,11 @@ def _cmd_extend(args: argparse.Namespace) -> dict:
     records = []
     solutions = find_type1_solutions(algebra, tau, seed=args.seed, eps=eps, eps_rank=rank)
     for spec in solutions.specs:
-        record = _extension_record(spec)
-        record["best_effort"] = spec.best_effort or solutions.best_effort
-        records.append(record)
+        records.append(_extension_record(spec, solutions.best_effort))
     e_b = range_identity(algebra, tau, eps, rank)
     if e_b is not None:
         records.append(_extension_record(verify_extension(algebra, tau, 0.0, e_b, eps, rank,
-                                                          e_b=e_b)))
+                                                          e_b=e_b), False))
     return {"extensions": records, "count": len(records)}
 
 
@@ -202,10 +201,10 @@ def _cmd_arens(args: argparse.Namespace) -> dict:
     structure = arens_products(algebra, space, args.tolerance)
     report = {
         "x_dim": space.basis.dim,
-        "flags": {
-            "submodule": space.submodule,
-            "left_introverted": space.left_introverted,
-            "right_introverted": space.right_introverted,
+        "flags": {  # one flag in finite dimension, under the three keys of the report
+            "submodule": space.introverted,
+            "left_introverted": space.introverted,
+            "right_introverted": space.introverted,
             "faithful": space.faithful,
         },
         "box": as_complex(structure.box),
@@ -224,6 +223,7 @@ def _cmd_arens(args: argparse.Namespace) -> dict:
 def _cmd_tim(args: argparse.Namespace) -> dict:
     algebra = load_algebra(_need(args, "algebra"))
     space = _load_space(args, algebra)
+    space.require_introverted()  # also when no character lies in X and tim_set never runs
     eps, rank = args.tolerance, args.rank_threshold
     if args.character is not None:
         element = load_element(args.character, algebra)
@@ -276,8 +276,7 @@ def _cmd_search(args: argparse.Namespace) -> dict:
         params = load_group_params(_need(args, "params"))
         family_spec = {"family": "group_quotient", **params}
     else:
-        raise UsageError(f"unsupported CLI family {family!r}; use 'function' or 'group' "
-                         "(explicit pairs are available through the library API)")
+        raise UsageError(f"unsupported CLI family {family!r}; use 'function' or 'group'")
     found = search_trivolutions(algebra, family_spec, args.tolerance, args.rank_threshold)
     return {"family": family_spec["family"], "count": len(found),
             "maps": [_map_record(f) for f in found]}

@@ -140,15 +140,16 @@ class IntrovertedSpace:
     algebra: Algebra
     basis: Subspace  # columns are dual-basis coordinate vectors
     annihilator: Subspace  # X^perp in the second dual
-    submodule: bool
-    left_introverted: bool
-    right_introverted: bool
+    introverted: bool  # a submodule, and so left and right introverted
     faithful: bool
     diagnostic: str = ""
 
-    @property
-    def introverted(self) -> bool:
-        return self.left_introverted and self.right_introverted
+    def require_introverted(self) -> None:
+        """Fail the law ``X topologically introverted``, naming the first escape, if it is not."""
+        if not self.introverted:
+            raise CertificationFailure("both Arens products need a two-sided introverted subspace",
+                                       law="X topologically introverted",
+                                       details={"escape": self.diagnostic})
 
     @property
     def free(self) -> list[int]:
@@ -188,17 +189,17 @@ def _dual_actions(algebra: Algebra, lams: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def check_introverted(algebra: Algebra, x_basis, eps: float = EPS) -> IntrovertedSpace:
-    """Certify submodule, introversion and faithfulness flags for ``X``.
+    """Certify the introversion and faithfulness flags for ``X``.
 
     ``X`` is a submodule when every ``lambda_s . b_i`` and ``b_i . lambda_s``
     lies in ``X``.  Introversion asks the same of ``Phi_i . lambda`` and
     ``lambda . Phi_i`` for functionals ``Phi_i`` restricted from a full
     second-dual basis, which surject onto ``X*``.  In finite dimension
     ``Phi_i . lambda = b_i . lambda`` and ``lambda . Phi_i = lambda . b_i``,
-    so both introversion flags read the submodule stacks and equal the
-    submodule flag.  A failed submodule check reports all-false
-    introversion flags with a diagnostic naming the first escape (by
-    ``s``, then ``i``, right action first) rather than raising.
+    so submodule, left and right introversion are one flag, read off the
+    submodule stacks.  A failed check reports ``introverted`` false with a
+    diagnostic naming the first escape (by ``s``, then ``i``, right action
+    first) rather than raising.
     """
     x = Subspace(as_complex(x_basis), algebra)
     n = algebra.dim
@@ -206,16 +207,15 @@ def check_introverted(algebra: Algebra, x_basis, eps: float = EPS) -> Introverte
     right, left = _dual_actions(algebra, lams)
     stacks = np.stack([right, left], axis=2)  # [s, i, side, :]
     escapes = x.residuals(stacks.reshape(-1, n).T).reshape(stacks.shape[:3]) > eps
-    submodule = not escapes.any()
+    introverted = not escapes.any()
     diagnostic = ""
-    if not submodule:
+    if not introverted:
         s, i, side = np.unravel_index(int(np.argmax(escapes)), escapes.shape)
         diagnostic = (f"lambda_{s} . b_{i} escapes X" if side == 0
                       else f"b_{i} . lambda_{s} escapes X")
     _, annihilator, _, _ = column_space_and_nullspace(lams.T)  # the null space of evaluation
     return IntrovertedSpace(algebra=algebra, basis=x, annihilator=Subspace(annihilator, algebra),
-                            submodule=submodule, left_introverted=submodule,
-                            right_introverted=submodule, faithful=x.dim == n,
+                            introverted=introverted, faithful=x.dim == n,
                             diagnostic=diagnostic)
 
 
@@ -241,9 +241,7 @@ def arens_products(algebra: Algebra, space: IntrovertedSpace,
     ``<lam . Phi, a> = <Phi, a . lam>``.  Intermediate functionals are
     certified to stay inside ``X`` on the way.
     """
-    if not space.introverted:
-        raise CertificationFailure("both Arens products need a two-sided introverted subspace",
-                                   law="X topologically introverted")
+    space.require_introverted()
     n = algebra.dim
     free = space.free
     k = len(free)
@@ -264,7 +262,7 @@ def arens_products(algebra: Algebra, space: IntrovertedSpace,
 
     gap = max_abs(box - diamond)
     labels = [algebra.basis_labels[f] for f in free]
-    box_algebra = make_algebra(k, box, labels, norm_kind=algebra.norm_kind, eps=max(eps, 1e-12))
+    box_algebra = make_algebra(k, box, labels, eps=max(eps, 1e-12))
     return ArensStructure(box=box, diamond=diamond, regular=gap <= eps, space=space,
                           box_algebra=box_algebra,
                           residuals={"regularity_gap": gap, "introversion_escape": escape})
@@ -337,7 +335,11 @@ class TimSolutionSet:
 
 def tim_set(algebra: Algebra, space: IntrovertedSpace, phi: Character,
             eps: float = EPS, eps_rank: float = EPS_RANK) -> TimSolutionSet:
-    """Solve ``<m, phi> = 1`` and ``a.m = m.a = phi(a) m`` for ``m`` in ``X*``."""
+    """Solve ``<m, phi> = 1`` and ``a.m = m.a = phi(a) m`` for ``m`` in ``X*``.
+
+    The module actions on ``X*`` need ``X`` introverted, which is certified first.
+    """
+    space.require_introverted()
     certify(space.basis.residual(phi.coords), eps, "phi in X", "the character does not lie in X")
     n = algebra.dim
     free = space.free
@@ -452,10 +454,9 @@ def search_trivolutions(algebra: Algebra, family_spec: dict,
     conjugation and a canonical involutive permutation of the selected
     coordinates), ``group_quotient`` (standard group-algebra involution
     composed with averaging over supplied normal subgroups of the
-    ``GroupTable`` under ``table``), and
-    ``pairs`` (explicit projection/involution pairs).  Only candidates
-    passing classification are returned; the enumeration is exhaustive
-    within the declared family only.
+    ``GroupTable`` under ``table``).  Only candidates passing
+    classification are returned; the enumeration is exhaustive within the
+    declared family only.
     """
     family = family_spec.get("family")
     results: list[AlgMap] = []
@@ -478,18 +479,6 @@ def search_trivolutions(algebra: Algebra, family_spec: dict,
             raise UsageError("algebra does not match the supplied group table")
         for subgroup in family_spec.get("normal_subgroups", [[group.identity]]):
             candidate = averaging_trivolution(algebra, group, subgroup)
-            if classify_star_map(algebra, candidate, eps, eps_rank).is_trivolution:
-                results.append(candidate)
-        return results
-
-    if family == "pairs":
-        from .trivolution import make_trivolution
-
-        for p, rho in family_spec.get("pairs", []):
-            try:
-                candidate = make_trivolution(algebra, p, rho, eps, eps_rank)
-            except CertificationFailure:
-                continue
             if classify_star_map(algebra, candidate, eps, eps_rank).is_trivolution:
                 results.append(candidate)
         return results

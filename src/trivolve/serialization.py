@@ -11,7 +11,10 @@ either real numbers, in shape ``s``, or ``[re, im]`` pairs, in shape
 null, ``true`` or ``false``, a non-finite number or an integer too large
 for a float is a ``ParseError``.  So is a ``dim`` or a group ``order``
 that is not a JSON integer of at least 1.  A group table is a square
-matrix of integer element indices that satisfies the group axioms.
+matrix of integer element indices that satisfies the group axioms.  An
+algebra spec's optional ``norm`` member, in either form, names its norm:
+the one accepted value is ``"ell1"``, the ell-1 norm of the coordinates,
+which is also what an absent member means.
 
 ``load_algebra`` and ``load_map`` read a spec file one top-level member at
 a time.  The arrays they read (``structure``, ``identity``, ``matrix``)
@@ -58,12 +61,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import (NORM_ELL1, NORM_OPNORM, Algebra, Element, GroupTable, group_algebra,
-                      make_algebra, verify_group_table)
+from .algebra import (Algebra, Element, GroupTable, group_algebra, make_algebra,
+                      verify_group_table)
 from .errors import CertificationFailure, ParseError, UsageError
 from .starmap import AlgMap, make_map
 
-_NORM_TAGS = {"ell1": NORM_ELL1, "opnorm": NORM_OPNORM}
 _INDENT = "  "
 
 _WHITESPACE = " \t\n\r"  # JSON whitespace, as ``json`` reads it
@@ -375,6 +377,9 @@ def load_algebra(source: str | Path | dict) -> Algebra:
     """Load an algebra spec file (structure tensor or group table)."""
     data = _spec_object(source, "algebra", ("structure", "identity"))
     try:
+        norm_tag = data.get("norm", "ell1")
+        if norm_tag != "ell1":
+            raise ParseError(f"unknown norm tag {norm_tag!r}; the one norm is \"ell1\"")
         if "group" in data:
             group = data["group"]
             table = group_table(group["table"])
@@ -387,11 +392,7 @@ def load_algebra(source: str | Path | dict) -> Algebra:
         identity = None
         if data.get("identity") is not None:
             identity = array_from_json(data["identity"], (dim,))
-        norm_tag = data.get("norm", "ell1")
-        if norm_tag not in _NORM_TAGS:
-            raise ParseError(f"unknown norm tag {norm_tag!r}")
-        return make_algebra(dim, structure, labels, declared_identity=identity,
-                            norm_kind=_NORM_TAGS[norm_tag])
+        return make_algebra(dim, structure, labels, declared_identity=identity)
     except ParseError:
         raise
     except CertificationFailure as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NORM_ELL1, Algebra, Element, Subspace, algebras_compatible, element_norm
+from .algebra import Algebra, Element, Subspace, algebras_compatible
 from .errors import UsageError
 from .linalg import (
     EPS,
@@ -148,34 +148,12 @@ def kernel_image(f: AlgMap, tol: float = EPS_RANK) -> tuple[Subspace, Subspace]:
     return (Subspace(kernel_cols, f.source), Subspace(image_cols, f.target))
 
 
-def norm_is_sampled(f: AlgMap) -> bool:
-    """True when ``map_norm(f)`` is a sampled lower bound, not the exact norm."""
-    return not (f.source.norm_kind == NORM_ELL1 and f.target.norm_kind == NORM_ELL1)
-
-
 def map_norm(f: AlgMap) -> float:
-    """Operator norm of the map under the source algebra's norm.
+    """The exact operator norm of the map between ell-1 normed algebras.
 
-    Exact for the ell-1 norm (max column ell-1 norm, valid for
-    conjugating maps too).  For the left-regular operator norm this is a
-    sampled lower-bound estimate (``norm_is_sampled``) over the basis and
-    200 random directions of a generator seeded with 0, which must not
-    certify an upper bound such as contractivity.
+    It is the largest ell-1 norm of a matrix column, for conjugating maps
+    too, and 0.0 for an empty matrix.
     """
-    if not norm_is_sampled(f):
-        if f.matrix.size == 0:
-            return 0.0
-        return float(np.max(np.sum(np.abs(f.matrix), axis=0)))
-    rng = np.random.default_rng(0)
-    best = 0.0
-    candidates = [f.source.basis_element(i).coords for i in range(f.source.dim)]
-    for _ in range(200):
-        candidates.append(rng.standard_normal(f.source.dim)
-                          + 1j * rng.standard_normal(f.source.dim))
-    for c in candidates:
-        x = Element(np.asarray(c, dtype=complex), f.source)
-        nx = element_norm(x)
-        if nx < 1e-12:
-            continue
-        best = max(best, element_norm(apply(f, x)) / nx)
-    return best
+    if f.matrix.size == 0:
+        return 0.0
+    return float(np.max(np.sum(np.abs(f.matrix), axis=0)))

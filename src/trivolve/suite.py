@@ -46,6 +46,7 @@ from .trivolution import (
     factor_through_involution,
     hermitian_decomposition,
     hermitian_functional_check,
+    make_trivolution,
     right_identity_trivolution,
 )
 from .spectra import verify_spectral_inclusion
@@ -66,9 +67,12 @@ def _sample(items: list, count: int) -> list:
 
 def _section_round_trip(battery: list[TrivolutionInstance], eps: float) -> dict:
     worst = 0.0
-    for inst in _sample(battery, 60):
+    for k, inst in enumerate(_sample(battery, 60)):
         dec = canonical_decomposition(inst.algebra, inst.tau)
         worst = max(worst, dec.residuals["reconstruction"], dec.residuals["rho_squared"])
+        if k % 8 == 0:  # the converse: the pair (p, rho) builds tau again
+            rebuilt = make_trivolution(inst.algebra, dec.projection_p, dec.involution_rho)
+            worst = max(worst, max_abs(rebuilt.matrix - inst.tau.matrix))
     return {"name": "round_trip", "instances": len(_sample(battery, 60)),
             "max_residual": worst, "passed": worst <= eps}
 

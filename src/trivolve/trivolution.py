@@ -285,8 +285,7 @@ def factor_through_involution(algebra: Algebra, tau: AlgMap, j: AlgMap,
     # coordinatewise product on I (+) B: drop the cross terms of the ambient product
     split_structure = (column_products(algebra.structure, p_i, p_i)
                        + column_products(algebra.structure, p_b, p_b))
-    split_alg = make_algebra(n, split_structure, algebra.basis_labels,
-                             norm_kind=algebra.norm_kind, eps=eps)
+    split_alg = make_algebra(n, split_structure, algebra.basis_labels, eps=eps)
     c = product_algebra(split_alg, split_alg)
 
     zero = np.zeros((n, n), dtype=complex)

@@ -7,7 +7,11 @@ families work: ``lambda0 = 1`` with ``x0`` a negated idempotent
 annihilating the range and killed by ``tau``, or ``lambda0 = 0`` with
 ``x0`` the identity of the range.  The solver enumerates the first
 family's solution set and the contractivity filter reduces to a norm
-computation on the extension.
+computation on the extension.  That norm, ``|l| + ||x||`` with the ell-1
+norm of ``A``, is exact, so ``contractive`` is a certificate.  The one
+``best_effort`` flag is solver provenance: ``Type1Solutions.best_effort``
+says the idempotents came from the seeded Newton search, which may miss
+some, instead of from the characters.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .linalg import (
     column_space_and_nullspace,
     max_abs,
 )
-from .starmap import AlgMap, apply, kernel_image, map_norm, norm_is_sampled
+from .starmap import AlgMap, apply, kernel_image, map_norm
 from .trivolution import classify_star_map
 
 FAMILY_TYPE_I = "type_I"
@@ -52,7 +56,6 @@ class ExtensionSpec:
     family: str
     contractive: bool
     norm_of_extension: float
-    best_effort: bool = False
     residuals: dict = field(default_factory=dict, repr=False)
 
 
@@ -132,11 +135,10 @@ def verify_extension(algebra: Algebra, tau: AlgMap, lambda0: complex, x0,
             residual=verdict.residual,
             details={"family": family, "classified": verdict.kind})
 
-    # a sampled norm is only a lower bound: ``contractive`` is then best effort
     norm = max(abs(lambda0) + element_norm(x0), map_norm(tau))
     return ExtensionSpec(lambda0=lambda0, x0=x0, family=family,
                          contractive=norm <= 1.0 + eps, norm_of_extension=norm,
-                         best_effort=norm_is_sampled(tau), residuals=residuals)
+                         residuals=residuals)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from trivolve.algebra import NORM_ELL1, Algebra
+from trivolve.algebra import Algebra
 from trivolve.errors import UsageError
 from trivolve.starmap import AlgMap
 
@@ -22,7 +22,7 @@ def algebra_to_json(algebra: Algebra) -> dict:
         "dim": algebra.dim,
         "labels": list(algebra.basis_labels),
         "structure": array_to_json(algebra.structure),
-        "norm": "ell1" if algebra.norm_kind == NORM_ELL1 else "opnorm",
+        "norm": "ell1",
     }
     if algebra.identity_coords is not None:
         out["identity"] = array_to_json(algebra.identity_coords)

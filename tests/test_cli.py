@@ -196,6 +196,28 @@ def test_tim_on_a_subspace_solves_only_the_characters_in_it(tmp_path):
     assert report["error"] == "CertificationFailure" and report["law"] == "phi in X"
 
 
+@pytest.mark.parametrize("command", ["arens", "tim"])
+# X holds the character 1 of C[Z3], or no character, and then tim solves for none
+@pytest.mark.parametrize("basis", [[[1, 1, 1], [1, 0, 0]], [[1, 0, 0]]], ids=["char", "none"])
+def test_a_subspace_that_is_not_introverted_fails(tmp_path, command, basis):
+    # the module actions on X* need X introverted: both commands fail the law, with its witness
+    z3 = tmp_path / "z3.json"
+    z3.write_text(json.dumps({"group": {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}}))
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"basis": basis}))
+    code, report = run_cli([command, "--algebra", str(z3), "--dual-basis", str(x)], tmp_path)
+    assert code == 1
+    assert report["law"] == "X topologically introverted"
+    assert report["details"] == {"escape": "lambda_0 . b_1 escapes X"}
+
+
+def test_unsupported_search_family_names_the_two(tmp_path):
+    code, report = run_cli(["search", "--algebra", str(Z2_SPEC), "--family", "pairs"], tmp_path)
+    assert code == 2
+    assert report == {"command": "search", "error": "UsageError", "message":
+                      "unsupported CLI family 'pairs'; use 'function' or 'group'"}
+
+
 def test_seed_env_override(tmp_path, monkeypatch, spec_files):
     algebra, tau = spec_files
     monkeypatch.setenv("TRIVOLVE_SEED", "123")
@@ -297,14 +319,17 @@ def test_extend_unitizes_the_algebra_once(spec_files, tmp_path, monkeypatch):
     assert len(unitized) == 1
 
 
-def test_extend_on_operator_norm_is_best_effort(spec_files, tmp_path, c2):
-    # the operator norm of tau is sampled, so no extension is certified contractive
+@pytest.mark.parametrize("form", ["structure", "group"])
+def test_a_norm_other_than_ell1_is_parse_error(spec_files, tmp_path, c2, form):
+    # the ell-1 norm is the only one, and exact: no other norm tag is read
     _, tau = spec_files
-    opnorm = tmp_path / "c2_opnorm.json"
-    opnorm.write_text(json.dumps({**algebra_to_json(c2), "norm": "opnorm"}))
-    code, report = run_cli(["extend", "--algebra", str(opnorm), "--map", tau], tmp_path)
-    assert code == 0 and report["count"] == 3
-    assert all(record["best_effort"] for record in report["extensions"])
+    spec = algebra_to_json(c2) if form == "structure" else json.loads(Z2_SPEC.read_text())
+    opnorm = tmp_path / "opnorm.json"
+    opnorm.write_text(json.dumps({**spec, "norm": "opnorm"}))
+    code, report = run_cli(["check", "--algebra", str(opnorm), "--map", tau], tmp_path)
+    assert code == 2
+    assert report == {"command": "check", "error": "ParseError",
+                      "message": 'unknown norm tag \'opnorm\'; the one norm is "ell1"'}
 
 
 def test_non_finite_spec_is_usage_error(spec_files, tmp_path, capsys):

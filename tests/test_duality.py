@@ -31,7 +31,7 @@ from trivolve.instances import (
     conjugate_transpose_involution,
     standard_group_involution,
 )
-from trivolve.starmap import conjugation_map, identity_map, make_map
+from trivolve.starmap import conjugation_map, make_map
 from trivolve.trivolution import classify_star_map
 
 
@@ -73,7 +73,7 @@ class TestDualAction:
         lam = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         for i in range(3):
             for j in range(3):
-                a, b = z3.basis_element(i), z3.basis_element(j)
+                a, b = z3.element(np.eye(z3.dim)[i]), z3.element(np.eye(z3.dim)[j])
                 ab = multiply(z3, a, b)
                 step = act(z3, act(z3, lam, a, "right"), b, "right")
                 assert np.max(np.abs(step - act(z3, lam, ab, "right"))) < 1e-9
@@ -83,30 +83,28 @@ class TestDualAction:
     def test_left_action_of_a_matrix_unit(self, m2):
         # <E12 . lam, b> = <lam, b E12>: only b = E21 (giving E22) and b = E11 (giving E12) count
         lam = np.array([0.0, 2.0, 0.0, 3.0])  # 2 E12* + 3 E22*
-        assert np.allclose(act(m2, lam, m2.basis_element(1), "left"), [2.0, 0.0, 3.0, 0.0])
+        assert np.allclose(act(m2, lam, m2.element(np.eye(4)[1]), "left"), [2.0, 0.0, 3.0, 0.0])
 
 
 class TestIntroverted:
     def test_full_dual_flags(self, z2):
         space = full_dual(z2)
-        assert space.submodule and space.left_introverted and space.right_introverted
-        assert space.faithful
+        assert space.introverted and space.faithful
 
     def test_coordinate_line(self, c2):
         space = check_introverted(c2, np.array([[1.0], [0.0]]))
-        assert space.submodule and space.introverted
+        assert space.introverted
         assert not space.faithful
 
     def test_augmentation_line(self, z2):
         space = check_introverted(z2, np.array([[1.0], [1.0]]))
-        assert space.submodule and space.introverted
+        assert space.introverted
         assert not space.faithful
 
     def test_non_submodule_reported_not_raised(self):
         duals = dual_numbers()
         space = check_introverted(duals, np.array([[0.0], [1.0]]))  # dual of x
-        assert not space.submodule
-        assert not space.left_introverted and not space.right_introverted
+        assert not space.introverted
         assert space.diagnostic == "lambda_0 . b_1 escapes X"
 
 
@@ -131,6 +129,7 @@ class TestArens:
         with pytest.raises(CertificationFailure) as info:
             arens_products(duals, space)
         assert info.value.law == "X topologically introverted"
+        assert info.value.details == {"escape": "lambda_0 . b_1 escapes X"}
 
 
 class TestExtendInvolution:
@@ -228,6 +227,16 @@ class TestTims:
             tim_set(z2, space, sign)
         assert info.value.law == "phi in X"
 
+    def test_non_introverted_rejected(self, z3):
+        # the module actions on X* need X introverted, even for a character that lies in X
+        space = check_introverted(z3, np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 0.0]]))
+        assert not space.introverted
+        phi = verify_character(z3, [1.0, 1.0, 1.0])
+        with pytest.raises(CertificationFailure) as info:
+            tim_set(z3, space, phi)
+        assert info.value.law == "X topologically introverted"
+        assert info.value.details == {"escape": space.diagnostic}
+
     def test_obstruction_chain_z2(self, z2, z2_involution):
         space = full_dual(z2)
         phi = verify_character(z2, [1.0, 1.0])
@@ -287,16 +296,6 @@ class TestSearch:
         assert len(found) == 3
         kinds = sorted(classify_star_map(z4, f).kind for f in found)
         assert kinds == ["involution", "trivolution_proper", "trivolution_proper"]
-
-    def test_user_pairs(self, z2, z2_involution):
-        from trivolve.algebra import Subspace, induced_subalgebra
-
-        sub, _ = induced_subalgebra(z2, Subspace(np.eye(2), z2))
-        rho = make_map(z2_involution.matrix, conjugating=True, source=sub)
-        found = search_trivolutions(z2, {"family": "pairs",
-                                         "pairs": [(identity_map(z2), rho)]})
-        assert len(found) == 1
-        assert classify_star_map(z2, found[0]).kind == "involution"
 
     def test_unknown_family(self, c3):
         with pytest.raises(UsageError, match="unknown family 'mystery'"):

@@ -1,6 +1,7 @@
-"""Every name a module imports is used in it, and every top-level definition is named elsewhere."""
+"""Every name a module imports is used in it, and every definition is named elsewhere."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,33 +36,55 @@ def test_every_imported_name_is_used(module):
 
 # Reached by ``pyproject.toml``'s console script, not by a name in ``src/``.
 ENTRY_POINTS = {"cli.main"}
-# Called only from tests so far; each gets a caller or goes (ROADMAP, Direction 5).
-NOT_YET_REACHED = {"algebra.quotient", "algebra.subalgebra_closure"}
+# Called only from tests: ``test_duality`` checks the box product of ``X* = A / X^perp``
+# against this quotient, its independent reference.
+NOT_YET_REACHED = {"algebra.quotient"}
+
+
+def names(node: ast.AST) -> Counter:
+    """How often each name occurs under ``node``, as a ``Name`` or an ``Attribute``."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
 
 
 def unreached(sources: dict[str, str]) -> list[str]:
-    """``module.name`` of each top-level def or class no other top-level statement names.
+    """Each definition that no statement outside its own body names.
 
-    A name counts where the AST has it as a ``Name`` or an ``Attribute``, in
-    any module of ``sources``; uses inside the definition itself do not count.
+    The definitions are the top-level defs and classes, reported as
+    ``module.name``, and the methods of top-level classes that are not
+    dunders, reported as ``module.Class.method``.  A name counts where the
+    AST has it as a ``Name`` or an ``Attribute``, in any module of
+    ``sources``; uses inside the definition itself do not count.  The scan
+    matches names, not bindings: a method that shares its name with a local
+    variable or another attribute passes.  A method ``norm`` would pass
+    through the local ``norm`` in ``unitization.verify_extension``.
     """
-    statements, defined = [], []
-    for module, source in sources.items():
-        for node in ast.parse(source).body:
-            walk = list(ast.walk(node))
-            names = {n.id for n in walk if isinstance(n, ast.Name)}
-            names |= {n.attr for n in walk if isinstance(n, ast.Attribute)}
-            statements.append((node, names))
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = sum((names(tree) for tree in trees.values()), Counter())
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((node, f"{module}.{node.name}"))
-    return [qualified for node, qualified in defined
-            if not any(node.name in names for other, names in statements if other is not node)]
+            if isinstance(node, ast.ClassDef):
+                defined += [(method, f"{module}.{node.name}.{method.name}")
+                            for method in node.body if isinstance(method, ast.FunctionDef)
+                            and not (method.name.startswith("__") and method.name.endswith("__"))]
+    return [qualified for node, qualified in defined if total[node.name] == names(node)[node.name]]
 
 
 def test_scan_finds_an_unreached_definition():
     sources = {"a": "def f():\n    return f()\n\nclass C:\n    pass\n",
                "b": "from .a import C\n\ndef g(x: C):\n    return g\n"}
     assert unreached(sources) == ["a.f", "b.g"]
+
+
+def test_scan_finds_an_unreached_method():
+    source = ("class C:\n    def __init__(self):\n        self.used()\n\n"
+              "    def used(self):\n        return self.used\n\n"
+              "    def unused(self):\n        return self.unused()\n\n"
+              "def f():\n    return C()\n\nf()\n")
+    assert unreached({"a": source}) == ["a.C.unused"]
 
 
 def test_every_definition_is_named_outside_itself():

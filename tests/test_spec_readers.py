@@ -410,7 +410,7 @@ def outcome(read):
     if hasattr(got, "matrix"):
         return got.matrix.tobytes(), got.conjugating, got.source.dim
     identity = None if got.identity_coords is None else got.identity_coords.tobytes()
-    return got.structure.tobytes(), identity, got.basis_labels, got.norm_kind
+    return got.structure.tobytes(), identity, got.basis_labels
 
 
 def reference_members(kind, path):

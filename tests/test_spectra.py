@@ -26,7 +26,7 @@ class TestSpectrum:
         assert spec.computed_in == "algebra"
 
     def test_nilpotent_matrix_unit(self, m2):
-        spec = spectrum(m2, m2.basis_element(1))  # E12
+        spec = spectrum(m2, m2.element(np.eye(m2.dim)[1]))  # E12
         assert sorted_multiset(spec.values) == [(0.0, 0.0)] * 4
 
     def test_group_algebra_projection_pair(self, z2):

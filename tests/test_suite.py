@@ -4,7 +4,8 @@ import dataclasses
 
 from trivolve import suite, unitization
 from trivolve.errors import CertificationFailure
-from trivolve.trivolution import KIND_INVOLUTION, KIND_NOT_STAR
+from trivolve.trivolution import (KIND_INVOLUTION, KIND_NOT_STAR, canonical_decomposition,
+                                  make_trivolution)
 
 
 def test_extension_scan_counts_the_disagreement_verify_extension_raises(monkeypatch):
@@ -43,3 +44,26 @@ def test_misc_laws_fails_when_a_hermitian_decomposition_fails(monkeypatch, batte
     section = suite._section_misc_laws(battery, 0)
     assert clean["passed"] is True and section["passed"] is False
     assert len(decomposed) == 8 and section["max_residual"] == clean["max_residual"]
+
+
+def test_round_trip_rebuilds_every_eighth_trivolution_from_its_pair(monkeypatch, battery):
+    # make_trivolution reproduces the decomposition's reconstruction bit for bit,
+    # so the rebuilt maps leave the residual alone; a rebuilt map that differs fails
+    clean = suite._section_round_trip(battery, 1e-8)
+    decomposed, rebuilt = [], []
+
+    def counted(algebra, tau, *args):
+        decomposed.append(tau)
+        return canonical_decomposition(algebra, tau, *args)
+
+    def skewed(algebra, p, rho):
+        rebuilt.append(p)
+        tau = make_trivolution(algebra, p, rho)
+        return dataclasses.replace(tau, matrix=tau.matrix + 1e-3)
+
+    monkeypatch.setattr(suite, "canonical_decomposition", counted)
+    monkeypatch.setattr(suite, "make_trivolution", skewed)
+    section = suite._section_round_trip(battery, 1e-8)
+    assert clean["passed"] is True and clean["instances"] == 60
+    assert len(decomposed) == 60 and len(rebuilt) == 8
+    assert section["passed"] is False and section["max_residual"] >= 1e-3

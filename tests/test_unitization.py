@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from trivolve.algebra import NORM_ELL1, NORM_OPNORM, function_algebra, make_algebra, multiply
+from trivolve.algebra import function_algebra, make_algebra, multiply
 from trivolve.errors import CertificationFailure
 from trivolve.instances import c4_indicator_pair, indicator_trivolution, remark_pair
 from trivolve.starmap import apply, conjugation_map, make_map
@@ -27,7 +27,7 @@ def brute_force_family_one(algebra, tau, x0, tol=1e-9):
     if np.max(np.abs(sq.coords + x0.coords)) > tol:
         return False
     for i in range(algebra.dim):
-        image = apply(tau, algebra.basis_element(i))
+        image = apply(tau, algebra.element(np.eye(algebra.dim)[i]))
         left = multiply(algebra, x0, image)
         right = multiply(algebra, image, x0)
         if np.max(np.abs(left.coords)) > tol or np.max(np.abs(right.coords)) > tol:
@@ -36,17 +36,6 @@ def brute_force_family_one(algebra, tau, x0, tol=1e-9):
 
 
 class TestVerifyExtension:
-    @pytest.mark.parametrize("norm_kind, sampled", [(NORM_ELL1, False), (NORM_OPNORM, True)])
-    def test_sampled_norm_is_best_effort(self, norm_kind, sampled):
-        # on the operator norm map_norm is a sampled lower bound, never a certificate
-        algebra = function_algebra(2, norm_kind=norm_kind)
-        tau = indicator_trivolution(algebra, [0])
-        e_b = range_identity(algebra, tau)
-        for lambda0, x0 in ((1.0, algebra.zero()), (0.0, algebra.element([1.0, 0.0]))):
-            spec = verify_extension(algebra, tau, lambda0, x0, e_b=e_b)
-            assert spec.family != "invalid"
-            assert spec.best_effort is sampled
-
     def test_canonical_always_valid(self, battery):
         for inst in battery[::40]:
             spec = verify_extension(inst.algebra, inst.tau, 1.0, inst.algebra.zero(),
