@@ -199,7 +199,7 @@ def _table_gap(structure: np.ndarray) -> float | None:
     A product table has at most one non-zero in every fibre ``c[i, j, :]``:
     ``b_i b_j = w_ij b_{t_ij}``.  Then ``(b_i b_j) b_k`` is ``w_ij w_{t_ij,k}``
     at ``t[t_ij, k]`` and ``b_i (b_j b_k)`` is ``w_jk w_{i,t_jk}`` at
-    ``t[i, t_jk]``: ``2 n^3`` products, one ``i`` at a time, and the gap of
+    ``t[i, t_jk]``: ``2 n^3`` products, all at once, and the gap of
     ``(i, j, k)`` is their difference where the two places agree, the larger
     of the two otherwise.  A table with a complex weight is None too: numpy's
     complex product and the fold's BLAS may round it differently.
@@ -213,14 +213,14 @@ def _table_gap(structure: np.ndarray) -> float | None:
     w = np.take_along_axis(structure, t[:, :, None], 2)[:, :, 0]
     if w.imag.any():
         return None
-    w, worst = w.real, 0.0
-    for ti, wi in zip(t, w):
-        left, right = wi[:, None] * w[ti], w * wi[t]
-        gap = np.abs(left - right)
-        apart = t[ti] != ti[t]
-        gap[apart] = np.maximum(np.abs(left[apart]), np.abs(right[apart]))
-        worst = np.maximum(worst, gap.max())  # NaN, when a product overflows, stays
-    return float(worst)
+    w, t = w.real, t.astype(np.int32)  # narrow, since t[t] and t[:, t] hold n^3 entries
+    left, right = w[t], w[:, t]  # at (i, j, k): w_{t_ij,k} and w_{i,t_jk}
+    left *= w[:, :, None]
+    right *= w
+    gap = np.abs(left - right)
+    apart = t[t] != t[:, t]
+    gap[apart] = np.maximum(np.abs(left[apart]), np.abs(right[apart]))
+    return float(gap.max())  # NaN, when a product overflows
 
 
 def _associativity_check(structure: np.ndarray, eps: float) -> None:
@@ -241,10 +241,10 @@ def _associativity_check(structure: np.ndarray, eps: float) -> None:
     (2-CPU Xeon, numpy 2.4.6):
 
         tensor     table     fold
-        C[Z64]     5.3 ms    550 ms
-        C[Z48]     1.8 ms    119 ms
-        M_6        1.2 ms    28 ms
-        C[Z16]     0.25 ms   0.85 ms
+        C[Z64]     4.1 ms    391 ms
+        C[Z48]     1.2 ms    94 ms
+        M_6        0.72 ms   24 ms
+        C[Z16]     0.07 ms   0.70 ms
     """
     worst = _table_gap(structure)
     if worst is not None and worst <= eps:

@@ -10,14 +10,14 @@ not be written to ``--out``.
 
 Reports are deterministic: identical inputs and seed produce
 byte-identical JSON.  ``--format text``, the default, is rendered from
-that JSON, so both formats show the same numbers.  The ``TRIVOLVE_SEED``
-environment variable overrides ``--seed``; a seed must be non-negative.
+the values that JSON holds, so both formats show the same numbers.  The
+``TRIVOLVE_SEED`` environment variable overrides ``--seed``; a seed must
+be non-negative.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -45,9 +45,10 @@ from .serialization import (
     load_element,
     load_group_params,
     load_map,
+    plain,
 )
 from .spectra import spectrum, verify_spectral_inclusion
-from .starmap import AlgMap, conjugation_map, map_norm
+from .starmap import AlgMap, conjugation_map, kernel_image, map_norm
 from .suite import run_suite
 from .trivolution import canonical_decomposition, classify_star_map, factor_through_involution, check_trivolutive_hom
 from .unitization import find_type1_solutions, range_identity, verify_extension
@@ -162,8 +163,9 @@ def _cmd_extend(args: argparse.Namespace) -> dict:
         records.append(_extension_record(spec, solutions.best_effort))
     e_b = range_identity(algebra, tau, eps, rank)
     if e_b is not None:
+        _, image = kernel_image(tau, rank)
         records.append(_extension_record(verify_extension(algebra, tau, 0.0, e_b, eps, rank,
-                                                          e_b=e_b), False))
+                                                          e_b=e_b, image=image), False))
     return {"extensions": records, "count": len(records)}
 
 
@@ -325,10 +327,9 @@ def _usage_report(args: argparse.Namespace, exc: UsageError) -> dict:
 
 def _render(report: dict, output_format: str) -> str:
     """The report as text; ``UsageError`` when it holds a non-finite number."""
-    text = dumps_report(report)
     if output_format == "json":
-        return text
-    return _render_text(json.loads(text)) + "\n"
+        return dumps_report(report)
+    return _render_text(plain(report)) + "\n"
 
 
 def _render_text(report: dict, indent: int = 0) -> str:

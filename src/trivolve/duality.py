@@ -147,7 +147,7 @@ class IntrovertedSpace:
     def require_introverted(self) -> None:
         """Fail the law ``X topologically introverted``, naming the first escape, if it is not."""
         if not self.introverted:
-            raise CertificationFailure("both Arens products need a two-sided introverted subspace",
+            raise CertificationFailure("X is not a two-sided introverted subspace of the dual",
                                        law="X topologically introverted",
                                        details={"escape": self.diagnostic})
 

@@ -72,9 +72,9 @@ def rref_rows(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
         if i != r:
             a[[r, i]] = a[[i, r]]
         a[r] = a[r] / a[r, c]
-        for k in range(rows):
-            if k != r and abs(a[k, c]) > 0:
-                a[k] = a[k] - a[k, c] * a[r]
+        hit = np.abs(a[:, c]) > 0  # False for a NaN, which is left as it is
+        hit[r] = False
+        a[hit] = a[hit] - np.multiply.outer(a[hit, c], a[r])
         pivots.append(c)
         r += 1
     return a, pivots

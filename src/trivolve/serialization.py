@@ -11,26 +11,31 @@ either real numbers, in shape ``s``, or ``[re, im]`` pairs, in shape
 null, ``true`` or ``false``, a non-finite number or an integer too large
 for a float is a ``ParseError``.  So is a ``dim`` or a group ``order``
 that is not a JSON integer of at least 1.  A group table is a square
-matrix of integer element indices that satisfies the group axioms.  An
-algebra spec's optional ``norm`` member, in either form, names its norm:
-the one accepted value is ``"ell1"``, the ell-1 norm of the coordinates,
-which is also what an absent member means.
+matrix of integer element indices that satisfies the group axioms; a
+member of a group spec other than ``group``, ``labels`` and ``norm`` is a
+``ParseError`` that names it.  An algebra spec's optional ``norm``
+member, in either form, names its norm: the one accepted value is
+``"ell1"``, the ell-1 norm of the coordinates, which is also what an
+absent member means.
 
 ``load_algebra`` and ``load_map`` read a spec file one top-level member at
 a time.  The arrays they read (``structure``, ``identity``, ``matrix``)
-are decoded flat when they are regular arrays of numbers: the text's
-brackets and commas must be those of the array's shape, no number may
-touch a bracket from outside, and the numbers go through one
-``json.loads`` and one ``np.asarray``.  A number written exactly ``0.0``,
-with only whitespace around it, skips ``json``: it is ``+0.0``, and only
-the other numbers are decoded, as long as they are float64 next to it.
-The result is the array that ``np.asarray`` makes of what ``json`` decodes,
-bit for bit (ints, ``-0``, ``1E400`` and integers beyond 64 bits
+are decoded flat when they are regular arrays of numbers, in a few passes
+over the whole text and without a nested list.  Such an array ends before
+the next ``"`` or ``}``; it may hold only numbers, brackets, commas and
+whitespace, and its skeleton, with each number cut to one ``x`` and the
+whitespace deleted, must be that of its shape, so no number touches a
+bracket or is split by whitespace.  A number written exactly ``0.0`` skips
+``json``: it is ``+0.0``, and only the other numbers are decoded, by one
+``json.loads``, as long as they are float64 next to it.  The result is the
+array that ``np.asarray`` makes of what ``json`` decodes, bit for bit and
+dtype included (ints, ``-0``, ``1E400`` and integers beyond 64 bits
 included); a big tensor just skips the hundreds of thousands of nested
-lists, and a sparse one most of its numbers.  Every other member goes
-through ``json``'s own decoder.  A file that is not one JSON object, or
-whose syntax is bad anywhere, is read again by ``read_json``, so an error
-takes the path it always took and keeps its message.
+lists, and a sparse one most of its numbers.  Every other member, and
+every array declined, goes through ``json``'s own decoder.  A file that is
+not one JSON object, or whose syntax is bad anywhere, is read again by
+``read_json``, so an error takes the path it always took and keeps its
+message.
 
 ``dumps_report`` writes a report as JSON: two-space indents, one member
 or item to a line, ``[]`` and ``{}`` when empty, keys sorted (a key that
@@ -46,7 +51,8 @@ lists without a complex entry are written as they are.  A complex
 go through one ``repr`` pass and one ``str.join``.  A non-finite number,
 which JSON cannot hold, means the inputs overflowed float64: a
 ``UsageError`` naming the first one in insertion order, since a dict's
-members are encoded in insertion order and sorted afterwards.
+members are encoded in insertion order and sorted afterwards.  ``plain``
+gives the values that JSON text decodes to without writing it.
 """
 
 from __future__ import annotations
@@ -70,10 +76,11 @@ _INDENT = "  "
 
 _WHITESPACE = " \t\n\r"  # JSON whitespace, as ``json`` reads it
 _WS = re.compile(f"[{_WHITESPACE}]*")
-_NUMBER_ARRAY = re.compile(f"\\[[-+.0-9eE\\[\\],{_WHITESPACE}]*\\]")
-_MARK_NUMBERS = bytes.maketrans(b"-+.0123456789eE", b"x" * 15)
+# a number character reads x; brackets, commas and whitespace stay; anything else reads q
+_MARK_NUMBERS = bytes(ord("x") if chr(b) in "-+.0123456789eE"
+                      else b if chr(b) in "[]," + _WHITESPACE else ord("q") for b in range(256))
 _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
-_PIECE = 2 ** 18  # bytes of number text scanned at once
+_SEPARATOR = bytes.maketrans(b";", b",")
 _DECODER = json.JSONDecoder()
 
 
@@ -222,6 +229,39 @@ def dumps_report(report: dict) -> str:
     return _encode(report, 0) + "\n"
 
 
+def plain(value):
+    """What ``json`` decodes from the text ``_encode`` writes of ``value``, without the text.
+
+    Dicts keep their insertion order, with ``str`` keys; arrays become
+    nested lists, complex values ``[re, im]`` pairs and tuples lists.  The
+    ``UsageError`` names the non-finite number that ``dumps_report`` names.
+    """
+    if isinstance(value, (float, np.floating)):
+        return _finite(float(value))
+    if isinstance(value, dict):
+        return {str(k): plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        if _is_complex_vector(value):
+            return [complex_to_pair(v) for v in value]
+        return [plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        if np.iscomplexobj(value):
+            value = np.asarray(value, dtype=complex)
+            value = np.stack([value.real, value.imag], axis=-1)
+        if value.dtype.kind != "f":
+            return plain(value.tolist())
+        if not np.isfinite(value).all():
+            _finite(value[~np.isfinite(value)][0])  # raises UsageError
+        return value.tolist()
+    if isinstance(value, (complex, np.complexfloating)):
+        return complex_to_pair(value)
+    if isinstance(value, (np.integer, np.bool_)):
+        return value.item()
+    if value is None or isinstance(value, (str, int)):
+        return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def read_json(path: str | Path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -231,96 +271,102 @@ def read_json(path: str | Path):
 
 
 def _regular_shape(skeleton: bytes) -> tuple[int, ...] | None:
-    """The shape of an array with the brackets and commas ``skeleton``, if it is regular.
+    """The shape of a regular array whose skeleton, an ``x`` for each number, is ``skeleton``.
 
-    The shape is read off the first element at each depth; the skeleton of
-    that shape must then be ``skeleton``.  ``[]`` reads as shape ``(1,)``.
+    Each length is read off the text of the first element at its depth
+    (the whole text at depth 0) and the skeleton built at the depth below;
+    the skeleton of that shape must then be ``skeleton``.  None for any
+    other skeleton.
     """
     depth = len(skeleton) - len(skeleton.lstrip(b"["))
     if depth > 32:  # deeper than an ndarray may be
         return None
-    shape = [skeleton.count(b"]" * (depth - k - 1) + b",", k,
-                            skeleton.find(b"]" * (depth - k), k)) + 1 for k in range(depth)]
-    regular = b""
-    for n in reversed(shape):
-        if n * (len(regular) + 1) + 1 > len(skeleton):  # never longer than the text
+    shape, regular = [], b"x"
+    for k in reversed(range(depth)):
+        end = len(skeleton) if k == 0 else skeleton.find(b"]" * (depth - k), k) + depth - k
+        n, rest = divmod(end - k - 1, len(regular) + 1)
+        if rest or n < 1:
             return None
-        regular = b"[" + b",".join([regular] * n) + b"]"
+        shape.insert(0, n)
+        regular = b"[%b]" % b",".join([regular] * n)  # never longer than the text
     return tuple(shape) if regular == skeleton else None
 
 
 def _flat_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
     """The array of numbers at ``text[start]``, decoded flat, and where it ends.
 
-    None unless it is a regular array: its skeleton (``text`` without
-    numbers and whitespace) is that of its shape, and no number touches a
-    bracket from outside.  The numbers, between commas only, then go
-    through one ``json.loads``, which checks each of them; ``_skip_zeros``
-    spares it the ``0.0`` tokens.
+    The array ends before the next ``"`` or ``}``, less trailing whitespace
+    and commas.  None unless it holds only numbers, brackets, commas and
+    whitespace, and its ``_skeleton`` is that of a regular array.  The
+    numbers then go through one ``json.loads``, which checks each of them;
+    ``_skip_zeros`` spares it the ``0.0`` tokens.
     """
-    array = _NUMBER_ARRAY.match(text, start)
-    if array is None:
+    stop = min((at for at in (text.find('"', start), text.find("}", start)) if at >= 0),
+               default=len(text))
+    raw = text[start:stop].rstrip(_WHITESPACE + ",").encode()
+    marked = raw.translate(_MARK_NUMBERS)
+    if b"q" in marked:
         return None
-    raw = array.group().encode("ascii")
-    marked = raw.translate(_MARK_NUMBERS, _WHITESPACE.encode())
-    if b"x[" in marked or b"]x" in marked:
-        return None
-    shape = _regular_shape(marked.translate(None, b"x"))
+    number = np.frombuffer(marked, dtype=np.uint8) == ord("x")
+    shape = _regular_shape(_skeleton(marked, number))
     if shape is None:
         return None
-    numbers = raw.translate(_BLANK_BRACKETS)
     try:
-        flat = _skip_zeros(b"," + numbers + b",")
+        flat = _skip_zeros(raw, np.flatnonzero(number[1:] > number[:-1]), number)
         if flat is None:
-            flat = np.asarray(json.loads(b"[" + numbers + b"]"))
-        return flat.reshape(shape), array.end()
-    except (ValueError, OverflowError):  # a bad number, or the "[]" read as shape (1,)
+            flat = np.asarray(json.loads(b"[" + raw.translate(_BLANK_BRACKETS) + b"]"))
+    except (ValueError, OverflowError):  # a bad number
         return None
+    return flat.reshape(shape), start + len(raw)
 
 
-def _skip_zeros(text: bytes) -> np.ndarray | None:
-    """``np.asarray`` of the numbers ``text[1:-1]``, its ``0.0`` tokens read without ``json``.
+def _skeleton(marked: bytes, number: np.ndarray) -> bytes:
+    """``marked`` with each run of ``x`` (where ``number`` is set) cut to one, whitespace deleted.
 
-    ``text`` is the comma-separated numbers with a comma added at each end,
-    so that every token lies between two commas.  It is scanned in pieces
-    of about ``_PIECE`` bytes that begin and end with a comma.  A token that
-    is ``0.0`` with only whitespace around it is ``+0.0``, which is what
-    ``json`` makes of it; the others go through one ``json.loads``.  The
-    result is that of ``json`` on all the numbers, bit for bit.  None, so
-    that ``json`` reads them all, when no token is ``0.0``, when a token is
-    not one run of number characters (it is empty, or whitespace splits
-    it), or when the others are not all float64 next to a ``0.0``: then
+    A number split by whitespace reads ``xx``, and one that touches a
+    bracket from outside reads ``x[`` or ``]x``: no regular skeleton holds
+    either.
+    """
+    cut = np.logical_and(number[1:], number[:-1]).view(np.uint8)  # an x after an x
+    cut *= ord("x") - ord(" ")
+    np.subtract(np.frombuffer(marked, dtype=np.uint8)[1:], cut, out=cut)
+    return marked[:1] + cut.tobytes().translate(None, _WHITESPACE.encode())
+
+
+def _skip_zeros(raw: bytes, before: np.ndarray, number: np.ndarray) -> np.ndarray | None:
+    """``np.asarray`` of the numbers in the regular array ``raw``, ``0.0`` read without ``json``.
+
+    ``before`` holds the index of the character before each number, and
+    ``number`` marks every number character.  A number that is exactly
+    ``0.0`` is ``+0.0``, which is what ``json`` makes of it; the others are
+    joined and go through one ``json.loads``, and each lands at the rank of
+    its start.  The result is that of ``json`` on all the numbers, bit for
+    bit.  None, so that ``json`` reads them all, when no number is ``0.0``
+    or when the others are not all float64 next to a ``0.0``: then
     ``np.asarray`` might pick another dtype.
     """
-    if b"0.0" not in text:  # no token is 0.0: spare the scan
-        return None
-    zeros, kept, start, last = [], [], 0, len(text) - 1
-    while start < last:
-        stop = text.find(b",", min(start + _PIECE, last))
-        piece = np.frombuffer(text, dtype=np.uint8, count=stop + 1 - start, offset=start)
-        commas = np.flatnonzero(piece == ord(","))
-        # a number character is neither a comma nor whitespace, which sorts below it
-        number = (piece > ord(" ")) & (piece != ord(","))
-        firsts = np.flatnonzero(number[1:] > number[:-1]) + 1
-        ends = np.flatnonzero(number[:-1] > number[1:]) + 1
-        if len(firsts) != len(commas) - 1 or not (np.all(commas[:-1] < firsts)
-                                                  and np.all(firsts < commas[1:])):
-            return None  # a token is not one run: empty, or split by whitespace
-        three = np.flatnonzero(ends - firsts == 3)
-        at = firsts[three]
-        zero = np.zeros(len(firsts), dtype=bool)
-        zero[three] = ((piece[at] == ord("0")) & (piece[at + 1] == ord("."))
-                       & (piece[at + 2] == ord("0")))
-        kept.append(piece[:-1][np.repeat(~zero, commas[1:] - commas[:-1])].tobytes())
-        zeros.append(zero)
-        start = stop
-    zero = np.concatenate(zeros)
+    text = np.frombuffer(raw, dtype=np.uint8)
+    # a 0.0, the non-number after it and the closing bracket: before + 4 < len(raw)
+    at = before[:np.searchsorted(before, len(raw) - 4)]
+    zero = np.zeros(len(before), dtype=bool)
+    zero[:len(at)] = ((text[1:][at] == ord("0")) & (text[2:][at] == ord("."))
+                      & (text[3:][at] == ord("0")) & ~number[4:][at])
     if not zero.any():
         return None
-    others = np.asarray([0.0] + json.loads(b"[" + b"".join(kept)[1:] + b"]"))
+    # each other number with the text up to the next one, its first character (never in
+    # a number) made a ";", which becomes the comma before it
+    kept = np.flatnonzero(~zero)
+    first, following = before[kept], before.take(kept + 1, mode="clip")
+    following[kept == len(before) - 1] = len(raw)  # the last number runs to the end
+    lengths = following - first
+    offsets = np.cumsum(lengths) - lengths
+    others = text[np.repeat(first - offsets, lengths) + np.arange(lengths.sum())]
+    others[offsets] = ord(";")
+    others = others.tobytes().translate(_SEPARATOR, b"[]," + _WHITESPACE.encode())
+    others = np.asarray([0.0] + json.loads(b"[" + others[1:] + b"]"))
     if others.dtype != np.float64:
         return None
-    numbers = np.zeros(len(zero))
+    numbers = np.zeros(len(before))
     numbers[~zero] = others[1:]
     return numbers
 
@@ -381,6 +427,10 @@ def load_algebra(source: str | Path | dict) -> Algebra:
         if norm_tag != "ell1":
             raise ParseError(f"unknown norm tag {norm_tag!r}; the one norm is \"ell1\"")
         if "group" in data:
+            unread = [key for key in data if key not in ("group", "labels", "norm")]
+            if unread:
+                raise ParseError(f"a group spec has only 'group', 'labels' and 'norm' members; "
+                                 f"it does not read {', '.join(map(repr, unread))}")
             group = data["group"]
             table = group_table(group["table"])
             if "order" in group and _positive_int(group["order"], "order") != len(table.table):

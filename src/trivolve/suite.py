@@ -37,7 +37,7 @@ from .instances import (
     standard_group_involution,
 )
 from .linalg import max_abs
-from .starmap import adjoint, apply, identity_map, make_map
+from .starmap import adjoint, apply, identity_map, kernel_image, make_map
 from .trivolution import (
     canonical_decomposition,
     check_trivolutive_hom,
@@ -124,6 +124,7 @@ def _section_extension_scan() -> dict:
     checked = 0
     grid = [-1.0, 0.0, 1.0]
     e_b = range_identity(algebra, tau)
+    _, image = kernel_image(tau)
     for lam0 in (0.0, 0.5, 1.0):
         for re1 in grid:
             for im1 in grid:
@@ -132,7 +133,7 @@ def _section_extension_scan() -> dict:
                         x0 = algebra.element([complex(re1, im1), complex(re2, im2)])
                         checked += 1
                         try:  # raises when the family verdict and the classification disagree
-                            verify_extension(algebra, tau, lam0, x0, e_b=e_b)
+                            verify_extension(algebra, tau, lam0, x0, e_b=e_b, image=image)
                         except CertificationFailure:
                             disagreements += 1
     c4, tau4 = c4_indicator_pair()

@@ -23,6 +23,7 @@ import numpy as np
 from .algebra import (
     Algebra,
     Element,
+    Subspace,
     algebras_compatible,
     element_norm,
     induced_subalgebra,
@@ -86,21 +87,20 @@ def range_identity(algebra: Algebra, tau: AlgMap, eps: float = EPS,
 
 def verify_extension(algebra: Algebra, tau: AlgMap, lambda0: complex, x0,
                      eps: float = EPS, eps_rank: float = EPS_RANK, *,
-                     e_b: Element | None) -> ExtensionSpec:
+                     e_b: Element | None, image: Subspace) -> ExtensionSpec:
     """Classify a candidate ``(lambda0, x0)`` into a family, twice over.
 
     The family conditions are checked directly, the generic extension is
     classified on the unitized algebra, and the two verdicts must agree
     (a per-instance soundness and completeness check).  ``family`` is
     ``invalid`` when both reject.  ``e_b`` is ``range_identity(algebra,
-    tau)``, built once per ``tau`` by the caller and taken as given.
+    tau)`` and ``image`` is ``kernel_image(tau, eps_rank)[1]``, both built
+    once per ``tau`` by the caller and taken as given.
     """
     if not isinstance(x0, Element):
         x0 = algebra.element(x0)
     lambda0 = complex(lambda0)
     residuals: dict[str, float] = {}
-
-    _, image = kernel_image(tau, eps_rank)
     image_cols = image.canonical_columns()
 
     # family I: lambda0 = 1, x0^2 = -x0, x0 tau(A) = tau(A) x0 = 0, tau(x0) = 0
@@ -158,10 +158,9 @@ class Type1Solutions:
         return [spec.x0 for spec in self.specs]
 
 
-def _annihilator_intersect_kernel(algebra: Algebra, tau: AlgMap,
+def _annihilator_intersect_kernel(algebra: Algebra, tau: AlgMap, image: Subspace,
                                   eps_rank: float) -> np.ndarray:
-    """Basis columns of ker(tau) meet the two-sided annihilator of the range."""
-    _, image = kernel_image(tau, eps_rank)
+    """Basis columns of ker(tau) meet the two-sided annihilator of the range ``image``."""
     rows = [np.conj(tau.matrix)]  # tau(x) = 0 iff conj(M) x = 0
     for col in image.canonical_columns().T:
         rows.append(right_mult_matrix(algebra, col))  # x . q = 0
@@ -238,12 +237,11 @@ def find_type1_solutions(algebra: Algebra, tau: AlgMap, *, seed: int = 0,
     if not verdict.is_trivolution:
         raise CertificationFailure("solver requires a trivolution",
                                    law="conjugate-linear anti-homomorphism with t^3 = t")
-    n_basis = _annihilator_intersect_kernel(algebra, tau, eps_rank)
+    _, image = kernel_image(tau, eps_rank)
+    n_basis = _annihilator_intersect_kernel(algebra, tau, image, eps_rank)
     best_effort = False
     candidates = [np.zeros(algebra.dim, dtype=complex)]
     if n_basis.shape[1] > 0:
-        from .algebra import Subspace
-
         n_sub = Subspace(n_basis, algebra)
         sub, embedding = induced_subalgebra(algebra, n_sub, eps=eps)
         idempotents = _idempotents_exact(sub, eps)
@@ -255,13 +253,14 @@ def find_type1_solutions(algebra: Algebra, tau: AlgMap, *, seed: int = 0,
 
     e_b = range_identity(algebra, tau, eps, eps_rank)
     specs = []
-    seen: list[np.ndarray] = []
+    seen, count = np.empty((len(candidates), algebra.dim), dtype=complex), 0
     for coords in candidates:
-        if any(max_abs(coords - s) <= 1e-6 for s in seen):
+        if (np.abs(seen[:count] - coords).max(axis=1) <= 1e-6).any():
             continue
-        seen.append(coords)
+        seen[count] = coords
+        count += 1
         spec = verify_extension(algebra, tau, 1.0, algebra.element(coords), eps, eps_rank,
-                                e_b=e_b)
+                                e_b=e_b, image=image)
         if spec.family == FAMILY_TYPE_I:
             specs.append(spec)
     specs.sort(key=lambda spec: tuple(np.round(
@@ -290,9 +289,10 @@ def contractive_extensions(algebra: Algebra, tau: AlgMap) -> ContractiveExtensio
         raise CertificationFailure(f"the map itself has norm {tau_norm:.6f} > 1",
                                    law="||tau|| <= 1", residual=tau_norm - 1.0)
     e_b = range_identity(algebra, tau)
-    included = [verify_extension(algebra, tau, 1.0, algebra.zero(), e_b=e_b)]
+    _, image = kernel_image(tau)
+    included = [verify_extension(algebra, tau, 1.0, algebra.zero(), e_b=e_b, image=image)]
     if e_b is not None:
-        type2 = verify_extension(algebra, tau, 0.0, e_b, e_b=e_b)
+        type2 = verify_extension(algebra, tau, 0.0, e_b, e_b=e_b, image=image)
         if type2.family == FAMILY_TYPE_II and type2.contractive:
             included.append(type2)
 

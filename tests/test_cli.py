@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from trivolve.algebra import cyclic_group_table, group_algebra
-from trivolve.cli import _render_text, build_parser, main, run
+from trivolve.cli import _render, _render_text, build_parser, main, run
+from trivolve.errors import UsageError
 from trivolve.instances import standard_group_involution
+from trivolve.serialization import dumps_report
 
 from spec_writers import (SAMPLE_COMMANDS, SAMPLE_SPECS, algebra_to_json, array_to_json, jsonable,
                           map_to_json)
@@ -332,6 +334,17 @@ def test_a_norm_other_than_ell1_is_parse_error(spec_files, tmp_path, c2, form):
                       "message": 'unknown norm tag \'opnorm\'; the one norm is "ell1"'}
 
 
+def test_a_group_spec_member_it_does_not_read_is_parse_error(spec_files, tmp_path):
+    # the structure form's members do not describe a group algebra: no silent C[Z2]
+    _, tau = spec_files
+    spec = {**json.loads(Z2_SPEC.read_text()), "dim": 7, "structure": "junk", "identity": [5, 5]}
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(spec))
+    code, report = run_cli(["check", "--algebra", str(mixed), "--map", tau], tmp_path)
+    assert code == 2 and report["error"] == "ParseError"
+    assert "'dim', 'structure', 'identity'" in report["message"]
+
+
 def test_non_finite_spec_is_usage_error(spec_files, tmp_path, capsys):
     def reject(constant):
         raise ValueError(f"report holds {constant}")
@@ -519,8 +532,52 @@ def test_text_report_matches_the_reference(argv, capsys):
     assert text == reference
 
 
+def render_through_json(report):
+    """The text renderer before ``plain``: the report's JSON text, decoded and rendered."""
+    return _render_text(json.loads(dumps_report(report))) + "\n"
+
+
+EDGE_REPORT = {
+    "floats": [1.0, -0.0, 1e-300, 0.1 + 0.2, np.float32(0.1), np.float64(2.5), 10**30],
+    "complex vector": [1, 2.5j, np.complex64(1 - 1j), -0.0],
+    "tuple": (1, "a", None, True, (2, 3j)),
+    "arrays": {"complex": np.array([[1 + 2j, -0.0j]]), "real": np.eye(2)[0],
+               "ints": np.arange(3), "bools": np.array([True, False]),
+               "empty": np.zeros((0, 2), dtype=complex), "scalar": np.array(3.5),
+               "single": np.array([0.25], dtype=np.float32)},
+    "numpy scalars": [np.int64(7), np.bool_(True), np.complex128(-1j)],
+    "records": [{"b": 1, 2: "two"}, {"a": [np.array([1j])], "c": {}}],
+    "empty": [],
+    "text": 'na\u00efve "quoted"',
+    3: "a key that is not a string",
+}
+
+
+@pytest.mark.parametrize("argv", [argv for name, argv in SAMPLE_COMMANDS.items()
+                                  if name != "suite"],
+                         ids=[name for name in SAMPLE_COMMANDS if name != "suite"])
+def test_text_render_matches_the_json_round_trip(argv):
+    _, report = run(build_parser().parse_args(argv))
+    for value in (report, EDGE_REPORT):
+        assert _render(value, "text") == render_through_json(value)
+
+
+@pytest.mark.parametrize("report", [
+    {"b": [1.0, np.inf], "a": np.array([np.nan])},
+    {"z": {"y": complex(0, -np.inf)}, "a": -np.inf},
+    {"m": np.array([[1.0, 2.0], [np.inf, np.nan]]), "a": [1j, complex(np.nan, 0)]},
+], ids=["list first", "nested complex first", "array first"])
+def test_text_render_names_the_non_finite_number_json_names(report):
+    # the first one in insertion order, though sorting puts another member first
+    with pytest.raises(UsageError) as text:
+        _render(report, "text")
+    with pytest.raises(UsageError) as encoded:
+        dumps_report(report)
+    assert str(text.value) == str(encoded.value)
+
+
 def test_text_report_is_rendered_from_the_json(tmp_path, capsys):
-    # the arrays of an arens --map report reach the text through dumps_report
+    # the arrays of an arens --map report reach the text as the JSON holds them
     table = cyclic_group_table(12)
     z12 = group_algebra(table)
     z12_path = tmp_path / "z12.json"

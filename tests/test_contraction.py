@@ -203,7 +203,7 @@ def test_perturbed_group_algebra_reports_the_dense_violation(non_zero, value):
 
 
 def test_sparse_check_memory():
-    # the dense kernel peaks at about 16 MiB here, the join at about 14 MiB
+    # the table gap peaks at about 9 MiB here; the dense fold, where a failed table goes, at 16 MiB
     c = cyclic_group_table(64).structure()
     tracemalloc.start()
     try:

@@ -1,11 +1,11 @@
-"""The one-SVD image/kernel/solve helper against lstsq plus a full SVD."""
+"""Linear algebra helpers against references: the one-SVD helper, and the echelon form."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from trivolve.linalg import EPS_RANK, column_space_and_nullspace
+from trivolve.linalg import EPS_RANK, column_space_and_nullspace, rref_rows
 
 
 def reference(a, b, tol=EPS_RANK):
@@ -79,3 +79,46 @@ def test_helper_never_builds_the_tall_left_factor():
         finally:
             tracemalloc.stop()
         assert peak < full_left_factor
+
+
+def rref_rows_loop(mat):
+    """The row-at-a-time elimination that ``rref_rows`` replaced, kept as a reference."""
+    a = np.asarray(mat, dtype=complex).copy()
+    rows, cols = a.shape
+    pivots, r = [], 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        i = r + int(np.argmax(np.abs(a[r:, c])))
+        if abs(a[i, c]) <= EPS_RANK:
+            continue
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = a[r] / a[r, c]
+        for k in range(rows):
+            if k != r and abs(a[k, c]) > 0:
+                a[k] = a[k] - a[k, c] * a[r]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def rref_cases(rng):
+    for m, n in [(1, 1), (3, 5), (6, 4), (9, 9), (12, 20)]:
+        dense = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        yield dense
+        yield dense * (rng.random((m, n)) < 0.3)  # sparse
+        yield np.outer(dense[:, 0], dense[0])  # rank one
+        yield gaussian_integers(rng, m, n)
+        yield low_rank(rng, m, n, min(m, n) // 2 + 1)
+    yield np.array([[-0.0, 1.0], [0.0, -0.0], [2.0, 0.0]], dtype=complex)  # signed zeros
+    yield np.array([[1.0, np.nan], [np.nan, 2.0], [3.0, 1.0]], dtype=complex)  # NaN rows
+
+
+def test_rref_rows_matches_the_row_loop_bit_for_bit():
+    rng = np.random.default_rng(7)
+    with np.errstate(invalid="ignore"):
+        for mat in rref_cases(rng):
+            got, pivots = rref_rows(mat)
+            want, want_pivots = rref_rows_loop(mat)
+            assert pivots == want_pivots and got.tobytes() == want.tobytes()

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from trivolve.algebra import cyclic_group_table, function_algebra, group_algebra
 from trivolve.cli import main
 from trivolve.errors import ParseError
-from trivolve.serialization import (_BLANK_BRACKETS, _PIECE, _flat_array, _spec_object,
-                                    array_from_json, load_algebra, load_map, read_json)
+from trivolve.serialization import (_flat_array, _spec_object, array_from_json, load_algebra,
+                                    load_map, read_json)
 
 from spec_writers import algebra_to_json
 
@@ -508,19 +508,18 @@ def test_flat_reader_on_zero_tokens(spec_dir, n, array):
         check_against_json_reader(spec_dir / "zeros.json", "map", n, text)
 
 
-@pytest.mark.parametrize("cut", [-1, 0, 1], ids=["before", "at", "after"])
-def test_zero_skipping_across_pieces(cut):
-    # 0.0 tokens over more than two pieces, and a non-zero next to the first cut
-    tokens = ["0.0"] * (3 * _PIECE // 5)
-    text = "[" + ", ".join(tokens) + "]"
-    body = b"," + text.encode().translate(_BLANK_BRACKETS)  # what the decoder scans
-    first = body[:body.find(b",", _PIECE)].count(b",")  # the token the second piece starts with
-    tokens[first + cut] = "2.5"  # as long as 0.0, so the cut stays where it was
-    text = "[" + ", ".join(tokens) + "]"
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_zero_skipping_finds_a_lone_number(where):
+    # one non-zero among 10^5 0.0 tokens; the last one ends just before "]]"
+    tokens = ["0.0"] * 10**5
+    index = {"first": 0, "middle": len(tokens) // 2, "last": len(tokens) - 1}[where]
+    tokens[index] = "3"
+    text = "[[" + ", ".join(tokens) + "]]"
     decoded, end = _flat_array(text, 0)
+    expected = np.asarray(json.loads(text))
     assert end == len(text)
-    assert decoded.tobytes() == np.asarray(json.loads(text)).tobytes()
-    assert np.flatnonzero(decoded).tolist() == [first + cut]
+    assert decoded.dtype == expected.dtype and decoded.tobytes() == expected.tobytes()
+    assert np.flatnonzero(decoded).tolist() == [index]
 
 
 def test_flat_reader_decodes_regular_arrays_without_lists(spec_dir):

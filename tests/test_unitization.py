@@ -8,7 +8,7 @@ import pytest
 from trivolve.algebra import function_algebra, make_algebra, multiply
 from trivolve.errors import CertificationFailure
 from trivolve.instances import c4_indicator_pair, indicator_trivolution, remark_pair
-from trivolve.starmap import apply, conjugation_map, make_map
+from trivolve.starmap import apply, conjugation_map, kernel_image, make_map
 from trivolve.trivolution import classify_star_map
 from trivolve.unitization import (
     FAMILY_INVALID,
@@ -39,33 +39,36 @@ class TestVerifyExtension:
     def test_canonical_always_valid(self, battery):
         for inst in battery[::40]:
             spec = verify_extension(inst.algebra, inst.tau, 1.0, inst.algebra.zero(),
-                                    e_b=range_identity(inst.algebra, inst.tau))
+                                    e_b=range_identity(inst.algebra, inst.tau),
+                                    image=kernel_image(inst.tau)[1])
             assert spec.family == "type_I"
 
     def test_remark_family_one(self):
         algebra, tau = remark_pair()
         x0 = algebra.element([0.0, -1.0])
         assert brute_force_family_one(algebra, tau, x0)
-        spec = verify_extension(algebra, tau, 1.0, x0, e_b=range_identity(algebra, tau))
+        spec = verify_extension(algebra, tau, 1.0, x0, e_b=range_identity(algebra, tau),
+                                image=kernel_image(tau)[1])
         assert spec.family == "type_I"
 
     def test_remark_family_two(self):
         algebra, tau = remark_pair()
         spec = verify_extension(algebra, tau, 0.0, algebra.element([1.0, 0.0]),
-                                e_b=range_identity(algebra, tau))
+                                e_b=range_identity(algebra, tau), image=kernel_image(tau)[1])
         assert spec.family == "type_II"
 
     def test_positive_idempotent_rejected(self):
         algebra, tau = remark_pair()
         spec = verify_extension(algebra, tau, 1.0, algebra.element([0.0, 1.0]),
-                                e_b=range_identity(algebra, tau))
+                                e_b=range_identity(algebra, tau), image=kernel_image(tau)[1])
         assert spec.family == "invalid"
 
     def test_wrong_scalar_rejected(self):
         algebra, tau = remark_pair()
         e_b = range_identity(algebra, tau)
         for lam0 in (0.5, 1 + 1j, -1.0):
-            spec = verify_extension(algebra, tau, lam0, algebra.zero(), e_b=e_b)
+            spec = verify_extension(algebra, tau, lam0, algebra.zero(), e_b=e_b,
+                                    image=kernel_image(tau)[1])
             assert spec.family == "invalid"
 
     def test_random_scan_consistency(self):
@@ -76,7 +79,7 @@ class TestVerifyExtension:
         for _ in range(60):
             lam0 = complex(rng.standard_normal(), rng.standard_normal())
             x0 = algebra.element(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            verify_extension(algebra, tau, lam0, x0, e_b=e_b)
+            verify_extension(algebra, tau, lam0, x0, e_b=e_b, image=kernel_image(tau)[1])
 
 
 class TestUnitize:
@@ -84,7 +87,8 @@ class TestUnitize:
 
     def test_canonical_extension_structure(self):
         algebra, tau = remark_pair()
-        spec = verify_extension(algebra, tau, 1.0, algebra.zero(), e_b=range_identity(algebra, tau))
+        spec = verify_extension(algebra, tau, 1.0, algebra.zero(),
+                                e_b=range_identity(algebra, tau), image=kernel_image(tau)[1])
         sharp, tau_sharp = extension_map(algebra, tau, spec.lambda0, spec.x0)
         assert sharp.dim == 3
         assert np.allclose(sharp.identity_coords, [1.0, 0.0, 0.0])
@@ -95,7 +99,7 @@ class TestUnitize:
     def test_type_two_maps_unit_into_range(self):
         algebra, tau = remark_pair()
         spec = verify_extension(algebra, tau, 0.0, algebra.element([1.0, 0.0]),
-                                e_b=range_identity(algebra, tau))
+                                e_b=range_identity(algebra, tau), image=kernel_image(tau)[1])
         sharp, tau_sharp = extension_map(algebra, tau, spec.lambda0, spec.x0)
         unit = sharp.element([1.0, 0.0, 0.0])
         assert np.allclose(apply(tau_sharp, unit).coords, [0.0, 1.0, 0.0])
@@ -103,7 +107,7 @@ class TestUnitize:
     def test_invalid_rejected(self):
         algebra, tau = remark_pair()
         bad = verify_extension(algebra, tau, 1.0, algebra.element([0.0, 1.0]),
-                               e_b=range_identity(algebra, tau))
+                               e_b=range_identity(algebra, tau), image=kernel_image(tau)[1])
         assert bad.family == FAMILY_INVALID
         sharp, tau_sharp = extension_map(algebra, tau, bad.lambda0, bad.x0)
         assert not classify_star_map(sharp, tau_sharp).is_trivolution
@@ -115,7 +119,8 @@ class TestType1Solver:
             result = find_type1_solutions(algebra, tau)
             e_b = range_identity(algebra, tau)
             for spec in result.specs:
-                fresh = verify_extension(algebra, tau, 1.0, spec.x0, e_b=e_b)
+                fresh = verify_extension(algebra, tau, 1.0, spec.x0, e_b=e_b,
+                                         image=kernel_image(tau)[1])
                 for f in fields(ExtensionSpec):
                     got, want = getattr(spec, f.name), getattr(fresh, f.name)
                     if f.name == "x0":
@@ -195,7 +200,7 @@ class TestContractive:
         # must be refused outright
         algebra, tau = remark_pair()
         spec = verify_extension(algebra, tau, 1.0, algebra.element([0.0, -1.0]),
-                                e_b=range_identity(algebra, tau))
+                                e_b=range_identity(algebra, tau), image=kernel_image(tau)[1])
         sharp, tau_sharp = extension_map(algebra, tau, spec.lambda0, spec.x0)
         assert classify_star_map(sharp, tau_sharp).is_trivolution
         with pytest.raises(CertificationFailure) as info:
