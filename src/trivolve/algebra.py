@@ -158,10 +158,10 @@ class Subspace:
         """Membership residual of every column of ``columns``."""
         return np.abs(self.reduce(columns)).max(axis=0, initial=0.0)
 
-    def same_span(self, other: "Subspace", tol: float = EPS) -> bool:
-        """Each of the two subspaces contains the other, within ``tol``."""
-        return bool(np.all(self.residuals(other.basis) <= tol)
-                    and np.all(other.residuals(self.basis) <= tol))
+    def same_span(self, other: "Subspace") -> bool:
+        """Each of the two subspaces contains the other, within ``EPS``."""
+        return bool(np.all(self.residuals(other.basis) <= EPS)
+                    and np.all(other.residuals(self.basis) <= EPS))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim} of {self.algebra.dim})"
@@ -172,14 +172,14 @@ def _require_same_algebra(a: Algebra, b: Algebra) -> None:
         raise UsageError("operands belong to different algebras")
 
 
-def algebras_compatible(a: Algebra, b: Algebra, tol: float = EPS) -> bool:
-    """Same object, or structurally identical within tolerance."""
-    return a is b or same_structure(a.structure, b.structure, tol)
+def algebras_compatible(a: Algebra, b: Algebra) -> bool:
+    """Same object, or structurally identical within ``EPS``."""
+    return a is b or same_structure(a.structure, b.structure)
 
 
-def same_structure(s: np.ndarray, t: np.ndarray, tol: float = EPS) -> bool:
-    """Structure tensors of one shape whose entries agree within ``tol``."""
-    return s.shape == t.shape and max_abs(s - t) <= tol
+def same_structure(s: np.ndarray, t: np.ndarray) -> bool:
+    """Structure tensors of one shape whose entries agree within ``EPS``."""
+    return s.shape == t.shape and max_abs(s - t) <= EPS
 
 
 def _dense_gaps(structure: np.ndarray):
@@ -223,13 +223,13 @@ def _table_gap(structure: np.ndarray) -> float | None:
     return float(gap.max())  # NaN, when a product overflows
 
 
-def _associativity_check(structure: np.ndarray, eps: float) -> None:
+def _associativity_check(structure: np.ndarray) -> None:
     """Compare ``(b_i b_j) b_k`` with ``b_i (b_j b_k)``.
 
     A real product table comes first: when every fibre ``c[i, j, :]`` has at
     most one non-zero and every weight is real (exact tests, not cost
     estimates), ``_table_gap`` reads the worst gap off the table with
-    ``2 n^3`` products, and a worst gap of at most ``eps`` passes.  Each
+    ``2 n^3`` products, and a worst gap of at most ``EPS`` passes.  Each
     dense sum then has one non-zero term, so the table's gaps are the dense
     kernel's, bit for bit.  A table that fails, a complex table and every
     other tensor go on to the fold below, which finds the violation's
@@ -247,7 +247,7 @@ def _associativity_check(structure: np.ndarray, eps: float) -> None:
         C[Z16]     0.07 ms   0.70 ms
     """
     worst = _table_gap(structure)
-    if worst is not None and worst <= eps:
+    if worst is not None and worst <= EPS:
         return
     n = structure.shape[0]
     worst, where = 0.0, None
@@ -256,7 +256,7 @@ def _associativity_check(structure: np.ndarray, eps: float) -> None:
         largest = math.inf if np.isnan(gap[flat]) else float(gap[flat])  # overflow violates
         if largest > worst:  # strict: an earlier i keeps a tie
             worst, where = largest, (i, *np.unravel_index(flat, (n, n, n)))
-    if worst > eps:
+    if worst > EPS:
         i, j, k, l = where
         raise CertificationFailure(
             f"associativity fails at (i,j,k,l)=({i},{j},{k},{l}) with residual {worst:.3e}",
@@ -266,14 +266,14 @@ def _associativity_check(structure: np.ndarray, eps: float) -> None:
         )
 
 
-def _find_identity(structure: np.ndarray, eps: float) -> np.ndarray | None:
+def _find_identity(structure: np.ndarray) -> np.ndarray | None:
     """The two-sided identity, or None: ``e`` with ``e b_i = b_i = b_i e`` for every ``i``.
 
     Both families stack into one ``2n^2 x n`` system ``M e = b``; block
     ``(i, 0)`` is ``(k, m)``: the ``b_k`` coefficient of ``b_m b_i``, block
     ``(i, 1)`` that of ``b_i b_m``.  The ``n x n`` normal equations
     ``(M^H M) e = M^H b`` propose ``e``, which is kept when its residual
-    ``max |M e - b|`` is at most ``eps``.  They square the condition number
+    ``max |M e - b|`` is at most ``EPS``.  They square the condition number
     (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
     ch. 20), so the proposal is never kept uncertified: when it fails, or
     the Gram matrix is singular, ``lstsq`` decides on the same residual.
@@ -293,17 +293,17 @@ def _find_identity(structure: np.ndarray, eps: float) -> np.ndarray | None:
         with np.errstate(all="ignore"):  # an overflow fails the residual, not the call
             e = np.linalg.solve(adjoint @ system, adjoint @ target)
             residual = max_abs(system @ e - target)
-        if residual <= eps:
+        if residual <= EPS:
             return as_complex(e)
     except np.linalg.LinAlgError:  # a singular Gram matrix
         pass
     with np.errstate(all="ignore"):  # likewise for lstsq on subnormal constants
         e, residual = solve_exact(system, target)
-    return e if residual <= eps else None
+    return e if residual <= EPS else None
 
 
 def make_algebra(dim: int, structure, labels: Sequence[str] | None = None,
-                 declared_identity=None, *, eps: float = EPS) -> Algebra:
+                 declared_identity=None) -> Algebra:
     """Build an algebra, verifying associativity and detecting the identity.
 
     ``structure`` is a dim^3 complex tensor.  If ``declared_identity`` is
@@ -319,23 +319,23 @@ def make_algebra(dim: int, structure, labels: Sequence[str] | None = None,
         labels = tuple(str(s) for s in labels)
         if len(labels) != dim:
             raise UsageError(f"{len(labels)} labels for dim {dim}")
-    # a NaN residual compares false against eps, so it would pass every check below
+    # a NaN residual compares false against EPS, so it would pass every check below
     if not np.isfinite(structure).all():
         raise UsageError("structure constants must be finite")
     if declared_identity is not None and not np.isfinite(as_complex(declared_identity)).all():
         raise UsageError("declared identity must be finite")
-    _associativity_check(structure, eps)
+    _associativity_check(structure)
 
     if declared_identity is not None:
         e = as_complex(declared_identity).reshape(-1)
         basis_vecs = np.eye(dim, dtype=complex)
         left = np.einsum("m,mik->ik", e, structure)   # row i: e . b_i
         right = np.einsum("m,imk->ik", e, structure)  # row i: b_i . e
-        certify(max(max_abs(left - basis_vecs), max_abs(right - basis_vecs)), eps,
+        certify(max(max_abs(left - basis_vecs), max_abs(right - basis_vecs)), EPS,
                 "e b_i = b_i = b_i e", "declared identity fails with residual {residual:.3e}")
         identity = freeze(e)
     else:
-        found = _find_identity(structure, eps)
+        found = _find_identity(structure)
         identity = freeze(found) if found is not None else None
 
     return Algebra(dim=dim, basis_labels=labels, structure=freeze(structure),
@@ -362,8 +362,8 @@ def right_mult_matrix(algebra: Algebra, x) -> np.ndarray:
     return np.einsum("j,ijk->ki", coords, algebra.structure)
 
 
-def is_commutative(algebra: Algebra, tol: float = EPS) -> bool:
-    return max_abs(algebra.structure - algebra.structure.transpose(1, 0, 2)) <= tol
+def is_commutative(algebra: Algebra) -> bool:
+    return max_abs(algebra.structure - algebra.structure.transpose(1, 0, 2)) <= EPS
 
 
 def element_norm(x: Element) -> float:
@@ -510,8 +510,7 @@ def _action_escapes(algebra: Algebra, s: Subspace) -> np.ndarray:
     return s.residuals(actions.reshape(-1, n).T).reshape(n, m, 2) > EPS
 
 
-def induced_subalgebra(algebra: Algebra, s: Subspace, *,
-                       eps: float = EPS) -> tuple[Algebra, np.ndarray]:
+def induced_subalgebra(algebra: Algebra, s: Subspace) -> tuple[Algebra, np.ndarray]:
     """Algebra structure on a multiplicatively closed subspace.
 
     Returns the induced algebra on the canonical echelon basis of ``s``
@@ -524,11 +523,11 @@ def induced_subalgebra(algebra: Algebra, s: Subspace, *,
         return make_algebra(0, np.zeros((0, 0, 0)), []), q
     products = _pair_products(algebra, q)
     coeffs, residual = solve_exact(q, products)
-    certify(residual, eps, "closure under multiplication",
+    certify(residual, EPS, "closure under multiplication",
             "a product of basis vectors escapes the subspace (residual {residual:.3e})")
     structure = coeffs.reshape(k, k, k).transpose(1, 2, 0)
     labels = [algebra.basis_labels[p] for p in s.pivots]
-    sub = make_algebra(k, structure, labels, eps=eps)
+    sub = make_algebra(k, structure, labels)
     return sub, q
 
 

@@ -10,16 +10,14 @@ not be written to ``--out``.
 
 Reports are deterministic: identical inputs and seed produce
 byte-identical JSON.  ``--format text``, the default, is rendered from
-the values that JSON holds, so both formats show the same numbers.  The
-``TRIVOLVE_SEED`` environment variable overrides ``--seed``; a seed must
-be non-negative.
+the values that JSON holds, so both formats show the same numbers.  A
+``--seed`` must be non-negative.  Every law is decided at ``linalg.EPS``
+and every rank at ``linalg.EPS_RANK``; no flag sets either.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import sys
 
 import numpy as np
@@ -37,7 +35,7 @@ from .duality import (
     verify_character,
 )
 from .errors import CertificationFailure, UsageError
-from .linalg import EPS, EPS_RANK, as_complex
+from .linalg import EPS, as_complex
 from .serialization import (
     dumps_report,
     load_algebra,
@@ -48,10 +46,10 @@ from .serialization import (
     plain,
 )
 from .spectra import spectrum, verify_spectral_inclusion
-from .starmap import AlgMap, conjugation_map, kernel_image, map_norm
+from .starmap import AlgMap, conjugation_map, map_norm
 from .suite import run_suite
 from .trivolution import canonical_decomposition, classify_star_map, factor_through_involution, check_trivolutive_hom
-from .unitization import find_type1_solutions, range_identity, verify_extension
+from .unitization import find_type1_solutions
 
 
 def _map_record(f: AlgMap) -> dict:
@@ -76,12 +74,12 @@ def _load_space(args: argparse.Namespace, algebra: Algebra):
     if args.dual_basis is None:
         return full_dual(algebra)
     basis = load_dual_basis(args.dual_basis, algebra.dim)
-    return check_introverted(algebra, basis, args.tolerance)
+    return check_introverted(algebra, basis)
 
 
 def _cmd_check(args: argparse.Namespace) -> dict:
     algebra, tau = _load_pair(args)
-    verdict = classify_star_map(algebra, tau, args.tolerance, args.rank_threshold)
+    verdict = classify_star_map(algebra, tau)
     return {
         "classification": verdict.kind,
         "is_conjugate_linear": verdict.is_conjugate_linear,
@@ -96,7 +94,7 @@ def _cmd_check(args: argparse.Namespace) -> dict:
 
 def _cmd_decompose(args: argparse.Namespace) -> dict:
     algebra, tau = _load_pair(args)
-    dec = canonical_decomposition(algebra, tau, args.tolerance, args.rank_threshold)
+    dec = canonical_decomposition(algebra, tau)
     return {
         "classification": dec.verdict.kind,
         "decomposition": {
@@ -115,7 +113,7 @@ def _cmd_factor(args: argparse.Namespace) -> dict:
         j = load_map(args.map2, default_source=algebra)
     else:
         j = conjugation_map(algebra)
-    fact = factor_through_involution(algebra, tau, j, args.tolerance, args.rank_threshold)
+    fact = factor_through_involution(algebra, tau, j)
     return {
         "c_dim": fact.c.dim,
         "lambda": _map_record(fact.lam),
@@ -132,8 +130,7 @@ def _cmd_hom(args: argparse.Namespace) -> dict:
     tau2 = (load_map(args.map2 or args.map, default_source=a2)
             if args.map2 or args.algebra2 else tau1)
     pi = load_map(_need(args, "map3"), default_source=a1, default_target=a2)
-    blocks = check_trivolutive_hom(a1, tau1, a2, tau2, pi,
-                                   args.tolerance, args.rank_threshold)
+    blocks = check_trivolutive_hom(a1, tau1, a2, tau2, pi)
     return {
         "pi11": _map_record(blocks.pi11),
         "pi22": _map_record(blocks.pi22),
@@ -156,16 +153,10 @@ def _extension_record(spec, best_effort: bool) -> dict:
 
 def _cmd_extend(args: argparse.Namespace) -> dict:
     algebra, tau = _load_pair(args)
-    eps, rank = args.tolerance, args.rank_threshold
-    records = []
-    solutions = find_type1_solutions(algebra, tau, seed=args.seed, eps=eps, eps_rank=rank)
-    for spec in solutions.specs:
-        records.append(_extension_record(spec, solutions.best_effort))
-    e_b = range_identity(algebra, tau, eps, rank)
-    if e_b is not None:
-        _, image = kernel_image(tau, rank)
-        records.append(_extension_record(verify_extension(algebra, tau, 0.0, e_b, eps, rank,
-                                                          e_b=e_b, image=image), False))
+    solutions = find_type1_solutions(algebra, tau, seed=args.seed)
+    records = [_extension_record(spec, solutions.best_effort) for spec in solutions.specs]
+    if solutions.type2 is not None:
+        records.append(_extension_record(solutions.type2, False))
     return {"extensions": records, "count": len(records)}
 
 
@@ -179,9 +170,7 @@ def _cmd_spectra(args: argparse.Namespace) -> dict:
     }
     if args.map is not None:
         tau = load_map(args.map, default_source=algebra)
-        inclusion = verify_spectral_inclusion(algebra, tau, x,
-                                              eps=args.tolerance,
-                                              eps_rank=args.rank_threshold)
+        inclusion = verify_spectral_inclusion(algebra, tau, x)
         report["inclusion"] = {
             "range_spectrum": [[v.real, v.imag] for v in inclusion.spectrum_in_range.values],
             "max_mismatch": inclusion.max_mismatch,
@@ -200,7 +189,7 @@ def _cmd_spectra(args: argparse.Namespace) -> dict:
 def _cmd_arens(args: argparse.Namespace) -> dict:
     algebra = load_algebra(_need(args, "algebra"))
     space = _load_space(args, algebra)
-    structure = arens_products(algebra, space, args.tolerance)
+    structure = arens_products(algebra, space)
     report = {
         "x_dim": space.basis.dim,
         "flags": {  # one flag in finite dimension, under the three keys of the report
@@ -216,8 +205,7 @@ def _cmd_arens(args: argparse.Namespace) -> dict:
     }
     if args.map is not None:
         theta = load_map(args.map, default_source=algebra)
-        extension = extend_involution(algebra, theta, structure,
-                                      args.tolerance, args.rank_threshold)
+        extension = extend_involution(algebra, theta, structure)
         report["extension"] = _map_record(extension)
     return report
 
@@ -226,29 +214,28 @@ def _cmd_tim(args: argparse.Namespace) -> dict:
     algebra = load_algebra(_need(args, "algebra"))
     space = _load_space(args, algebra)
     space.require_introverted()  # also when no character lies in X and tim_set never runs
-    eps, rank = args.tolerance, args.rank_threshold
     if args.character is not None:
         element = load_element(args.character, algebra)
-        characters = [verify_character(algebra, element.coords, eps)]
+        characters = [verify_character(algebra, element.coords, EPS)]
         possibly_incomplete = False
     else:
-        search = find_characters(algebra, eps, rank, args.seed)
+        search = find_characters(algebra, args.seed)
         # a mean needs its character in X; the characters of A outside X have none to solve for
         coords = np.array([phi.coords for phi in search.characters]).reshape(-1, algebra.dim)
-        in_x = space.basis.residuals(coords.T) <= eps
+        in_x = space.basis.residuals(coords.T) <= EPS
         characters = [phi for phi, keep in zip(search.characters, in_x) if keep]
         possibly_incomplete = search.possibly_incomplete
 
     star = None
     if args.map is not None:
         theta = load_map(args.map, default_source=algebra)
-        arens = arens_products(algebra, space, eps)
-        star = extend_involution(algebra, theta, arens, eps, rank)
-        star_verdict = classify_star_map(arens.box_algebra, star, eps, rank)
+        arens = arens_products(algebra, space)
+        star = extend_involution(algebra, theta, arens)
+        star_verdict = classify_star_map(arens.box_algebra, star)
 
     results = []
     for phi in characters:
-        means = tim_set(algebra, space, phi, eps, rank)
+        means = tim_set(algebra, space, phi)
         entry = {
             "character": as_complex(phi.coords),
             "particular": None if means.particular is None else as_complex(means.particular),
@@ -256,8 +243,7 @@ def _cmd_tim(args: argparse.Namespace) -> dict:
             "affine_dim": means.affine_dim,
         }
         if star is not None:
-            obstruction = tim_obstruction_check(algebra, means, phi, star, star_verdict,
-                                                arens, eps)
+            obstruction = tim_obstruction_check(algebra, means, phi, star, star_verdict, arens)
             entry["obstruction"] = {
                 "vacuous": obstruction.vacuous,
                 "unique": obstruction.unique,
@@ -279,15 +265,12 @@ def _cmd_search(args: argparse.Namespace) -> dict:
         family_spec = {"family": "group_quotient", **params}
     else:
         raise UsageError(f"unsupported CLI family {family!r}; use 'function' or 'group'")
-    found = search_trivolutions(algebra, family_spec, args.tolerance, args.rank_threshold)
+    found = search_trivolutions(algebra, family_spec)
     return {"family": family_spec["family"], "count": len(found),
             "maps": [_map_record(f) for f in found]}
 
 
 def _cmd_suite(args: argparse.Namespace) -> tuple[int, dict]:
-    if (args.tolerance, args.rank_threshold) != (EPS, EPS_RANK):
-        raise UsageError("suite checks each section against its own fixed threshold "
-                         "(1e-9, 1e-8 or 1e-6); it takes no --tolerance or --rank-threshold")
     passed, report = run_suite(args.seed)
     return (0 if passed else 1), report
 
@@ -366,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="dual subspace basis file (rows of functionals)")
     parser.add_argument("--family", help="search family: function | group")
     parser.add_argument("--params", help="family parameters (JSON file)")
-    parser.add_argument("--tolerance", type=float, default=EPS)
-    parser.add_argument("--rank-threshold", dest="rank_threshold", type=float, default=EPS_RANK)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", dest="output_format", choices=("text", "json"),
                         default="text")
@@ -378,27 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()  # one per process: ``parse_args`` leaves it as it is
 
 
-def _seed(default: int) -> int:
-    """``TRIVOLVE_SEED`` when it is set, else ``default``."""
-    raw = os.environ.get("TRIVOLVE_SEED")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"TRIVOLVE_SEED must be an integer, got {raw!r}") from None
-
-
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    try:
-        args.seed = _seed(args.seed)
-        if args.seed < 0:  # numpy's generators take no negative seed
-            raise UsageError(f"the seed must be non-negative, got {args.seed}")
-        if not (0 < args.tolerance < math.inf and 0 < args.rank_threshold < math.inf):  # and NaN
-            raise UsageError("tolerances must be finite and positive")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.seed < 0:  # numpy's generators take no negative seed
+        print(f"error: the seed must be non-negative, got {args.seed}", file=sys.stderr)
         return 2
     # an overflow is reported as exit 2 when the report is rendered, not warned about
     with np.errstate(over="ignore", invalid="ignore"):

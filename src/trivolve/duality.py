@@ -66,7 +66,7 @@ class Character(DualVector):
 
 
 def verify_character(algebra: Algebra, coords, eps: float = EPS) -> Character:
-    """Certify multiplicativity on basis pairs and non-vanishing."""
+    """Certify multiplicativity on basis pairs and non-vanishing, both at ``eps``."""
     coords = as_complex(coords).reshape(-1)
     if max_abs(coords) <= eps:
         raise CertificationFailure("the zero functional is not a character",
@@ -83,8 +83,7 @@ class CharacterSearch:
     possibly_incomplete: bool
 
 
-def find_characters(algebra: Algebra, eps: float = EPS, eps_rank: float = EPS_RANK,
-                    seed: int = 0) -> CharacterSearch:
+def find_characters(algebra: Algebra, seed: int = 0) -> CharacterSearch:
     """All characters of a commutative algebra, via the regular representation.
 
     Characters are common left eigenvectors of the transposed
@@ -92,7 +91,7 @@ def find_characters(algebra: Algebra, eps: float = EPS, eps_rank: float = EPS_RA
     algebra is semisimple.  The result is complete for commutative
     semisimple algebras and flagged ``possibly_incomplete`` otherwise.
     """
-    if not is_commutative(algebra, eps):
+    if not is_commutative(algebra):
         raise CertificationFailure("character discovery is implemented for commutative algebras; "
                                    "verify user-supplied candidates instead", law="ab = ba")
     found: list[Character] = []
@@ -104,11 +103,11 @@ def find_characters(algebra: Algebra, eps: float = EPS, eps_rank: float = EPS_RA
         values, vectors = np.linalg.eig(l_g.T)
         for lam, vec in zip(values, vectors.T):
             scale_ref = complex(vec @ g)
-            if abs(scale_ref) <= eps_rank or abs(lam) <= eps_rank:
+            if abs(scale_ref) <= EPS_RANK or abs(lam) <= EPS_RANK:
                 continue
             candidate = (lam / scale_ref) * vec
             try:
-                char = verify_character(algebra, candidate, max(eps, 1e3 * EPS))
+                char = verify_character(algebra, candidate, 1e3 * EPS)
             except CertificationFailure:
                 continue
             if all(max_abs(char.coords - c.coords) > 1e-6 for c in found):
@@ -188,7 +187,7 @@ def _dual_actions(algebra: Algebra, lams: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.einsum("ayk,ks->say", c, lams), np.einsum("yak,ks->say", c, lams)
 
 
-def check_introverted(algebra: Algebra, x_basis, eps: float = EPS) -> IntrovertedSpace:
+def check_introverted(algebra: Algebra, x_basis) -> IntrovertedSpace:
     """Certify the introversion and faithfulness flags for ``X``.
 
     ``X`` is a submodule when every ``lambda_s . b_i`` and ``b_i . lambda_s``
@@ -206,7 +205,7 @@ def check_introverted(algebra: Algebra, x_basis, eps: float = EPS) -> Introverte
     lams = x.canonical_columns()
     right, left = _dual_actions(algebra, lams)
     stacks = np.stack([right, left], axis=2)  # [s, i, side, :]
-    escapes = x.residuals(stacks.reshape(-1, n).T).reshape(stacks.shape[:3]) > eps
+    escapes = x.residuals(stacks.reshape(-1, n).T).reshape(stacks.shape[:3]) > EPS
     introverted = not escapes.any()
     diagnostic = ""
     if not introverted:
@@ -231,8 +230,7 @@ class ArensStructure:
     residuals: dict = field(default_factory=dict, repr=False)
 
 
-def arens_products(algebra: Algebra, space: IntrovertedSpace,
-                   eps: float = EPS) -> ArensStructure:
+def arens_products(algebra: Algebra, space: IntrovertedSpace) -> ArensStructure:
     """Compute the left and right Arens products on ``X*`` literally.
 
     Left product: ``<Phi [] Psi, lam> = <Phi, Psi . lam>`` with
@@ -251,7 +249,7 @@ def arens_products(algebra: Algebra, space: IntrovertedSpace,
     # Psi_j . lambda_s is right[s, :, free_j]; lambda_s . Phi_i is left[s, :, free_i]
     intermediates = np.concatenate([right[:, :, free], left[:, :, free]], axis=2)
     escape = certify(float(space.basis.residuals(
-        intermediates.transpose(1, 0, 2).reshape(n, -1)).max(initial=0.0)), eps,
+        intermediates.transpose(1, 0, 2).reshape(n, -1)).max(initial=0.0)), EPS,
         "Psi . lambda in X", "an intermediate action escaped X (residual {residual:.3e})")
     # values on the X basis, [i, j, s]: <Psi_j . lambda_s, b_free_i>, <lambda_s . Phi_i, b_free_j>
     box_values = right[:, free][:, :, free].transpose(1, 2, 0)
@@ -262,14 +260,13 @@ def arens_products(algebra: Algebra, space: IntrovertedSpace,
 
     gap = max_abs(box - diamond)
     labels = [algebra.basis_labels[f] for f in free]
-    box_algebra = make_algebra(k, box, labels, eps=max(eps, 1e-12))
-    return ArensStructure(box=box, diamond=diamond, regular=gap <= eps, space=space,
+    box_algebra = make_algebra(k, box, labels)
+    return ArensStructure(box=box, diamond=diamond, regular=gap <= EPS, space=space,
                           box_algebra=box_algebra,
                           residuals={"regularity_gap": gap, "introversion_escape": escape})
 
 
-def extend_involution(algebra: Algebra, theta: AlgMap, arens: ArensStructure,
-                      eps: float = EPS, eps_rank: float = EPS_RANK) -> AlgMap:
+def extend_involution(algebra: Algebra, theta: AlgMap, arens: ArensStructure) -> AlgMap:
     """Extend an involution of ``A`` to ``X*`` by the double-adjoint recipe.
 
     ``arens`` is ``arens_products(algebra, space)`` for the introverted
@@ -280,15 +277,15 @@ def extend_involution(algebra: Algebra, theta: AlgMap, arens: ArensStructure,
     along the canonical embedding when ``X`` is faithful.
     """
     space = arens.space
-    theta_verdict = classify_star_map(algebra, theta, eps, eps_rank)
+    theta_verdict = classify_star_map(algebra, theta)
     if theta_verdict.kind != KIND_INVOLUTION:
         raise CertificationFailure("theta is not an involution on the algebra",
                                    law="theta^2 = id, conjugate-linear anti-homomorphism")
     moved = space.basis.residuals(adjoint(theta).matrix @ np.conj(space.basis.canonical_columns()))
-    if np.any(moved > eps):
+    if np.any(moved > EPS):
         raise CertificationFailure("the adjoint moves X off itself",
                                    law="theta*(X) contained in X",
-                                   residual=float(moved[np.argmax(moved > eps)]))
+                                   residual=float(moved[np.argmax(moved > EPS)]))
     if not arens.regular:
         raise CertificationFailure("the two Arens products differ on X*",
                                    law="box = diamond on X*",
@@ -297,14 +294,14 @@ def extend_involution(algebra: Algebra, theta: AlgMap, arens: ArensStructure,
     matrix = space.rep_coords(theta.matrix[:, space.free])
     extension = AlgMap(matrix=matrix, conjugating=True,
                        source=arens.box_algebra, target=arens.box_algebra)
-    verdict = classify_star_map(arens.box_algebra, extension, eps, eps_rank)
+    verdict = classify_star_map(arens.box_algebra, extension)
     if verdict.kind != KIND_INVOLUTION:
         raise CertificationFailure("the double adjoint failed to be an involution on X*",
                                    law="Theta is an involution on (X*, box)",
                                    residual=verdict.residual)
     if space.faithful:
         images = space.rep_coords(np.eye(algebra.dim))  # column a: the class of b_a
-        certify(max_abs(extension.matrix @ np.conj(images) - space.rep_coords(theta.matrix)), eps,
+        certify(max_abs(extension.matrix @ np.conj(images) - space.rep_coords(theta.matrix)), EPS,
                 "Theta extends theta along A -> X*", "extension does not restrict to theta")
     return extension
 
@@ -333,14 +330,13 @@ class TimSolutionSet:
         return self.particular is not None and self.homogeneous.shape[1] == 0
 
 
-def tim_set(algebra: Algebra, space: IntrovertedSpace, phi: Character,
-            eps: float = EPS, eps_rank: float = EPS_RANK) -> TimSolutionSet:
+def tim_set(algebra: Algebra, space: IntrovertedSpace, phi: Character) -> TimSolutionSet:
     """Solve ``<m, phi> = 1`` and ``a.m = m.a = phi(a) m`` for ``m`` in ``X*``.
 
     The module actions on ``X*`` need ``X`` introverted, which is certified first.
     """
     space.require_introverted()
-    certify(space.basis.residual(phi.coords), eps, "phi in X", "the character does not lie in X")
+    certify(space.basis.residual(phi.coords), EPS, "phi in X", "the character does not lie in X")
     n = algebra.dim
     free = space.free
     k = len(free)
@@ -355,8 +351,8 @@ def tim_set(algebra: Algebra, space: IntrovertedSpace, phi: Character,
     target = np.zeros(2 * n * k + 1, dtype=complex)
     target[-1] = 1.0
 
-    _, kernel, u, residual = column_space_and_nullspace(system, eps_rank, target)
-    if residual > eps:
+    _, kernel, u, residual = column_space_and_nullspace(system, target)
+    if residual > EPS:
         return TimSolutionSet(particular=None, homogeneous=np.zeros((n, 0), dtype=complex))
     return TimSolutionSet(particular=space.embed_coords(u),
                           homogeneous=space.embed_coords(kernel))
@@ -370,8 +366,8 @@ class TimObstructionReport:
 
 
 def tim_obstruction_check(algebra: Algebra, means: TimSolutionSet, phi: Character,
-                          star: AlgMap, star_verdict: StarClass, arens: ArensStructure,
-                          eps: float = EPS) -> TimObstructionReport:
+                          star: AlgMap, star_verdict: StarClass,
+                          arens: ArensStructure) -> TimObstructionReport:
     """Certify the invariance/absorption/fixed-point chain for each mean.
 
     ``means`` is ``tim_set(algebra, space, phi)`` and ``arens`` is
@@ -392,7 +388,7 @@ def tim_obstruction_check(algebra: Algebra, means: TimSolutionSet, phi: Characte
                                    residual=star_verdict.residual)
     a_reps = space.rep_coords(np.eye(algebra.dim))  # column a: the class of b_a
     starred = space.embed_coords(star.matrix @ np.conj(a_reps))
-    certify(max_abs(phi.coords @ starred - np.conj(phi.coords @ space.embed_coords(a_reps))), eps,
+    certify(max_abs(phi.coords @ starred - np.conj(phi.coords @ space.embed_coords(a_reps))), EPS,
             "<phi, a*> = conj <phi, a>", "star is not compatible with the character")
 
     if means.is_empty:
@@ -424,7 +420,7 @@ def tim_obstruction_check(algebra: Algebra, means: TimSolutionSet, phi: Characte
     residuals["normalization"] = abs(m_phi - 1.0)
     residuals["star_fixed"] = max_abs(m - m_star)
 
-    certify(max(residuals.values()), eps,
+    certify(max(residuals.values()), EPS,
             "a.m* = m*.a = phi(a) m*; n box m* = <n,phi> m*; m = m*",
             "the invariant-mean identity chain failed", details=residuals)
     if not means.is_unique:
@@ -439,15 +435,14 @@ def tim_obstruction_check(algebra: Algebra, means: TimSolutionSet, phi: Characte
 # structured trivolution search
 # ---------------------------------------------------------------------------
 
-def _is_pointwise(algebra: Algebra, eps: float) -> bool:
+def _is_pointwise(algebra: Algebra) -> bool:
     expected = np.zeros_like(algebra.structure)
     for i in range(algebra.dim):
         expected[i, i, i] = 1.0
-    return max_abs(algebra.structure - expected) <= eps
+    return max_abs(algebra.structure - expected) <= EPS
 
 
-def search_trivolutions(algebra: Algebra, family_spec: dict,
-                        eps: float = EPS, eps_rank: float = EPS_RANK) -> list[AlgMap]:
+def search_trivolutions(algebra: Algebra, family_spec: dict) -> list[AlgMap]:
     """Enumerate a structured family of star-map candidates.
 
     Families: ``function_indicator`` (indicator projection composed with
@@ -462,24 +457,24 @@ def search_trivolutions(algebra: Algebra, family_spec: dict,
     results: list[AlgMap] = []
 
     if family == "function_indicator":
-        if not _is_pointwise(algebra, eps):
+        if not _is_pointwise(algebra):
             raise UsageError("function_indicator requires a pointwise function algebra")
         n = algebra.dim
         for size in range(1, n + 1):
             for k_set in combinations(range(n), size):
                 for perm in _involutive_permutations_canonical(k_set):
                     candidate = indicator_trivolution(algebra, k_set, perm)
-                    if classify_star_map(algebra, candidate, eps, eps_rank).is_trivolution:
+                    if classify_star_map(algebra, candidate).is_trivolution:
                         results.append(candidate)
         return results
 
     if family == "group_quotient":
         group: GroupTable = family_spec["table"]
-        if not same_structure(group.structure(), algebra.structure, eps):
+        if not same_structure(group.structure(), algebra.structure):
             raise UsageError("algebra does not match the supplied group table")
         for subgroup in family_spec.get("normal_subgroups", [[group.identity]]):
             candidate = averaging_trivolution(algebra, group, subgroup)
-            if classify_star_map(algebra, candidate, eps, eps_rank).is_trivolution:
+            if classify_star_map(algebra, candidate).is_trivolution:
                 results.append(candidate)
         return results
 

@@ -15,11 +15,12 @@ A linear system takes one of three routes:
   to ``column_space_and_nullspace``: one thin SVD gives all of them;
 - a rank test alone calls ``np.linalg.matrix_rank``, singular values only.
 
-Two cutoffs apply.  A singular value counts towards the rank, so its
-vector leaves the kernel, when it exceeds the absolute ``eps_rank``
-(``EPS_RANK`` by default).  A least-squares solution drops the singular
-values at most ``eps * max(m, n) * s_max``, ``lstsq``'s ``rcond=None``
-cutoff, with ``eps`` the float64 machine epsilon.
+The cutoffs are two constants.  A law holds when its residual is at
+most ``EPS``; a singular value or a pivot counts towards the rank, so its
+vector leaves the kernel, when it exceeds ``EPS_RANK``.  A least-squares
+solution also drops the singular values at most
+``eps * max(m, n) * s_max``, ``lstsq``'s ``rcond=None`` cutoff, with
+``eps`` the float64 machine epsilon.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import math
 
 import numpy as np
 
-# Entrywise equality tolerance and rank pivot threshold.  Operations
-# accept overrides; these are the package-wide defaults.
+# Entrywise equality tolerance and rank pivot threshold.
 EPS = 1e-9
 EPS_RANK = 1e-8
 
@@ -117,11 +117,10 @@ def column_products(structure: np.ndarray, left: np.ndarray, right: np.ndarray) 
     return (left.T @ partial.reshape(n_a, n_j * n_k)).reshape(n_i, n_j, n_k)
 
 
-def column_space_and_nullspace(mat: np.ndarray, tol: float = EPS_RANK,
-                               rhs: np.ndarray | None = None) -> tuple:
+def column_space_and_nullspace(mat: np.ndarray, rhs: np.ndarray | None = None) -> tuple:
     """``(image, kernel, solution, residual)`` of ``mat`` from one SVD.
 
-    Image and kernel are orthonormal columns split at ``tol``.  The SVD is
+    Image and kernel are orthonormal columns split at ``EPS_RANK``.  The SVD is
     thin: only a wide matrix gets the full ``vh``, since only its kernel
     needs rows beyond ``min(m, n)``.  Given the vector ``rhs``,
     ``solution`` is its minimum-norm least-squares solution and
@@ -131,7 +130,7 @@ def column_space_and_nullspace(mat: np.ndarray, tol: float = EPS_RANK,
     a = np.asarray(mat)
     m, n = a.shape
     u, s, vh = np.linalg.svd(a, full_matrices=m < n)
-    r = int(np.sum(s > tol))
+    r = int(np.sum(s > EPS_RANK))
     image, kernel = u[:, :r], vh[r:, :].conj().T
     if rhs is None:
         return image, kernel, None, None

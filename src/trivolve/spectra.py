@@ -52,21 +52,20 @@ def spectrum(algebra: Algebra, x: Element) -> Spectrum:
     return Spectrum(values=_sorted_values(values), computed_in="unitization")
 
 
-def inverse_element(algebra: Algebra, x: Element, eps: float = EPS,
-                    eps_rank: float = EPS_RANK) -> Element | None:
+def inverse_element(algebra: Algebra, x: Element) -> Element | None:
     """Two-sided inverse, or None when ``L_x`` is singular."""
     if not algebra.is_unital():
         raise CertificationFailure("inverses need an identity", law="A has an identity")
     l_x = left_mult_matrix(algebra, x)
-    if np.linalg.matrix_rank(l_x, eps_rank) < algebra.dim:
+    if np.linalg.matrix_rank(l_x, EPS_RANK) < algebra.dim:
         return None
     y_coords = np.linalg.solve(l_x, algebra.identity_coords)
     y = Element(y_coords, algebra)
     left = max_abs(multiply(algebra, x, y).coords - algebra.identity_coords)
     right = max_abs(multiply(algebra, y, x).coords - algebra.identity_coords)
-    # two-sidedness is verified a bit above eps: the solve itself already
+    # two-sidedness is verified a bit above EPS: the solve itself already
     # carries conditioning noise near the rank threshold
-    if max(left, right) > 1e3 * eps:
+    if max(left, right) > 1e3 * EPS:
         return None
     return y
 
@@ -82,9 +81,8 @@ class SpectralInclusionReport:
     residuals: dict = field(default_factory=dict, repr=False)
 
 
-def verify_spectral_inclusion(algebra: Algebra, tau: AlgMap, x: Element,
-                              eps: float = EPS,
-                              eps_rank: float = EPS_RANK) -> SpectralInclusionReport:
+def verify_spectral_inclusion(algebra: Algebra, tau: AlgMap,
+                              x: Element) -> SpectralInclusionReport:
     """Match the range spectrum of ``tau(x)`` into the conjugated spectrum of ``x``.
 
     The range ``B = tau(A)`` is used with its own regular representation
@@ -95,8 +93,8 @@ def verify_spectral_inclusion(algebra: Algebra, tau: AlgMap, x: Element,
     if not algebra.is_unital():
         raise CertificationFailure("spectral inclusion needs a unital ambient algebra",
                                    law="A has an identity")
-    _, image = kernel_image(tau, eps_rank)
-    sub, embedding = induced_subalgebra(algebra, image, eps=eps)
+    _, image = kernel_image(tau)
+    sub, embedding = induced_subalgebra(algebra, image)
     if not sub.is_unital():
         raise CertificationFailure("the range subalgebra has no identity",
                                    law="tau(A) has an identity")
@@ -114,7 +112,7 @@ def verify_spectral_inclusion(algebra: Algebra, tau: AlgMap, x: Element,
 
     inverse_checked = False
     inverse_residual = 0.0
-    x_inv = inverse_element(algebra, x, eps, eps_rank)
+    x_inv = inverse_element(algebra, x)
     if x_inv is not None:
         inverse_checked = True
         tau_x_inv = apply(tau, x_inv)

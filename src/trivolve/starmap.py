@@ -17,7 +17,6 @@ from .algebra import Algebra, Element, Subspace, algebras_compatible
 from .errors import UsageError
 from .linalg import (
     EPS,
-    EPS_RANK,
     as_complex,
     column_products,
     column_space_and_nullspace,
@@ -103,7 +102,7 @@ class MultiplicativityFlags:
     anti_residual: float
 
 
-def classify_multiplicativity(f: AlgMap, tol: float = EPS) -> MultiplicativityFlags:
+def classify_multiplicativity(f: AlgMap) -> MultiplicativityFlags:
     """Check f(xy) = f(x)f(y) and f(xy) = f(y)f(x) on basis pairs.
 
     Basis pairs suffice: both sides are (conjugate-)bilinear.  Each side
@@ -120,7 +119,7 @@ def classify_multiplicativity(f: AlgMap, tol: float = EPS) -> MultiplicativityFl
     rhs = column_products(f.target.structure, f.matrix, f.matrix)
     hom = max_abs(lhs - rhs)
     anti = max_abs(lhs - rhs.transpose(1, 0, 2))
-    return MultiplicativityFlags(homomorphism=hom <= tol, anti_homomorphism=anti <= tol,
+    return MultiplicativityFlags(homomorphism=hom <= EPS, anti_homomorphism=anti <= EPS,
                                  hom_residual=hom, anti_residual=anti)
 
 
@@ -137,13 +136,13 @@ def adjoint(f: AlgMap) -> AlgMap:
     return AlgMap(matrix=matrix, conjugating=f.conjugating, source=f.target, target=f.source)
 
 
-def kernel_image(f: AlgMap, tol: float = EPS_RANK) -> tuple[Subspace, Subspace]:
+def kernel_image(f: AlgMap) -> tuple[Subspace, Subspace]:
     """Kernel and image subspaces from one rank factorization.
 
     For a conjugating map the kernel is the conjugate of the matrix null
     space (still a complex subspace), since ``f(x) = M conj(x)``.
     """
-    image_cols, null_cols, _, _ = column_space_and_nullspace(f.matrix, tol)
+    image_cols, null_cols, _, _ = column_space_and_nullspace(f.matrix)
     kernel_cols = np.conj(null_cols) if f.conjugating else null_cols
     return (Subspace(kernel_cols, f.source), Subspace(image_cols, f.target))
 

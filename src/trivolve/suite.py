@@ -65,7 +65,7 @@ def _sample(items: list, count: int) -> list:
     return [items[int(i * step)] for i in range(count)]
 
 
-def _section_round_trip(battery: list[TrivolutionInstance], eps: float) -> dict:
+def _section_round_trip(battery: list[TrivolutionInstance]) -> dict:
     worst = 0.0
     for k, inst in enumerate(_sample(battery, 60)):
         dec = canonical_decomposition(inst.algebra, inst.tau)
@@ -74,10 +74,10 @@ def _section_round_trip(battery: list[TrivolutionInstance], eps: float) -> dict:
             rebuilt = make_trivolution(inst.algebra, dec.projection_p, dec.involution_rho)
             worst = max(worst, max_abs(rebuilt.matrix - inst.tau.matrix))
     return {"name": "round_trip", "instances": len(_sample(battery, 60)),
-            "max_residual": worst, "passed": worst <= eps}
+            "max_residual": worst, "passed": worst <= 1e-8}
 
 
-def _section_factorization(battery: list[TrivolutionInstance], eps: float) -> dict:
+def _section_factorization(battery: list[TrivolutionInstance]) -> dict:
     proper = [inst for inst in battery
               if inst.kernel_involution is not None][:12]
     worst = 0.0
@@ -85,10 +85,10 @@ def _section_factorization(battery: list[TrivolutionInstance], eps: float) -> di
         fact = factor_through_involution(inst.algebra, inst.tau, inst.kernel_involution)
         worst = max(worst, fact.residuals["sigma_squared"], fact.residuals["factorization"])
     return {"name": "factorization", "instances": len(proper),
-            "max_residual": worst, "passed": worst <= eps}
+            "max_residual": worst, "passed": worst <= 1e-8}
 
 
-def _section_homs(battery: list[TrivolutionInstance], seed: int, eps: float) -> dict:
+def _section_homs(battery: list[TrivolutionInstance], seed: int) -> dict:
     rng = np.random.default_rng(seed + 17)
     sample = _sample(battery, 10)
     worst = 0.0
@@ -115,7 +115,7 @@ def _section_homs(battery: list[TrivolutionInstance], seed: int, eps: float) -> 
     return {"name": "trivolutive_homs", "instances": len(sample),
             "max_residual": worst, "perturbed_rejected": rejected,
             "perturbed_attempted": attempted,
-            "passed": worst <= eps and rejected == attempted}
+            "passed": worst <= 1e-8 and rejected == attempted}
 
 
 def _section_extension_scan() -> dict:
@@ -123,8 +123,8 @@ def _section_extension_scan() -> dict:
     disagreements = 0
     checked = 0
     grid = [-1.0, 0.0, 1.0]
-    e_b = range_identity(algebra, tau)
     _, image = kernel_image(tau)
+    e_b = range_identity(algebra, image)
     for lam0 in (0.0, 0.5, 1.0):
         for re1 in grid:
             for im1 in grid:
@@ -147,12 +147,12 @@ def _section_extension_scan() -> dict:
             "passed": disagreements == 0 and solver_ok}
 
 
-def _section_contractive(eps: float) -> dict:
+def _section_contractive() -> dict:
     algebra, tau = remark_pair()
     result = contractive_extensions(algebra, tau)
     excluded_norm = result.excluded[0].norm_of_extension if result.excluded else float("nan")
     ok = (len(result.included) == 2 and len(result.excluded) == 1
-          and abs(excluded_norm - 2.0) <= eps)
+          and abs(excluded_norm - 2.0) <= 1e-9)
     return {"name": "contractive_extensions", "included": len(result.included),
             "excluded": len(result.excluded), "excluded_norm": excluded_norm,
             "passed": ok}
@@ -311,11 +311,11 @@ def run_suite(seed: int = 0) -> tuple[bool, dict]:
     """
     battery = instance_battery(seed)
     sections = [
-        _section_round_trip(battery, 1e-8),
-        _section_factorization(battery, 1e-8),
-        _section_homs(battery, seed, 1e-8),
+        _section_round_trip(battery),
+        _section_factorization(battery),
+        _section_homs(battery, seed),
         _section_extension_scan(),
-        _section_contractive(1e-9),
+        _section_contractive(),
         _section_spectra(battery, seed),
         _section_arens(battery),
         _section_tim(),

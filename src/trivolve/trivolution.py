@@ -77,8 +77,7 @@ class StarClass:
         return max(self.anti_residual, self.cube_residual)
 
 
-def classify_star_map(algebra: Algebra, f: AlgMap, eps: float = EPS,
-                      eps_rank: float = EPS_RANK) -> StarClass:
+def classify_star_map(algebra: Algebra, f: AlgMap) -> StarClass:
     """Classify an endomorphism as involution / proper trivolution / neither.
 
     The zero map is excluded by definition; a map with all the axioms
@@ -86,12 +85,12 @@ def classify_star_map(algebra: Algebra, f: AlgMap, eps: float = EPS,
     """
     if not (algebras_compatible(f.source, algebra) and algebras_compatible(f.target, algebra)):
         raise UsageError("classify_star_map expects an endomorphism of the given algebra")
-    nonzero = max_abs(f.matrix) > eps
-    mult = classify_multiplicativity(f, eps)
+    nonzero = max_abs(f.matrix) > EPS
+    mult = classify_multiplicativity(f)
     cubed = power(f, 3)
     cube_residual = max_abs(cubed.matrix - f.matrix)
-    cubes = cubed.conjugating == f.conjugating and cube_residual <= eps
-    injective = np.linalg.matrix_rank(f.matrix, eps_rank) == algebra.dim
+    cubes = cubed.conjugating == f.conjugating and cube_residual <= EPS
+    injective = np.linalg.matrix_rank(f.matrix, EPS_RANK) == algebra.dim
     ok = nonzero and f.conjugating and mult.anti_homomorphism and cubes
     if not ok:
         kind = KIND_NOT_STAR
@@ -130,8 +129,7 @@ class Decomposition:
     residuals: dict = field(repr=False)
 
 
-def canonical_decomposition(algebra: Algebra, tau: AlgMap, eps: float = EPS,
-                            eps_rank: float = EPS_RANK) -> Decomposition:
+def canonical_decomposition(algebra: Algebra, tau: AlgMap) -> Decomposition:
     """Split a trivolution into ``(I, B, p, rho)`` and certify the laws.
 
     Each law is certified once, and a failure raises with its name:
@@ -150,7 +148,7 @@ def canonical_decomposition(algebra: Algebra, tau: AlgMap, eps: float = EPS,
     from those columns in the last bit, so building on it would change
     the ``reconstruction`` residual.
     """
-    verdict = classify_star_map(algebra, tau, eps, eps_rank)
+    verdict = classify_star_map(algebra, tau)
     if not verdict.is_trivolution:
         raise CertificationFailure(
             "map is not a trivolution "
@@ -158,7 +156,7 @@ def canonical_decomposition(algebra: Algebra, tau: AlgMap, eps: float = EPS,
             law="conjugate-linear anti-homomorphism with t^3 = t", residual=verdict.residual)
 
     p = compose(tau, tau)
-    ideal, image = kernel_image(tau, eps_rank)
+    ideal, image = kernel_image(tau)
     residuals: dict[str, float] = {}
 
     if ideal.dim + image.dim != algebra.dim:
@@ -169,30 +167,30 @@ def canonical_decomposition(algebra: Algebra, tau: AlgMap, eps: float = EPS,
         raise CertificationFailure("kernel and image do not span the algebra",
                                    law="A = I (+) B direct sum")
 
-    residuals["p_homomorphism"] = certify(classify_multiplicativity(p, eps).hom_residual, eps,
+    residuals["p_homomorphism"] = certify(classify_multiplicativity(p).hom_residual, EPS,
                                           "p = t^2 is a homomorphism", "t^2 is not multiplicative")
-    residuals["p_idempotent"] = certify(max_abs(compose(p, p).matrix - p.matrix), eps,
+    residuals["p_idempotent"] = certify(max_abs(compose(p, p).matrix - p.matrix), EPS,
                                         "p o p = p", "t^2 is not idempotent")
 
-    p_kernel, p_image = kernel_image(p, eps_rank)
-    if not p_image.same_span(image, eps):
+    p_kernel, p_image = kernel_image(p)
+    if not p_image.same_span(image):
         raise CertificationFailure("image of p differs from image of t", law="p(A) = t(A)")
-    if not p_kernel.same_span(ideal, eps):
+    if not p_kernel.same_span(ideal):
         raise CertificationFailure("kernel of p differs from kernel of t", law="ker p = ker t")
 
-    subalg, embedding = induced_subalgebra(algebra, image, eps=eps)
+    subalg, embedding = induced_subalgebra(algebra, image)
     rho_matrix, restrict_residual = solve_exact(embedding, tau.matrix @ np.conj(embedding))
-    residuals["rho_restriction"] = certify(restrict_residual, eps, "t(B) contained in B",
+    residuals["rho_restriction"] = certify(restrict_residual, EPS, "t(B) contained in B",
                                            "t does not restrict to its image")
     rho = AlgMap(matrix=rho_matrix, conjugating=True, source=subalg, target=subalg)
-    rho_verdict = classify_star_map(subalg, rho, eps, eps_rank)
+    rho_verdict = classify_star_map(subalg, rho)
     if rho_verdict.kind != KIND_INVOLUTION:
         raise CertificationFailure("restriction of t to its image is not an involution",
                                    law="rho = t|_B is an involution", residual=rho_verdict.residual)
     residuals["rho_squared"] = max_abs(compose(rho, rho).matrix - np.eye(subalg.dim))
 
     rebuilt = _rho_after_p(algebra, p_image.canonical_columns(), p.matrix, rho.matrix)
-    residuals["reconstruction"] = certify(max_abs(rebuilt.matrix - tau.matrix), eps,
+    residuals["reconstruction"] = certify(max_abs(rebuilt.matrix - tau.matrix), EPS,
                                           "tau = rho o p",
                                           "rho o p does not reproduce the original map")
     return Decomposition(ideal_I=ideal, subalg_B=image, projection_p=p,
@@ -209,8 +207,7 @@ def _rho_after_p(algebra: Algebra, embedding: np.ndarray, p: np.ndarray,
     return AlgMap(matrix=matrix, conjugating=True, source=algebra, target=algebra)
 
 
-def make_trivolution(algebra: Algebra, p: AlgMap, rho: AlgMap, eps: float = EPS,
-                     eps_rank: float = EPS_RANK) -> AlgMap:
+def make_trivolution(algebra: Algebra, p: AlgMap, rho: AlgMap) -> AlgMap:
     """Assemble ``tau = rho o p`` from a homomorphic projection and an involution.
 
     ``p`` is an endomorphism of the algebra; ``rho`` acts on the induced
@@ -220,16 +217,16 @@ def make_trivolution(algebra: Algebra, p: AlgMap, rho: AlgMap, eps: float = EPS,
         raise CertificationFailure("projection must be linear", law="p linear")
     if not (algebras_compatible(p.source, algebra) and algebras_compatible(p.target, algebra)):
         raise UsageError("projection is not an endomorphism of the given algebra")
-    certify(classify_multiplicativity(p, eps).hom_residual, eps, "p(xy) = p(x) p(y)",
+    certify(classify_multiplicativity(p).hom_residual, EPS, "p(xy) = p(x) p(y)",
             "p is not multiplicative")
-    certify(max_abs(compose(p, p).matrix - p.matrix), eps, "p o p = p", "p is not idempotent")
-    _, image = kernel_image(p, eps_rank)
-    subalg, embedding = induced_subalgebra(algebra, image, eps=eps)
-    if not algebras_compatible(rho.source, subalg, eps):
+    certify(max_abs(compose(p, p).matrix - p.matrix), EPS, "p o p = p", "p is not idempotent")
+    _, image = kernel_image(p)
+    subalg, embedding = induced_subalgebra(algebra, image)
+    if not algebras_compatible(rho.source, subalg):
         raise UsageError("rho is not defined on the induced algebra of the projection's image")
     if not rho.conjugating:
         raise CertificationFailure("rho must be conjugate-linear", law="rho conjugate-linear")
-    rho_verdict = classify_star_map(subalg, rho, eps, eps_rank)
+    rho_verdict = classify_star_map(subalg, rho)
     if rho_verdict.kind != KIND_INVOLUTION:
         raise CertificationFailure("rho is not an involution on the image subalgebra",
                                    law="rho^2 = id, rho anti-multiplicative",
@@ -252,8 +249,7 @@ class Factorization:
     residuals: dict = field(repr=False)
 
 
-def factor_through_involution(algebra: Algebra, tau: AlgMap, j: AlgMap,
-                              eps: float = EPS, eps_rank: float = EPS_RANK) -> Factorization:
+def factor_through_involution(algebra: Algebra, tau: AlgMap, j: AlgMap) -> Factorization:
     """Factor a proper trivolution through an involutive algebra.
 
     ``j`` is an ambient conjugate-linear endomorphism whose restriction
@@ -262,18 +258,18 @@ def factor_through_involution(algebra: Algebra, tau: AlgMap, j: AlgMap,
     produces ``lam``, ``sigma``, ``mu`` with ``sigma`` an involution and
     ``mu o sigma o lam = tau``; all three claims are certified.
     """
-    dec = canonical_decomposition(algebra, tau, eps, eps_rank)
+    dec = canonical_decomposition(algebra, tau)
     if dec.ideal_I.dim == 0:
         raise CertificationFailure("kernel is trivial, the map is an involution and the "
                                    "factorization degenerates", law="ker tau != 0")
     if not j.conjugating:
         raise CertificationFailure("j must be conjugate-linear", law="j conjugate-linear")
 
-    ideal_alg, ideal_cols = induced_subalgebra(algebra, dec.ideal_I, eps=eps)
+    ideal_alg, ideal_cols = induced_subalgebra(algebra, dec.ideal_I)
     j_restricted, escape = solve_exact(ideal_cols, j.matrix @ np.conj(ideal_cols))
-    certify(escape, eps, "j(I) contained in I", "j does not preserve the ideal")
+    certify(escape, EPS, "j(I) contained in I", "j does not preserve the ideal")
     j_on_ideal = AlgMap(matrix=j_restricted, conjugating=True, source=ideal_alg, target=ideal_alg)
-    j_verdict = classify_star_map(ideal_alg, j_on_ideal, eps, eps_rank)
+    j_verdict = classify_star_map(ideal_alg, j_on_ideal)
     if j_verdict.kind != KIND_INVOLUTION:
         raise CertificationFailure("j restricted to the ideal is not an involution",
                                    law="j|_I is an involution", residual=j_verdict.residual)
@@ -285,7 +281,7 @@ def factor_through_involution(algebra: Algebra, tau: AlgMap, j: AlgMap,
     # coordinatewise product on I (+) B: drop the cross terms of the ambient product
     split_structure = (column_products(algebra.structure, p_i, p_i)
                        + column_products(algebra.structure, p_b, p_b))
-    split_alg = make_algebra(n, split_structure, algebra.basis_labels, eps=eps)
+    split_alg = make_algebra(n, split_structure, algebra.basis_labels)
     c = product_algebra(split_alg, split_alg)
 
     zero = np.zeros((n, n), dtype=complex)
@@ -296,19 +292,19 @@ def factor_through_involution(algebra: Algebra, tau: AlgMap, j: AlgMap,
                      conjugating=True, source=c, target=c)
 
     residuals: dict[str, float] = {}
-    lam_mult = classify_multiplicativity(lam, eps)
-    mu_mult = classify_multiplicativity(mu, eps)
+    lam_mult = classify_multiplicativity(lam)
+    mu_mult = classify_multiplicativity(mu)
     residuals["lambda_homomorphism"] = lam_mult.hom_residual
     residuals["mu_homomorphism"] = mu_mult.hom_residual
-    certify(max(lam_mult.hom_residual, mu_mult.hom_residual), eps, "lambda, mu multiplicative",
+    certify(max(lam_mult.hom_residual, mu_mult.hom_residual), EPS, "lambda, mu multiplicative",
             "factorization legs are not homomorphisms")
-    residuals["sigma_anti"] = classify_multiplicativity(sigma, eps).anti_residual
+    residuals["sigma_anti"] = classify_multiplicativity(sigma).anti_residual
     residuals["sigma_squared"] = max_abs(compose(sigma, sigma).matrix - np.eye(2 * n))
-    certify(max(residuals["sigma_anti"], residuals["sigma_squared"]), eps,
+    certify(max(residuals["sigma_anti"], residuals["sigma_squared"]), EPS,
             "sigma^2 = id, sigma anti-multiplicative", "sigma is not an involution on C")
     rebuilt = compose(mu, compose(sigma, lam))
     residuals["factorization"] = max_abs(rebuilt.matrix - tau.matrix)
-    if residuals["factorization"] > eps or rebuilt.conjugating != tau.conjugating:
+    if residuals["factorization"] > EPS or rebuilt.conjugating != tau.conjugating:
         raise CertificationFailure("mu o sigma o lambda does not reproduce tau",
                                    law="tau = mu o sigma o lambda",
                                    residual=residuals["factorization"])
@@ -331,8 +327,7 @@ class HomBlocks:
 
 
 def check_trivolutive_hom(a1: Algebra, tau1: AlgMap, a2: Algebra, tau2: AlgMap,
-                          pi: AlgMap, eps: float = EPS,
-                          eps_rank: float = EPS_RANK) -> HomBlocks:
+                          pi: AlgMap) -> HomBlocks:
     """Verify the block structure of an intertwining homomorphism.
 
     Relative to the canonical splittings of both sides the map must be
@@ -341,14 +336,14 @@ def check_trivolutive_hom(a1: Algebra, tau1: AlgMap, a2: Algebra, tau2: AlgMap,
     """
     if pi.conjugating:
         raise UsageError("pi must be a linear map")
-    intertwine = certify(max_abs(compose(pi, tau1).matrix - compose(tau2, pi).matrix), eps,
+    intertwine = certify(max_abs(compose(pi, tau1).matrix - compose(tau2, pi).matrix), EPS,
                          "pi o tau1 = tau2 o pi",
                          "pi o tau1 != tau2 o pi (residual {residual:.3e})")
-    certify(classify_multiplicativity(pi, eps).hom_residual, eps, "pi(xy) = pi(x) pi(y)",
+    certify(classify_multiplicativity(pi).hom_residual, EPS, "pi(xy) = pi(x) pi(y)",
             "pi is not multiplicative")
 
-    dec1 = canonical_decomposition(a1, tau1, eps, eps_rank)
-    dec2 = dec1 if a2 is a1 and tau2 is tau1 else canonical_decomposition(a2, tau2, eps, eps_rank)
+    dec1 = canonical_decomposition(a1, tau1)
+    dec2 = dec1 if a2 is a1 and tau2 is tau1 else canonical_decomposition(a2, tau2)
     qi1, qb1 = dec1.ideal_I.canonical_columns(), dec1.embedding
     qi2, qb2 = dec2.ideal_I.canonical_columns(), dec2.embedding
     t1 = np.hstack([qi1, qb1])
@@ -362,25 +357,25 @@ def check_trivolutive_hom(a1: Algebra, tau1: AlgMap, a2: Algebra, tau2: AlgMap,
 
     residuals = {
         "intertwine": intertwine,
-        "off_diagonal": certify(max(max_abs(pi12_m), max_abs(pi21_m)), eps,
+        "off_diagonal": certify(max(max_abs(pi12_m), max_abs(pi21_m)), EPS,
                                 "pi12 = 0 and pi21 = 0", "off-diagonal blocks do not vanish"),
     }
 
-    ideal1_alg, _ = induced_subalgebra(a1, dec1.ideal_I, eps=eps)
-    ideal2_alg = ideal1_alg if dec2 is dec1 else induced_subalgebra(a2, dec2.ideal_I, eps=eps)[0]
+    ideal1_alg, _ = induced_subalgebra(a1, dec1.ideal_I)
+    ideal2_alg = ideal1_alg if dec2 is dec1 else induced_subalgebra(a2, dec2.ideal_I)[0]
     pi11 = make_map(pi11_m, conjugating=False, source=ideal1_alg, target=ideal2_alg)
     pi22 = make_map(pi22_m, conjugating=False, source=dec1.subalgebra, target=dec2.subalgebra)
 
     if ideal1_alg.dim and ideal2_alg.dim:
         residuals["pi11_homomorphism"] = certify(
-            classify_multiplicativity(pi11, eps).hom_residual, eps, "pi11 multiplicative",
+            classify_multiplicativity(pi11).hom_residual, EPS, "pi11 multiplicative",
             "ideal block is not a homomorphism")
     residuals["pi22_homomorphism"] = certify(
-        classify_multiplicativity(pi22, eps).hom_residual, eps, "pi22 multiplicative",
+        classify_multiplicativity(pi22).hom_residual, EPS, "pi22 multiplicative",
         "subalgebra block is not a homomorphism")
     residuals["pi22_involutive"] = certify(
         max_abs(compose(pi22, dec1.involution_rho).matrix
-                - compose(dec2.involution_rho, pi22).matrix), eps,
+                - compose(dec2.involution_rho, pi22).matrix), EPS,
         "pi22 o rho1 = rho2 o pi22", "subalgebra block does not intertwine the involutions")
     return HomBlocks(pi11=pi11, pi22=pi22, source_decomposition=dec1,
                      target_decomposition=dec2, residuals=residuals)
@@ -507,7 +502,7 @@ def hermitian_decomposition(algebra: Algebra, tau: AlgMap,
         bot = np.hstack([h.imag, h.real])
         system = np.vstack([top, bot]).astype(float)
         target = np.concatenate([x.coords.real, x.coords.imag])
-        _, kernel, coeffs, residual = column_space_and_nullspace(system, EPS_RANK, target)
+        _, kernel, coeffs, residual = column_space_and_nullspace(system, target)
         null_dim = kernel.shape[1]
         if residual > 1e3 * EPS or null_dim != 0:
             raise CertificationFailure("hermitian pair is not unique",

@@ -35,7 +35,6 @@ from .algebra import (
 from .errors import CertificationFailure, UsageError
 from .linalg import (
     EPS,
-    EPS_RANK,
     column_products,
     column_space_and_nullspace,
     max_abs,
@@ -73,29 +72,26 @@ def extension_map(algebra: Algebra, tau: AlgMap, lambda0: complex, x0: Element) 
     return sharp, AlgMap(matrix=matrix, conjugating=True, source=sharp, target=sharp)
 
 
-def range_identity(algebra: Algebra, tau: AlgMap, eps: float = EPS,
-                   eps_rank: float = EPS_RANK) -> Element | None:
-    """Identity of the range subalgebra, embedded in ambient coordinates."""
-    _, image = kernel_image(tau, eps_rank)
+def range_identity(algebra: Algebra, image: Subspace) -> Element | None:
+    """Identity of the range subalgebra ``image``, embedded in ambient coordinates."""
     if image.dim == 0:
         return None
-    sub, embedding = induced_subalgebra(algebra, image, eps=eps)
+    sub, embedding = induced_subalgebra(algebra, image)
     if not sub.is_unital():
         return None
     return Element(embedding @ sub.identity_coords, algebra)
 
 
-def verify_extension(algebra: Algebra, tau: AlgMap, lambda0: complex, x0,
-                     eps: float = EPS, eps_rank: float = EPS_RANK, *,
+def verify_extension(algebra: Algebra, tau: AlgMap, lambda0: complex, x0, *,
                      e_b: Element | None, image: Subspace) -> ExtensionSpec:
     """Classify a candidate ``(lambda0, x0)`` into a family, twice over.
 
     The family conditions are checked directly, the generic extension is
     classified on the unitized algebra, and the two verdicts must agree
     (a per-instance soundness and completeness check).  ``family`` is
-    ``invalid`` when both reject.  ``e_b`` is ``range_identity(algebra,
-    tau)`` and ``image`` is ``kernel_image(tau, eps_rank)[1]``, both built
-    once per ``tau`` by the caller and taken as given.
+    ``invalid`` when both reject.  ``image`` is ``kernel_image(tau)[1]``
+    and ``e_b`` is ``range_identity(algebra, image)``, both built once
+    per ``tau`` by the caller and taken as given.
     """
     if not isinstance(x0, Element):
         x0 = algebra.element(x0)
@@ -111,21 +107,21 @@ def verify_extension(algebra: Algebra, tau: AlgMap, lambda0: complex, x0,
                 max_abs(column_products(algebra.structure, image_cols, x0_col)))
     residuals["x0_annihilates_range"] = annih
     residuals["tau_x0"] = max_abs(apply(tau, x0).coords)
-    type1 = (abs(lambda0 - 1.0) <= eps
-             and residuals["x0_negated_idempotent"] <= eps
-             and annih <= eps
-             and residuals["tau_x0"] <= eps)
+    type1 = (abs(lambda0 - 1.0) <= EPS
+             and residuals["x0_negated_idempotent"] <= EPS
+             and annih <= EPS
+             and residuals["tau_x0"] <= EPS)
 
     # family II: lambda0 = 0, x0 the identity of the range
     type2 = False
     if e_b is not None:
         residuals["x0_vs_range_identity"] = max_abs(x0.coords - e_b.coords)
-        type2 = abs(lambda0) <= eps and residuals["x0_vs_range_identity"] <= eps
+        type2 = abs(lambda0) <= EPS and residuals["x0_vs_range_identity"] <= EPS
 
     family = FAMILY_TYPE_I if type1 else FAMILY_TYPE_II if type2 else FAMILY_INVALID
 
     sharp, candidate = extension_map(algebra, tau, lambda0, x0)
-    verdict = classify_star_map(sharp, candidate, eps, eps_rank)
+    verdict = classify_star_map(sharp, candidate)
     residuals["anti"] = verdict.anti_residual
     residuals["cube"] = verdict.cube_residual
     if verdict.is_trivolution != (family != FAMILY_INVALID):
@@ -137,7 +133,7 @@ def verify_extension(algebra: Algebra, tau: AlgMap, lambda0: complex, x0,
 
     norm = max(abs(lambda0) + element_norm(x0), map_norm(tau))
     return ExtensionSpec(lambda0=lambda0, x0=x0, family=family,
-                         contractive=norm <= 1.0 + eps, norm_of_extension=norm,
+                         contractive=norm <= 1.0 + EPS, norm_of_extension=norm,
                          residuals=residuals)
 
 
@@ -146,31 +142,33 @@ class Type1Solutions:
     """All admissible family-I elements, with the solver provenance.
 
     ``specs`` holds the ``verify_extension`` result (``lambda0 = 1``) that
-    certified each solution, in the order of ``solutions``; callers read
-    the certificates from there instead of verifying again.
+    certified each solution, in the order of ``solutions``; ``type2`` is
+    that of the family-II candidate ``(0, e_B)``, or None when the range
+    has no identity.  Callers read the certificates from there instead of
+    verifying again.
     """
 
     specs: list[ExtensionSpec]
     best_effort: bool
+    type2: ExtensionSpec | None
 
     @property
     def solutions(self) -> list[Element]:
         return [spec.x0 for spec in self.specs]
 
 
-def _annihilator_intersect_kernel(algebra: Algebra, tau: AlgMap, image: Subspace,
-                                  eps_rank: float) -> np.ndarray:
+def _annihilator_intersect_kernel(algebra: Algebra, tau: AlgMap, image: Subspace) -> np.ndarray:
     """Basis columns of ker(tau) meet the two-sided annihilator of the range ``image``."""
     rows = [np.conj(tau.matrix)]  # tau(x) = 0 iff conj(M) x = 0
     for col in image.canonical_columns().T:
         rows.append(right_mult_matrix(algebra, col))  # x . q = 0
         rows.append(left_mult_matrix(algebra, col))   # q . x = 0
     stacked = np.vstack(rows)
-    _, kernel, _, _ = column_space_and_nullspace(stacked, eps_rank)
+    _, kernel, _, _ = column_space_and_nullspace(stacked)
     return kernel
 
 
-def _idempotents_exact(sub: Algebra, eps: float) -> list[np.ndarray] | None:
+def _idempotents_exact(sub: Algebra) -> list[np.ndarray] | None:
     """All idempotents of a commutative semisimple algebra, by characters.
 
     Returns None when the character method does not apply (non
@@ -178,11 +176,11 @@ def _idempotents_exact(sub: Algebra, eps: float) -> list[np.ndarray] | None:
     """
     from .duality import find_characters  # deferred: duality sits above this module
 
-    if not is_commutative(sub, eps):
+    if not is_commutative(sub):
         return None
     if sub.dim > 12:
         return None
-    search = find_characters(sub, eps=eps)
+    search = find_characters(sub)
     if search.possibly_incomplete or len(search.characters) != sub.dim:
         return None
     phi = np.vstack([c.coords for c in search.characters])
@@ -192,7 +190,7 @@ def _idempotents_exact(sub: Algebra, eps: float) -> list[np.ndarray] | None:
     return list(np.linalg.solve(phi, targets).T)
 
 
-def _idempotents_newton(sub: Algebra, seed: int, eps: float) -> list[np.ndarray]:
+def _idempotents_newton(sub: Algebra, seed: int) -> list[np.ndarray]:
     """Multi-start damped Newton on ``y . y - y = 0`` inside the subalgebra."""
     rng = np.random.default_rng(seed)
     m = sub.dim
@@ -216,14 +214,13 @@ def _idempotents_newton(sub: Algebra, seed: int, eps: float) -> list[np.ndarray]
             except np.linalg.LinAlgError:
                 break
             y = y + 0.5 * step
-        if max_abs(residual(y)) <= eps:
+        if max_abs(residual(y)) <= EPS:
             if all(max_abs(y - z) > 1e-6 for z in found):
                 found.append(y)
     return found
 
 
-def find_type1_solutions(algebra: Algebra, tau: AlgMap, *, seed: int = 0,
-                         eps: float = EPS, eps_rank: float = EPS_RANK) -> Type1Solutions:
+def find_type1_solutions(algebra: Algebra, tau: AlgMap, *, seed: int = 0) -> Type1Solutions:
     """Enumerate every ``x0`` admissible for a family-I extension.
 
     The linear conditions carve out a subalgebra ``N``; inside it the
@@ -231,27 +228,28 @@ def find_type1_solutions(algebra: Algebra, tau: AlgMap, *, seed: int = 0,
     found exactly through characters when ``N`` is commutative and
     semisimple, otherwise by seeded multi-start Newton (flagged
     best-effort).  Every candidate is verified through
-    ``verify_extension``, once; ``x0 = 0`` is always included.
+    ``verify_extension``, once; ``x0 = 0`` is always included.  The
+    family-II candidate is verified on the same range data.
     """
-    verdict = classify_star_map(algebra, tau, eps, eps_rank)
+    verdict = classify_star_map(algebra, tau)
     if not verdict.is_trivolution:
         raise CertificationFailure("solver requires a trivolution",
                                    law="conjugate-linear anti-homomorphism with t^3 = t")
-    _, image = kernel_image(tau, eps_rank)
-    n_basis = _annihilator_intersect_kernel(algebra, tau, image, eps_rank)
+    _, image = kernel_image(tau)
+    n_basis = _annihilator_intersect_kernel(algebra, tau, image)
     best_effort = False
     candidates = [np.zeros(algebra.dim, dtype=complex)]
     if n_basis.shape[1] > 0:
         n_sub = Subspace(n_basis, algebra)
-        sub, embedding = induced_subalgebra(algebra, n_sub, eps=eps)
-        idempotents = _idempotents_exact(sub, eps)
+        sub, embedding = induced_subalgebra(algebra, n_sub)
+        idempotents = _idempotents_exact(sub)
         if idempotents is None:
-            idempotents = _idempotents_newton(sub, seed, eps)
+            idempotents = _idempotents_newton(sub, seed)
             best_effort = True
         for y in idempotents:
             candidates.append(-(embedding @ y))
 
-    e_b = range_identity(algebra, tau, eps, eps_rank)
+    e_b = range_identity(algebra, image)
     specs = []
     seen, count = np.empty((len(candidates), algebra.dim), dtype=complex), 0
     for coords in candidates:
@@ -259,13 +257,14 @@ def find_type1_solutions(algebra: Algebra, tau: AlgMap, *, seed: int = 0,
             continue
         seen[count] = coords
         count += 1
-        spec = verify_extension(algebra, tau, 1.0, algebra.element(coords), eps, eps_rank,
+        spec = verify_extension(algebra, tau, 1.0, algebra.element(coords),
                                 e_b=e_b, image=image)
         if spec.family == FAMILY_TYPE_I:
             specs.append(spec)
     specs.sort(key=lambda spec: tuple(np.round(
         np.stack([spec.x0.coords.real, spec.x0.coords.imag], axis=1).reshape(-1), 6)))
-    return Type1Solutions(specs=specs, best_effort=best_effort)
+    type2 = None if e_b is None else verify_extension(algebra, tau, 0.0, e_b, e_b=e_b, image=image)
+    return Type1Solutions(specs=specs, best_effort=best_effort, type2=type2)
 
 
 @dataclass(frozen=True)
@@ -279,26 +278,21 @@ class ContractiveExtensions:
 def contractive_extensions(algebra: Algebra, tau: AlgMap) -> ContractiveExtensions:
     """Extensions of norm one under the unitization norm ``|l| + ||x||``.
 
-    Exactly the canonical extension survives from family I, plus the
-    family-II extension when the range has an identity of norm one.
-    Family-I candidates with ``x0 != 0`` are certified non-contractive
-    and reported in ``excluded``.
+    Exactly the canonical extension (``x0 = 0``, always a solution of
+    ``find_type1_solutions``) survives from family I, plus the family-II
+    extension when the range has an identity of norm one.  Family-I
+    candidates with ``x0 != 0`` are certified non-contractive and reported
+    in ``excluded``.
     """
     tau_norm = map_norm(tau)
     if tau_norm > 1.0 + EPS:
         raise CertificationFailure(f"the map itself has norm {tau_norm:.6f} > 1",
                                    law="||tau|| <= 1", residual=tau_norm - 1.0)
-    e_b = range_identity(algebra, tau)
-    _, image = kernel_image(tau)
-    included = [verify_extension(algebra, tau, 1.0, algebra.zero(), e_b=e_b, image=image)]
-    if e_b is not None:
-        type2 = verify_extension(algebra, tau, 0.0, e_b, e_b=e_b, image=image)
-        if type2.family == FAMILY_TYPE_II and type2.contractive:
-            included.append(type2)
-
-    excluded = []
-    for spec in find_type1_solutions(algebra, tau).specs:
+    solutions = find_type1_solutions(algebra, tau)
+    included, excluded = [], []
+    for spec in solutions.specs:
         if max_abs(spec.x0.coords) <= EPS:
+            included.append(spec)
             continue
         if spec.norm_of_extension <= 1.0 + EPS:
             raise CertificationFailure(
@@ -306,4 +300,7 @@ def contractive_extensions(algebra: Algebra, tau: AlgMap) -> ContractiveExtensio
                 law="contractive family-I extensions have x0 = 0",
                 residual=spec.norm_of_extension)
         excluded.append(spec)
+    type2 = solutions.type2
+    if type2 is not None and type2.family == FAMILY_TYPE_II and type2.contractive:
+        included.append(type2)
     return ContractiveExtensions(included=included, excluded=excluded)

@@ -141,7 +141,7 @@ def test_identity_verdict_matches_lstsq():
     assert len(cases) > 30
     unital = 0
     for name, c in cases:
-        found, expected = _find_identity(c, EPS), lstsq_identity(c)
+        found, expected = _find_identity(c), lstsq_identity(c)
         assert (found is None) == (expected is None), name
         if found is not None:
             unital += 1
@@ -159,7 +159,7 @@ def test_identity_search_on_subnormal_constants_warns_nothing():
 def test_identity_of_a_group_algebra_is_exact():
     c = np.asarray(group_algebra(cyclic_group_table(12)).structure)
     p = np.random.default_rng(2).permutation(12)
-    e = _find_identity(np.ascontiguousarray(c[np.ix_(p, p, p)]), EPS)
+    e = _find_identity(np.ascontiguousarray(c[np.ix_(p, p, p)]))
     assert e.tobytes() == np.eye(12, dtype=complex)[np.argmax(p == 0)].tobytes()
 
 

@@ -220,23 +220,13 @@ def test_unsupported_search_family_names_the_two(tmp_path):
                       "unsupported CLI family 'pairs'; use 'function' or 'group'"}
 
 
-def test_seed_env_override(tmp_path, monkeypatch, spec_files):
-    algebra, tau = spec_files
-    monkeypatch.setenv("TRIVOLVE_SEED", "123")
-    out = tmp_path / "env.json"
-    code = main(["extend", "--algebra", algebra, "--map", tau,
-                 "--seed", "7", "--format", "json", "--out", str(out)])
-    assert code == 0  # seed override must not break anything
-
-
-def test_seed_env_not_an_integer(tmp_path, monkeypatch, capsys, spec_files):
-    algebra, tau = spec_files
+def test_the_seed_is_read_from_no_environment_variable(monkeypatch, capsys):
+    # --seed is the one setting: a TRIVOLVE_SEED that is not even an integer is not read
     monkeypatch.setenv("TRIVOLVE_SEED", "abc")
-    code = main(["check", "--algebra", algebra, "--map", tau])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: TRIVOLVE_SEED must be an integer, got 'abc'\n"
+    code = main(["check", "--algebra", str(SAMPLE_SPECS / "c2.json"),
+                 "--map", str(SAMPLE_SPECS / "tau.json")])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == "" and "trivolution_proper" in out
 
 
 def test_suite_deterministic(tmp_path):
@@ -302,13 +292,17 @@ def test_tim_classifies_star_once_and_builds_arens_once(tmp_path, monkeypatch):
 
 
 def test_extend_builds_range_identity_once_per_solver(spec_files, tmp_path, monkeypatch):
-    # one range identity in find_type1_solutions, one for the command's type-II record
+    # find_type1_solutions builds tau's image and the range identity once, and also
+    # verifies the type-II record the command reports
     built = count_calls(monkeypatch, "range_identity")
+    imaged = count_calls(monkeypatch, "kernel_image")
+    induced = count_calls(monkeypatch, "induced_subalgebra")
     verified = count_calls(monkeypatch, "verify_extension")
     algebra, tau = spec_files
     code, report = run_cli(["extend", "--algebra", algebra, "--map", tau], tmp_path)
     assert code == 0 and report["count"] == len(verified) == 3
-    assert len(built) == 2
+    assert report["extensions"][-1]["family"] == "type_II"
+    assert len(built) == len(imaged) == 1 and len(induced) == 2
 
 
 def test_extend_unitizes_the_algebra_once(spec_files, tmp_path, monkeypatch):
@@ -500,22 +494,13 @@ def test_check_on_a_group_algebra_runs_no_lstsq_and_no_fold(tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("flag", ["--tolerance", "--rank-threshold"])
-def test_suite_rejects_a_tolerance_flag(tmp_path, flag):
-    # the suite's sections keep their own thresholds, so a flag would be ignored
-    code, report = run_cli(["suite", "--seed", "0", flag, "1e-3"], tmp_path)
-    assert code == 2 and report["error"] == "UsageError"
-    assert "fixed threshold" in report["message"] and flag in report["message"]
-
-
-@pytest.mark.parametrize("flag", ["--tolerance", "--rank-threshold"])
-def test_infinite_tolerance_is_usage_error(spec_files, tmp_path, capsys, flag):
-    # at tolerance inf every map would classify as zero, hence not a star map
-    algebra, _ = spec_files
-    swap = tmp_path / "swap.json"
-    swap.write_text(json.dumps({"matrix": [[0, 1], [1, 0]], "conjugating": True}))
-    code = main(["check", "--algebra", algebra, "--map", str(swap), flag, "inf"])
+def test_a_tolerance_flag_is_usage_error(spec_files, capsys, flag):
+    # laws are decided at EPS and ranks at EPS_RANK; argparse refuses either flag
+    algebra, tau = spec_files
+    with pytest.raises(SystemExit) as info:
+        main(["check", "--algebra", algebra, "--map", tau, flag, "1e-3"])
     out, err = capsys.readouterr()
-    assert code == 2 and out == "" and err.startswith("error: ")
+    assert info.value.code == 2 and out == "" and flag in err
 
 
 def text_and_reference(argv, capsys):
@@ -623,11 +608,3 @@ def test_negative_seed_is_usage_error(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: the seed must be non-negative, got {argv[-1]}\n"
-
-
-def test_negative_seed_from_the_environment_is_usage_error(spec_files, monkeypatch, capsys):
-    algebra, tau = spec_files
-    monkeypatch.setenv("TRIVOLVE_SEED", "-1")
-    assert main(["extend", "--algebra", algebra, "--map", tau]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == "error: the seed must be non-negative, got -1\n"

@@ -94,7 +94,7 @@ def test_associativity_memory_stays_below_one_n4_array():
     one_n4_array = n ** 4 * np.dtype(complex).itemsize  # 16 MiB
     tracemalloc.start()
     try:
-        _associativity_check(c, EPS)
+        _associativity_check(c)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -186,7 +186,7 @@ def permuted(c, seed):
 def test_kernels_agree_in_a_permuted_basis(c):
     c = permuted(c, 5)
     assert _table_gap(c) == dense_worst(c) == 0.0
-    _associativity_check(c, EPS)
+    _associativity_check(c)
 
 
 @pytest.mark.parametrize("non_zero, value", [(True, 1.25), (False, 0.5j)],
@@ -207,7 +207,7 @@ def test_sparse_check_memory():
     c = cyclic_group_table(64).structure()
     tracemalloc.start()
     try:
-        _associativity_check(c, EPS)
+        _associativity_check(c)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -235,7 +235,7 @@ def peak_bytes(run):
 def test_dense_blocks_check_memory():
     c = dense_blocks()
     assert np.count_nonzero(c) == 2 * 32 ** 3
-    assert peak_bytes(lambda: _associativity_check(c, EPS)) < 32 * 2 ** 20
+    assert peak_bytes(lambda: _associativity_check(c)) < 32 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

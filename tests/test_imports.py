@@ -90,3 +90,32 @@ def test_scan_finds_an_unreached_method():
 def test_every_definition_is_named_outside_itself():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert sorted(set(unreached(sources)) - ENTRY_POINTS - NOT_YET_REACHED) == []
+
+
+# Every law is decided at ``linalg.EPS`` and every rank at ``linalg.EPS_RANK``.  These two
+# keep a tolerance parameter, because their callers pass two different values: ``EPS`` and
+# ``1e3 * EPS``.
+TOLERANCE_TAKERS = {"errors.certify(tol)", "duality.verify_character(eps)"}
+
+
+def tolerance_parameters(sources: dict[str, str]) -> list[str]:
+    """Each ``module.function(parameter)``, nested defs too, whose parameter is a tolerance."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                found += [f"{module}.{node.name}({arg.arg})"
+                          for arg in args.posonlyargs + args.args + args.kwonlyargs
+                          if arg.arg in {"eps", "eps_rank", "tol"}]
+    return found
+
+
+def test_scan_finds_a_tolerance_parameter():
+    source = "def f(x, eps=1e-9):\n    def g(*, tol, eps_rank):\n        return tol\n    return g\n"
+    assert tolerance_parameters({"a": source}) == ["a.f(eps)", "a.g(tol)", "a.g(eps_rank)"]
+
+
+def test_only_certify_and_verify_character_take_a_tolerance():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert sorted(set(tolerance_parameters(sources)) - TOLERANCE_TAKERS) == []

@@ -49,7 +49,7 @@ def test_helper_matches_lstsq_and_full_svd(name, consistent):
         b = b.real.copy()
     x_ref, residual_ref, kernel_ref = reference(a, b)
 
-    image, kernel, x, residual = column_space_and_nullspace(a, EPS_RANK, rhs=b)
+    image, kernel, x, residual = column_space_and_nullspace(a, rhs=b)
     assert kernel.shape == kernel_ref.shape
     assert image.shape[1] + kernel.shape[1] == n
     assert np.allclose(kernel.conj().T @ kernel, np.eye(kernel.shape[1]), rtol=0, atol=1e-12)
@@ -59,7 +59,7 @@ def test_helper_matches_lstsq_and_full_svd(name, consistent):
     assert abs(residual - residual_ref) <= 1e-12
     assert x.dtype == kernel.dtype == np.result_type(a, float)
     # without a right-hand side: the same bases, no solve
-    plain = column_space_and_nullspace(a, EPS_RANK)
+    plain = column_space_and_nullspace(a)
     assert np.array_equal(plain[0], image) and np.array_equal(plain[1], kernel)
     assert plain[2:] == (None, None)
 
@@ -71,7 +71,7 @@ def test_helper_never_builds_the_tall_left_factor():
     b = rng.standard_normal(1153) + 0j
     full_left_factor = 1153 * 1153 * np.dtype(complex).itemsize  # about 21 MB
     for call in (lambda: column_space_and_nullspace(a),
-                 lambda: column_space_and_nullspace(a, EPS_RANK, rhs=b)):
+                 lambda: column_space_and_nullspace(a, rhs=b)):
         tracemalloc.start()
         try:
             call()

@@ -57,7 +57,7 @@ class TestSpectrum:
         t_inv = np.linalg.inv(t)
         # transport the structure tensor along the change of basis
         moved = np.einsum("ai,bj,abm,mk->ijk", t, t, z3.structure, t_inv.T)
-        new_alg = make_algebra(3, moved, eps=1e-7)
+        new_alg = make_algebra(3, moved)
         new_spec = spectrum(new_alg, new_alg.element(t_inv @ x_coords))
         for mine, theirs in zip(sorted_multiset(baseline.values),
                                 sorted_multiset(new_spec.values)):

@@ -49,12 +49,12 @@ def test_misc_laws_fails_when_a_hermitian_decomposition_fails(monkeypatch, batte
 def test_round_trip_rebuilds_every_eighth_trivolution_from_its_pair(monkeypatch, battery):
     # make_trivolution reproduces the decomposition's reconstruction bit for bit,
     # so the rebuilt maps leave the residual alone; a rebuilt map that differs fails
-    clean = suite._section_round_trip(battery, 1e-8)
+    clean = suite._section_round_trip(battery)
     decomposed, rebuilt = [], []
 
-    def counted(algebra, tau, *args):
+    def counted(algebra, tau):
         decomposed.append(tau)
-        return canonical_decomposition(algebra, tau, *args)
+        return canonical_decomposition(algebra, tau)
 
     def skewed(algebra, p, rho):
         rebuilt.append(p)
@@ -63,7 +63,7 @@ def test_round_trip_rebuilds_every_eighth_trivolution_from_its_pair(monkeypatch,
 
     monkeypatch.setattr(suite, "canonical_decomposition", counted)
     monkeypatch.setattr(suite, "make_trivolution", skewed)
-    section = suite._section_round_trip(battery, 1e-8)
+    section = suite._section_round_trip(battery)
     assert clean["passed"] is True and clean["instances"] == 60
     assert len(decomposed) == 60 and len(rebuilt) == 8
     assert section["passed"] is False and section["max_residual"] >= 1e-3

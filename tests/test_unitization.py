@@ -21,6 +21,12 @@ from trivolve.unitization import (
 )
 
 
+def range_data(algebra, tau):
+    """The range data ``verify_extension`` takes: ``image`` and ``e_b``."""
+    image = kernel_image(tau)[1]
+    return {"e_b": range_identity(algebra, image), "image": image}
+
+
 def brute_force_family_one(algebra, tau, x0, tol=1e-9):
     """Oracle: the three conditions checked by direct multiplication."""
     sq = multiply(algebra, x0, x0)
@@ -39,47 +45,44 @@ class TestVerifyExtension:
     def test_canonical_always_valid(self, battery):
         for inst in battery[::40]:
             spec = verify_extension(inst.algebra, inst.tau, 1.0, inst.algebra.zero(),
-                                    e_b=range_identity(inst.algebra, inst.tau),
-                                    image=kernel_image(inst.tau)[1])
+                                    **range_data(inst.algebra, inst.tau))
             assert spec.family == "type_I"
 
     def test_remark_family_one(self):
         algebra, tau = remark_pair()
         x0 = algebra.element([0.0, -1.0])
         assert brute_force_family_one(algebra, tau, x0)
-        spec = verify_extension(algebra, tau, 1.0, x0, e_b=range_identity(algebra, tau),
-                                image=kernel_image(tau)[1])
+        spec = verify_extension(algebra, tau, 1.0, x0, **range_data(algebra, tau))
         assert spec.family == "type_I"
 
     def test_remark_family_two(self):
         algebra, tau = remark_pair()
         spec = verify_extension(algebra, tau, 0.0, algebra.element([1.0, 0.0]),
-                                e_b=range_identity(algebra, tau), image=kernel_image(tau)[1])
+                                **range_data(algebra, tau))
         assert spec.family == "type_II"
 
     def test_positive_idempotent_rejected(self):
         algebra, tau = remark_pair()
         spec = verify_extension(algebra, tau, 1.0, algebra.element([0.0, 1.0]),
-                                e_b=range_identity(algebra, tau), image=kernel_image(tau)[1])
+                                **range_data(algebra, tau))
         assert spec.family == "invalid"
 
     def test_wrong_scalar_rejected(self):
         algebra, tau = remark_pair()
-        e_b = range_identity(algebra, tau)
+        data = range_data(algebra, tau)
         for lam0 in (0.5, 1 + 1j, -1.0):
-            spec = verify_extension(algebra, tau, lam0, algebra.zero(), e_b=e_b,
-                                    image=kernel_image(tau)[1])
+            spec = verify_extension(algebra, tau, lam0, algebra.zero(), **data)
             assert spec.family == "invalid"
 
     def test_random_scan_consistency(self):
         # verify_extension itself asserts classification == family verdict
         algebra, tau = remark_pair()
-        e_b = range_identity(algebra, tau)
+        data = range_data(algebra, tau)
         rng = np.random.default_rng(4)
         for _ in range(60):
             lam0 = complex(rng.standard_normal(), rng.standard_normal())
             x0 = algebra.element(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            verify_extension(algebra, tau, lam0, x0, e_b=e_b, image=kernel_image(tau)[1])
+            verify_extension(algebra, tau, lam0, x0, **data)
 
 
 class TestUnitize:
@@ -88,7 +91,7 @@ class TestUnitize:
     def test_canonical_extension_structure(self):
         algebra, tau = remark_pair()
         spec = verify_extension(algebra, tau, 1.0, algebra.zero(),
-                                e_b=range_identity(algebra, tau), image=kernel_image(tau)[1])
+                                **range_data(algebra, tau))
         sharp, tau_sharp = extension_map(algebra, tau, spec.lambda0, spec.x0)
         assert sharp.dim == 3
         assert np.allclose(sharp.identity_coords, [1.0, 0.0, 0.0])
@@ -99,7 +102,7 @@ class TestUnitize:
     def test_type_two_maps_unit_into_range(self):
         algebra, tau = remark_pair()
         spec = verify_extension(algebra, tau, 0.0, algebra.element([1.0, 0.0]),
-                                e_b=range_identity(algebra, tau), image=kernel_image(tau)[1])
+                                **range_data(algebra, tau))
         sharp, tau_sharp = extension_map(algebra, tau, spec.lambda0, spec.x0)
         unit = sharp.element([1.0, 0.0, 0.0])
         assert np.allclose(apply(tau_sharp, unit).coords, [0.0, 1.0, 0.0])
@@ -107,7 +110,7 @@ class TestUnitize:
     def test_invalid_rejected(self):
         algebra, tau = remark_pair()
         bad = verify_extension(algebra, tau, 1.0, algebra.element([0.0, 1.0]),
-                               e_b=range_identity(algebra, tau), image=kernel_image(tau)[1])
+                               **range_data(algebra, tau))
         assert bad.family == FAMILY_INVALID
         sharp, tau_sharp = extension_map(algebra, tau, bad.lambda0, bad.x0)
         assert not classify_star_map(sharp, tau_sharp).is_trivolution
@@ -115,12 +118,15 @@ class TestUnitize:
 
 class TestType1Solver:
     def test_specs_equal_fresh_verification(self, m2, m2_star):
+        # the family-I specs and the family-II one, each against a fresh verification
         for algebra, tau in (remark_pair(), c4_indicator_pair(), (m2, m2_star)):
             result = find_type1_solutions(algebra, tau)
-            e_b = range_identity(algebra, tau)
-            for spec in result.specs:
-                fresh = verify_extension(algebra, tau, 1.0, spec.x0, e_b=e_b,
-                                         image=kernel_image(tau)[1])
+            data = range_data(algebra, tau)
+            assert result.type2 is not None
+            pairs = [(spec, verify_extension(algebra, tau, 1.0, spec.x0, **data))
+                     for spec in result.specs]
+            pairs.append((result.type2, verify_extension(algebra, tau, 0.0, data["e_b"], **data)))
+            for spec, fresh in pairs:
                 for f in fields(ExtensionSpec):
                     got, want = getattr(spec, f.name), getattr(fresh, f.name)
                     if f.name == "x0":
@@ -200,7 +206,7 @@ class TestContractive:
         # must be refused outright
         algebra, tau = remark_pair()
         spec = verify_extension(algebra, tau, 1.0, algebra.element([0.0, -1.0]),
-                                e_b=range_identity(algebra, tau), image=kernel_image(tau)[1])
+                                **range_data(algebra, tau))
         sharp, tau_sharp = extension_map(algebra, tau, spec.lambda0, spec.x0)
         assert classify_star_map(sharp, tau_sharp).is_trivolution
         with pytest.raises(CertificationFailure) as info:

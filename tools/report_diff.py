@@ -14,8 +14,7 @@ with each tree's ``src/``, one interpreter per tree:
   ``tests/spec_writers.py``).
 
 Each call runs with ``--format json`` and with ``--format text``, under
-``OPENBLAS_NUM_THREADS=1`` and without ``TRIVOLVE_SEED``.  One line is
-printed per call: ``identical``; the exit codes, when they differ; or the
+``OPENBLAS_NUM_THREADS=1``.  One line is printed per call: ``identical``; the exit codes, when they differ; or the
 changed JSON fields, a list index written ``[]``, each with its largest
 |delta|, and the number of changed text lines.  The exit code is 1 when
 an exit code, a non-numeric field or a report's shape changed, else 0.
@@ -60,8 +59,7 @@ def run_tree(tree: Path, argvs: list[list[str]], out_dir: Path) -> list[int]:
     The reports go to ``out_dir``.
     """
     out_dir.mkdir(parents=True)
-    env = {key: value for key, value in os.environ.items() if key != "TRIVOLVE_SEED"}
-    env.update(PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     (out_dir / "calls.json").write_text(json.dumps(argvs))
     subprocess.run([sys.executable, __file__, "--worker", str(out_dir)], env=env, check=True)
     return json.loads((out_dir / "codes.json").read_text())
