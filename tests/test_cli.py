@@ -494,13 +494,24 @@ def test_check_on_a_group_algebra_runs_no_lstsq_and_no_fold(tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("flag", ["--tolerance", "--rank-threshold"])
-def test_a_tolerance_flag_is_usage_error(spec_files, capsys, flag):
+def test_suite_rejects_a_tolerance_flag(tmp_path, capsys, flag):
     # laws are decided at EPS and ranks at EPS_RANK; argparse refuses either flag
-    algebra, tau = spec_files
     with pytest.raises(SystemExit) as info:
-        main(["check", "--algebra", algebra, "--map", tau, flag, "1e-3"])
+        main(["suite", "--seed", "0", flag, "1e-3", "--out", str(tmp_path / "out.json")])
     out, err = capsys.readouterr()
     assert info.value.code == 2 and out == "" and flag in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--tolerance", "--rank-threshold"])
+def test_infinite_tolerance_is_usage_error(spec_files, capsys, flag):
+    # no flag can set a tolerance, so check refuses one at any value, inf included
+    algebra, tau = spec_files
+    for value in ("1e-3", "inf"):
+        with pytest.raises(SystemExit) as info:
+            main(["check", "--algebra", algebra, "--map", tau, flag, value])
+        out, err = capsys.readouterr()
+        assert info.value.code == 2 and out == "" and flag in err
 
 
 def text_and_reference(argv, capsys):
