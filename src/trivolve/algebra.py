@@ -1,7 +1,9 @@
 """Finite-dimensional complex associative algebras as structure-constant tensors.
 
 An algebra of dimension ``n`` is the tensor ``c[i][j][k]`` with
-``b_i . b_j = sum_k c[i][j][k] b_k`` over a labelled basis.  Everything
+``b_i . b_j = sum_k c[i][j][k] b_k`` over a labelled basis.  An element
+is its coordinate vector: a complex 1-d ndarray of length ``n`` in the
+canonical basis, passed together with its algebra.  Everything
 downstream (star maps, decompositions, duals) reduces to dense linear
 algebra against this tensor, except in construction.  There a real
 product table (every ``b_i b_j`` is 0 or a real multiple of one basis
@@ -9,7 +11,7 @@ vector, as in a group algebra or M_n in matrix units) has its
 associativity read off the table, and the identity is proposed by the
 ``n x n`` normal equations before ``lstsq`` is asked.
 
-All values are immutable after construction; operations are pure.
+Algebras and subspaces are immutable after construction; operations are pure.
 """
 
 from __future__ import annotations
@@ -48,22 +50,6 @@ class Algebra:
     structure: np.ndarray
     identity_coords: np.ndarray | None = None
 
-    @property
-    def identity(self) -> "Element | None":
-        if self.identity_coords is None:
-            return None
-        return Element(self.identity_coords, self)
-
-    def element(self, coords) -> "Element":
-        coords = as_complex(coords).reshape(-1)
-        if coords.shape != (self.dim,):
-            raise UsageError(
-                f"coordinate vector of length {coords.shape[0]} for algebra of dim {self.dim}")
-        return Element(freeze(coords), self)
-
-    def zero(self) -> "Element":
-        return Element(freeze(np.zeros(self.dim, dtype=complex)), self)
-
     def is_unital(self) -> bool:
         return self.identity_coords is not None
 
@@ -74,39 +60,6 @@ class Algebra:
 
     def __repr__(self) -> str:  # keep reprs short; tensors are noisy
         return f"Algebra(dim={self.dim}, labels={list(self.basis_labels)!r})"
-
-
-@dataclass(frozen=True)
-class Element:
-    """Coordinate vector of an algebra element in the canonical basis."""
-
-    coords: np.ndarray
-    algebra: Algebra
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", freeze(self.coords))
-
-    def __add__(self, other: "Element") -> "Element":
-        _require_same_algebra(self.algebra, other.algebra)
-        return Element(self.coords + other.coords, self.algebra)
-
-    def __sub__(self, other: "Element") -> "Element":
-        _require_same_algebra(self.algebra, other.algebra)
-        return Element(self.coords - other.coords, self.algebra)
-
-    def __neg__(self) -> "Element":
-        return Element(-self.coords, self.algebra)
-
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            return multiply(self.algebra, self, other)
-        return Element(complex(other) * self.coords, self.algebra)
-
-    def __rmul__(self, scalar) -> "Element":
-        return Element(complex(scalar) * self.coords, self.algebra)
-
-    def __repr__(self) -> str:
-        return f"Element({np.array2string(self.coords, precision=6)})"
 
 
 @dataclass(frozen=True)
@@ -165,11 +118,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim} of {self.algebra.dim})"
-
-
-def _require_same_algebra(a: Algebra, b: Algebra) -> None:
-    if not algebras_compatible(a, b):
-        raise UsageError("operands belong to different algebras")
 
 
 def algebras_compatible(a: Algebra, b: Algebra) -> bool:
@@ -342,33 +290,28 @@ def make_algebra(dim: int, structure, labels: Sequence[str] | None = None,
                    identity_coords=identity)
 
 
-def multiply(algebra: Algebra, x: Element, y: Element) -> Element:
+def multiply(algebra: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Product ``x . y`` via the structure tensor."""
-    if not (algebras_compatible(algebra, x.algebra) and algebras_compatible(algebra, y.algebra)):
-        raise UsageError("multiply: elements do not belong to the given algebra")
-    coords = column_products(algebra.structure, x.coords[:, None], y.coords[:, None])[0, 0]
-    return Element(coords, algebra)
+    return column_products(algebra.structure, x[:, None], y[:, None])[0, 0]
 
 
 def left_mult_matrix(algebra: Algebra, x) -> np.ndarray:
     """Matrix of ``y -> x . y`` (the left regular representation of x)."""
-    coords = x.coords if isinstance(x, Element) else as_complex(x)
-    return np.einsum("j,jik->ki", coords, algebra.structure)
+    return np.einsum("j,jik->ki", as_complex(x), algebra.structure)
 
 
 def right_mult_matrix(algebra: Algebra, x) -> np.ndarray:
     """Matrix of ``y -> y . x``."""
-    coords = x.coords if isinstance(x, Element) else as_complex(x)
-    return np.einsum("j,ijk->ki", coords, algebra.structure)
+    return np.einsum("j,ijk->ki", as_complex(x), algebra.structure)
 
 
 def is_commutative(algebra: Algebra) -> bool:
     return max_abs(algebra.structure - algebra.structure.transpose(1, 0, 2)) <= EPS
 
 
-def element_norm(x: Element) -> float:
+def element_norm(x: np.ndarray) -> float:
     """The ell-1 norm ``sum_i |x_i|`` of the coordinates."""
-    return float(np.sum(np.abs(x.coords)))
+    return float(np.sum(np.abs(x)))
 
 
 # ---------------------------------------------------------------------------

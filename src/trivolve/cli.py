@@ -143,7 +143,7 @@ def _extension_record(spec, best_effort: bool) -> dict:
     return {
         "family": spec.family,
         "lambda0": [spec.lambda0.real, spec.lambda0.imag],
-        "x0": as_complex(spec.x0.coords),
+        "x0": spec.x0,
         "norm_of_extension": spec.norm_of_extension,
         "contractive": spec.contractive,
         "best_effort": best_effort,
@@ -215,13 +215,12 @@ def _cmd_tim(args: argparse.Namespace) -> dict:
     space = _load_space(args, algebra)
     space.require_introverted()  # also when no character lies in X and tim_set never runs
     if args.character is not None:
-        element = load_element(args.character, algebra)
-        characters = [verify_character(algebra, element.coords, EPS)]
+        characters = [verify_character(algebra, load_element(args.character, algebra), EPS)]
         possibly_incomplete = False
     else:
         search = find_characters(algebra, args.seed)
         # a mean needs its character in X; the characters of A outside X have none to solve for
-        coords = np.array([phi.coords for phi in search.characters]).reshape(-1, algebra.dim)
+        coords = np.array(search.characters).reshape(-1, algebra.dim)
         in_x = space.basis.residuals(coords.T) <= EPS
         characters = [phi for phi, keep in zip(search.characters, in_x) if keep]
         possibly_incomplete = search.possibly_incomplete
@@ -231,19 +230,18 @@ def _cmd_tim(args: argparse.Namespace) -> dict:
         theta = load_map(args.map, default_source=algebra)
         arens = arens_products(algebra, space)
         star = extend_involution(algebra, theta, arens)
-        star_verdict = classify_star_map(arens.box_algebra, star)
 
     results = []
     for phi in characters:
         means = tim_set(algebra, space, phi)
         entry = {
-            "character": as_complex(phi.coords),
+            "character": phi,
             "particular": None if means.particular is None else as_complex(means.particular),
             "homogeneous_basis": as_complex(means.homogeneous),
             "affine_dim": means.affine_dim,
         }
         if star is not None:
-            obstruction = tim_obstruction_check(algebra, means, phi, star, star_verdict, arens)
+            obstruction = tim_obstruction_check(algebra, means, phi, star, arens)
             entry["obstruction"] = {
                 "vacuous": obstruction.vacuous,
                 "unique": obstruction.unique,

@@ -1,6 +1,8 @@
 """Dual module actions, Arens products, involution extension, characters, TIMs.
 
 Functionals live in the dual basis, paired bilinearly: ``<f, x> = sum f_i x_i``.
+A functional is its coordinate vector there, a complex 1-d ndarray; a
+character is such a vector that ``verify_character`` has certified.
 For an introverted subspace ``X`` of the dual, ``X*`` is the quotient
 ``A / X^perp`` of the second dual (which is ``A`` in finite dimension) by
 the annihilator of ``X``, in the coordinates that are not pivots of the
@@ -44,42 +46,27 @@ from .linalg import (
 )
 from .instances import _involutive_permutations_canonical, averaging_trivolution, indicator_trivolution
 from .starmap import AlgMap, adjoint
-from .trivolution import KIND_INVOLUTION, StarClass, classify_star_map
+from .trivolution import KIND_INVOLUTION, classify_star_map
 
 
-@dataclass(frozen=True)
-class DualVector:
-    """Functional in the dual basis of an algebra."""
+def verify_character(algebra: Algebra, coords, eps: float = EPS) -> np.ndarray:
+    """Certify multiplicativity on basis pairs and non-vanishing, both at ``eps``.
 
-    coords: np.ndarray
-    algebra: Algebra
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", as_complex(self.coords).reshape(-1))
-
-
-@dataclass(frozen=True)
-class Character(DualVector):
-    """Nonzero multiplicative functional; certified at construction."""
-
-    residual: float = 0.0
-
-
-def verify_character(algebra: Algebra, coords, eps: float = EPS) -> Character:
-    """Certify multiplicativity on basis pairs and non-vanishing, both at ``eps``."""
+    Returns the certified coordinate vector.
+    """
     coords = as_complex(coords).reshape(-1)
     if max_abs(coords) <= eps:
         raise CertificationFailure("the zero functional is not a character",
                                    law="characters are non-zero")
     prods = np.einsum("ijk,k->ij", algebra.structure, coords)
-    worst = certify(max_abs(prods - np.outer(coords, coords)), eps, "phi(xy) = phi(x) phi(y)",
-                    "functional is not multiplicative")
-    return Character(coords=coords, algebra=algebra, residual=worst)
+    certify(max_abs(prods - np.outer(coords, coords)), eps, "phi(xy) = phi(x) phi(y)",
+            "functional is not multiplicative")
+    return coords
 
 
 @dataclass(frozen=True)
 class CharacterSearch:
-    characters: list[Character]
+    characters: list[np.ndarray]
     possibly_incomplete: bool
 
 
@@ -94,7 +81,7 @@ def find_characters(algebra: Algebra, seed: int = 0) -> CharacterSearch:
     if not is_commutative(algebra):
         raise CertificationFailure("character discovery is implemented for commutative algebras; "
                                    "verify user-supplied candidates instead", law="ab = ba")
-    found: list[Character] = []
+    found: list[np.ndarray] = []
 
     def try_generic(rng_seed: int) -> None:
         rng = np.random.default_rng(rng_seed)
@@ -110,7 +97,7 @@ def find_characters(algebra: Algebra, seed: int = 0) -> CharacterSearch:
                 char = verify_character(algebra, candidate, 1e3 * EPS)
             except CertificationFailure:
                 continue
-            if all(max_abs(char.coords - c.coords) > 1e-6 for c in found):
+            if all(max_abs(char - c) > 1e-6 for c in found):
                 found.append(char)
 
     for attempt in range(3):
@@ -118,7 +105,7 @@ def find_characters(algebra: Algebra, seed: int = 0) -> CharacterSearch:
         if len(found) == algebra.dim:
             break
     found.sort(key=lambda c: tuple(np.round(
-        np.stack([c.coords.real, c.coords.imag], axis=1).reshape(-1), 6)))
+        np.stack([c.real, c.imag], axis=1).reshape(-1), 6)))
     return CharacterSearch(characters=found, possibly_incomplete=len(found) < algebra.dim)
 
 
@@ -330,13 +317,13 @@ class TimSolutionSet:
         return self.particular is not None and self.homogeneous.shape[1] == 0
 
 
-def tim_set(algebra: Algebra, space: IntrovertedSpace, phi: Character) -> TimSolutionSet:
+def tim_set(algebra: Algebra, space: IntrovertedSpace, phi: np.ndarray) -> TimSolutionSet:
     """Solve ``<m, phi> = 1`` and ``a.m = m.a = phi(a) m`` for ``m`` in ``X*``.
 
     The module actions on ``X*`` need ``X`` introverted, which is certified first.
     """
     space.require_introverted()
-    certify(space.basis.residual(phi.coords), EPS, "phi in X", "the character does not lie in X")
+    certify(space.basis.residual(phi), EPS, "phi in X", "the character does not lie in X")
     n = algebra.dim
     free = space.free
     k = len(free)
@@ -346,8 +333,8 @@ def tim_set(algebra: Algebra, space: IntrovertedSpace, phi: Character) -> TimSol
     right = space.rep_coords(c[free, :, :].transpose(2, 1, 0).reshape(n, n * k)).reshape(k, n, k)
     # per a, the block rows a.m - phi(a) m and m.a - phi(a) m, then <m, phi> = 1
     blocks = (np.stack([left, right]).transpose(2, 0, 1, 3)
-              - phi.coords[:, None, None, None] * np.eye(k))
-    system = np.vstack([blocks.reshape(2 * n * k, k), phi.coords[free].reshape(1, -1)])
+              - phi[:, None, None, None] * np.eye(k))
+    system = np.vstack([blocks.reshape(2 * n * k, k), phi[free].reshape(1, -1)])
     target = np.zeros(2 * n * k + 1, dtype=complex)
     target[-1] = 1.0
 
@@ -365,30 +352,24 @@ class TimObstructionReport:
     chain_residuals: dict = field(default_factory=dict)
 
 
-def tim_obstruction_check(algebra: Algebra, means: TimSolutionSet, phi: Character,
-                          star: AlgMap, star_verdict: StarClass,
-                          arens: ArensStructure) -> TimObstructionReport:
+def tim_obstruction_check(algebra: Algebra, means: TimSolutionSet, phi: np.ndarray,
+                          star: AlgMap, arens: ArensStructure) -> TimObstructionReport:
     """Certify the invariance/absorption/fixed-point chain for each mean.
 
     ``means`` is ``tim_set(algebra, space, phi)`` and ``arens`` is
-    ``arens_products(algebra, space)``, for one introverted ``space``;
-    ``star_verdict`` is ``classify_star_map(arens.box_algebra, star)``.
-    All three are taken as given, not solved again.  ``star`` must be an
-    involution of ``(X*, box)`` compatible with the character
+    ``arens_products(algebra, space)``, for one introverted ``space``, and
+    ``star`` is ``extend_involution``'s certified involution of
+    ``(X*, box)``.  All three are taken as given, not solved again.
+    ``star`` must be compatible with the character
     (``<phi, a*> = conj <phi, a>`` on the embedded algebra).  The chain
     forces any mean to be star-fixed and absorbing, hence unique; the
     solver's affine dimension is certified to agree.
     """
     space = arens.space
     box = arens.box
-
-    if star_verdict.kind != KIND_INVOLUTION:
-        raise CertificationFailure("star is not an involution on (X*, box)",
-                                   law="star^2 = id, anti-multiplicative",
-                                   residual=star_verdict.residual)
     a_reps = space.rep_coords(np.eye(algebra.dim))  # column a: the class of b_a
     starred = space.embed_coords(star.matrix @ np.conj(a_reps))
-    certify(max_abs(phi.coords @ starred - np.conj(phi.coords @ space.embed_coords(a_reps))), EPS,
+    certify(max_abs(phi @ starred - np.conj(phi @ space.embed_coords(a_reps))), EPS,
             "<phi, a*> = conj <phi, a>", "star is not compatible with the character")
 
     if means.is_empty:
@@ -403,19 +384,19 @@ def tim_obstruction_check(algebra: Algebra, means: TimSolutionSet, phi: Characte
     m_star_full = space.embed_coords(m_star)
     left_action = space.rep_coords(np.einsum("ayk,y->ka", algebra.structure, m_star_full))
     right_action = space.rep_coords(np.einsum("yak,y->ka", algebra.structure, m_star_full))
-    scaled = np.outer(phi.coords, m_star).T  # phi(a) first: products keep the scalar's side
+    scaled = np.outer(phi, m_star).T  # phi(a) first: products keep the scalar's side
     residuals["star_invariance"] = max(max_abs(left_action - scaled),
                                        max_abs(right_action - scaled))
 
     # absorption: n box m* = <n, phi> m* over the X* basis, row i for n = b_free_i
     absorbed = np.einsum("j,ijt->it", m_star, box)
-    residuals["absorption"] = max_abs(absorbed - np.outer(phi.coords[free], m_star))
+    residuals["absorption"] = max_abs(absorbed - np.outer(phi[free], m_star))
 
     # fixed-point chain m = (m*)* = (m box m*)* = m box m* = <m, phi> m* = m*
     m_star_star = star.matrix @ np.conj(m_star)
     residuals["double_star"] = max_abs(m_star_star - m)
     m_box_mstar = column_products(box, m[:, None], m_star[:, None])[0, 0]
-    m_phi = complex(phi.coords @ space.embed_coords(m))
+    m_phi = complex(phi @ space.embed_coords(m))
     residuals["product_vs_scaling"] = max_abs(m_box_mstar - m_phi * m_star)
     residuals["normalization"] = abs(m_phi - 1.0)
     residuals["star_fixed"] = max_abs(m - m_star)

@@ -1,8 +1,8 @@
 """The four exception classes and the pass rule.
 
 ``TrivolveError`` is the base of the other three.  ``UsageError`` is a
-malformed input or a plumbing mistake: a wrong shape, an element or map
-of another algebra, an unknown family (CLI exit code 2).  ``ParseError``,
+malformed input or a plumbing mistake: a wrong shape, a map of another
+algebra, an unknown family (CLI exit code 2).  ``ParseError``,
 a ``UsageError``, is an input file or inline value that does not parse.
 ``CertificationFailure`` is a mathematical law that fails to certify on
 well-formed inputs (CLI exit code 1).  A failure is identified by its

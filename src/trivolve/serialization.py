@@ -67,7 +67,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import (Algebra, Element, GroupTable, group_algebra, make_algebra,
+from .algebra import (Algebra, GroupTable, group_algebra, make_algebra,
                       verify_group_table)
 from .errors import CertificationFailure, ParseError, UsageError
 from .starmap import AlgMap, make_map
@@ -485,8 +485,11 @@ def load_map(source: str | Path | dict, default_source: Algebra,
     return make_map(matrix, conjugating=conjugating, source=src, target=tgt)
 
 
-def load_element(source, algebra: Algebra) -> Element:
-    """Element coordinates from a file path, inline JSON text, or a list."""
+def load_element(source, algebra: Algebra) -> np.ndarray:
+    """Element coordinates from a file path, inline JSON text, or a list.
+
+    A vector of another length than ``algebra.dim`` is a ``ParseError``.
+    """
     data = source
     if isinstance(source, (str, Path)):
         if os.path.isfile(source):  # False, not OSError, for inline text too long for a name
@@ -498,7 +501,7 @@ def load_element(source, algebra: Algebra) -> Element:
                 raise ParseError(f"element is neither a file nor inline JSON: {source!r}") from exc
     if isinstance(data, dict):
         data = data.get("coords", data)
-    return algebra.element(array_from_json(data, (algebra.dim,)))
+    return array_from_json(data, (algebra.dim,))
 
 
 def load_group_params(path: str | Path) -> dict:

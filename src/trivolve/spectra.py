@@ -15,7 +15,6 @@ import numpy as np
 
 from .algebra import (
     Algebra,
-    Element,
     induced_subalgebra,
     left_mult_matrix,
     multiply,
@@ -37,32 +36,28 @@ class Spectrum:
     values: tuple[complex, ...]
     computed_in: str  # "algebra" | "unitization"
 
-    def __len__(self) -> int:
-        return len(self.values)
 
-
-def spectrum(algebra: Algebra, x: Element) -> Spectrum:
+def spectrum(algebra: Algebra, x: np.ndarray) -> Spectrum:
     """Eigenvalues of left multiplication, in ``A`` or its unitization."""
     if algebra.is_unital():
         values = np.linalg.eigvals(left_mult_matrix(algebra, x))
         return Spectrum(values=_sorted_values(values), computed_in="algebra")
     sharp = algebra.unitization
-    coords = np.concatenate([[0.0], x.coords])
+    coords = np.concatenate([[0.0], x])
     values = np.linalg.eigvals(left_mult_matrix(sharp, coords))
     return Spectrum(values=_sorted_values(values), computed_in="unitization")
 
 
-def inverse_element(algebra: Algebra, x: Element) -> Element | None:
+def inverse_element(algebra: Algebra, x: np.ndarray) -> np.ndarray | None:
     """Two-sided inverse, or None when ``L_x`` is singular."""
     if not algebra.is_unital():
         raise CertificationFailure("inverses need an identity", law="A has an identity")
     l_x = left_mult_matrix(algebra, x)
     if np.linalg.matrix_rank(l_x, EPS_RANK) < algebra.dim:
         return None
-    y_coords = np.linalg.solve(l_x, algebra.identity_coords)
-    y = Element(y_coords, algebra)
-    left = max_abs(multiply(algebra, x, y).coords - algebra.identity_coords)
-    right = max_abs(multiply(algebra, y, x).coords - algebra.identity_coords)
+    y = np.linalg.solve(l_x, algebra.identity_coords)
+    left = max_abs(multiply(algebra, x, y) - algebra.identity_coords)
+    right = max_abs(multiply(algebra, y, x) - algebra.identity_coords)
     # two-sidedness is verified a bit above EPS: the solve itself already
     # carries conditioning noise near the rank threshold
     if max(left, right) > 1e3 * EPS:
@@ -82,7 +77,7 @@ class SpectralInclusionReport:
 
 
 def verify_spectral_inclusion(algebra: Algebra, tau: AlgMap,
-                              x: Element) -> SpectralInclusionReport:
+                              x: np.ndarray) -> SpectralInclusionReport:
     """Match the range spectrum of ``tau(x)`` into the conjugated spectrum of ``x``.
 
     The range ``B = tau(A)`` is used with its own regular representation
@@ -101,8 +96,8 @@ def verify_spectral_inclusion(algebra: Algebra, tau: AlgMap,
 
     spec_a = spectrum(algebra, x)
     tau_x = apply(tau, x)
-    tau_x_in_b, restrict_residual = solve_exact(embedding, tau_x.coords)
-    spec_b = spectrum(sub, Element(tau_x_in_b, sub))
+    tau_x_in_b, restrict_residual = solve_exact(embedding, tau_x)
+    spec_b = spectrum(sub, tau_x_in_b)
 
     conj_a = [complex(v).conjugate() for v in spec_a.values]
     max_mismatch = 0.0
@@ -119,7 +114,7 @@ def verify_spectral_inclusion(algebra: Algebra, tau: AlgMap,
         e_b = embedding @ sub.identity_coords
         left = multiply(algebra, tau_x, tau_x_inv)
         right = multiply(algebra, tau_x_inv, tau_x)
-        inverse_residual = max(max_abs(left.coords - e_b), max_abs(right.coords - e_b))
+        inverse_residual = max(max_abs(left - e_b), max_abs(right - e_b))
 
     return SpectralInclusionReport(
         spectrum_in_algebra=spec_a,

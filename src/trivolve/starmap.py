@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Element, Subspace, algebras_compatible
+from .algebra import Algebra, Subspace, algebras_compatible
 from .errors import UsageError
 from .linalg import (
     EPS,
@@ -29,8 +29,8 @@ from .linalg import (
 class AlgMap:
     """A (conjugate-)linear map between algebras.
 
-    Action contract: ``apply(f, x) = matrix @ coords(x)`` when not
-    conjugating, ``matrix @ conj(coords(x))`` when conjugating.
+    Action contract: ``apply(f, x) = matrix @ x`` when not conjugating,
+    ``matrix @ conj(x)`` when conjugating.
     """
 
     matrix: np.ndarray
@@ -40,9 +40,6 @@ class AlgMap:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", freeze(self.matrix))
-
-    def __call__(self, x: Element) -> Element:
-        return apply(self, x)
 
     def __repr__(self) -> str:
         tag = "conj-linear" if self.conjugating else "linear"
@@ -70,12 +67,9 @@ def conjugation_map(algebra: Algebra) -> AlgMap:
     return make_map(np.eye(algebra.dim), conjugating=True, source=algebra)
 
 
-def apply(f: AlgMap, x: Element) -> Element:
+def apply(f: AlgMap, x: np.ndarray) -> np.ndarray:
     """Apply the map per the action contract."""
-    if not algebras_compatible(f.source, x.algebra):
-        raise UsageError("apply: element does not belong to the map's source algebra")
-    coords = np.conj(x.coords) if f.conjugating else x.coords
-    return Element(f.matrix @ coords, f.target)
+    return f.matrix @ (np.conj(x) if f.conjugating else x)
 
 
 def compose(f: AlgMap, g: AlgMap) -> AlgMap:

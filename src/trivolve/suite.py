@@ -130,7 +130,7 @@ def _section_extension_scan() -> dict:
             for im1 in grid:
                 for re2 in grid:
                     for im2 in grid:
-                        x0 = algebra.element([complex(re1, im1), complex(re2, im2)])
+                        x0 = np.array([complex(re1, im1), complex(re2, im2)])
                         checked += 1
                         try:  # raises when the family verdict and the classification disagree
                             verify_extension(algebra, tau, lam0, x0, e_b=e_b, image=image)
@@ -140,7 +140,7 @@ def _section_extension_scan() -> dict:
     sols = find_type1_solutions(c4, tau4)
     expected = {(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, -1.0, 0.0),
                 (0.0, 0.0, 0.0, -1.0), (0.0, 0.0, -1.0, -1.0)}
-    got = {tuple(np.round(x.coords.real, 9)) for x in sols.solutions}
+    got = {tuple(np.round(x.real, 9)) for x in sols.solutions}
     solver_ok = (not sols.best_effort) and got == expected
     return {"name": "extension_scan", "grid_checked": checked,
             "disagreements": disagreements, "type1_count": len(sols.solutions),
@@ -167,8 +167,7 @@ def _section_spectra(battery: list[TrivolutionInstance], seed: int) -> dict:
         for _ in range(4):
             coords = rng.standard_normal(inst.algebra.dim) \
                 + 1j * rng.standard_normal(inst.algebra.dim)
-            report = verify_spectral_inclusion(inst.algebra, inst.tau,
-                                               inst.algebra.element(coords))
+            report = verify_spectral_inclusion(inst.algebra, inst.tau, coords)
             worst = max(worst, report.max_mismatch)
             count += 1
     return {"name": "spectral_inclusion", "elements": count,
@@ -210,7 +209,7 @@ def _section_tim() -> dict:
     z2 = group_algebra(cyclic_group_table(2), labels=["e", "g"])
     space = full_dual(z2)
     chars = find_characters(z2).characters
-    augmentation = next(c for c in chars if max_abs(c.coords - np.ones(2)) <= 1e-6)
+    augmentation = next(c for c in chars if max_abs(c - np.ones(2)) <= 1e-6)
     means = tim_set(z2, space, augmentation)
     ok &= means.is_unique and means.particular is not None
     if means.particular is not None:
@@ -218,15 +217,14 @@ def _section_tim() -> dict:
     theta = standard_group_involution(z2, cyclic_group_table(2))
     arens = arens_products(z2, space)
     star = extend_involution(z2, theta, arens)
-    obstruction = tim_obstruction_check(z2, means, augmentation, star,
-                                        classify_star_map(arens.box_algebra, star), arens)
+    obstruction = tim_obstruction_check(z2, means, augmentation, star, arens)
     ok &= obstruction.unique and not obstruction.vacuous
     worst = max(worst, max(obstruction.chain_residuals.values(), default=0.0))
 
     z3 = group_algebra(cyclic_group_table(3), labels=["e", "g", "g2"])
     space3 = full_dual(z3)
     chars3 = find_characters(z3).characters
-    trivial = next(c for c in chars3 if max_abs(c.coords - np.ones(3)) <= 1e-6)
+    trivial = next(c for c in chars3 if max_abs(c - np.ones(3)) <= 1e-6)
     means3 = tim_set(z3, space3, trivial)
     ok &= means3.is_unique and means3.particular is not None
     if means3.particular is not None:
@@ -253,7 +251,7 @@ def _section_misc_laws(battery: list[TrivolutionInstance], seed: int) -> dict:
     # right identities: the first-column algebra has a family of them
     col = first_column_algebra()
     for t in (0.0, 0.5):
-        e = col.element([1.0, t])
+        e = np.array([1.0, t], dtype=complex)
         sub = Subspace((np.array([[1.0], [t]], dtype=complex)), col)
         sub_alg, _ = induced_subalgebra(col, sub)
         inner = make_map(np.eye(1), conjugating=True, source=sub_alg)
@@ -261,7 +259,7 @@ def _section_misc_laws(battery: list[TrivolutionInstance], seed: int) -> dict:
         verdict = classify_star_map(col, tau1)
         ok &= verdict.kind == "trivolution_proper"
         # tau(e) = e for the right identity inside the range
-        worst = max(worst, max_abs(apply(tau1, e).coords - e.coords))
+        worst = max(worst, max_abs(apply(tau1, e) - e))
 
     # f^{tau tau tau} = f^{tau} on random functionals
     for inst in _sample(battery, 8):
@@ -278,10 +276,9 @@ def _section_misc_laws(battery: list[TrivolutionInstance], seed: int) -> dict:
         for _ in range(5):
             q1, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
             q2, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-            x = inst.algebra.element(q1.reshape(-1))
-            y = inst.algebra.element(q2.reshape(-1))
+            x = q1.reshape(-1)
             flags_x = element_classes(inst.algebra, inst.tau, x)
-            product = inst.algebra.element((q1 @ q2).reshape(-1))
+            product = (q1 @ q2).reshape(-1)
             flags_prod = element_classes(inst.algebra, inst.tau, product)
             flags_tau = element_classes(inst.algebra, inst.tau, apply(inst.tau, x))
             ok &= flags_x.unitary and flags_prod.unitary and flags_tau.unitary
@@ -293,7 +290,7 @@ def _section_misc_laws(battery: list[TrivolutionInstance], seed: int) -> dict:
 
     # each x in tau(A) is x1 + i x2 with x1, x2 hermitian, and the pair is unique
     for inst in _sample(battery, 8):
-        x = apply(inst.tau, inst.algebra.element(np.ones(inst.algebra.dim)))
+        x = apply(inst.tau, np.ones(inst.algebra.dim, dtype=complex))
         try:
             hermitian_decomposition(inst.algebra, inst.tau, x)
         except CertificationFailure:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .algebra import (
     Algebra,
-    Element,
     Subspace,
     algebras_compatible,
     induced_subalgebra,
@@ -321,8 +320,6 @@ class HomBlocks:
 
     pi11: AlgMap
     pi22: AlgMap
-    source_decomposition: Decomposition
-    target_decomposition: Decomposition
     residuals: dict = field(repr=False)
 
 
@@ -377,15 +374,14 @@ def check_trivolutive_hom(a1: Algebra, tau1: AlgMap, a2: Algebra, tau2: AlgMap,
         max_abs(compose(pi22, dec1.involution_rho).matrix
                 - compose(dec2.involution_rho, pi22).matrix), EPS,
         "pi22 o rho1 = rho2 o pi22", "subalgebra block does not intertwine the involutions")
-    return HomBlocks(pi11=pi11, pi22=pi22, source_decomposition=dec1,
-                     target_decomposition=dec2, residuals=residuals)
+    return HomBlocks(pi11=pi11, pi22=pi22, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
 # right identities
 # ---------------------------------------------------------------------------
 
-def right_identity_trivolution(c: Algebra, e: Element, a_sub: Subspace,
+def right_identity_trivolution(c: Algebra, e: np.ndarray, a_sub: Subspace,
                                tau_on_a: AlgMap) -> AlgMap:
     """Extend a trivolution on ``eC`` to all of ``C`` via left multiplication.
 
@@ -433,11 +429,11 @@ class ElementFlags:
     normal: bool
     projection: bool
     unitary: bool
-    positive_witness: Element | None = None
+    positive_witness: np.ndarray | None = None
 
 
-def element_classes(algebra: Algebra, tau: AlgMap, x: Element,
-                    positive_witness: Element | None = None) -> ElementFlags:
+def element_classes(algebra: Algebra, tau: AlgMap, x: np.ndarray,
+                    positive_witness: np.ndarray | None = None) -> ElementFlags:
     """Hermitian / normal / projection / unitary flags for an element.
 
     The unitary flag needs an identity; it is reported False on
@@ -446,19 +442,18 @@ def element_classes(algebra: Algebra, tau: AlgMap, x: Element,
     """
     tx = apply(tau, x)
     t2x = apply(tau, tx)
-    hermitian = max_abs(tx.coords - x.coords) <= EPS
+    hermitian = max_abs(tx - x) <= EPS
     xt = multiply(algebra, x, tx)
     tx_x = multiply(algebra, tx, x)
     xt2 = multiply(algebra, x, t2x)
     t2x_x = multiply(algebra, t2x, x)
-    normal = (max_abs(xt.coords - tx_x.coords) <= EPS
-              and max_abs(xt2.coords - t2x_x.coords) <= EPS)
+    normal = max_abs(xt - tx_x) <= EPS and max_abs(xt2 - t2x_x) <= EPS
     x_squared = multiply(algebra, x, x)
-    projection = hermitian and max_abs(x_squared.coords - x.coords) <= EPS
+    projection = hermitian and max_abs(x_squared - x) <= EPS
     unitary = False
     if algebra.is_unital():
         e = algebra.identity_coords
-        unitary = (max_abs(xt.coords - e) <= EPS and max_abs(tx_x.coords - e) <= EPS)
+        unitary = max_abs(xt - e) <= EPS and max_abs(tx_x - e) <= EPS
     witness = None
     if positive_witness is not None and check_positive(algebra, tau, x, positive_witness):
         witness = positive_witness
@@ -466,17 +461,15 @@ def element_classes(algebra: Algebra, tau: AlgMap, x: Element,
                         unitary=unitary, positive_witness=witness)
 
 
-def check_positive(algebra: Algebra, tau: AlgMap, x: Element, y: Element) -> bool:
+def check_positive(algebra: Algebra, tau: AlgMap, x: np.ndarray, y: np.ndarray) -> bool:
     """True iff ``x`` is hermitian and ``x = tau(y) y`` for the witness ``y``."""
-    tx = apply(tau, x)
-    if max_abs(tx.coords - x.coords) > EPS:
+    if max_abs(apply(tau, x) - x) > EPS:
         return False
-    ty_y = multiply(algebra, apply(tau, y), y)
-    return max_abs(x.coords - ty_y.coords) <= EPS
+    return max_abs(x - multiply(algebra, apply(tau, y), y)) <= EPS
 
 
 def hermitian_decomposition(algebra: Algebra, tau: AlgMap,
-                            x: Element) -> tuple[Element, Element]:
+                            x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Write ``x = x1 + i x2`` with both parts hermitian.
 
     Possible exactly when ``x`` lies in the range of the map; uniqueness
@@ -484,15 +477,15 @@ def hermitian_decomposition(algebra: Algebra, tau: AlgMap,
     and checking the solution set is a single point.
     """
     kernel, image = kernel_image(tau)
-    certify(image.residual(x.coords), EPS, "x in tau(A)",
+    certify(image.residual(x), EPS, "x in tau(A)",
             "element is outside the range (residual {residual:.3e})")
     tx = apply(tau, x)
-    x1 = Element((x.coords + tx.coords) / 2.0, algebra)
-    x2 = Element((x.coords - tx.coords) / 2.0j, algebra)
+    x1 = (x + tx) / 2.0
+    x2 = (x - tx) / 2.0j
     for part in (x1, x2):
-        certify(max_abs(apply(tau, part).coords - part.coords), EPS,
+        certify(max_abs(apply(tau, part) - part), EPS,
                 "tau(x1) = x1, tau(x2) = x2", "computed part is not hermitian")
-    certify(max_abs(x1.coords + 1j * x2.coords - x.coords), EPS, "x = x1 + i x2",
+    certify(max_abs(x1 + 1j * x2 - x), EPS, "x = x1 + i x2",
             "parts do not sum back to the element")
 
     # uniqueness: solve H a + i H b = x over real coefficients and compare
@@ -501,7 +494,7 @@ def hermitian_decomposition(algebra: Algebra, tau: AlgMap,
         top = np.hstack([h.real, -h.imag])
         bot = np.hstack([h.imag, h.real])
         system = np.vstack([top, bot]).astype(float)
-        target = np.concatenate([x.coords.real, x.coords.imag])
+        target = np.concatenate([x.real, x.imag])
         _, kernel, coeffs, residual = column_space_and_nullspace(system, target)
         null_dim = kernel.shape[1]
         if residual > 1e3 * EPS or null_dim != 0:
@@ -512,7 +505,7 @@ def hermitian_decomposition(algebra: Algebra, tau: AlgMap,
         half = h.shape[1]
         alt1 = h @ coeffs[:half]
         alt2 = h @ coeffs[half:]
-        certify(max(max_abs(alt1 - x1.coords), max_abs(alt2 - x2.coords)), 1e3 * EPS,
+        certify(max(max_abs(alt1 - x1), max_abs(alt2 - x2)), 1e3 * EPS,
                 "uniqueness of x = x1 + i x2", "alternative hermitian pair differs")
     return x1, x2
 
@@ -534,7 +527,7 @@ def hermitian_functional_check(algebra: Algebra, tau: AlgMap,
     kernel.  The two verdicts must agree; disagreement is an internal
     consistency failure.
     """
-    f = as_complex(getattr(f_coords, "coords", f_coords)).reshape(-1)
+    f = as_complex(f_coords).reshape(-1)
     if f.shape != (algebra.dim,):
         raise UsageError("functional has wrong length for the algebra")
     if not tau.conjugating:

@@ -22,9 +22,7 @@ import numpy as np
 
 from .algebra import (
     Algebra,
-    Element,
     Subspace,
-    algebras_compatible,
     element_norm,
     induced_subalgebra,
     left_mult_matrix,
@@ -32,11 +30,12 @@ from .algebra import (
     right_mult_matrix,
     is_commutative,
 )
-from .errors import CertificationFailure, UsageError
+from .errors import CertificationFailure
 from .linalg import (
     EPS,
     column_products,
     column_space_and_nullspace,
+    freeze,
     max_abs,
 )
 from .starmap import AlgMap, apply, kernel_image, map_norm
@@ -52,38 +51,40 @@ class ExtensionSpec:
     """A candidate extension, its family verdict and its certificates."""
 
     lambda0: complex
-    x0: Element
+    x0: np.ndarray  # read-only
     family: str
     contractive: bool
     norm_of_extension: float
     residuals: dict = field(default_factory=dict, repr=False)
 
 
-def extension_map(algebra: Algebra, tau: AlgMap, lambda0: complex, x0: Element) -> tuple[Algebra, AlgMap]:
+def extension_map(algebra: Algebra, tau: AlgMap, lambda0: complex,
+                  x0: np.ndarray) -> tuple[Algebra, AlgMap]:
     """Generic candidate ``t#(l, x) = (conj(l) lambda0, conj(l) x0 + tau(x))``."""
-    if not algebras_compatible(x0.algebra, algebra):
-        raise UsageError("x0 must belong to the algebra being unitized")
     sharp = algebra.unitization
     n = algebra.dim
     matrix = np.zeros((n + 1, n + 1), dtype=complex)
     matrix[0, 0] = complex(lambda0)
-    matrix[1:, 0] = x0.coords
+    matrix[1:, 0] = x0
     matrix[1:, 1:] = tau.matrix
     return sharp, AlgMap(matrix=matrix, conjugating=True, source=sharp, target=sharp)
 
 
-def range_identity(algebra: Algebra, image: Subspace) -> Element | None:
-    """Identity of the range subalgebra ``image``, embedded in ambient coordinates."""
+def range_identity(algebra: Algebra, image: Subspace) -> np.ndarray | None:
+    """Identity of the range subalgebra ``image``, as ambient coordinates.
+
+    None when the range is zero or its induced algebra has no identity.
+    """
     if image.dim == 0:
         return None
     sub, embedding = induced_subalgebra(algebra, image)
     if not sub.is_unital():
         return None
-    return Element(embedding @ sub.identity_coords, algebra)
+    return embedding @ sub.identity_coords
 
 
 def verify_extension(algebra: Algebra, tau: AlgMap, lambda0: complex, x0, *,
-                     e_b: Element | None, image: Subspace) -> ExtensionSpec:
+                     e_b: np.ndarray | None, image: Subspace) -> ExtensionSpec:
     """Classify a candidate ``(lambda0, x0)`` into a family, twice over.
 
     The family conditions are checked directly, the generic extension is
@@ -91,22 +92,22 @@ def verify_extension(algebra: Algebra, tau: AlgMap, lambda0: complex, x0, *,
     (a per-instance soundness and completeness check).  ``family`` is
     ``invalid`` when both reject.  ``image`` is ``kernel_image(tau)[1]``
     and ``e_b`` is ``range_identity(algebra, image)``, both built once
-    per ``tau`` by the caller and taken as given.
+    per ``tau`` by the caller and taken as given.  ``x0`` is a coordinate
+    vector of ``algebra``; the spec keeps a read-only copy.
     """
-    if not isinstance(x0, Element):
-        x0 = algebra.element(x0)
+    x0 = freeze(x0)
     lambda0 = complex(lambda0)
     residuals: dict[str, float] = {}
     image_cols = image.canonical_columns()
 
     # family I: lambda0 = 1, x0^2 = -x0, x0 tau(A) = tau(A) x0 = 0, tau(x0) = 0
     sq = multiply(algebra, x0, x0)
-    residuals["x0_negated_idempotent"] = max_abs(sq.coords + x0.coords)
-    x0_col = x0.coords[:, None]
+    residuals["x0_negated_idempotent"] = max_abs(sq + x0)
+    x0_col = x0[:, None]
     annih = max(max_abs(column_products(algebra.structure, x0_col, image_cols)),
                 max_abs(column_products(algebra.structure, image_cols, x0_col)))
     residuals["x0_annihilates_range"] = annih
-    residuals["tau_x0"] = max_abs(apply(tau, x0).coords)
+    residuals["tau_x0"] = max_abs(apply(tau, x0))
     type1 = (abs(lambda0 - 1.0) <= EPS
              and residuals["x0_negated_idempotent"] <= EPS
              and annih <= EPS
@@ -115,7 +116,7 @@ def verify_extension(algebra: Algebra, tau: AlgMap, lambda0: complex, x0, *,
     # family II: lambda0 = 0, x0 the identity of the range
     type2 = False
     if e_b is not None:
-        residuals["x0_vs_range_identity"] = max_abs(x0.coords - e_b.coords)
+        residuals["x0_vs_range_identity"] = max_abs(x0 - e_b)
         type2 = abs(lambda0) <= EPS and residuals["x0_vs_range_identity"] <= EPS
 
     family = FAMILY_TYPE_I if type1 else FAMILY_TYPE_II if type2 else FAMILY_INVALID
@@ -153,7 +154,7 @@ class Type1Solutions:
     type2: ExtensionSpec | None
 
     @property
-    def solutions(self) -> list[Element]:
+    def solutions(self) -> list[np.ndarray]:
         return [spec.x0 for spec in self.specs]
 
 
@@ -183,7 +184,7 @@ def _idempotents_exact(sub: Algebra) -> list[np.ndarray] | None:
     search = find_characters(sub)
     if search.possibly_incomplete or len(search.characters) != sub.dim:
         return None
-    phi = np.vstack([c.coords for c in search.characters])
+    phi = np.vstack(search.characters)
     # column per subset mask: the values 0/1 the idempotent takes on each character
     masks = np.arange(2 ** sub.dim)
     targets = ((masks >> np.arange(sub.dim)[:, None]) & 1).astype(complex)
@@ -257,12 +258,11 @@ def find_type1_solutions(algebra: Algebra, tau: AlgMap, *, seed: int = 0) -> Typ
             continue
         seen[count] = coords
         count += 1
-        spec = verify_extension(algebra, tau, 1.0, algebra.element(coords),
-                                e_b=e_b, image=image)
+        spec = verify_extension(algebra, tau, 1.0, coords, e_b=e_b, image=image)
         if spec.family == FAMILY_TYPE_I:
             specs.append(spec)
     specs.sort(key=lambda spec: tuple(np.round(
-        np.stack([spec.x0.coords.real, spec.x0.coords.imag], axis=1).reshape(-1), 6)))
+        np.stack([spec.x0.real, spec.x0.imag], axis=1).reshape(-1), 6)))
     type2 = None if e_b is None else verify_extension(algebra, tau, 0.0, e_b, e_b=e_b, image=image)
     return Type1Solutions(specs=specs, best_effort=best_effort, type2=type2)
 
@@ -291,7 +291,7 @@ def contractive_extensions(algebra: Algebra, tau: AlgMap) -> ContractiveExtensio
     solutions = find_type1_solutions(algebra, tau)
     included, excluded = [], []
     for spec in solutions.specs:
-        if max_abs(spec.x0.coords) <= EPS:
+        if max_abs(spec.x0) <= EPS:
             included.append(spec)
             continue
         if spec.norm_of_extension <= 1.0 + EPS:

@@ -23,9 +23,14 @@ from trivolve.algebra import (
     quotient,
     verify_group_table,
 )
-from trivolve.instances import instance_battery
+from trivolve.duality import verify_character
+from trivolve.instances import instance_battery, remark_pair
 from trivolve.linalg import EPS, echelon_rows, reduce_vector, solve_exact
 from trivolve.errors import CertificationFailure, UsageError
+from trivolve.serialization import load_element
+from trivolve.starmap import apply, kernel_image
+from trivolve.trivolution import hermitian_decomposition
+from trivolve.unitization import find_type1_solutions, range_identity, verify_extension
 
 complex_scalars = st.builds(complex,
                             st.floats(-5, 5, allow_nan=False),
@@ -95,11 +100,11 @@ class TestMakeAlgebra:
                 continue
             e = algebra.identity_coords
             for i in range(algebra.dim):
-                basis = algebra.element(np.eye(algebra.dim)[i])
-                left = multiply(algebra, algebra.element(e), basis)
-                right = multiply(algebra, basis, algebra.element(e))
-                assert np.max(np.abs(left.coords - basis.coords)) <= 1e-9
-                assert np.max(np.abs(right.coords - basis.coords)) <= 1e-9
+                basis = np.eye(algebra.dim, dtype=complex)[i]
+                left = multiply(algebra, e, basis)
+                right = multiply(algebra, basis, e)
+                assert np.max(np.abs(left - basis)) <= 1e-9
+                assert np.max(np.abs(right - basis)) <= 1e-9
 
 
 def lstsq_identity(structure):
@@ -165,8 +170,8 @@ def test_identity_of_a_group_algebra_is_exact():
 
 class TestMultiply:
     def test_pointwise(self, c2):
-        out = multiply(c2, c2.element([1, 2]), c2.element([3, 4]))
-        assert np.allclose(out.coords, [3, 8])
+        out = multiply(c2, np.array([1, 2], dtype=complex), np.array([3, 4], dtype=complex))
+        assert np.allclose(out, [3, 8])
 
     def test_group_algebra_zero_divisor(self, z2):
         # oracle: expand (e+g)(e-g) by the Z2 table
@@ -178,14 +183,14 @@ class TestMultiply:
                     out[table[i, j]] += a[i] * b[j]
             return out
 
-        prod = multiply(z2, z2.element([1, 1]), z2.element([1, -1]))
-        assert np.allclose(prod.coords, convolve([1, 1], [1, -1]))
-        assert np.allclose(prod.coords, 0.0)
+        prod = multiply(z2, np.array([1, 1], dtype=complex), np.array([1, -1], dtype=complex))
+        assert np.allclose(prod, convolve([1, 1], [1, -1]))
+        assert np.allclose(prod, 0.0)
 
     def test_matrix_units(self, m2):
-        e11 = m2.element(np.eye(m2.dim)[0])
-        e12 = m2.element(np.eye(m2.dim)[1])
-        assert np.allclose(multiply(m2, e11, e12).coords, e12.coords)
+        e11 = np.eye(m2.dim, dtype=complex)[0]
+        e12 = np.eye(m2.dim, dtype=complex)[1]
+        assert np.allclose(multiply(m2, e11, e12), e12)
 
     @given(a=st.lists(complex_scalars, min_size=3, max_size=3),
            b=st.lists(complex_scalars, min_size=3, max_size=3),
@@ -193,10 +198,42 @@ class TestMultiply:
     @settings(max_examples=25, deadline=None)
     def test_associativity_on_elements(self, a, b, c):
         z3 = group_algebra(cyclic_group_table(3))
-        x, y, z = z3.element(a), z3.element(b), z3.element(c)
+        x, y, z = (np.array(v, dtype=complex) for v in (a, b, c))
         left = multiply(z3, multiply(z3, x, y), z)
         right = multiply(z3, x, multiply(z3, y, z))
-        assert np.max(np.abs(left.coords - right.coords)) < 1e-9
+        assert np.max(np.abs(left - right)) < 1e-9
+
+
+def _returned_vectors(algebra, tau):
+    """One element or functional returned by each API that hands one out, by name."""
+    x = np.array([1j, 0.0], dtype=complex)
+    _, image = kernel_image(tau)
+    e_b = range_identity(algebra, image)
+    return {
+        "multiply": lambda: multiply(algebra, x, x),
+        "apply": lambda: apply(tau, x),
+        "range_identity": lambda: e_b,
+        "hermitian_decomposition": lambda: hermitian_decomposition(algebra, tau, x)[1],
+        "find_type1_solutions": lambda: find_type1_solutions(algebra, tau).solutions[-1],
+        "verify_character": lambda: verify_character(algebra, [1.0, 0.0]),
+        "load_element": lambda: load_element("[1, 2]", algebra),
+        "ExtensionSpec.x0": lambda: verify_extension(algebra, tau, 0.0, e_b.copy(),
+                                                     e_b=e_b, image=image).x0,
+    }
+
+
+@pytest.mark.parametrize("api", list(_returned_vectors(*remark_pair())))
+def test_an_element_is_a_complex_array(api):
+    algebra, tau = remark_pair()
+    value = _returned_vectors(algebra, tau)[api]()
+    assert isinstance(value, np.ndarray)
+    assert value.dtype == complex and value.shape == (algebra.dim,)
+    if api == "ExtensionSpec.x0":  # the spec keeps its own read-only copy
+        assert not value.flags.writeable
+
+
+def test_battery_size_does_not_depend_on_the_seed():
+    assert [len(instance_battery(seed)) for seed in (0, 1, 41)] == [215, 215, 215]
 
 
 class TestConstructStandard:
@@ -211,9 +248,9 @@ class TestConstructStandard:
 
     def test_opposite_matrix_units(self, m2):
         op = opposite_algebra(m2)
-        e11, e12 = op.element(np.eye(4)[0]), op.element(np.eye(4)[1])
+        e11, e12 = np.eye(4, dtype=complex)[0], np.eye(4, dtype=complex)[1]
         # oracle: E12 E11 = 0 in M2, so the opposite product E11 . E12 vanishes
-        assert np.allclose(multiply(op, e11, e12).coords, 0.0)
+        assert np.allclose(multiply(op, e11, e12), 0.0)
 
     def test_opposite_involutive_bit_identical(self, m2, z3):
         for algebra in (m2, z3):
@@ -314,13 +351,13 @@ class TestQuotient:
         quot, qmap = quotient(z2, s)
         assert quot.dim == 1
         assert np.allclose(quot.structure, [[[1.0]]])
-        x = z2.element([1, 0])
-        y = z2.element([0, 1])
+        x = np.array([1, 0], dtype=complex)
+        y = np.array([0, 1], dtype=complex)
         from trivolve.starmap import apply
 
         qx, qy = apply(qmap, x), apply(qmap, y)
         qxy = apply(qmap, multiply(z2, x, y))
-        assert np.allclose(qxy.coords, multiply(quot, qx, qy).coords)
+        assert np.allclose(qxy, multiply(quot, qx, qy))
 
     @pytest.mark.parametrize("units, witness", [
         ((0, 2), "s_0 . b_1"),  # first column {E11, E21}: a left ideal only
@@ -359,7 +396,7 @@ class TestAnalyzeSubspace:
         s = Subspace(basis, m2)
         assert induced_subalgebra(m2, s)[0].dim == 2
         # a left ideal: b_i s_j stays in s for every basis vector and column
-        assert all(s.residual(multiply(m2, m2.element(np.eye(4)[i]), m2.element(col)).coords) <= EPS
+        assert all(s.residual(multiply(m2, np.eye(4, dtype=complex)[i], col)) <= EPS
                    for i in range(4) for col in basis.T)
         with pytest.raises(CertificationFailure) as caught:  # but not a right ideal
             quotient(m2, s)

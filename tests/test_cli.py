@@ -270,8 +270,8 @@ def test_tim_solves_once_per_character(tmp_path, z2, z2_involution, monkeypatch)
 
 
 def test_tim_classifies_star_once_and_builds_arens_once(tmp_path, monkeypatch):
-    # theta and its extension are classified inside extend_involution; the
-    # command classifies the extension once more for all four characters
+    # theta and its extension are classified inside extend_involution, once
+    # each, and the command classifies neither again for the four characters
     table = cyclic_group_table(4)
     z4 = group_algebra(table)
     z4_path = tmp_path / "z4.json"
@@ -284,7 +284,7 @@ def test_tim_classifies_star_once_and_builds_arens_once(tmp_path, monkeypatch):
                            tmp_path)
     assert code == 0 and report["characters"] == 4
     assert all(entry["obstruction"]["unique"] for entry in report["means"])
-    assert len(classified) == 3 and len(arens) == 1
+    assert len(classified) == 2 and len(arens) == 1
     code, report = run_cli(["arens", "--algebra", str(z4_path), "--map", str(theta_path)],
                            tmp_path)
     assert code == 0 and "extension" in report

@@ -47,23 +47,25 @@ def dual_numbers():
 def act(algebra, lam, a, side):
     """``lam . a`` (side "right") or ``a . lam`` (side "left") from the basis stacks."""
     right, left = _dual_actions(algebra, np.asarray(lam, dtype=complex)[:, None])
-    return a.coords @ (right if side == "right" else left)[0]
+    return a @ (right if side == "right" else left)[0]
 
 
 class TestDualAction:
     def test_group_translation(self, z2):
         lam = np.array([1.0, 0.0])  # dual of e
-        assert np.allclose(act(z2, lam, z2.element([0.0, 1.0]), "right"), [0.0, 1.0])  # dual of g
+        g = np.array([0.0, 1.0], dtype=complex)
+        assert np.allclose(act(z2, lam, g, "right"), [0.0, 1.0])  # dual of g
 
     def test_identity_acts_trivially(self, z3):
         rng = np.random.default_rng(0)
         lam = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         for side in ("right", "left"):
-            assert np.allclose(act(z3, lam, z3.identity, side), lam)
+            assert np.allclose(act(z3, lam, z3.identity_coords, side), lam)
 
     def test_pointwise_annihilation(self, c2):
         for side in ("right", "left"):
-            assert np.allclose(act(c2, np.array([1.0, 0.0]), c2.element([0.0, 1.0]), side), 0.0)
+            assert np.allclose(act(c2, np.array([1.0, 0.0]), np.array([0.0, 1.0], dtype=complex),
+                                   side), 0.0)
 
     def test_module_law(self, z3):
         # (lam . a) . b = lam . (ab) and a . (b . lam) = (ab) . lam on basis pairs
@@ -73,7 +75,7 @@ class TestDualAction:
         lam = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         for i in range(3):
             for j in range(3):
-                a, b = z3.element(np.eye(z3.dim)[i]), z3.element(np.eye(z3.dim)[j])
+                a, b = np.eye(z3.dim, dtype=complex)[i], np.eye(z3.dim, dtype=complex)[j]
                 ab = multiply(z3, a, b)
                 step = act(z3, act(z3, lam, a, "right"), b, "right")
                 assert np.max(np.abs(step - act(z3, lam, ab, "right"))) < 1e-9
@@ -83,7 +85,7 @@ class TestDualAction:
     def test_left_action_of_a_matrix_unit(self, m2):
         # <E12 . lam, b> = <lam, b E12>: only b = E21 (giving E22) and b = E11 (giving E12) count
         lam = np.array([0.0, 2.0, 0.0, 3.0])  # 2 E12* + 3 E22*
-        assert np.allclose(act(m2, lam, m2.element(np.eye(4)[1]), "left"), [2.0, 0.0, 3.0, 0.0])
+        assert np.allclose(act(m2, lam, np.eye(4, dtype=complex)[1], "left"), [2.0, 0.0, 3.0, 0.0])
 
 
 class TestIntroverted:
@@ -158,13 +160,13 @@ class TestCharacters:
     def test_z2_signs(self, z2):
         search = find_characters(z2)
         assert not search.possibly_incomplete
-        values = sorted(round(c.coords[1].real) for c in search.characters)
+        values = sorted(round(c[1].real) for c in search.characters)
         assert values == [-1, 1]
 
     def test_pointwise_evaluations(self, c3):
         search = find_characters(c3)
         assert not search.possibly_incomplete
-        got = {tuple(np.round(c.coords.real, 6)) for c in search.characters}
+        got = {tuple(np.round(c.real, 6)) for c in search.characters}
         assert got == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
     def test_z3_roots_of_unity(self, z3):
@@ -172,7 +174,7 @@ class TestCharacters:
         assert len(search.characters) == 3
         omega = np.exp(2j * np.pi / 3)
         expected = {tuple(np.round([1, w, w * w], 6)) for w in (1, omega, omega.conjugate())}
-        got = {tuple(np.round(c.coords, 6)) for c in search.characters}
+        got = {tuple(np.round(c, 6)) for c in search.characters}
         assert got == expected
 
     def test_noncommutative_rejected(self, m2):
@@ -193,7 +195,7 @@ class TestCharacters:
     def test_character_composed_with_trivolution_multiplicative(self, z3):
         tau = standard_group_involution(z3, cyclic_group_table(3))
         for phi in find_characters(z3).characters:
-            composed = np.conj(tau.matrix.T @ phi.coords)
+            composed = np.conj(tau.matrix.T @ phi)
             prods = np.einsum("ijk,k->ij", z3.structure, composed)
             assert np.max(np.abs(prods - np.outer(composed, composed))) < 1e-9
 
@@ -242,8 +244,7 @@ class TestTims:
         phi = verify_character(z2, [1.0, 1.0])
         arens = arens_products(z2, space)
         star = extend_involution(z2, z2_involution, arens)
-        report = tim_obstruction_check(z2, tim_set(z2, space, phi), phi, star,
-                                       classify_star_map(arens.box_algebra, star), arens)
+        report = tim_obstruction_check(z2, tim_set(z2, space, phi), phi, star, arens)
         assert report.unique and not report.vacuous
         assert max(report.chain_residuals.values()) <= 1e-9
 
@@ -252,10 +253,8 @@ class TestTims:
         conj = conjugation_map(c3)
         arens = arens_products(c3, space)
         star = extend_involution(c3, conj, arens)
-        verdict = classify_star_map(arens.box_algebra, star)
         for phi in find_characters(c3).characters:
-            report = tim_obstruction_check(c3, tim_set(c3, space, phi), phi, star, verdict,
-                                           arens)
+            report = tim_obstruction_check(c3, tim_set(c3, space, phi), phi, star, arens)
             assert report.unique
 
     def test_vacuous_when_no_mean_exists(self):
@@ -267,8 +266,7 @@ class TestTims:
         conj = conjugation_map(duals)
         arens = arens_products(duals, space)
         star = extend_involution(duals, conj, arens)
-        report = tim_obstruction_check(duals, means, phi, star,
-                                       classify_star_map(arens.box_algebra, star), arens)
+        report = tim_obstruction_check(duals, means, phi, star, arens)
         assert report.vacuous and report.unique
 
 
@@ -327,7 +325,7 @@ def test_x_star_shares_the_quotient_coordinates(battery):
     for algebra in algebras.values():
         spaces = [full_dual(algebra)]
         if is_commutative(algebra):
-            chars = [c.coords for c in find_characters(algebra).characters]
+            chars = find_characters(algebra).characters
             spaces += [check_introverted(algebra, np.column_stack(subset))
                        for size in range(1, len(chars)) for subset in combinations(chars, size)]
         for space in spaces:

@@ -75,11 +75,11 @@ def test_map_naming_missing_algebra_file(c2, tmp_path, tag):
 
 def test_element_inline_and_file(c2, tmp_path):
     inline = load_element("[[1, 0], [0, 1]]", c2)
-    assert np.allclose(inline.coords, [1.0, 1j])
+    assert np.allclose(inline, [1.0, 1j])
     path = tmp_path / "x.json"
     path.write_text(json.dumps({"coords": [[2, 0], [0, 0]]}))
     from_file = load_element(path, c2)
-    assert np.allclose(from_file.coords, [2.0, 0.0])
+    assert np.allclose(from_file, [2.0, 0.0])
 
 
 def test_parse_errors(tmp_path, c2):

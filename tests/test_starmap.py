@@ -32,31 +32,27 @@ class TestMakeAndApply:
         make_map(np.zeros((2, 3)), conjugating=False, source=c3, target=c2)  # fine
 
     def test_remark_map(self, c2, remark_tau):
-        out = apply(remark_tau, c2.element([1j, 7.0]))
-        assert np.allclose(out.coords, [-1j, 0.0])
+        out = apply(remark_tau, np.array([1j, 7.0], dtype=complex))
+        assert np.allclose(out, [-1j, 0.0])
 
     def test_conjugation_on_group_algebra(self, z2):
         conj = conjugation_map(z2)
-        out = apply(conj, z2.element([1 + 1j, 0.0]))
-        assert np.allclose(out.coords, [1 - 1j, 0.0])
+        out = apply(conj, np.array([1 + 1j, 0.0], dtype=complex))
+        assert np.allclose(out, [1 - 1j, 0.0])
 
     def test_zero_map(self, c2):
         zero = make_map(np.zeros((2, 2)), conjugating=True, source=c2)
-        assert np.allclose(apply(zero, c2.element([3, 4j])).coords, 0.0)
-
-    def test_wrong_algebra(self, c2, c3, remark_tau):
-        with pytest.raises(UsageError, match="element does not belong to the map's source"):
-            apply(remark_tau, c3.element([1, 2, 3]))
+        assert np.allclose(apply(zero, np.array([3, 4j], dtype=complex)), 0.0)
 
     @given(alpha=complex_scalars, coords=st.lists(complex_scalars, min_size=2, max_size=2))
     @settings(max_examples=30, deadline=None)
     def test_conjugate_linearity(self, alpha, coords):
         c2 = function_algebra(2)
         tau = make_map([[1.0, 0.0], [0.0, 0.0]], conjugating=True, source=c2)
-        x = c2.element(coords)
-        lhs = apply(tau, alpha * x).coords
-        rhs = np.conj(alpha) * apply(tau, x).coords
-        bound = 1e-9 * (1 + abs(alpha)) * (1 + np.max(np.abs(x.coords)))
+        x = np.array(coords, dtype=complex)
+        lhs = apply(tau, alpha * x)
+        rhs = np.conj(alpha) * apply(tau, x)
+        bound = 1e-9 * (1 + abs(alpha)) * (1 + np.max(np.abs(x)))
         assert np.max(np.abs(lhs - rhs)) <= bound
 
 
@@ -90,11 +86,11 @@ class TestCompose:
         g_flag = data.draw(st.booleans())
         f = make_map(f_mat, conjugating=f_flag, source=c2)
         g = make_map(g_mat, conjugating=g_flag, source=c2)
-        x = c2.element(coords)
+        x = np.array(coords, dtype=complex)
         composite = compose(f, g)
         assert composite.conjugating == (f_flag != g_flag)
-        direct = apply(f, apply(g, x)).coords
-        via = apply(composite, x).coords
+        direct = apply(f, apply(g, x))
+        via = apply(composite, x)
         assert np.max(np.abs(direct - via)) < 1e-9
 
 
@@ -170,8 +166,8 @@ class TestKernelImage:
             assert kernel.dim + image.dim == inst.algebra.dim
             # the kernel really is annihilated
             for col in kernel.basis.T:
-                out = apply(inst.tau, inst.algebra.element(col))
-                assert np.max(np.abs(out.coords)) < 1e-9
+                out = apply(inst.tau, col)
+                assert np.max(np.abs(out)) < 1e-9
 
     def test_antihom_image_is_subalgebra(self, battery):
         for inst in battery[::25]:

@@ -214,9 +214,9 @@ class TestTrivolutiveHom:
     def test_swap_is_not_intertwining(self, c2, remark_tau):
         swap = make_map([[0, 1], [1, 0]], conjugating=False, source=c2)
         # oracle: tau(swap(e1)) = 0 but swap(tau(e1)) = e2
-        lhs = apply(remark_tau, apply(swap, c2.element(np.eye(c2.dim)[0])))
-        rhs = apply(swap, apply(remark_tau, c2.element(np.eye(c2.dim)[0])))
-        assert np.max(np.abs(lhs.coords - rhs.coords)) > 0.5
+        lhs = apply(remark_tau, apply(swap, np.eye(c2.dim, dtype=complex)[0]))
+        rhs = apply(swap, apply(remark_tau, np.eye(c2.dim, dtype=complex)[0]))
+        assert np.max(np.abs(lhs - rhs)) > 0.5
         with pytest.raises(CertificationFailure) as info:
             check_trivolutive_hom(c2, remark_tau, c2, remark_tau, swap)
         assert info.value.law == "pi o tau1 = tau2 o pi"
@@ -236,7 +236,7 @@ class TestTrivolutiveHom:
 class TestRightIdentity:
     def test_first_column_extension(self):
         col = first_column_algebra()
-        e = col.element([1.0, 0.0])
+        e = np.array([1.0, 0.0], dtype=complex)
         sub = Subspace(np.array([[1.0], [0.0]]), col)
         sub_alg, _ = induced_subalgebra(col, sub)
         inner = make_map(np.eye(1), conjugating=True, source=sub_alg)
@@ -248,7 +248,7 @@ class TestRightIdentity:
     def test_alternative_right_identity(self):
         col = first_column_algebra()
         t = 0.75
-        e = col.element([1.0, t])
+        e = np.array([1.0, t], dtype=complex)
         sub = Subspace(np.array([[1.0], [t]]), col)
         sub_alg, _ = induced_subalgebra(col, sub)
         inner = make_map(np.eye(1), conjugating=True, source=sub_alg)
@@ -258,10 +258,10 @@ class TestRightIdentity:
         # different right identities produce genuinely different extensions
         assert not np.allclose(tau1.matrix, [[1.0, 0.0], [0.0, 0.0]])
         # tau(e) = e for the right identity inside the range
-        assert np.allclose(apply(tau1, e).coords, e.coords)
+        assert np.allclose(apply(tau1, e), e)
 
     def test_unital_case_extends_trivially(self, c2, remark_tau):
-        e = c2.element([1.0, 1.0])
+        e = np.array([1.0, 1.0], dtype=complex)
         sub = Subspace(np.eye(2), c2)
         sub_alg, _ = induced_subalgebra(c2, sub)
         inner = make_map(remark_tau.matrix, conjugating=True, source=sub_alg)
@@ -274,37 +274,37 @@ class TestRightIdentity:
         sub_alg, _ = induced_subalgebra(col, sub)
         inner = make_map(np.eye(1), conjugating=True, source=sub_alg)
         with pytest.raises(CertificationFailure) as info:
-            right_identity_trivolution(col, col.element([0.0, 1.0]), sub, inner)
+            right_identity_trivolution(col, np.array([0.0, 1.0], dtype=complex), sub, inner)
         assert info.value.law == "x e = x"
 
     def test_unique_right_identity_in_range(self):
         # a right identity inside the range is fixed by the map and unique there
         col = first_column_algebra()
-        e = col.element([1.0, 0.0])
+        e = np.array([1.0, 0.0], dtype=complex)
         sub = Subspace(np.array([[1.0], [0.0]]), col)
         sub_alg, _ = induced_subalgebra(col, sub)
         inner = make_map(np.eye(1), conjugating=True, source=sub_alg)
         tau1 = right_identity_trivolution(col, e, sub, inner)
         _, image = kernel_image(tau1)
-        assert image.residual(e.coords) <= EPS
-        assert np.allclose(apply(tau1, e).coords, e.coords)
+        assert image.residual(e) <= EPS
+        assert np.allclose(apply(tau1, e), e)
         # any other right identity (1, t) with t != 0 falls outside the range
         assert image.residual([1.0, 0.5]) > EPS
 
 
 class TestElementClasses:
     def test_projection_element(self, c2, remark_tau):
-        flags = element_classes(c2, remark_tau, c2.element([1.0, 0.0]))
+        flags = element_classes(c2, remark_tau, np.array([1.0, 0.0], dtype=complex))
         assert flags.hermitian and flags.normal and flags.projection
         assert not flags.unitary
 
     def test_matrix_unit_not_normal(self, m2, m2_star):
-        flags = element_classes(m2, m2_star, m2.element([0, 1j, 0, 0]))
+        flags = element_classes(m2, m2_star, np.array([0, 1j, 0, 0], dtype=complex))
         assert not flags.hermitian
         assert not flags.normal  # E12 E21 != E21 E12
 
     def test_identity_is_unitary(self, m2, m2_star):
-        flags = element_classes(m2, m2_star, m2.identity)
+        flags = element_classes(m2, m2_star, m2.identity_coords)
         assert flags.hermitian and flags.normal and flags.projection and flags.unitary
 
     def test_unitaries_form_group(self, m2, m2_star):
@@ -312,8 +312,8 @@ class TestElementClasses:
         for _ in range(8):
             q1, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
             q2, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-            x = m2.element(q1.reshape(-1))
-            y = m2.element(q2.reshape(-1))
+            x = q1.reshape(-1)
+            y = q2.reshape(-1)
             assert element_classes(m2, m2_star, x).unitary
             assert element_classes(m2, m2_star, multiply(m2, x, y)).unitary
             assert element_classes(m2, m2_star, apply(m2_star, x)).unitary
@@ -323,23 +323,24 @@ class TestPositivity:
     def test_scalar_square(self):
         c1 = function_algebra(1)
         conj = conjugation_map(c1)
-        assert check_positive(c1, conj, c1.element([4.0]), c1.element([2.0]))
+        assert check_positive(c1, conj, np.array([4.0], dtype=complex),
+                              np.array([2.0], dtype=complex))
 
     def test_remark_witness(self, c2, remark_tau):
-        x = c2.element([1.0, 0.0])
-        y = c2.element([1.0, 5.0])
+        x = np.array([1.0, 0.0], dtype=complex)
+        y = np.array([1.0, 5.0], dtype=complex)
         assert check_positive(c2, remark_tau, x, y)
 
     def test_negative_never_witnessed(self, c2, remark_tau):
-        x = c2.element([-1.0, 0.0])
+        x = np.array([-1.0, 0.0], dtype=complex)
         rng = np.random.default_rng(2)
         for _ in range(10):
-            y = c2.element(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             assert not check_positive(c2, remark_tau, x, y)
 
     def test_witness_recorded(self, c2, remark_tau):
-        flags = element_classes(c2, remark_tau, c2.element([1.0, 0.0]),
-                                positive_witness=c2.element([1.0, 5.0]))
+        flags = element_classes(c2, remark_tau, np.array([1.0, 0.0], dtype=complex),
+                                positive_witness=np.array([1.0, 5.0], dtype=complex))
         assert flags.positive_witness is not None
 
 
@@ -347,18 +348,18 @@ class TestHermitianTheory:
     def test_scalar_decomposition(self):
         c1 = function_algebra(1)
         conj = conjugation_map(c1)
-        x1, x2 = hermitian_decomposition(c1, conj, c1.element([3.0 + 4.0j]))
-        assert np.allclose(x1.coords, [3.0])
-        assert np.allclose(x2.coords, [4.0])
+        x1, x2 = hermitian_decomposition(c1, conj, np.array([3.0 + 4.0j], dtype=complex))
+        assert np.allclose(x1, [3.0])
+        assert np.allclose(x2, [4.0])
 
     def test_remark_decomposition(self, c2, remark_tau):
-        x1, x2 = hermitian_decomposition(c2, remark_tau, c2.element([1j, 0.0]))
-        assert np.allclose(x1.coords, [0.0, 0.0])
-        assert np.allclose(x2.coords, [1.0, 0.0])
+        x1, x2 = hermitian_decomposition(c2, remark_tau, np.array([1j, 0.0], dtype=complex))
+        assert np.allclose(x1, [0.0, 0.0])
+        assert np.allclose(x2, [1.0, 0.0])
 
     def test_outside_range(self, c2, remark_tau):
         with pytest.raises(CertificationFailure) as info:
-            hermitian_decomposition(c2, remark_tau, c2.element([0.0, 1.0]))
+            hermitian_decomposition(c2, remark_tau, np.array([0.0, 1.0], dtype=complex))
         assert info.value.law == "x in tau(A)"
 
     def test_functional_checks(self, c2, remark_tau):

@@ -30,40 +30,41 @@ def range_data(algebra, tau):
 def brute_force_family_one(algebra, tau, x0, tol=1e-9):
     """Oracle: the three conditions checked by direct multiplication."""
     sq = multiply(algebra, x0, x0)
-    if np.max(np.abs(sq.coords + x0.coords)) > tol:
+    if np.max(np.abs(sq + x0)) > tol:
         return False
     for i in range(algebra.dim):
-        image = apply(tau, algebra.element(np.eye(algebra.dim)[i]))
+        image = apply(tau, np.eye(algebra.dim, dtype=complex)[i])
         left = multiply(algebra, x0, image)
         right = multiply(algebra, image, x0)
-        if np.max(np.abs(left.coords)) > tol or np.max(np.abs(right.coords)) > tol:
+        if np.max(np.abs(left)) > tol or np.max(np.abs(right)) > tol:
             return False
-    return np.max(np.abs(apply(tau, x0).coords)) <= tol
+    return np.max(np.abs(apply(tau, x0))) <= tol
 
 
 class TestVerifyExtension:
     def test_canonical_always_valid(self, battery):
         for inst in battery[::40]:
-            spec = verify_extension(inst.algebra, inst.tau, 1.0, inst.algebra.zero(),
+            spec = verify_extension(inst.algebra, inst.tau, 1.0,
+                                    np.zeros(inst.algebra.dim, dtype=complex),
                                     **range_data(inst.algebra, inst.tau))
             assert spec.family == "type_I"
 
     def test_remark_family_one(self):
         algebra, tau = remark_pair()
-        x0 = algebra.element([0.0, -1.0])
+        x0 = np.array([0.0, -1.0], dtype=complex)
         assert brute_force_family_one(algebra, tau, x0)
         spec = verify_extension(algebra, tau, 1.0, x0, **range_data(algebra, tau))
         assert spec.family == "type_I"
 
     def test_remark_family_two(self):
         algebra, tau = remark_pair()
-        spec = verify_extension(algebra, tau, 0.0, algebra.element([1.0, 0.0]),
+        spec = verify_extension(algebra, tau, 0.0, np.array([1.0, 0.0], dtype=complex),
                                 **range_data(algebra, tau))
         assert spec.family == "type_II"
 
     def test_positive_idempotent_rejected(self):
         algebra, tau = remark_pair()
-        spec = verify_extension(algebra, tau, 1.0, algebra.element([0.0, 1.0]),
+        spec = verify_extension(algebra, tau, 1.0, np.array([0.0, 1.0], dtype=complex),
                                 **range_data(algebra, tau))
         assert spec.family == "invalid"
 
@@ -71,7 +72,8 @@ class TestVerifyExtension:
         algebra, tau = remark_pair()
         data = range_data(algebra, tau)
         for lam0 in (0.5, 1 + 1j, -1.0):
-            spec = verify_extension(algebra, tau, lam0, algebra.zero(), **data)
+            spec = verify_extension(algebra, tau, lam0, np.zeros(algebra.dim, dtype=complex),
+                                    **data)
             assert spec.family == "invalid"
 
     def test_random_scan_consistency(self):
@@ -81,7 +83,7 @@ class TestVerifyExtension:
         rng = np.random.default_rng(4)
         for _ in range(60):
             lam0 = complex(rng.standard_normal(), rng.standard_normal())
-            x0 = algebra.element(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            x0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             verify_extension(algebra, tau, lam0, x0, **data)
 
 
@@ -90,7 +92,7 @@ class TestUnitize:
 
     def test_canonical_extension_structure(self):
         algebra, tau = remark_pair()
-        spec = verify_extension(algebra, tau, 1.0, algebra.zero(),
+        spec = verify_extension(algebra, tau, 1.0, np.zeros(algebra.dim, dtype=complex),
                                 **range_data(algebra, tau))
         sharp, tau_sharp = extension_map(algebra, tau, spec.lambda0, spec.x0)
         assert sharp.dim == 3
@@ -101,15 +103,15 @@ class TestUnitize:
 
     def test_type_two_maps_unit_into_range(self):
         algebra, tau = remark_pair()
-        spec = verify_extension(algebra, tau, 0.0, algebra.element([1.0, 0.0]),
+        spec = verify_extension(algebra, tau, 0.0, np.array([1.0, 0.0], dtype=complex),
                                 **range_data(algebra, tau))
         sharp, tau_sharp = extension_map(algebra, tau, spec.lambda0, spec.x0)
-        unit = sharp.element([1.0, 0.0, 0.0])
-        assert np.allclose(apply(tau_sharp, unit).coords, [0.0, 1.0, 0.0])
+        unit = np.array([1.0, 0.0, 0.0], dtype=complex)
+        assert np.allclose(apply(tau_sharp, unit), [0.0, 1.0, 0.0])
 
     def test_invalid_rejected(self):
         algebra, tau = remark_pair()
-        bad = verify_extension(algebra, tau, 1.0, algebra.element([0.0, 1.0]),
+        bad = verify_extension(algebra, tau, 1.0, np.array([0.0, 1.0], dtype=complex),
                                **range_data(algebra, tau))
         assert bad.family == FAMILY_INVALID
         sharp, tau_sharp = extension_map(algebra, tau, bad.lambda0, bad.x0)
@@ -130,21 +132,21 @@ class TestType1Solver:
                 for f in fields(ExtensionSpec):
                     got, want = getattr(spec, f.name), getattr(fresh, f.name)
                     if f.name == "x0":
-                        assert np.array_equal(got.coords, want.coords)
+                        assert np.array_equal(got, want)
                     else:
                         assert got == want, f.name
 
     def test_remark_solutions(self):
         algebra, tau = remark_pair()
         result = find_type1_solutions(algebra, tau)
-        got = {tuple(np.round(x.coords, 9).tolist()) for x in result.solutions}
+        got = {tuple(np.round(x, 9).tolist()) for x in result.solutions}
         assert got == {(0j, 0j), (0j, (-1 + 0j))}
         assert not result.best_effort
 
     def test_involution_only_zero(self, m2, m2_star):
         result = find_type1_solutions(m2, m2_star)
         assert len(result.solutions) == 1
-        assert np.allclose(result.solutions[0].coords, 0.0)
+        assert np.allclose(result.solutions[0], 0.0)
 
     def test_c4_solution_set_matches_enumeration(self):
         algebra, tau = c4_indicator_pair()
@@ -152,12 +154,12 @@ class TestType1Solver:
         expected = set()
         for s3 in (0.0, -1.0):
             for s4 in (0.0, -1.0):
-                x0 = algebra.element([0.0, 0.0, s3, s4])
+                x0 = np.array([0.0, 0.0, s3, s4], dtype=complex)
                 if brute_force_family_one(algebra, tau, x0):
                     expected.add((s3, s4))
         assert expected == {(0.0, 0.0), (-1.0, 0.0), (0.0, -1.0), (-1.0, -1.0)}
         result = find_type1_solutions(algebra, tau)
-        got = {(round(x.coords[2].real, 9), round(x.coords[3].real, 9))
+        got = {(round(x[2].real, 9), round(x[3].real, 9))
                for x in result.solutions}
         assert got == expected
         assert len(result.solutions) == 4
@@ -167,11 +169,11 @@ class TestType1Solver:
         # idempotent dominance: products of solutions stay in the set
         algebra, tau = c4_indicator_pair()
         result = find_type1_solutions(algebra, tau)
-        coords = [x.coords for x in result.solutions]
+        coords = result.solutions
         for a in coords:
             for b in coords:
-                product = multiply(algebra, algebra.element(-a), algebra.element(-b))
-                assert any(np.allclose(-product.coords, c) for c in coords)
+                product = multiply(algebra, -a, -b)
+                assert any(np.allclose(-product, c) for c in coords)
 
 
 class TestContractive:
@@ -205,7 +207,7 @@ class TestContractive:
         # a family-I extension with nonzero x0 has norm 2: extending it again
         # must be refused outright
         algebra, tau = remark_pair()
-        spec = verify_extension(algebra, tau, 1.0, algebra.element([0.0, -1.0]),
+        spec = verify_extension(algebra, tau, 1.0, np.array([0.0, -1.0], dtype=complex),
                                 **range_data(algebra, tau))
         sharp, tau_sharp = extension_map(algebra, tau, spec.lambda0, spec.x0)
         assert classify_star_map(sharp, tau_sharp).is_trivolution
@@ -216,4 +218,4 @@ class TestContractive:
     def test_involution_type1_always_trivial(self, m2, m2_star):
         # for involutions every family-I solution collapses to zero
         result = find_type1_solutions(m2, m2_star)
-        assert all(np.max(np.abs(x.coords)) < 1e-12 for x in result.solutions)
+        assert all(np.max(np.abs(x)) < 1e-12 for x in result.solutions)
