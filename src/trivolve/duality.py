@@ -10,13 +10,14 @@ annihilator's echelon form.  These are the coordinates ``algebra.quotient``
 uses for the same quotient.  Both Arens products are computed by
 unwinding their three-step definitions literally on dual bases.
 
-Every module action is taken over the whole basis at once: the stacks
-``lambda . b_i`` and ``b_i . lambda`` for all ``i`` are one contraction
-of the structure tensor, and their membership in ``X`` is one batched
+Every module action is taken over the whole basis at once, and once per
+space: the stacks ``lambda . b_i`` and ``b_i . lambda`` for all ``i`` are
+two views of one contraction of the structure tensor, which
+``check_introverted`` makes, and their membership in ``X`` is one batched
 reduction.  In finite dimension the second dual is ``A`` itself, so the
 functionals ``Phi_i`` that span ``X*`` act as the basis vectors do
 (``Phi_i . lambda = b_i . lambda`` and ``lambda . Phi_i = lambda . b_i``);
-the submodule stacks therefore also decide introversion.
+the submodule stacks therefore also decide introversion and feed ``arens_products``.
 """
 
 from __future__ import annotations
@@ -30,9 +31,12 @@ from .algebra import (
     Algebra,
     GroupTable,
     Subspace,
+    basis_products,
     is_commutative,
     left_mult_matrix,
     make_algebra,
+    multiply,
+    right_mult_matrix,
     same_structure,
 )
 from .errors import CertificationFailure, UsageError, certify
@@ -40,8 +44,8 @@ from .linalg import (
     EPS,
     EPS_RANK,
     as_complex,
-    column_products,
     column_space_and_nullspace,
+    freeze,
     max_abs,
 )
 from .instances import _involutive_permutations_canonical, averaging_trivolution, indicator_trivolution
@@ -52,13 +56,13 @@ from .trivolution import KIND_INVOLUTION, classify_star_map
 def verify_character(algebra: Algebra, coords, eps: float = EPS) -> np.ndarray:
     """Certify multiplicativity on basis pairs and non-vanishing, both at ``eps``.
 
-    Returns the certified coordinate vector.
+    Returns a read-only copy of the certified coordinate vector.
     """
-    coords = as_complex(coords).reshape(-1)
+    coords = freeze(coords).reshape(-1)
     if max_abs(coords) <= eps:
         raise CertificationFailure("the zero functional is not a character",
                                    law="characters are non-zero")
-    prods = np.einsum("ijk,k->ij", algebra.structure, coords)
+    prods = basis_products(algebra.structure, coords[None, :])[:, :, 0]
     certify(max_abs(prods - np.outer(coords, coords)), eps, "phi(xy) = phi(x) phi(y)",
             "functional is not multiplicative")
     return coords
@@ -120,7 +124,8 @@ class IntrovertedSpace:
     ``X*`` is ``A / X^perp``: a class is represented by its one member
     supported on the annihilator's free (non-pivot) coordinates, which are
     the coordinates ``algebra.quotient(algebra, annihilator)`` uses.  The
-    methods take a vector or a matrix of columns.
+    methods take a vector or a matrix of columns.  ``lambda_s`` are the
+    canonical columns of ``basis``.
     """
 
     algebra: Algebra
@@ -128,6 +133,8 @@ class IntrovertedSpace:
     annihilator: Subspace  # X^perp in the second dual
     introverted: bool  # a submodule, and so left and right introverted
     faithful: bool
+    values: np.ndarray = field(repr=False)  # [a, y, s]: <lambda_s, b_a b_y>
+    residuals: np.ndarray = field(repr=False)  # [s, i, side]: lambda_s . b_i, b_i . lambda_s in X
     diagnostic: str = ""
 
     def require_introverted(self) -> None:
@@ -164,16 +171,6 @@ def full_dual(algebra: Algebra) -> IntrovertedSpace:
     return check_introverted(algebra, np.eye(algebra.dim))
 
 
-def _dual_actions(algebra: Algebra, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``lam_s . b_a`` and ``b_a . lam_s`` for every column ``lam_s`` and basis vector ``b_a``.
-
-    Both stacks are indexed ``[s, a, y]``: ``<lam . b_a, b_y> = <lam, b_a b_y>``
-    and ``<b_a . lam, b_y> = <lam, b_y b_a>``.
-    """
-    c = algebra.structure
-    return np.einsum("ayk,ks->say", c, lams), np.einsum("yak,ks->say", c, lams)
-
-
 def check_introverted(algebra: Algebra, x_basis) -> IntrovertedSpace:
     """Certify the introversion and faithfulness flags for ``X``.
 
@@ -190,9 +187,11 @@ def check_introverted(algebra: Algebra, x_basis) -> IntrovertedSpace:
     x = Subspace(as_complex(x_basis), algebra)
     n = algebra.dim
     lams = x.canonical_columns()
-    right, left = _dual_actions(algebra, lams)
-    stacks = np.stack([right, left], axis=2)  # [s, i, side, :]
-    escapes = x.residuals(stacks.reshape(-1, n).T).reshape(stacks.shape[:3]) > EPS
+    values = basis_products(algebra.structure, lams.T)  # [a, y, s]: <lambda_s, b_a b_y>
+    # [s, i, side, y]: lambda_s . b_i is values[i, :, s], b_i . lambda_s is values[:, i, s]
+    stacks = np.stack([values.transpose(2, 0, 1), values.transpose(2, 1, 0)], axis=2)
+    residuals = x.residuals(stacks.reshape(-1, n).T).reshape(stacks.shape[:3])
+    escapes = residuals > EPS
     introverted = not escapes.any()
     diagnostic = ""
     if not introverted:
@@ -202,7 +201,7 @@ def check_introverted(algebra: Algebra, x_basis) -> IntrovertedSpace:
     _, annihilator, _, _ = column_space_and_nullspace(lams.T)  # the null space of evaluation
     return IntrovertedSpace(algebra=algebra, basis=x, annihilator=Subspace(annihilator, algebra),
                             introverted=introverted, faithful=x.dim == n,
-                            diagnostic=diagnostic)
+                            values=values, residuals=residuals, diagnostic=diagnostic)
 
 
 @dataclass(frozen=True)
@@ -224,20 +223,18 @@ def arens_products(algebra: Algebra, space: IntrovertedSpace) -> ArensStructure:
     ``<Psi . lam, a> = <Psi, lam . a>``.  Right product:
     ``<Phi <> Psi, lam> = <Psi, lam . Phi>`` with
     ``<lam . Phi, a> = <Phi, a . lam>``.  Intermediate functionals are
-    certified to stay inside ``X`` on the way.
+    certified to stay inside ``X`` on the way.  The actions and their residuals are
+    those ``check_introverted`` stored on ``space``; nothing is contracted again.
     """
     space.require_introverted()
-    n = algebra.dim
     free = space.free
     k = len(free)
 
     # [s, a, y]: lambda_s . b_a and b_a . lambda_s over the standard basis
-    right, left = _dual_actions(algebra, space.basis.canonical_columns())
-    # Psi_j . lambda_s is right[s, :, free_j]; lambda_s . Phi_i is left[s, :, free_i]
-    intermediates = np.concatenate([right[:, :, free], left[:, :, free]], axis=2)
-    escape = certify(float(space.basis.residuals(
-        intermediates.transpose(1, 0, 2).reshape(n, -1)).max(initial=0.0)), EPS,
-        "Psi . lambda in X", "an intermediate action escaped X (residual {residual:.3e})")
+    right, left = space.values.transpose(2, 0, 1), space.values.transpose(2, 1, 0)
+    # Psi_j . lambda_s = b_free_j . lambda_s and lambda_s . Phi_i = lambda_s . b_free_i
+    escape = certify(float(space.residuals[:, free].max(initial=0.0)), EPS, "Psi . lambda in X",
+                     "an intermediate action escaped X (residual {residual:.3e})")
     # values on the X basis, [i, j, s]: <Psi_j . lambda_s, b_free_i>, <lambda_s . Phi_i, b_free_j>
     box_values = right[:, free][:, :, free].transpose(1, 2, 0)
     diamond_values = left[:, free][:, :, free].transpose(2, 1, 0)
@@ -366,7 +363,6 @@ def tim_obstruction_check(algebra: Algebra, means: TimSolutionSet, phi: np.ndarr
     solver's affine dimension is certified to agree.
     """
     space = arens.space
-    box = arens.box
     a_reps = space.rep_coords(np.eye(algebra.dim))  # column a: the class of b_a
     starred = space.embed_coords(star.matrix @ np.conj(a_reps))
     certify(max_abs(phi @ starred - np.conj(phi @ space.embed_coords(a_reps))), EPS,
@@ -382,20 +378,20 @@ def tim_obstruction_check(algebra: Algebra, means: TimSolutionSet, phi: np.ndarr
 
     # invariance transported through star: a . m* = m* . a = phi(a) m*, column a each
     m_star_full = space.embed_coords(m_star)
-    left_action = space.rep_coords(np.einsum("ayk,y->ka", algebra.structure, m_star_full))
-    right_action = space.rep_coords(np.einsum("yak,y->ka", algebra.structure, m_star_full))
+    left_action = space.rep_coords(right_mult_matrix(algebra, m_star_full))
+    right_action = space.rep_coords(left_mult_matrix(algebra, m_star_full))
     scaled = np.outer(phi, m_star).T  # phi(a) first: products keep the scalar's side
     residuals["star_invariance"] = max(max_abs(left_action - scaled),
                                        max_abs(right_action - scaled))
 
     # absorption: n box m* = <n, phi> m* over the X* basis, row i for n = b_free_i
-    absorbed = np.einsum("j,ijt->it", m_star, box)
+    absorbed = right_mult_matrix(arens.box_algebra, m_star).T
     residuals["absorption"] = max_abs(absorbed - np.outer(phi[free], m_star))
 
     # fixed-point chain m = (m*)* = (m box m*)* = m box m* = <m, phi> m* = m*
     m_star_star = star.matrix @ np.conj(m_star)
     residuals["double_star"] = max_abs(m_star_star - m)
-    m_box_mstar = column_products(box, m[:, None], m_star[:, None])[0, 0]
+    m_box_mstar = multiply(arens.box_algebra, m, m_star)
     m_phi = complex(phi @ space.embed_coords(m))
     residuals["product_vs_scaling"] = max_abs(m_box_mstar - m_phi * m_star)
     residuals["normalization"] = abs(m_phi - 1.0)

@@ -103,20 +103,6 @@ def reduce_vector(x: np.ndarray, ech_rows: np.ndarray, pivots: list[int]) -> np.
     return y
 
 
-def column_products(structure: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Product of every column of ``left`` with every column of ``right``.
-
-    ``out[i, j, k] = sum_ab left[a, i] right[b, j] structure[a, b, k]``: the
-    structure tensor pulled back along both factors.  It is two matrix
-    products (BLAS), never the dim^5 three-operand loop.
-    """
-    n_a, _, n_k = structure.shape
-    # partial[a, j, :] = b_a . right_j
-    partial = right.T @ structure
-    n_i, n_j = left.shape[1], right.shape[1]
-    return (left.T @ partial.reshape(n_a, n_j * n_k)).reshape(n_i, n_j, n_k)
-
-
 def column_space_and_nullspace(mat: np.ndarray, rhs: np.ndarray | None = None) -> tuple:
     """``(image, kernel, solution, residual)`` of ``mat`` from one SVD.
 

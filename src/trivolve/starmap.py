@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Subspace, algebras_compatible
+from .algebra import Algebra, Subspace, algebras_compatible, basis_products, column_products
 from .errors import UsageError
 from .linalg import (
     EPS,
     as_complex,
-    column_products,
     column_space_and_nullspace,
     freeze,
     max_abs,
@@ -104,12 +103,9 @@ def classify_multiplicativity(f: AlgMap) -> MultiplicativityFlags:
     ``f(b_i) f(b_j)``, about ``n^2 m (n + m)`` multiply-adds for an
     ``n``-dimensional source and ``m``-dimensional target.
     """
-    src_structure = f.source.structure
-    if f.conjugating:
-        src_structure = np.conj(src_structure)
-    n, m = f.source.dim, f.target.dim
+    src_structure = np.conj(f.source.structure) if f.conjugating else f.source.structure
     # lhs[i, j, :] = f(b_i b_j); images of basis vectors are the matrix columns
-    lhs = (src_structure.reshape(n * n, n) @ f.matrix.T).reshape(n, n, m)
+    lhs = basis_products(src_structure, f.matrix)
     rhs = column_products(f.target.structure, f.matrix, f.matrix)
     hom = max_abs(lhs - rhs)
     anti = max_abs(lhs - rhs.transpose(1, 0, 2))

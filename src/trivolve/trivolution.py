@@ -20,6 +20,7 @@ from .algebra import (
     Algebra,
     Subspace,
     algebras_compatible,
+    column_products,
     induced_subalgebra,
     left_mult_matrix,
     make_algebra,
@@ -32,7 +33,6 @@ from .linalg import (
     EPS,
     EPS_RANK,
     as_complex,
-    column_products,
     column_space_and_nullspace,
     max_abs,
     realify_conjugation_fixed_points,

@@ -23,6 +23,7 @@ import numpy as np
 from .algebra import (
     Algebra,
     Subspace,
+    column_products,
     element_norm,
     induced_subalgebra,
     left_mult_matrix,
@@ -33,7 +34,6 @@ from .algebra import (
 from .errors import CertificationFailure
 from .linalg import (
     EPS,
-    column_products,
     column_space_and_nullspace,
     freeze,
     max_abs,
@@ -195,11 +195,10 @@ def _idempotents_newton(sub: Algebra, seed: int) -> list[np.ndarray]:
     """Multi-start damped Newton on ``y . y - y = 0`` inside the subalgebra."""
     rng = np.random.default_rng(seed)
     m = sub.dim
-    structure = sub.structure
     found: list[np.ndarray] = [np.zeros(m, dtype=complex)]
 
     def residual(y):
-        return column_products(structure, y[:, None], y[:, None])[0, 0] - y
+        return multiply(sub, y, y) - y
 
     for _ in range(50 * m):
         y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
@@ -207,9 +206,7 @@ def _idempotents_newton(sub: Algebra, seed: int) -> list[np.ndarray]:
             f = residual(y)
             if max_abs(f) <= 1e-12:
                 break
-            jac = (np.einsum("i,ijk->kj", y, structure)
-                   + np.einsum("j,ijk->ki", y, structure)
-                   - np.eye(m, dtype=complex))
+            jac = left_mult_matrix(sub, y) + right_mult_matrix(sub, y) - np.eye(m, dtype=complex)
             try:
                 step = np.linalg.solve(jac, -f)
             except np.linalg.LinAlgError:

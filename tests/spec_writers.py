@@ -74,7 +74,8 @@ def jsonable(value):
 
 
 SAMPLE_SPECS = Path(__file__).resolve().parent.parent / "sample_specs"
-_C2, _TAU, _Z2 = (str(SAMPLE_SPECS / name) for name in ("c2.json", "tau.json", "z2.json"))
+_C2, _TAU, _Z2, _X_Z2 = (str(SAMPLE_SPECS / name)
+                         for name in ("c2.json", "tau.json", "z2.json", "x_z2.json"))
 SAMPLE_COMMANDS = {
     "check": ["check", "--algebra", _C2, "--map", _TAU],
     "check z2": ["check", "--algebra", _Z2, "--map", _TAU],
@@ -85,6 +86,9 @@ SAMPLE_COMMANDS = {
     "spectra": ["spectra", "--algebra", _C2, "--element", "[[2, 1], [5, 0]]", "--map", _TAU],
     "arens": ["arens", "--algebra", _Z2],
     "tim": ["tim", "--algebra", _Z2],
+    # X = the trivial character's line, a proper dual subspace: X* = A / (augmentation ideal)
+    "arens subspace": ["arens", "--algebra", _Z2, "--dual-basis", _X_Z2],
+    "tim subspace": ["tim", "--algebra", _Z2, "--dual-basis", _X_Z2],
     "search": ["search", "--algebra", _C2, "--family", "function"],
     "suite": ["suite", "--seed", "0"],
 }

@@ -12,6 +12,7 @@ from trivolve.algebra import (
     _associativity_check,
     _dense_gaps,
     _table_gap,
+    column_products,
     cyclic_group_table,
     group_algebra,
     make_algebra,
@@ -19,7 +20,7 @@ from trivolve.algebra import (
     product_algebra,
 )
 from trivolve.errors import CertificationFailure
-from trivolve.linalg import EPS, column_products
+from trivolve.linalg import EPS
 from trivolve.starmap import classify_multiplicativity, compose
 
 ASSOCIATIVITY = "(b_i b_j) b_k = b_i (b_j b_k)"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from trivolve.algebra import (
+    basis_products,
     cyclic_group_table,
     function_algebra,
     group_algebra,
@@ -15,7 +16,6 @@ from trivolve.algebra import (
     quotient,
 )
 from trivolve.duality import (
-    _dual_actions,
     arens_products,
     check_introverted,
     extend_involution,
@@ -45,9 +45,10 @@ def dual_numbers():
 
 
 def act(algebra, lam, a, side):
-    """``lam . a`` (side "right") or ``a . lam`` (side "left") from the basis stacks."""
-    right, left = _dual_actions(algebra, np.asarray(lam, dtype=complex)[:, None])
-    return a @ (right if side == "right" else left)[0]
+    """``lam . a`` (side "right") or ``a . lam`` (side "left"), at ``b_y``: ``<lam, a b_y>`` or
+    ``<lam, b_y a>``."""
+    values = basis_products(algebra.structure, np.asarray(lam, dtype=complex)[None, :])[:, :, 0]
+    return a @ (values if side == "right" else values.T)
 
 
 class TestDualAction:
@@ -191,6 +192,13 @@ class TestCharacters:
     def test_verify_character_rejects_nonmultiplicative(self, z2):
         with pytest.raises(CertificationFailure):
             verify_character(z2, [1.0, 2.0])
+
+    def test_verify_character_keeps_a_read_only_copy(self):
+        v = np.array([1, 0], dtype=complex)
+        phi = verify_character(function_algebra(2), v)
+        v[0] = 5
+        assert np.array_equal(phi, [1, 0])
+        assert not phi.flags.writeable
 
     def test_character_composed_with_trivolution_multiplicative(self, z3):
         tau = standard_group_involution(z3, cyclic_group_table(3))

@@ -119,3 +119,69 @@ def test_scan_finds_a_tolerance_parameter():
 def test_only_certify_and_verify_character_take_a_tolerance():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert sorted(set(tolerance_parameters(sources)) - TOLERANCE_TAKERS) == []
+
+
+# ``algebra`` is the one module that contracts a structure tensor; every other module calls
+# its helpers (``column_products``, ``basis_products``, ``multiply`` and the two
+# multiplication matrices).
+CONTRACTION_LAYER = {"algebra"}
+RESHAPES = {"reshape", "transpose", "conj", "copy", "T", "real", "imag"}
+
+
+def structure_contractions(source: str) -> list[str]:
+    """Each ``einsum`` call, and each matrix product with a structure tensor, by line.
+
+    A structure tensor is an attribute ``.structure`` or a call of one, the name
+    ``structure``, a name assigned one anywhere in the module, or one of these seen through
+    ``RESHAPES``, a subscript or ``np.conj``.  A matrix product is ``@``, ``np.matmul``,
+    ``np.dot`` or ``np.tensordot``.
+    """
+    tree = ast.parse(source)
+    bound = {"structure"}
+
+    def is_structure(node) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in bound
+        if isinstance(node, ast.Attribute):
+            return node.attr == "structure" or (node.attr in RESHAPES and is_structure(node.value))
+        if isinstance(node, ast.Subscript):
+            return is_structure(node.value)
+        if isinstance(node, ast.Call):  # np.conj(x) looks at x, x.reshape(..) at x.reshape
+            conj = isinstance(node.func, ast.Attribute) and node.func.attr in {"conj", "conjugate"}
+            return is_structure(node.args[0] if conj and node.args else node.func)
+        return False
+
+    grown = True
+    while grown:  # names bound to a structure tensor, through chains of assignments
+        grown = False
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and is_structure(node.value):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id not in bound:
+                        bound.add(target.id)
+                        grown = True
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            if is_structure(node.left) or is_structure(node.right):
+                found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            if name == "einsum" or (name in {"matmul", "dot", "tensordot"}
+                                    and any(is_structure(arg) for arg in node.args)):
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_scan_finds_a_structure_contraction():
+    source = ("def f(a, x, m):\n    c = np.conj(a.structure)\n    d = c.reshape(4, 2).T\n"
+              "    y = x @ d\n    z = m.T @ a.structure[0]\n    w = np.dot(structure, x)\n"
+              "    v = np.einsum('i,i->', x, x)\n    return x @ m, a.structure[0, 0, 0] * x\n")
+    assert structure_contractions(source) == [
+        "line 4: @", "line 5: @", "line 6: dot", "line 7: einsum"]
+
+
+@pytest.mark.parametrize("module", [p for p in MODULES if p.stem not in CONTRACTION_LAYER],
+                         ids=lambda p: p.name)
+def test_only_algebra_contracts_a_structure_tensor(module):
+    assert structure_contractions(module.read_text(encoding="utf-8")) == []
