@@ -23,6 +23,7 @@ the submodule stacks therefore also decide introversion and feed ``arens_product
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -159,6 +160,32 @@ class IntrovertedSpace:
         out = np.zeros((self.algebra.dim,) + coords.shape[1:], dtype=complex)
         out[self.free] = coords
         return out
+
+    @cached_property
+    def actions(self) -> np.ndarray:
+        """``[a, side, row, t]``: ``b_a`` acting on ``X*``, ``L_a`` (side 0) and ``R_a``.
+
+        Column ``t`` of ``L_a`` is the class of ``b_a . b_free_t``, of ``R_a``
+        that of ``b_free_t . b_a``.  They do not depend on a character, so
+        every ``tim_set`` call on the space shares them.
+        """
+        n, free = self.algebra.dim, self.free
+        k = len(free)
+        c = self.algebra.structure
+        left = self.rep_coords(c[:, free, :].transpose(2, 0, 1).reshape(n, n * k)).reshape(k, n, k)
+        right = self.rep_coords(c[free, :, :].transpose(2, 1, 0).reshape(n, n * k)).reshape(k, n, k)
+        return freeze(np.stack([left, right]).transpose(2, 0, 1, 3))
+
+    @cached_property
+    def action_gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(S0, T)``: ``S0 = sum_a L_a^H L_a + R_a^H R_a`` and the stack ``T_a = L_a + R_a``.
+
+        ``S0`` is one batched ``k x k`` product and a numpy sum, never a BLAS
+        call over a tall matrix, so it does not depend on the thread count.
+        """
+        a = self.actions
+        return (freeze((np.swapaxes(a, -1, -2).conj() @ a).sum(axis=(0, 1))),
+                freeze(a.sum(axis=1)))
 
     def from_values(self, values) -> np.ndarray:
         """Representative of the functional with given values on the X basis."""
@@ -318,28 +345,43 @@ def tim_set(algebra: Algebra, space: IntrovertedSpace, phi: np.ndarray) -> TimSo
     """Solve ``<m, phi> = 1`` and ``a.m = m.a = phi(a) m`` for ``m`` in ``X*``.
 
     The module actions on ``X*`` need ``X`` introverted, which is certified first.
+    The system stacks, for each ``a``, the blocks ``L_a - phi(a) I`` and
+    ``R_a - phi(a) I`` of ``space.actions`` over the row ``phi_f = phi[free]``;
+    it is decided through its ``k x k`` Gram matrix
+    ``G = S0 - H - H^H + 2 |phi|^2 I + conj(phi_f) phi_f^T``, with
+    ``(S0, T) = space.action_gram`` and ``H = sum_a conj(phi(a)) T_a``.  Every
+    sum is a batched ``k x k`` product or an elementwise one, so ``G`` and the
+    result do not depend on the BLAS thread count.  One ``eigh`` of ``G``
+    gives the rank, the kernel and the minimum-norm solve, keeping the
+    eigenvalues above ``EPS_RANK * lambda_max``.  The solution is certified
+    on the full system: the set is empty when its worst residual exceeds ``EPS``.
+
+    The Gram squares the condition number (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., ch. 20), but a mean, when one
+    exists, is unique in finite dimension: if ``m0`` and ``m0 + h`` are
+    means, then ``h = h.m0 = <h, phi> m0 = 0``.  So ``G`` is nonsingular
+    whenever a mean exists, and the cut decides only the least-squares
+    solve of a system that has no solution.  The cut sits far above the
+    Gram's rounding, whose eigenvalues carry an error of about
+    ``k * eps * lambda_max``.
     """
     space.require_introverted()
     certify(space.basis.residual(phi), EPS, "phi in X", "the character does not lie in X")
-    n = algebra.dim
-    free = space.free
-    k = len(free)
-    c = algebra.structure
-    # [row, a, t]: b_a . b_free_t (left) and b_free_t . b_a (right), as classes in X*
-    left = space.rep_coords(c[:, free, :].transpose(2, 0, 1).reshape(n, n * k)).reshape(k, n, k)
-    right = space.rep_coords(c[free, :, :].transpose(2, 1, 0).reshape(n, n * k)).reshape(k, n, k)
-    # per a, the block rows a.m - phi(a) m and m.a - phi(a) m, then <m, phi> = 1
-    blocks = (np.stack([left, right]).transpose(2, 0, 1, 3)
-              - phi[:, None, None, None] * np.eye(k))
-    system = np.vstack([blocks.reshape(2 * n * k, k), phi[free].reshape(1, -1)])
-    target = np.zeros(2 * n * k + 1, dtype=complex)
-    target[-1] = 1.0
-
-    _, kernel, u, residual = column_space_and_nullspace(system, target)
+    phi_f = phi[space.free]
+    s0, t = space.action_gram
+    h = (np.conj(phi)[:, None, None] * t).sum(axis=0)
+    gram = (s0 - h - h.conj().T + 2 * np.sum(np.abs(phi) ** 2) * np.eye(len(phi_f))
+            + np.outer(np.conj(phi_f), phi_f))
+    values, vectors = np.linalg.eigh(gram)
+    keep = values > EPS_RANK * values.max(initial=0.0)
+    basis = vectors[:, keep]
+    u = basis @ ((basis.conj().T @ np.conj(phi_f)) / values[keep])
+    residual = max(max_abs(space.actions @ u - phi[:, None, None] * u), max_abs(phi_f @ u - 1.0))
     if residual > EPS:
-        return TimSolutionSet(particular=None, homogeneous=np.zeros((n, 0), dtype=complex))
+        return TimSolutionSet(particular=None,
+                              homogeneous=np.zeros((algebra.dim, 0), dtype=complex))
     return TimSolutionSet(particular=space.embed_coords(u),
-                          homogeneous=space.embed_coords(kernel))
+                          homogeneous=space.embed_coords(vectors[:, ~keep]))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 Everything here operates on plain numpy arrays.  Ranks and memberships
 use absolute thresholds: the targeted instances are small (dim <= ~64)
 and well conditioned, so absolute tolerances are both simpler and more
-reproducible than relative ones.
+reproducible than relative ones.  The one relative cut, on the
+eigenvalues of a Gram matrix, is named below.
 
-A linear system takes one of three routes:
+A linear system takes one of four routes:
 
 - a solve-only system goes to ``solve_exact`` (``lstsq``), which was
   measured faster than a thin SVD on tall systems.  The identity system
@@ -13,6 +14,10 @@ A linear system takes one of three routes:
   the solution of its normal equations fails the residual;
 - a system whose kernel or image is needed, with or without a solve, goes
   to ``column_space_and_nullspace``: one thin SVD gives all of them;
+- the invariant-mean system (``duality.tim_set``, 1153 x 24 for C[Z24])
+  never forms its tall matrix: it is decided by one ``eigh`` of its
+  ``k x k`` Gram matrix, summed from batched ``k x k`` products, and
+  certified by its residual on the full system;
 - a rank test alone calls ``np.linalg.matrix_rank``, singular values only.
 
 The cutoffs are two constants.  A law holds when its residual is at
@@ -20,7 +25,8 @@ most ``EPS``; a singular value or a pivot counts towards the rank, so its
 vector leaves the kernel, when it exceeds ``EPS_RANK``.  A least-squares
 solution also drops the singular values at most
 ``eps * max(m, n) * s_max``, ``lstsq``'s ``rcond=None`` cutoff, with
-``eps`` the float64 machine epsilon.
+``eps`` the float64 machine epsilon.  A Gram eigenvalue counts when it
+exceeds ``EPS_RANK * lambda_max``, a cut relative to the Gram's scale.
 """
 
 from __future__ import annotations

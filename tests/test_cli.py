@@ -1,7 +1,10 @@
 """CLI surface: commands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ def spec_files(tmp_path, c2, remark_tau):
 
 
 Z2_SPEC = SAMPLE_SPECS / "z2.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 BIG_NONASSOCIATIVE = {"dim": 3, "structure": (
     1e200 * np.random.default_rng(0).standard_normal((3, 3, 3))).tolist()}
@@ -385,9 +389,10 @@ def test_malformed_spec_file_is_usage_error(tmp_path, z2, command, flag, content
     assert code == 2 and report["error"] == "ParseError"
 
 
-def test_tim_solves_each_character_with_one_svd(tmp_path, monkeypatch):
-    # tim_set's affine solve is one SVD and no lstsq; the annihilator's SVD
-    # belongs to check_introverted, which builds X* once for every character
+def test_tim_solves_each_character_with_one_eigh(tmp_path, monkeypatch):
+    # tim_set decides each character by one eigh of its k x k Gram matrix, with no SVD
+    # and no lstsq; the annihilator's SVD belongs to check_introverted, which builds X*
+    # once for every character
     table = cyclic_group_table(4)
     z4 = group_algebra(table)
     z4_path = tmp_path / "z4.json"
@@ -416,6 +421,7 @@ def test_tim_solves_each_character_with_one_svd(tmp_path, monkeypatch):
     for key, module in sorted(sys.modules.items()):
         if key.split(".")[0] == "trivolve" and hasattr(module, "tim_set"):
             monkeypatch.setattr(module, "tim_set", inside("tim_set", module.tim_set))
+    monkeypatch.setattr(np.linalg, "eigh", recorded("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "svd", recorded("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "lstsq", recorded("lstsq", np.linalg.lstsq))
     code, report = run_cli(["tim", "--algebra", str(z4_path), "--map", str(theta_path)],
@@ -423,7 +429,31 @@ def test_tim_solves_each_character_with_one_svd(tmp_path, monkeypatch):
     assert code == 0 and report["characters"] == len(tim_calls) == 4
     assert all(entry["affine_dim"] == 0 for entry in report["means"])
     in_tim_set = [label for label, site in calls if site == "tim_set"]
-    assert in_tim_set == ["svd"] * 4
+    assert in_tim_set == ["eigh"] * 4
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="OpenBLAS caps its threads at the CPU count, so one CPU cannot "
+                           "run a second BLAS thread to compare against")
+def test_tim_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    table = cyclic_group_table(24)
+    z24 = group_algebra(table)
+    z24_path = tmp_path / "z24.json"
+    z24_path.write_text(json.dumps(algebra_to_json(z24)))
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(json.dumps(map_to_json(standard_group_involution(z24, table))))
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+
+    def report(threads: int) -> bytes:
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": path}
+        return subprocess.run(
+            [sys.executable, "-m", "trivolve.cli", "tim", "--algebra", str(z24_path),
+             "--map", str(theta_path), "--format", "json"],
+            env=env, capture_output=True, check=True, timeout=300).stdout
+
+    one = report(1)
+    assert json.loads(one)["characters"] == 24
+    assert report(2) == one
 
 
 def test_failure_without_residual_reports_null(tmp_path, m2, capsys):

@@ -1,5 +1,6 @@
 """Dual actions, Arens products, involution extension, characters, means."""
 
+import json
 from itertools import combinations
 
 import numpy as np
@@ -29,10 +30,14 @@ from trivolve.duality import (
 from trivolve.errors import CertificationFailure, UsageError
 from trivolve.instances import (
     conjugate_transpose_involution,
+    instance_battery,
     standard_group_involution,
 )
+from trivolve.linalg import EPS, column_space_and_nullspace
 from trivolve.starmap import conjugation_map, make_map
 from trivolve.trivolution import classify_star_map
+
+from spec_writers import SAMPLE_SPECS
 
 
 def dual_numbers():
@@ -276,6 +281,62 @@ class TestTims:
         star = extend_involution(duals, conj, arens)
         report = tim_obstruction_check(duals, means, phi, star, arens)
         assert report.vacuous and report.unique
+
+
+def svd_tim_set(algebra, space, phi):
+    """The tall-system route ``tim_set`` replaced, kept as a reference: ``(particular, affine_dim)``.
+
+    The ``(2nk+1) x k`` system of the blocks ``a.m - phi(a) m`` and ``m.a - phi(a) m``
+    over the row ``<m, phi> = 1``, solved by one SVD; ``(None, None)`` when its
+    residual exceeds ``EPS``.
+    """
+    n = algebra.dim
+    free = space.free
+    k = len(free)
+    c = algebra.structure
+    left = space.rep_coords(c[:, free, :].transpose(2, 0, 1).reshape(n, n * k)).reshape(k, n, k)
+    right = space.rep_coords(c[free, :, :].transpose(2, 1, 0).reshape(n, n * k)).reshape(k, n, k)
+    blocks = (np.stack([left, right]).transpose(2, 0, 1, 3)
+              - phi[:, None, None, None] * np.eye(k))
+    system = np.vstack([blocks.reshape(2 * n * k, k), phi[free].reshape(1, -1)])
+    target = np.zeros(2 * n * k + 1, dtype=complex)
+    target[-1] = 1.0
+    _, kernel, u, residual = column_space_and_nullspace(system, target)
+    if residual > EPS:
+        return None, None
+    return space.embed_coords(u), kernel.shape[1]
+
+
+def tim_cases():
+    """``(label, algebra, space, characters)``: every commutative battery algebra with its
+    full dual, z2 with the line of ``sample_specs/x_z2.json`` and the dual numbers."""
+    seen = set()
+    for instance in instance_battery(0):
+        algebra = instance.algebra
+        if is_commutative(algebra) and id(algebra) not in seen:
+            seen.add(id(algebra))
+            yield (instance.name, algebra, full_dual(algebra),
+                   find_characters(algebra).characters)
+    z2 = group_algebra(cyclic_group_table(2), labels=["e", "g"])
+    line = np.array(json.loads((SAMPLE_SPECS / "x_z2.json").read_text())["basis"]).T
+    yield "z2 x_z2", z2, check_introverted(z2, line), [verify_character(z2, [1.0, 1.0])]
+    duals = dual_numbers()
+    yield "dual_numbers", duals, full_dual(duals), find_characters(duals).characters
+
+
+def test_tim_set_matches_the_svd_route():
+    compared = 0
+    for label, algebra, space, characters in tim_cases():
+        for phi in characters:
+            means = tim_set(algebra, space, phi)
+            particular, affine_dim = svd_tim_set(algebra, space, phi)
+            assert means.is_empty == (particular is None), label
+            assert means.affine_dim == affine_dim, label
+            if particular is not None:
+                assert np.max(np.abs(means.particular - particular)) <= 1e-12, label
+            assert means.is_empty == (label == "dual_numbers"), label
+            compared += 1
+    assert compared == 91  # 19 battery algebras of dim 2 to 8, every character; then two
 
 
 class TestSearch:

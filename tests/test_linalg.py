@@ -65,7 +65,7 @@ def test_helper_matches_lstsq_and_full_svd(name, consistent):
 
 
 def test_helper_never_builds_the_tall_left_factor():
-    # the TIM system of C[Z24]'s full dual: (2nk+1) x k = 1153 x 24
+    # a tall system of the size C[Z24]'s invariant-mean system has: (2nk+1) x k = 1153 x 24
     rng = np.random.default_rng(0)
     a = rng.standard_normal((1153, 24)) + 1j * rng.standard_normal((1153, 24))
     b = rng.standard_normal(1153) + 0j
