@@ -3,8 +3,7 @@
 Everything here operates on plain numpy arrays.  Ranks and memberships
 use absolute thresholds: the targeted instances are small (dim <= ~64)
 and well conditioned, so absolute tolerances are both simpler and more
-reproducible than relative ones.  The one relative cut, on the
-eigenvalues of a Gram matrix, is named below.
+reproducible than relative ones.
 
 A linear system takes one of four routes:
 
@@ -25,8 +24,8 @@ most ``EPS``; a singular value or a pivot counts towards the rank, so its
 vector leaves the kernel, when it exceeds ``EPS_RANK``.  A least-squares
 solution also drops the singular values at most
 ``eps * max(m, n) * s_max``, ``lstsq``'s ``rcond=None`` cutoff, with
-``eps`` the float64 machine epsilon.  A Gram eigenvalue counts when it
-exceeds ``EPS_RANK * lambda_max``, a cut relative to the Gram's scale.
+``eps`` the float64 machine epsilon.  A Gram matrix's eigenvalues are
+squared singular values, so one counts when it exceeds ``EPS_RANK ** 2``.
 """
 
 from __future__ import annotations
