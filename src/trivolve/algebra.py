@@ -308,7 +308,7 @@ def column_products(structure: np.ndarray, left: np.ndarray, right: np.ndarray) 
 def basis_products(structure: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Every basis product seen through ``matrix``: ``out[i, j, :] = matrix @ (b_i b_j)``."""
     n = structure.shape[0]
-    return (structure.reshape(n * n, n) @ matrix.T).reshape(n, n, -1)
+    return (structure.reshape(n * n, n) @ matrix.T).reshape(n, n, matrix.shape[0])
 
 
 def multiply(algebra: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -500,7 +500,8 @@ def quotient(algebra: Algebra, s: Subspace):
 
     The complement is spanned by the coordinates that are not pivots of
     the ideal's echelon form, which makes the quotient basis labelling
-    reproducible.  Returns ``(quotient_algebra, quotient_map)``.
+    reproducible.  The quotient by the whole algebra is the zero algebra.
+    Returns ``(quotient_algebra, quotient_map)``.
     """
     from .starmap import classify_multiplicativity, make_map  # deferred: starmap imports algebra
 
@@ -514,8 +515,6 @@ def quotient(algebra: Algebra, s: Subspace):
     n = algebra.dim
     free = s.free
     k = len(free)
-    if k == 0:
-        raise UsageError("quotient by the whole algebra is trivial")
 
     # reduce each product b_i b_j (i, j free) and each b_i onto the free coordinates
     products = algebra.structure[np.ix_(free, free)].reshape(k * k, n).T

@@ -19,7 +19,6 @@ from .algebra import (
     induced_subalgebra,
 )
 from .duality import (
-    arens_products,
     extend_involution,
     find_characters,
     full_dual,
@@ -186,12 +185,9 @@ def _section_arens(battery: list[TrivolutionInstance]) -> dict:
             continue
         seen.add(id(inst.algebra))
         space = full_dual(inst.algebra)
-        arens = arens_products(inst.algebra, space)
-        worst_tensor = max(worst_tensor,
-                           max_abs(arens.box - inst.algebra.structure),
-                           max_abs(arens.diamond - inst.algebra.structure))
+        worst_tensor = max(worst_tensor, max_abs(space.quotient.structure - inst.algebra.structure))
         theta = inst.natural_involution
-        extension = extend_involution(inst.algebra, theta, arens)
+        extension = extend_involution(inst.algebra, theta, space)
         worst_theta = max(worst_theta, max_abs(extension.matrix - theta.matrix))
         count += 1
         if count >= 12:
@@ -215,9 +211,8 @@ def _section_tim() -> dict:
     if means.particular is not None:
         worst = max(worst, max_abs(means.particular - 0.5 * np.ones(2)))
     theta = standard_group_involution(z2, cyclic_group_table(2))
-    arens = arens_products(z2, space)
-    star = extend_involution(z2, theta, arens)
-    obstruction = tim_obstruction_check(z2, means, augmentation, star, arens)
+    star = extend_involution(z2, theta, space)
+    obstruction = tim_obstruction_check(means, augmentation, star, space)
     ok &= obstruction.unique and not obstruction.vacuous
     worst = max(worst, max(obstruction.chain_residuals.values(), default=0.0))
 

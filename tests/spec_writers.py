@@ -74,8 +74,8 @@ def jsonable(value):
 
 
 SAMPLE_SPECS = Path(__file__).resolve().parent.parent / "sample_specs"
-_C2, _TAU, _Z2, _X_Z2 = (str(SAMPLE_SPECS / name)
-                         for name in ("c2.json", "tau.json", "z2.json", "x_z2.json"))
+_C2, _TAU, _Z2, _X_Z2, _X_ZERO = (str(SAMPLE_SPECS / name) for name in (
+    "c2.json", "tau.json", "z2.json", "x_z2.json", "x_zero.json"))
 SAMPLE_COMMANDS = {
     "check": ["check", "--algebra", _C2, "--map", _TAU],
     "check z2": ["check", "--algebra", _Z2, "--map", _TAU],
@@ -89,6 +89,9 @@ SAMPLE_COMMANDS = {
     # X = the trivial character's line, a proper dual subspace: X* = A / (augmentation ideal)
     "arens subspace": ["arens", "--algebra", _Z2, "--dual-basis", _X_Z2],
     "tim subspace": ["tim", "--algebra", _Z2, "--dual-basis", _X_Z2],
+    # X = 0: X^perp is all of A and X* the zero algebra
+    "arens zero": ["arens", "--algebra", _Z2, "--dual-basis", _X_ZERO],
+    "tim zero": ["tim", "--algebra", _Z2, "--dual-basis", _X_ZERO],
     "search": ["search", "--algebra", _C2, "--family", "function"],
     "suite": ["suite", "--seed", "0"],
 }

@@ -372,6 +372,12 @@ class TestQuotient:
         assert str(caught.value) == (
             f"subspace is not a two-sided ideal: {witness} escapes the subspace")
 
+    def test_whole_algebra_gives_the_zero_algebra(self, z2):
+        # the X* of X = 0: X^perp is all of A
+        quot, qmap = quotient(z2, Subspace(np.eye(2), z2))
+        assert quot.dim == 0 and quot.structure.shape == (0, 0, 0)
+        assert qmap.matrix.shape == (0, 2)
+
     def test_identity_span_not_ideal(self, c2):
         s = Subspace(np.array([[1.0], [1.0]]), c2)
         # oracle: (1,1).(1,0) = (1,0) is outside span{(1,1)}

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trivolve.algebra import cyclic_group_table, group_algebra
+from trivolve import cli
+from trivolve.algebra import Subspace, cyclic_group_table, group_algebra
 from trivolve.cli import _render, _render_text, build_parser, main, run
 from trivolve.errors import UsageError
 from trivolve.instances import standard_group_involution
@@ -217,6 +218,18 @@ def test_a_subspace_that_is_not_introverted_fails(tmp_path, command, basis):
     assert report["details"] == {"escape": "lambda_0 . b_1 escapes X"}
 
 
+@pytest.mark.parametrize("command", ["arens", "tim"])
+def test_no_involution_extends_to_the_zero_x_star(tmp_path, command, z2_involution):
+    # X = 0 makes X* the zero algebra, whose one map is zero, and a star map is not zero:
+    # the extension fails its law with a report, where it used to raise a ValueError
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps(map_to_json(z2_involution)))
+    code, report = run_cli([command, "--algebra", str(Z2_SPEC), "--map", str(theta),
+                            "--dual-basis", str(SAMPLE_SPECS / "x_zero.json")], tmp_path)
+    assert code == 1
+    assert report["law"] == "Theta is an involution on (X*, box)"
+
+
 def test_unsupported_search_family_names_the_two(tmp_path):
     code, report = run_cli(["search", "--algebra", str(Z2_SPEC), "--family", "pairs"], tmp_path)
     assert code == 2
@@ -273,26 +286,55 @@ def test_tim_solves_once_per_character(tmp_path, z2, z2_involution, monkeypatch)
     assert len(calls) == report["characters"] == 2
 
 
-def test_tim_classifies_star_once_and_builds_arens_once(tmp_path, monkeypatch):
-    # theta and its extension are classified inside extend_involution, once
-    # each, and the command classifies neither again for the four characters
+def z4_with_involution(tmp_path):
+    """Spec files of standard-basis C[Z4] and its standard involution: ``(algebra, theta)``."""
     table = cyclic_group_table(4)
     z4 = group_algebra(table)
     z4_path = tmp_path / "z4.json"
     z4_path.write_text(json.dumps(algebra_to_json(z4)))
     theta_path = tmp_path / "theta.json"
     theta_path.write_text(json.dumps(map_to_json(standard_group_involution(z4, table))))
+    return str(z4_path), str(theta_path)
+
+
+def test_tim_classifies_star_once_and_builds_arens_once(tmp_path, monkeypatch):
+    # theta and its extension are classified inside extend_involution, once
+    # each, and the command classifies neither again for the four characters;
+    # X* = A / X^perp with its Arens product is one quotient per command
+    z4_path, theta_path = z4_with_involution(tmp_path)
     classified = count_calls(monkeypatch, "classify_star_map")
-    arens = count_calls(monkeypatch, "arens_products")
-    code, report = run_cli(["tim", "--algebra", str(z4_path), "--map", str(theta_path)],
-                           tmp_path)
+    quotients = count_calls(monkeypatch, "quotient")
+    code, report = run_cli(["tim", "--algebra", z4_path, "--map", theta_path], tmp_path)
     assert code == 0 and report["characters"] == 4
     assert all(entry["obstruction"]["unique"] for entry in report["means"])
-    assert len(classified) == 2 and len(arens) == 1
-    code, report = run_cli(["arens", "--algebra", str(z4_path), "--map", str(theta_path)],
-                           tmp_path)
+    assert len(classified) == 2 and len(quotients) == 1
+    code, report = run_cli(["arens", "--algebra", z4_path, "--map", theta_path], tmp_path)
     assert code == 0 and "extension" in report
-    assert len(arens) == 2
+    assert len(quotients) == 2
+
+
+def test_tim_obstruction_check_reduces_nothing(tmp_path, monkeypatch):
+    # a.m*, m*.a and the classes of the basis are read off the quotient and its map,
+    # built once per space: the chain makes no reduction for any character
+    z4_path, theta_path = z4_with_involution(tmp_path)
+    reduced, per_check = [], []
+    original_check, original_reduce = cli.tim_obstruction_check, Subspace.reduce
+
+    def check(*args):
+        before = len(reduced)
+        result = original_check(*args)
+        per_check.append(len(reduced) - before)
+        return result
+
+    def counted_reduce(self, columns):
+        reduced.append(columns)
+        return original_reduce(self, columns)
+
+    monkeypatch.setattr(cli, "tim_obstruction_check", check)
+    monkeypatch.setattr(Subspace, "reduce", counted_reduce)
+    code, report = run_cli(["tim", "--algebra", z4_path, "--map", theta_path], tmp_path)
+    assert code == 0 and report["characters"] == 4
+    assert per_check == [0, 0, 0, 0]
 
 
 def test_extend_builds_range_identity_once_per_solver(spec_files, tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""Dual actions, Arens products, involution extension, characters, means."""
+"""Dual actions, X* = A / X^perp and its Arens products, involution extension, characters, means."""
 
 import json
 from itertools import combinations
@@ -14,10 +14,8 @@ from trivolve.algebra import (
     is_commutative,
     make_algebra,
     matrix_algebra,
-    quotient,
 )
 from trivolve.duality import (
-    arens_products,
     check_introverted,
     extend_involution,
     find_characters,
@@ -116,37 +114,70 @@ class TestIntroverted:
         assert space.diagnostic == "lambda_0 . b_1 escapes X"
 
 
+def arens_reference(algebra, space):
+    """Both Arens products on ``X*``, unwound literally on dual bases: ``(box, diamond)``.
+
+    The route ``X* = A / X^perp`` replaced, kept as a reference.  Left product:
+    ``<Phi [] Psi, lam> = <Phi, Psi . lam>`` with ``<Psi . lam, a> = <Psi, lam . a>``.
+    Right product: ``<Phi <> Psi, lam> = <Psi, lam . Phi>`` with
+    ``<lam . Phi, a> = <Phi, a . lam>``.  ``Phi_i`` and ``Psi_j`` are the basis
+    vectors ``b_free_i`` and ``b_free_j``, and ``lam`` runs over the canonical
+    columns ``lambda_s`` of ``X``.  A functional on ``X`` is represented on the
+    free coordinates by one solve against its values on ``lambda_s``.
+    """
+    free = space.free
+    k = len(free)
+    values = basis_products(algebra.structure, space.basis.canonical_columns().T)
+    # [a, j, s]: <Psi_j . lambda_s, b_a> = <lambda_s . b_a, b_free_j> = <lambda_s, b_a b_free_j>
+    psi_lam = values[:, free, :]
+    box_values = psi_lam[free]  # [i, j, s]: <Phi_i, Psi_j . lambda_s>
+    # [a, i, s]: <lambda_s . Phi_i, b_a> = <b_a . lambda_s, b_free_i> = <lambda_s, b_free_i b_a>
+    lam_phi = values[free].transpose(1, 0, 2)
+    diamond_values = lam_phi[free].transpose(1, 0, 2)  # [i, j, s]: <Psi_j, lambda_s . Phi_i>
+    evaluation = space.basis.echelon[:, free]  # rows over the X basis, columns over free coords
+
+    def from_values(v):
+        return np.linalg.solve(evaluation, v.reshape(k * k, k).T).T.reshape(k, k, k)
+
+    return from_values(box_values), from_values(diamond_values)
+
+
 class TestArens:
     def test_full_dual_reflexivity_oracle(self, z2, m2):
         for algebra in (z2, m2):
-            structure = arens_products(algebra, full_dual(algebra))
-            assert np.max(np.abs(structure.box - algebra.structure)) < 1e-10
-            assert np.max(np.abs(structure.diamond - algebra.structure)) < 1e-10
-            assert structure.regular
+            space = full_dual(algebra)
+            box, diamond = arens_reference(algebra, space)
+            assert np.max(np.abs(space.quotient.structure - algebra.structure)) < 1e-10
+            assert np.max(np.abs(box - algebra.structure)) < 1e-10
+            assert np.max(np.abs(diamond - algebra.structure)) < 1e-10
+            assert np.max(np.abs(box - diamond)) <= EPS  # Arens regular
 
     def test_augmentation_quotient(self, z2):
         space = check_introverted(z2, np.array([[1.0], [1.0]]))
-        structure = arens_products(z2, space)
-        assert structure.box.shape == (1, 1, 1)
-        assert np.allclose(structure.box, [[[1.0]]])  # scalar multiplication
-        assert structure.regular
+        box, diamond = arens_reference(z2, space)
+        assert space.quotient.structure.shape == (1, 1, 1)
+        assert np.allclose(space.quotient.structure, [[[1.0]]])  # scalar multiplication
+        assert np.allclose(box, [[[1.0]]]) and np.max(np.abs(box - diamond)) <= EPS
 
     def test_non_introverted_rejected(self):
         duals = dual_numbers()
         space = check_introverted(duals, np.array([[0.0], [1.0]]))
         with pytest.raises(CertificationFailure) as info:
-            arens_products(duals, space)
+            space.quotient
         assert info.value.law == "X topologically introverted"
         assert info.value.details == {"escape": "lambda_0 . b_1 escapes X"}
 
 
 class TestExtendInvolution:
     def test_group_involution_extends_to_itself(self, z2, z2_involution):
-        extension = extend_involution(z2, z2_involution, arens_products(z2, full_dual(z2)))
+        space = full_dual(z2)
+        extension = extend_involution(z2, z2_involution, space)
+        assert extension.source is extension.target is space.quotient
         assert np.allclose(extension.matrix, z2_involution.matrix)
 
     def test_matrix_star_extends(self, m2, m2_star):
-        extension = extend_involution(m2, m2_star, arens_products(m2, full_dual(m2)))
+        space = full_dual(m2)
+        extension = extend_involution(m2, m2_star, space)
         assert np.allclose(extension.matrix, m2_star.matrix)
         verdict = classify_star_map(extension.source, extension)
         assert verdict.kind == "involution"
@@ -158,7 +189,7 @@ class TestExtendInvolution:
         space = check_introverted(c2, np.array([[1.0], [0.0]]))
         assert space.introverted and not space.faithful
         with pytest.raises(CertificationFailure) as info:
-            extend_involution(c2, swap, arens_products(c2, space))
+            extend_involution(c2, swap, space)
         assert info.value.law == "theta*(X) contained in X"
 
 
@@ -255,19 +286,17 @@ class TestTims:
     def test_obstruction_chain_z2(self, z2, z2_involution):
         space = full_dual(z2)
         phi = verify_character(z2, [1.0, 1.0])
-        arens = arens_products(z2, space)
-        star = extend_involution(z2, z2_involution, arens)
-        report = tim_obstruction_check(z2, tim_set(z2, space, phi), phi, star, arens)
+        star = extend_involution(z2, z2_involution, space)
+        report = tim_obstruction_check(tim_set(z2, space, phi), phi, star, space)
         assert report.unique and not report.vacuous
         assert max(report.chain_residuals.values()) <= 1e-9
 
     def test_obstruction_chain_pointwise(self, c3):
         space = full_dual(c3)
         conj = conjugation_map(c3)
-        arens = arens_products(c3, space)
-        star = extend_involution(c3, conj, arens)
+        star = extend_involution(c3, conj, space)
         for phi in find_characters(c3).characters:
-            report = tim_obstruction_check(c3, tim_set(c3, space, phi), phi, star, arens)
+            report = tim_obstruction_check(tim_set(c3, space, phi), phi, star, space)
             assert report.unique
 
     def test_vacuous_when_no_mean_exists(self):
@@ -277,9 +306,8 @@ class TestTims:
         means = tim_set(duals, space, phi)
         assert means.is_empty
         conj = conjugation_map(duals)
-        arens = arens_products(duals, space)
-        star = extend_involution(duals, conj, arens)
-        report = tim_obstruction_check(duals, means, phi, star, arens)
+        star = extend_involution(duals, conj, space)
+        report = tim_obstruction_check(means, phi, star, space)
         assert report.vacuous and report.unique
 
 
@@ -294,8 +322,12 @@ def svd_tim_set(algebra, space, phi):
     free = space.free
     k = len(free)
     c = algebra.structure
-    left = space.rep_coords(c[:, free, :].transpose(2, 0, 1).reshape(n, n * k)).reshape(k, n, k)
-    right = space.rep_coords(c[free, :, :].transpose(2, 1, 0).reshape(n, n * k)).reshape(k, n, k)
+
+    def rep_coords(columns):  # X* coordinates of the classes of second-dual vectors
+        return space.annihilator.reduce(columns)[free]
+
+    left = rep_coords(c[:, free, :].transpose(2, 0, 1).reshape(n, n * k)).reshape(k, n, k)
+    right = rep_coords(c[free, :, :].transpose(2, 1, 0).reshape(n, n * k)).reshape(k, n, k)
     blocks = (np.stack([left, right]).transpose(2, 0, 1, 3)
               - phi[:, None, None, None] * np.eye(k))
     system = np.vstack([blocks.reshape(2 * n * k, k), phi[free].reshape(1, -1)])
@@ -403,28 +435,41 @@ def test_arens_oracle_battery(battery):
         if inst.algebra.dim > 8 or id(inst.algebra) in seen:
             continue
         seen.add(id(inst.algebra))
-        structure = arens_products(inst.algebra, full_dual(inst.algebra))
-        assert np.max(np.abs(structure.box - inst.algebra.structure)) < 1e-8
-        assert np.max(np.abs(structure.diamond - inst.algebra.structure)) < 1e-8
+        space = full_dual(inst.algebra)
+        box, diamond = arens_reference(inst.algebra, space)
+        assert np.max(np.abs(space.quotient.structure - inst.algebra.structure)) < 1e-8
+        assert np.max(np.abs(box - inst.algebra.structure)) < 1e-8
+        assert np.max(np.abs(diamond - inst.algebra.structure)) < 1e-8
         if len(seen) >= 10:
             break
 
 
 def test_x_star_shares_the_quotient_coordinates(battery):
-    # X* = A / X^perp: the box product is the quotient's structure in the same
-    # coordinates, on the full dual and on every span of a proper subset of characters
+    # X* = A / X^perp: both literal Arens products are the quotient's structure in the same
+    # coordinates, on the full dual and on every span of a proper subset of characters; a
+    # proper X in a random complex basis gives the same X*
+    rng = np.random.default_rng(0)
     algebras = {id(inst.algebra): inst.algebra for inst in battery if inst.algebra.dim <= 6}
-    count = 0
+    count = rebased = 0
     for algebra in algebras.values():
-        spaces = [full_dual(algebra)]
+        spaces = [(full_dual(algebra), None)]
         if is_commutative(algebra):
             chars = find_characters(algebra).characters
-            spaces += [check_introverted(algebra, np.column_stack(subset))
+            spaces += [(check_introverted(algebra, np.column_stack(subset)), np.column_stack(subset))
                        for size in range(1, len(chars)) for subset in combinations(chars, size)]
-        for space in spaces:
-            arens = arens_products(algebra, space)
-            quot, _ = quotient(algebra, space.annihilator)
-            assert arens.box_algebra.basis_labels == quot.basis_labels
-            assert np.max(np.abs(arens.box - quot.structure)) <= 1e-12
+        for space, x_basis in spaces:
+            box, diamond = arens_reference(algebra, space)
+            quot = space.quotient
+            assert quot.basis_labels == tuple(algebra.basis_labels[f] for f in space.free)
+            assert np.max(np.abs(box - quot.structure)) <= 1e-12
+            assert np.max(np.abs(diamond - quot.structure)) <= 1e-12
             count += 1
+            if x_basis is not None:
+                size = x_basis.shape[1]
+                change = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+                other = check_introverted(algebra, x_basis @ change)
+                assert other.free == space.free
+                assert np.max(np.abs(other.quotient.structure - quot.structure)) <= 1e-12
+                rebased += 1
     assert count == 462
+    assert rebased == 462 - len(algebras)

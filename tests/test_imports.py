@@ -36,9 +36,8 @@ def test_every_imported_name_is_used(module):
 
 # Reached by ``pyproject.toml``'s console script, not by a name in ``src/``.
 ENTRY_POINTS = {"cli.main"}
-# Called only from tests: ``test_duality`` checks the box product of ``X* = A / X^perp``
-# against this quotient, its independent reference.
-NOT_YET_REACHED = {"algebra.quotient"}
+# Called only from tests; none today.
+NOT_YET_REACHED: set[str] = set()
 
 
 def names(node: ast.AST) -> Counter:
