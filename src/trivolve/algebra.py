@@ -34,7 +34,6 @@ from .linalg import (
     freeze,
     max_abs,
     reduce_vector,
-    solve_exact,
 )
 
 
@@ -95,6 +94,15 @@ class Subspace:
     def canonical_columns(self) -> np.ndarray:
         """Echelon spanning vectors as columns (deterministic basis)."""
         return self.echelon.T.copy()
+
+    def coordinates(self, columns) -> tuple[np.ndarray, float]:
+        """Coordinates of ``columns`` in ``canonical_columns()`` ``E``, and ``max |E c - v|``.
+
+        ``E`` is the identity at the pivots, so a member's coordinates are its
+        pivot entries; a column outside the span has a residual above ``EPS``.
+        """
+        coords = as_complex(columns)[list(self.pivots)]
+        return coords, max_abs(self.echelon.T @ coords - columns)
 
     def residual(self, vector) -> float:
         return float(self.residuals(as_complex(vector).reshape(-1, 1))[0])
@@ -247,8 +255,9 @@ def _find_identity(structure: np.ndarray) -> np.ndarray | None:
     except np.linalg.LinAlgError:  # a singular Gram matrix
         pass
     with np.errstate(all="ignore"):  # likewise for lstsq on subnormal constants
-        e, residual = solve_exact(system, target)
-    return e if residual <= EPS else None
+        e, *_ = np.linalg.lstsq(system, target, rcond=None)
+        residual = max_abs(system @ e - target)
+    return as_complex(e) if residual <= EPS else None
 
 
 def make_algebra(dim: int, structure, labels: Sequence[str] | None = None,
@@ -486,7 +495,7 @@ def induced_subalgebra(algebra: Algebra, s: Subspace) -> tuple[Algebra, np.ndarr
     if k == 0:
         return make_algebra(0, np.zeros((0, 0, 0)), []), q
     products = _pair_products(algebra, q)
-    coeffs, residual = solve_exact(q, products)
+    coeffs, residual = s.coordinates(products)
     certify(residual, EPS, "closure under multiplication",
             "a product of basis vectors escapes the subspace (residual {residual:.3e})")
     structure = coeffs.reshape(k, k, k).transpose(1, 2, 0)

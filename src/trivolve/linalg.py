@@ -7,10 +7,9 @@ reproducible than relative ones.
 
 A linear system takes one of four routes:
 
-- a solve-only system goes to ``solve_exact`` (``lstsq``), which was
-  measured faster than a thin SVD on tall systems.  The identity system
-  (``algebra._find_identity``, 8192 x 64 for C[Z64]) comes here only when
-  the solution of its normal equations fails the residual;
+- coordinates in a subspace are its pivot entries in the reduced echelon
+  basis (``algebra.Subspace.coordinates``), certified by the residual of
+  ``E c = v``;
 - a system whose kernel or image is needed, with or without a solve, goes
   to ``column_space_and_nullspace``: one thin SVD gives all of them;
 - the invariant-mean system (``duality.tim_set``, 1153 x 24 for C[Z24])
@@ -22,9 +21,10 @@ A linear system takes one of four routes:
 The cutoffs are two constants.  A law holds when its residual is at
 most ``EPS``; a singular value or a pivot counts towards the rank, so its
 vector leaves the kernel, when it exceeds ``EPS_RANK``.  A least-squares
-solution also drops the singular values at most
-``eps * max(m, n) * s_max``, ``lstsq``'s ``rcond=None`` cutoff, with
-``eps`` the float64 machine epsilon.  A Gram matrix's eigenvalues are
+solve also drops the singular values at most ``eps * max(m, n) * s_max``,
+with ``eps`` the float64 machine epsilon.  ``lstsq``'s ``rcond=None`` rule
+is left only where the identity's normal equations fail
+(``algebra._find_identity``).  A Gram matrix's eigenvalues are
 squared singular values, so one counts when it exceeds ``EPS_RANK ** 2``.
 """
 
@@ -128,14 +128,6 @@ def column_space_and_nullspace(mat: np.ndarray, rhs: np.ndarray | None = None) -
     k = int(np.sum(s > np.finfo(float).eps * max(m, n) * np.max(s, initial=0.0)))
     x = vh[:k, :].conj().T @ ((u[:, :k].conj().T @ rhs) / s[:k])
     return image, kernel, x, max_abs(a @ x - rhs)
-
-
-def solve_exact(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares solve returning the solution and the worst residual."""
-    a = as_complex(a)
-    b = as_complex(b)
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return x, max_abs(a @ x - b)
 
 
 def realify_conjugation_fixed_points(m: np.ndarray) -> np.ndarray:

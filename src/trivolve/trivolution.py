@@ -36,7 +36,6 @@ from .linalg import (
     column_space_and_nullspace,
     max_abs,
     realify_conjugation_fixed_points,
-    solve_exact,
 )
 from .starmap import (
     AlgMap,
@@ -141,11 +140,12 @@ def canonical_decomposition(algebra: Algebra, tau: AlgMap) -> Decomposition:
     - ``rho = tau|_B`` is an involution of ``B``;
     - ``tau = rho o p``.
 
-    The reconstruction ``rho o p`` uses ``make_trivolution``'s formula on
-    the echelon columns of ``p(A)``, which is what ``make_trivolution``
-    itself builds on.  ``embedding`` spans the same space but can differ
-    from those columns in the last bit, so building on it would change
-    the ``reconstruction`` residual.
+    ``rho`` is in the coordinates of ``B``'s echelon columns.  The
+    reconstruction ``rho o p`` is ``make_trivolution``'s formula,
+    ``_rho_after_p``, which takes the ``Subspace`` ``p(A)`` and reads
+    ``p``'s coordinates at its pivots.  ``embedding`` spans the same space
+    but can differ from ``p(A)``'s columns in the last bit, so building on
+    it would change the ``reconstruction`` residual.
     """
     verdict = classify_star_map(algebra, tau)
     if not verdict.is_trivolution:
@@ -178,7 +178,7 @@ def canonical_decomposition(algebra: Algebra, tau: AlgMap) -> Decomposition:
         raise CertificationFailure("kernel of p differs from kernel of t", law="ker p = ker t")
 
     subalg, embedding = induced_subalgebra(algebra, image)
-    rho_matrix, restrict_residual = solve_exact(embedding, tau.matrix @ np.conj(embedding))
+    rho_matrix, restrict_residual = image.coordinates(tau.matrix @ np.conj(embedding))
     residuals["rho_restriction"] = certify(restrict_residual, EPS, "t(B) contained in B",
                                            "t does not restrict to its image")
     rho = AlgMap(matrix=rho_matrix, conjugating=True, source=subalg, target=subalg)
@@ -188,7 +188,7 @@ def canonical_decomposition(algebra: Algebra, tau: AlgMap) -> Decomposition:
                                    law="rho = t|_B is an involution", residual=rho_verdict.residual)
     residuals["rho_squared"] = max_abs(compose(rho, rho).matrix - np.eye(subalg.dim))
 
-    rebuilt = _rho_after_p(algebra, p_image.canonical_columns(), p.matrix, rho.matrix)
+    rebuilt = _rho_after_p(algebra, p_image, p.matrix, rho.matrix)
     residuals["reconstruction"] = certify(max_abs(rebuilt.matrix - tau.matrix), EPS,
                                           "tau = rho o p",
                                           "rho o p does not reproduce the original map")
@@ -197,12 +197,10 @@ def canonical_decomposition(algebra: Algebra, tau: AlgMap) -> Decomposition:
                          verdict=verdict, residuals=residuals)
 
 
-def _rho_after_p(algebra: Algebra, embedding: np.ndarray, p: np.ndarray,
-                 rho: np.ndarray) -> AlgMap:
-    """``rho o p`` on ``algebra``, for the matrix ``rho`` in the coordinates of the columns
-    ``embedding`` and the linear ``p`` with image in their span."""
-    coords_of = np.linalg.pinv(embedding)
-    matrix = embedding @ rho @ np.conj(coords_of @ p)
+def _rho_after_p(algebra: Algebra, b: Subspace, p: np.ndarray, rho: np.ndarray) -> AlgMap:
+    """``rho o p`` on ``algebra``, for ``rho`` in the coordinates of ``b``'s echelon columns
+    and the linear ``p`` into ``b``, whose coordinates there are its rows at ``b``'s pivots."""
+    matrix = b.canonical_columns() @ rho @ np.conj(p[list(b.pivots)])
     return AlgMap(matrix=matrix, conjugating=True, source=algebra, target=algebra)
 
 
@@ -220,7 +218,7 @@ def make_trivolution(algebra: Algebra, p: AlgMap, rho: AlgMap) -> AlgMap:
             "p is not multiplicative")
     certify(max_abs(compose(p, p).matrix - p.matrix), EPS, "p o p = p", "p is not idempotent")
     _, image = kernel_image(p)
-    subalg, embedding = induced_subalgebra(algebra, image)
+    subalg, _ = induced_subalgebra(algebra, image)
     if not algebras_compatible(rho.source, subalg):
         raise UsageError("rho is not defined on the induced algebra of the projection's image")
     if not rho.conjugating:
@@ -230,7 +228,7 @@ def make_trivolution(algebra: Algebra, p: AlgMap, rho: AlgMap) -> AlgMap:
         raise CertificationFailure("rho is not an involution on the image subalgebra",
                                    law="rho^2 = id, rho anti-multiplicative",
                                    residual=rho_verdict.residual)
-    return _rho_after_p(algebra, embedding, p.matrix, rho.matrix)
+    return _rho_after_p(algebra, image, p.matrix, rho.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +263,7 @@ def factor_through_involution(algebra: Algebra, tau: AlgMap, j: AlgMap) -> Facto
         raise CertificationFailure("j must be conjugate-linear", law="j conjugate-linear")
 
     ideal_alg, ideal_cols = induced_subalgebra(algebra, dec.ideal_I)
-    j_restricted, escape = solve_exact(ideal_cols, j.matrix @ np.conj(ideal_cols))
+    j_restricted, escape = dec.ideal_I.coordinates(j.matrix @ np.conj(ideal_cols))
     certify(escape, EPS, "j(I) contained in I", "j does not preserve the ideal")
     j_on_ideal = AlgMap(matrix=j_restricted, conjugating=True, source=ideal_alg, target=ideal_alg)
     j_verdict = classify_star_map(ideal_alg, j_on_ideal)
@@ -403,7 +401,7 @@ def right_identity_trivolution(c: Algebra, e: np.ndarray, a_sub: Subspace,
         raise CertificationFailure("tau_on_a is not a trivolution on eC",
                                    law="trivolution axioms on the subalgebra")
 
-    tau1 = _rho_after_p(c, embedding, l_e, tau_on_a.matrix)
+    tau1 = _rho_after_p(c, a_sub, l_e, tau_on_a.matrix)
     verdict = classify_star_map(c, tau1)
     if not verdict.is_trivolution:
         raise CertificationFailure("tau o ell_e failed the trivolution axioms",

@@ -25,7 +25,7 @@ from trivolve.algebra import (
 )
 from trivolve.duality import verify_character
 from trivolve.instances import instance_battery, remark_pair
-from trivolve.linalg import EPS, echelon_rows, reduce_vector, solve_exact
+from trivolve.linalg import EPS, echelon_rows, max_abs, reduce_vector
 from trivolve.errors import CertificationFailure, UsageError
 from trivolve.serialization import load_element
 from trivolve.starmap import apply, kernel_image
@@ -113,8 +113,8 @@ def lstsq_identity(structure):
     system = np.stack([structure.transpose(1, 2, 0), structure.transpose(0, 2, 1)],
                       axis=1).reshape(2 * n * n, n)
     target = np.broadcast_to(np.eye(n)[:, None, :], (n, 2, n)).reshape(-1)
-    e, residual = solve_exact(system, target)
-    return e if residual <= EPS else None
+    e, *_ = np.linalg.lstsq(system, target, rcond=None)
+    return e if max_abs(system @ e - target) <= EPS else None
 
 
 def random_basis_m3(scale):
@@ -450,3 +450,55 @@ class TestBatchedReduction:
         assert np.array_equal(s.residuals(x), expected)
         assert [s.residual(x[:, j]) for j in range(6)] == expected.tolist()
         assert s.residuals(np.zeros((n, 0))).shape == (0,)
+
+
+def lstsq_coordinates(s, columns):
+    """Coordinates in ``s``'s echelon columns by ``lstsq``, and the worst residual."""
+    q = s.canonical_columns()
+    coords, *_ = np.linalg.lstsq(q, columns, rcond=None)
+    return coords, max_abs(q @ coords - columns)
+
+
+class TestCoordinates:
+    """``Subspace.coordinates`` reads the pivot entries; ``lstsq`` is the reference."""
+
+    @pytest.fixture(scope="class")
+    def subspaces(self, battery):
+        return [(f"{inst.name} {side}", s) for inst in battery
+                for side, s in zip(("kernel", "image"), kernel_image(inst.tau)) if s.dim]
+
+    def test_members_match_lstsq(self, subspaces):
+        assert len(subspaces) == 380
+        rng = np.random.default_rng(0)
+        for name, s in subspaces:
+            weights = rng.standard_normal((s.dim, 3)) + 1j * rng.standard_normal((s.dim, 3))
+            members = s.canonical_columns() @ weights
+            coords, residual = s.coordinates(members)
+            expected, expected_residual = lstsq_coordinates(s, members)
+            assert max_abs(coords - expected) <= 1e-12, name
+            assert max(residual, expected_residual) <= 1e-12, name
+            one, one_residual = s.coordinates(members[:, 0])
+            assert one.shape == (s.dim,) and one_residual <= 1e-12, name
+
+    def test_induced_structure_matches_lstsq(self, subspaces):
+        images = [(name, s) for name, s in subspaces if name.endswith("image")]
+        assert images
+        for name, s in images:
+            q = s.canonical_columns()
+            k = q.shape[1]
+            products = np.einsum("ai,bj,abm->mij", q, q, s.algebra.structure).reshape(-1, k * k)
+            coeffs, residual = lstsq_coordinates(s, products)
+            assert residual <= EPS, name
+            sub, embedding = induced_subalgebra(s.algebra, s)
+            assert np.array_equal(embedding, q), name
+            expected = coeffs.reshape(k, k, k).transpose(1, 2, 0)
+            assert max_abs(sub.structure - expected) <= 1e-12, name
+
+    def test_a_column_outside_fails_both_routes(self, subspaces):
+        outside = [(name, s) for name, s in subspaces if s.free]
+        assert outside
+        for name, s in outside:
+            column = np.eye(s.algebra.dim, dtype=complex)[:, s.free[0]]
+            column += s.canonical_columns().sum(axis=1)
+            assert s.coordinates(column)[1] > EPS, name
+            assert lstsq_coordinates(s, column)[1] > EPS, name

@@ -688,6 +688,17 @@ def test_failed_spectral_inclusion_exits_1(tmp_path, capsys):
     assert "\n    range_spectrum: [[7.0, 0.0]]\n" in out
 
 
+def test_spectra_certifies_that_t_x_lies_in_the_range(tmp_path):
+    # the singular value 5e-9 is below EPS_RANK, so t(A) is the first axis, and
+    # t(x) = (1, 5e-6) is 5e-6 away from it
+    tau = tmp_path / "tau.json"
+    tau.write_text(json.dumps({"matrix": [[1, 0], [0, 5e-9]], "conjugating": True}))
+    code, report = run_cli(["spectra", "--algebra", str(SAMPLE_SPECS / "c2.json"),
+                            "--element", "[1, 1000]", "--map", str(tau)], tmp_path)
+    assert code == 1 and report["error"] == "CertificationFailure"
+    assert report["law"] == "t(x) in t(A)" and report["residual"] == pytest.approx(5e-6)
+
+
 @pytest.mark.parametrize("target", ["missing/x.json", "."])
 def test_unwritable_out_is_usage_error(spec_files, tmp_path, capsys, target):
     # a missing directory and a directory: exit 2 with one line, not a traceback

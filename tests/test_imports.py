@@ -184,3 +184,43 @@ def test_scan_finds_a_structure_contraction():
                          ids=lambda p: p.name)
 def test_only_algebra_contracts_a_structure_tensor(module):
     assert structure_contractions(module.read_text(encoding="utf-8")) == []
+
+
+# A subspace's coordinates are its pivot entries (``algebra.Subspace.coordinates``).  ``lstsq``
+# and its relative ``rcond`` rule are left only in the identity's fallback, where the normal
+# equations fail; ``pinv`` and ``solve_exact`` are gone.
+SOLVERS = {"lstsq", "pinv", "solve_exact"}
+SOLVER_USES = ["algebra._find_identity: lstsq"]
+
+
+def solver_uses(sources: dict[str, str]) -> list[str]:
+    """Each ``module.function: name`` where a name of ``SOLVERS`` occurs, in source order.
+
+    A name occurs as a ``Name``, an ``Attribute``, an imported alias or a definition;
+    ``function`` is the innermost enclosing def, ``<module>`` outside every def.
+    """
+    found = []
+
+    def visit(node: ast.AST, module: str, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        named = {getattr(node, attr, None) for attr in ("id", "attr", "name", "asname")}
+        found.extend(f"{module}.{where}: {name}" for name in sorted(SOLVERS & named))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "<module>")
+    return found
+
+
+def test_scan_finds_a_solver():
+    source = ("from numpy.linalg import pinv\n\ndef f(a, b):\n    def g():\n"
+              "        return np.linalg.lstsq(a, b)\n    return g, pinv(a)\n\nx = solve_exact\n")
+    assert solver_uses({"a": source}) == [
+        "a.<module>: pinv", "a.g: lstsq", "a.f: pinv", "a.<module>: solve_exact"]
+
+
+def test_lstsq_is_left_only_in_the_identity_fallback():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert solver_uses(sources) == SOLVER_USES
