@@ -12,8 +12,11 @@ associativity read off the table, and the identity is proposed by the
 ``n x n`` normal equations before ``lstsq`` is asked.
 
 Only this module contracts the tensor: ``column_products``, ``basis_products``,
-``multiply``, ``left_mult_matrix`` and ``right_mult_matrix``.  Algebras and
-subspaces are immutable after construction; operations are pure.
+``multiply``, ``left_mult_matrix`` and ``right_mult_matrix``.  The first two
+also take stacks of operands, so a family of maps or candidates is contracted
+in one call, each member by the same matrix products as on its own.  Algebras
+and subspaces are immutable after construction; a subspace keeps its induced
+algebra once it is certified.
 """
 
 from __future__ import annotations
@@ -68,12 +71,14 @@ class Subspace:
 
     Columns of ``basis`` span the subspace.  A reduced echelon spanning
     set is cached so membership tests are a single back-substitution.
+    ``cache`` keeps ``induced_subalgebra``'s result on ``algebra``.
     """
 
     basis: np.ndarray
     algebra: Algebra
     echelon: np.ndarray = field(init=False, repr=False)
     pivots: tuple[int, ...] = field(init=False, repr=False)
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = as_complex(self.basis)
@@ -305,19 +310,31 @@ def column_products(structure: np.ndarray, left: np.ndarray, right: np.ndarray) 
 
     ``out[i, j, k] = sum_ab left[a, i] right[b, j] structure[a, b, k]``: the
     structure tensor pulled back along both factors.  It is two matrix
-    products (BLAS), never the dim^5 three-operand loop.
+    products (BLAS), never the dim^5 three-operand loop.  Either factor may
+    be a stack ``(B, n, i)``, which gives ``out[b]`` for ``left[b]`` and
+    ``right[b]``; a 2-d factor is shared by the stack, not copied into it.
+    Every ``out[b]`` comes from the same BLAS calls as its own contraction.
     """
     n_a, _, n_k = structure.shape
-    # partial[a, j, :] = b_a . right_j
-    partial = right.T @ structure
-    n_i, n_j = left.shape[1], right.shape[1]
-    return (left.T @ partial.reshape(n_a, n_j * n_k)).reshape(n_i, n_j, n_k)
+    n_i, n_j = left.shape[-1], right.shape[-1]
+    # partial[..., a, j, :] = b_a . right_j
+    partial = right.swapaxes(-1, -2)[..., None, :, :] @ structure
+    out = left.swapaxes(-1, -2) @ partial.reshape(*partial.shape[:-3], n_a, n_j * n_k)
+    return out.reshape(*out.shape[:-2], n_i, n_j, n_k)
 
 
 def basis_products(structure: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Every basis product seen through ``matrix``: ``out[i, j, :] = matrix @ (b_i b_j)``."""
+    """Every basis product seen through ``matrix``: ``out[..., i, j, :] = matrix @ (b_i b_j)``.
+
+    ``matrix`` is ``(m, n)``, a stack ``(B, m, n)``, or a functional ``(n,)``,
+    which gives the ``(n, n)`` values ``<f, b_i b_j>`` by one matrix-vector product.
+    """
     n = structure.shape[0]
-    return (structure.reshape(n * n, n) @ matrix.T).reshape(n, n, matrix.shape[0])
+    flat = structure.reshape(n * n, n)
+    if matrix.ndim == 1:
+        return (flat @ matrix).reshape(n, n)
+    out = flat @ matrix.swapaxes(-1, -2)
+    return out.reshape(*matrix.shape[:-2], n, n, matrix.shape[-2])
 
 
 def multiply(algebra: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -487,21 +504,28 @@ def induced_subalgebra(algebra: Algebra, s: Subspace) -> tuple[Algebra, np.ndarr
     """Algebra structure on a multiplicatively closed subspace.
 
     Returns the induced algebra on the canonical echelon basis of ``s``
-    together with the embedding columns (dim x k).  Fails the law
+    together with the read-only embedding columns (dim x k).  Fails the law
     "closure under multiplication" when a basis product escapes the span.
+    On ``s``'s own algebra the result is certified once and kept on ``s``.
     """
-    q = s.canonical_columns()
+    own = algebra is s.algebra
+    if own and "induced" in s.cache:
+        return s.cache["induced"]
+    q = freeze(s.canonical_columns())
     k = q.shape[1]
     if k == 0:
-        return make_algebra(0, np.zeros((0, 0, 0)), []), q
-    products = _pair_products(algebra, q)
-    coeffs, residual = s.coordinates(products)
-    certify(residual, EPS, "closure under multiplication",
-            "a product of basis vectors escapes the subspace (residual {residual:.3e})")
-    structure = coeffs.reshape(k, k, k).transpose(1, 2, 0)
-    labels = [algebra.basis_labels[p] for p in s.pivots]
-    sub = make_algebra(k, structure, labels)
-    return sub, q
+        induced = make_algebra(0, np.zeros((0, 0, 0)), []), q
+    else:
+        products = _pair_products(algebra, q)
+        coeffs, residual = s.coordinates(products)
+        certify(residual, EPS, "closure under multiplication",
+                "a product of basis vectors escapes the subspace (residual {residual:.3e})")
+        structure = coeffs.reshape(k, k, k).transpose(1, 2, 0)
+        labels = [algebra.basis_labels[p] for p in s.pivots]
+        induced = make_algebra(k, structure, labels), q
+    if own:
+        s.cache["induced"] = induced
+    return induced
 
 
 def quotient(algebra: Algebra, s: Subspace):

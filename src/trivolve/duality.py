@@ -66,7 +66,7 @@ def verify_character(algebra: Algebra, coords, eps: float = EPS) -> np.ndarray:
     if max_abs(coords) <= eps:
         raise CertificationFailure("the zero functional is not a character",
                                    law="characters are non-zero")
-    prods = basis_products(algebra.structure, coords[None, :])[:, :, 0]
+    prods = basis_products(algebra.structure, coords)
     certify(max_abs(prods - np.outer(coords, coords)), eps, "phi(xy) = phi(x) phi(y)",
             "functional is not multiplicative")
     return coords
@@ -443,28 +443,26 @@ def search_trivolutions(algebra: Algebra, family_spec: dict) -> list[AlgMap]:
     declared family only.
     """
     family = family_spec.get("family")
-    results: list[AlgMap] = []
-
     if family == "function_indicator":
         if not _is_pointwise(algebra):
             raise UsageError("function_indicator requires a pointwise function algebra")
         n = algebra.dim
-        for size in range(1, n + 1):
-            for k_set in combinations(range(n), size):
-                for perm in _involutive_permutations_canonical(k_set):
-                    candidate = indicator_trivolution(algebra, k_set, perm)
-                    if classify_star_map(algebra, candidate).is_trivolution:
-                        results.append(candidate)
-        return results
-
-    if family == "group_quotient":
+        candidates = [indicator_trivolution(algebra, k_set, perm)
+                      for size in range(1, n + 1)
+                      for k_set in combinations(range(n), size)
+                      for perm in _involutive_permutations_canonical(k_set)]
+    elif family == "group_quotient":
         group: GroupTable = family_spec["table"]
         if not same_structure(group.structure(), algebra.structure):
             raise UsageError("algebra does not match the supplied group table")
-        for subgroup in family_spec.get("normal_subgroups", [[group.identity]]):
-            candidate = averaging_trivolution(algebra, group, subgroup)
-            if classify_star_map(algebra, candidate).is_trivolution:
-                results.append(candidate)
-        return results
-
-    raise UsageError(f"unknown family {family!r}")
+        candidates = [averaging_trivolution(algebra, group, subgroup)
+                      for subgroup in family_spec.get("normal_subgroups", [[group.identity]])]
+    else:
+        raise UsageError(f"unknown family {family!r}")
+    if not candidates:
+        return []
+    # every candidate is conjugate-linear, so the family is one stack for classify_star_map
+    stack = AlgMap(matrix=np.stack([f.matrix for f in candidates]), conjugating=True,
+                   source=algebra, target=algebra)
+    verdicts = classify_star_map(algebra, stack)
+    return [f for f, verdict in zip(candidates, verdicts) if verdict.is_trivolution]

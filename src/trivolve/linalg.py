@@ -52,9 +52,15 @@ def freeze(a: np.ndarray) -> np.ndarray:
 
 def max_abs(a) -> float:
     """Largest entry magnitude; a NaN reads as ``inf``, which ``max()`` cannot drop."""
-    a = np.asarray(a)
-    worst = float(np.max(np.abs(a))) if a.size else 0.0
+    worst = float(np.abs(a).max(initial=0.0))
     return math.inf if math.isnan(worst) else worst
+
+
+def max_abs_each(stack: np.ndarray) -> np.ndarray:
+    """``max_abs`` of every ``stack[b]``, as one array."""
+    worst = np.abs(stack).reshape(len(stack), -1).max(axis=1, initial=0.0)
+    worst[np.isnan(worst)] = math.inf
+    return worst
 
 
 def rref_rows(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -22,6 +22,7 @@ from .algebra import (
 from .errors import CertificationFailure, certify
 from .linalg import EPS, EPS_RANK, max_abs
 from .starmap import AlgMap, apply, kernel_image
+from .trivolution import require_trivolution
 
 SPECTRUM_TOL = 1e-7
 
@@ -80,10 +81,12 @@ def verify_spectral_inclusion(algebra: Algebra, tau: AlgMap,
     """Match the range spectrum of ``tau(x)`` into the conjugated spectrum of ``x``.
 
     The range ``B = tau(A)`` is used with its own regular representation
-    and its own identity (which may differ from the ambient identity);
+    and its own identity (which may differ from the ambient identity).
+    ``tau`` must be a trivolution; its verdict, its range and the range
+    algebra are kept on ``tau``, so a map is certified once for many ``x``.
     ``tau(x)``'s coordinates in ``B`` are certified (``t(x) in t(A)``).
     When ``x`` is invertible the compatibility
-    ``tau(x) tau(x^-1) = tau(x^-1) tau(x) = e_B`` is certified too.
+    ``tau(x) tau(x^-1) = tau(x^-1) tau(x) = e_B`` is certified too, at ``EPS``.
     """
     if not algebra.is_unital():
         raise CertificationFailure("spectral inclusion needs a unital ambient algebra",
@@ -93,6 +96,7 @@ def verify_spectral_inclusion(algebra: Algebra, tau: AlgMap,
     if not sub.is_unital():
         raise CertificationFailure("the range subalgebra has no identity",
                                    law="tau(A) has an identity")
+    require_trivolution(algebra, tau)
 
     spec_a = spectrum(algebra, x)
     tau_x = apply(tau, x)
@@ -115,7 +119,10 @@ def verify_spectral_inclusion(algebra: Algebra, tau: AlgMap,
         e_b = embedding @ sub.identity_coords
         left = multiply(algebra, tau_x, tau_x_inv)
         right = multiply(algebra, tau_x_inv, tau_x)
-        inverse_residual = max(max_abs(left - e_b), max_abs(right - e_b))
+        inverse_residual = certify(max(max_abs(left - e_b), max_abs(right - e_b)), EPS,
+                                   "t(x) t(x^-1) = t(x^-1) t(x) = e_B",
+                                   "t(x^-1) is not the inverse of t(x) in t(A) "
+                                   "(residual {residual:.3e})")
 
     return SpectralInclusionReport(
         spectrum_in_algebra=spec_a,

@@ -4,12 +4,14 @@ A map is stored as a complex matrix plus a ``conjugating`` flag:
 ``f(x) = M x`` when linear, ``f(x) = M conj(x)`` when conjugate-linear.
 Keeping the flag separate (instead of realifying to 2n x 2n matrices)
 makes composition exact: matrices multiply with a conjugation twist and
-flags combine by XOR.
+flags combine by XOR.  A ``(B, m, n)`` matrix is a family of ``B`` maps with
+one flag, source and target: the classifiers decide all of them in one
+stacked contraction, and a ``(m, n)`` matrix is a family of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,29 +22,35 @@ from .linalg import (
     as_complex,
     column_space_and_nullspace,
     freeze,
-    max_abs,
+    max_abs_each,
 )
+
+# Entries of one temporary in a stacked multiplicativity check (1 MiB of complex numbers):
+# a family is contracted in blocks of maps that fit.
+BLOCK_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
 class AlgMap:
-    """A (conjugate-)linear map between algebras.
+    """A (conjugate-)linear map between algebras, or a ``(B, m, n)`` family of them.
 
     Action contract: ``apply(f, x) = matrix @ x`` when not conjugating,
-    ``matrix @ conj(x)`` when conjugating.
+    ``matrix @ conj(x)`` when conjugating.  ``cache`` keeps what is certified
+    once per map: its star verdicts, its kernel and image, its decomposition.
     """
 
     matrix: np.ndarray
     conjugating: bool
     source: Algebra
     target: Algebra
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", freeze(self.matrix))
 
     def __repr__(self) -> str:
         tag = "conj-linear" if self.conjugating else "linear"
-        return f"AlgMap({tag}, {self.matrix.shape[1]}->{self.matrix.shape[0]})"
+        return f"AlgMap({tag}, {self.matrix.shape[-1]}->{self.matrix.shape[-2]})"
 
 
 def make_map(matrix, conjugating: bool, source: Algebra, target: Algebra | None = None) -> AlgMap:
@@ -95,22 +103,33 @@ class MultiplicativityFlags:
     anti_residual: float
 
 
-def classify_multiplicativity(f: AlgMap) -> MultiplicativityFlags:
+def classify_multiplicativity(f: AlgMap):
     """Check f(xy) = f(x)f(y) and f(xy) = f(y)f(x) on basis pairs.
 
     Basis pairs suffice: both sides are (conjugate-)bilinear.  Each side
     is matrix products: one for ``f(b_i b_j)`` and two for
     ``f(b_i) f(b_j)``, about ``n^2 m (n + m)`` multiply-adds for an
-    ``n``-dimensional source and ``m``-dimensional target.
+    ``n``-dimensional source and ``m``-dimensional target.  A family is
+    contracted as stacks of at most ``BLOCK_ENTRIES / (n^2 m)`` maps and
+    gives a list of ``B`` flags, each equal to its map's own; a single
+    map gives its flags alone.
     """
+    stack = f.matrix if f.matrix.ndim == 3 else f.matrix[None]
+    m, n = stack.shape[1:]
     src_structure = np.conj(f.source.structure) if f.conjugating else f.source.structure
-    # lhs[i, j, :] = f(b_i b_j); images of basis vectors are the matrix columns
-    lhs = basis_products(src_structure, f.matrix)
-    rhs = column_products(f.target.structure, f.matrix, f.matrix)
-    hom = max_abs(lhs - rhs)
-    anti = max_abs(lhs - rhs.transpose(1, 0, 2))
-    return MultiplicativityFlags(homomorphism=hom <= EPS, anti_homomorphism=anti <= EPS,
-                                 hom_residual=hom, anti_residual=anti)
+    block = max(1, BLOCK_ENTRIES // max(1, n * n * m))
+    flags = []
+    for start in range(0, len(stack), block):
+        part = stack[start:start + block]
+        # lhs[b, i, j, :] = f_b(b_i b_j); images of basis vectors are the matrix columns
+        lhs = basis_products(src_structure, part)
+        rhs = column_products(f.target.structure, part, part)
+        hom = max_abs_each(lhs - rhs)
+        anti = max_abs_each(lhs - rhs.swapaxes(1, 2))
+        flags += [MultiplicativityFlags(homomorphism=h <= EPS, anti_homomorphism=a <= EPS,
+                                        hom_residual=h, anti_residual=a)
+                  for h, a in zip(hom.tolist(), anti.tolist())]
+    return flags if f.matrix.ndim == 3 else flags[0]
 
 
 def adjoint(f: AlgMap) -> AlgMap:
@@ -127,14 +146,16 @@ def adjoint(f: AlgMap) -> AlgMap:
 
 
 def kernel_image(f: AlgMap) -> tuple[Subspace, Subspace]:
-    """Kernel and image subspaces from one rank factorization.
+    """Kernel and image subspaces from one rank factorization, made once per map.
 
     For a conjugating map the kernel is the conjugate of the matrix null
     space (still a complex subspace), since ``f(x) = M conj(x)``.
     """
-    image_cols, null_cols, _, _ = column_space_and_nullspace(f.matrix)
-    kernel_cols = np.conj(null_cols) if f.conjugating else null_cols
-    return (Subspace(kernel_cols, f.source), Subspace(image_cols, f.target))
+    if "kernel_image" not in f.cache:
+        image_cols, null_cols, _, _ = column_space_and_nullspace(f.matrix)
+        kernel_cols = np.conj(null_cols) if f.conjugating else null_cols
+        f.cache["kernel_image"] = (Subspace(kernel_cols, f.source), Subspace(image_cols, f.target))
+    return f.cache["kernel_image"]
 
 
 def map_norm(f: AlgMap) -> float:

@@ -35,6 +35,7 @@ from .linalg import (
     as_complex,
     column_space_and_nullspace,
     max_abs,
+    max_abs_each,
     realify_conjugation_fixed_points,
 )
 from .starmap import (
@@ -75,36 +76,58 @@ class StarClass:
         return max(self.anti_residual, self.cube_residual)
 
 
-def classify_star_map(algebra: Algebra, f: AlgMap) -> StarClass:
+def classify_star_map(algebra: Algebra, f: AlgMap):
     """Classify an endomorphism as involution / proper trivolution / neither.
 
     The zero map is excluded by definition; a map with all the axioms
-    is an involution exactly when it is injective.
+    is an involution exactly when it is injective.  A ``(B, n, n)`` family
+    is decided law by law on the whole stack (``classify_multiplicativity``,
+    the cube, the rank) and gives a list of ``B`` verdicts, each equal to
+    its map's own; a single map gives its verdict alone.  The verdicts are
+    kept on ``f``, so a map is classified once.
     """
     if not (algebras_compatible(f.source, algebra) and algebras_compatible(f.target, algebra)):
         raise UsageError("classify_star_map expects an endomorphism of the given algebra")
-    nonzero = max_abs(f.matrix) > EPS
-    mult = classify_multiplicativity(f)
-    cubed = power(f, 3)
-    cube_residual = max_abs(cubed.matrix - f.matrix)
-    cubes = cubed.conjugating == f.conjugating and cube_residual <= EPS
-    injective = np.linalg.matrix_rank(f.matrix, EPS_RANK) == algebra.dim
-    ok = nonzero and f.conjugating and mult.anti_homomorphism and cubes
-    if not ok:
-        kind = KIND_NOT_STAR
-    elif injective:
-        kind = KIND_INVOLUTION
-    else:
-        kind = KIND_TRIVOLUTION_PROPER
-    return StarClass(
-        kind=kind,
-        is_conjugate_linear=f.conjugating,
-        is_anti_hom=mult.anti_homomorphism,
-        cubes_to_self=cubes,
-        is_injective=injective,
-        anti_residual=mult.anti_residual,
-        cube_residual=cube_residual,
-    )
+    family = f.matrix.ndim == 3
+    if "verdicts" not in f.cache:
+        stack = f.matrix if family else f.matrix[None]
+        nonzero = (max_abs_each(stack) > EPS).tolist()
+        mult = classify_multiplicativity(f) if family else [classify_multiplicativity(f)]
+        cubed = power(f, 3)
+        cube_residuals = max_abs_each(cubed.matrix.reshape(stack.shape) - stack).tolist()
+        injective = (np.linalg.matrix_rank(stack, EPS_RANK) == algebra.dim).tolist()
+        verdicts = []
+        for flags, nonzero_b, cube_residual, injective_b in zip(mult, nonzero, cube_residuals,
+                                                                  injective):
+            cubes = cubed.conjugating == f.conjugating and cube_residual <= EPS
+            if not (nonzero_b and f.conjugating and flags.anti_homomorphism and cubes):
+                kind = KIND_NOT_STAR
+            elif injective_b:
+                kind = KIND_INVOLUTION
+            else:
+                kind = KIND_TRIVOLUTION_PROPER
+            verdicts.append(StarClass(
+                kind=kind,
+                is_conjugate_linear=f.conjugating,
+                is_anti_hom=flags.anti_homomorphism,
+                cubes_to_self=cubes,
+                is_injective=injective_b,
+                anti_residual=flags.anti_residual,
+                cube_residual=cube_residual,
+            ))
+        f.cache["verdicts"] = verdicts
+    return f.cache["verdicts"] if family else f.cache["verdicts"][0]
+
+
+def require_trivolution(algebra: Algebra, tau: AlgMap) -> StarClass:
+    """``tau``'s verdict, or a failure of the trivolution law when it is not one."""
+    verdict = classify_star_map(algebra, tau)
+    if not verdict.is_trivolution:
+        raise CertificationFailure(
+            "map is not a trivolution "
+            f"(anti residual {verdict.anti_residual:.3e}, cube residual {verdict.cube_residual:.3e})",
+            law="conjugate-linear anti-homomorphism with t^3 = t", residual=verdict.residual)
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -145,14 +168,13 @@ def canonical_decomposition(algebra: Algebra, tau: AlgMap) -> Decomposition:
     ``_rho_after_p``, which takes the ``Subspace`` ``p(A)`` and reads
     ``p``'s coordinates at its pivots.  ``embedding`` spans the same space
     but can differ from ``p(A)``'s columns in the last bit, so building on
-    it would change the ``reconstruction`` residual.
+    it would change the ``reconstruction`` residual.  On ``tau``'s own
+    source the decomposition is certified once and kept on ``tau``.
     """
-    verdict = classify_star_map(algebra, tau)
-    if not verdict.is_trivolution:
-        raise CertificationFailure(
-            "map is not a trivolution "
-            f"(anti residual {verdict.anti_residual:.3e}, cube residual {verdict.cube_residual:.3e})",
-            law="conjugate-linear anti-homomorphism with t^3 = t", residual=verdict.residual)
+    own = algebra is tau.source
+    if own and "decomposition" in tau.cache:
+        return tau.cache["decomposition"]
+    verdict = require_trivolution(algebra, tau)
 
     p = compose(tau, tau)
     ideal, image = kernel_image(tau)
@@ -192,9 +214,12 @@ def canonical_decomposition(algebra: Algebra, tau: AlgMap) -> Decomposition:
     residuals["reconstruction"] = certify(max_abs(rebuilt.matrix - tau.matrix), EPS,
                                           "tau = rho o p",
                                           "rho o p does not reproduce the original map")
-    return Decomposition(ideal_I=ideal, subalg_B=image, projection_p=p,
-                         involution_rho=rho, subalgebra=subalg, embedding=embedding,
-                         verdict=verdict, residuals=residuals)
+    dec = Decomposition(ideal_I=ideal, subalg_B=image, projection_p=p,
+                        involution_rho=rho, subalgebra=subalg, embedding=embedding,
+                        verdict=verdict, residuals=residuals)
+    if own:
+        tau.cache["decomposition"] = dec
+    return dec
 
 
 def _rho_after_p(algebra: Algebra, b: Subspace, p: np.ndarray, rho: np.ndarray) -> AlgMap:

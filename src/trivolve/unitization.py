@@ -34,12 +34,14 @@ from .algebra import (
 from .errors import CertificationFailure
 from .linalg import (
     EPS,
+    as_complex,
     column_space_and_nullspace,
     freeze,
     max_abs,
+    max_abs_each,
 )
-from .starmap import AlgMap, apply, kernel_image, map_norm
-from .trivolution import classify_star_map
+from .starmap import AlgMap, kernel_image, map_norm
+from .trivolution import StarClass, classify_star_map
 
 FAMILY_TYPE_I = "type_I"
 FAMILY_TYPE_II = "type_II"
@@ -48,25 +50,34 @@ FAMILY_INVALID = "invalid"
 
 @dataclass(frozen=True)
 class ExtensionSpec:
-    """A candidate extension, its family verdict and its certificates."""
+    """A candidate extension, its family verdict and its certificates.
+
+    ``verdict`` is ``classify_star_map``'s verdict on the extension ``t#``.
+    """
 
     lambda0: complex
     x0: np.ndarray  # read-only
     family: str
     contractive: bool
     norm_of_extension: float
+    verdict: StarClass
     residuals: dict = field(default_factory=dict, repr=False)
 
 
-def extension_map(algebra: Algebra, tau: AlgMap, lambda0: complex,
+def extension_map(algebra: Algebra, tau: AlgMap, lambda0,
                   x0: np.ndarray) -> tuple[Algebra, AlgMap]:
-    """Generic candidate ``t#(l, x) = (conj(l) lambda0, conj(l) x0 + tau(x))``."""
+    """Generic candidate ``t#(l, x) = (conj(l) lambda0, conj(l) x0 + tau(x))``.
+
+    ``lambda0`` of shape ``(B,)`` with the columns ``x0`` of shape ``(n, B)``
+    give the ``(B, n + 1, n + 1)`` family of the ``B`` candidates.
+    """
     sharp = algebra.unitization
+    lambda0 = as_complex(lambda0)
     n = algebra.dim
-    matrix = np.zeros((n + 1, n + 1), dtype=complex)
-    matrix[0, 0] = complex(lambda0)
-    matrix[1:, 0] = x0
-    matrix[1:, 1:] = tau.matrix
+    matrix = np.zeros((*lambda0.shape, n + 1, n + 1), dtype=complex)
+    matrix[..., 0, 0] = lambda0
+    matrix[..., 1:, 0] = as_complex(x0).T
+    matrix[..., 1:, 1:] = tau.matrix
     return sharp, AlgMap(matrix=matrix, conjugating=True, source=sharp, target=sharp)
 
 
@@ -83,59 +94,85 @@ def range_identity(algebra: Algebra, image: Subspace) -> np.ndarray | None:
     return embedding @ sub.identity_coords
 
 
-def verify_extension(algebra: Algebra, tau: AlgMap, lambda0: complex, x0, *,
-                     e_b: np.ndarray | None, image: Subspace) -> ExtensionSpec:
-    """Classify a candidate ``(lambda0, x0)`` into a family, twice over.
+def _disagreement(spec: ExtensionSpec) -> CertificationFailure:
+    return CertificationFailure(
+        "extension family conditions disagree with direct classification",
+        law="t# is a trivolution iff (lambda0, x0) is of family I or II",
+        residual=spec.verdict.residual,
+        details={"family": spec.family, "classified": spec.verdict.kind})
+
+
+def verify_extension(algebra: Algebra, tau: AlgMap, lambda0, x0, *,
+                     e_b: np.ndarray | None, image: Subspace):
+    """Classify candidates ``(lambda0, x0)`` into families, twice over.
 
     The family conditions are checked directly, the generic extension is
     classified on the unitized algebra, and the two verdicts must agree
     (a per-instance soundness and completeness check).  ``family`` is
     ``invalid`` when both reject.  ``image`` is ``kernel_image(tau)[1]``
     and ``e_b`` is ``range_identity(algebra, image)``, both built once
-    per ``tau`` by the caller and taken as given.  ``x0`` is a coordinate
-    vector of ``algebra``; the spec keeps a read-only copy.
+    per ``tau`` by the caller and taken as given.
+
+    The candidates come as ``lambda0`` of shape ``(B,)`` and the columns
+    ``x0`` of shape ``(n, B)``, and are checked together: each condition is
+    one stacked contraction, in which every candidate sees the same matrix
+    products as on its own, with the range basis and ``tau`` shared; the
+    ``B`` extensions are one family for ``classify_star_map``.  The result
+    is ``(specs, disagreements)``: every spec, in candidate order, and the
+    indices where the family verdict and the classification disagree.  A
+    scalar ``lambda0`` with a 1-d ``x0`` is one candidate, whose spec comes
+    back alone; a disagreement then raises.  Each spec keeps a read-only
+    copy of its ``x0``.
     """
-    x0 = freeze(x0)
-    lambda0 = complex(lambda0)
-    residuals: dict[str, float] = {}
+    single = np.ndim(lambda0) == 0
+    lambdas = as_complex(lambda0).reshape(-1)
+    columns = as_complex(x0).reshape(algebra.dim, -1)
+    rows = np.ascontiguousarray(columns.T)
+    stack = rows[:, :, None]  # candidate b as the (n, 1) column stack[b]
     image_cols = image.canonical_columns()
 
     # family I: lambda0 = 1, x0^2 = -x0, x0 tau(A) = tau(A) x0 = 0, tau(x0) = 0
-    sq = multiply(algebra, x0, x0)
-    residuals["x0_negated_idempotent"] = max_abs(sq + x0)
-    x0_col = x0[:, None]
-    annih = max(max_abs(column_products(algebra.structure, x0_col, image_cols)),
-                max_abs(column_products(algebra.structure, image_cols, x0_col)))
-    residuals["x0_annihilates_range"] = annih
-    residuals["tau_x0"] = max_abs(apply(tau, x0))
-    type1 = (abs(lambda0 - 1.0) <= EPS
-             and residuals["x0_negated_idempotent"] <= EPS
-             and annih <= EPS
-             and residuals["tau_x0"] <= EPS)
+    negated_idempotent = max_abs_each(column_products(algebra.structure, stack, stack)[:, 0, 0]
+                                      + rows)
+    annihilates = np.maximum(
+        max_abs_each(column_products(algebra.structure, stack, image_cols)),
+        max_abs_each(column_products(algebra.structure, image_cols, stack)))
+    tau_x0 = max_abs_each(tau.matrix @ np.conj(stack))
+    type1 = ((np.abs(lambdas - 1.0) <= EPS) & (negated_idempotent <= EPS)
+             & (annihilates <= EPS) & (tau_x0 <= EPS))
 
     # family II: lambda0 = 0, x0 the identity of the range
-    type2 = False
+    type2 = np.zeros(len(lambdas), dtype=bool)
     if e_b is not None:
-        residuals["x0_vs_range_identity"] = max_abs(x0 - e_b)
-        type2 = abs(lambda0) <= EPS and residuals["x0_vs_range_identity"] <= EPS
+        vs_range_identity = max_abs_each(rows - e_b)
+        type2 = (np.abs(lambdas) <= EPS) & (vs_range_identity <= EPS)
 
-    family = FAMILY_TYPE_I if type1 else FAMILY_TYPE_II if type2 else FAMILY_INVALID
-
-    sharp, candidate = extension_map(algebra, tau, lambda0, x0)
-    verdict = classify_star_map(sharp, candidate)
-    residuals["anti"] = verdict.anti_residual
-    residuals["cube"] = verdict.cube_residual
-    if verdict.is_trivolution != (family != FAMILY_INVALID):
-        raise CertificationFailure(
-            "extension family conditions disagree with direct classification",
-            law="t# is a trivolution iff (lambda0, x0) is of family I or II",
-            residual=verdict.residual,
-            details={"family": family, "classified": verdict.kind})
-
-    norm = max(abs(lambda0) + element_norm(x0), map_norm(tau))
-    return ExtensionSpec(lambda0=lambda0, x0=x0, family=family,
-                         contractive=norm <= 1.0 + EPS, norm_of_extension=norm,
-                         residuals=residuals)
+    sharp, candidates = extension_map(algebra, tau, lambdas, columns)
+    verdicts = classify_star_map(sharp, candidates)
+    tau_norm = map_norm(tau)
+    specs, disagreements = [], []
+    for b, verdict in enumerate(verdicts):
+        residuals = {"x0_negated_idempotent": float(negated_idempotent[b]),
+                     "x0_annihilates_range": float(annihilates[b]),
+                     "tau_x0": float(tau_x0[b])}
+        if e_b is not None:
+            residuals["x0_vs_range_identity"] = float(vs_range_identity[b])
+        residuals["anti"] = verdict.anti_residual
+        residuals["cube"] = verdict.cube_residual
+        family = FAMILY_TYPE_I if type1[b] else FAMILY_TYPE_II if type2[b] else FAMILY_INVALID
+        if verdict.is_trivolution != (family != FAMILY_INVALID):
+            disagreements.append(b)
+        candidate = freeze(rows[b])
+        lam = complex(lambdas[b])
+        norm = max(abs(lam) + element_norm(candidate), tau_norm)
+        specs.append(ExtensionSpec(lambda0=lam, x0=candidate, family=family,
+                                   contractive=norm <= 1.0 + EPS, norm_of_extension=norm,
+                                   verdict=verdict, residuals=residuals))
+    if not single:
+        return specs, disagreements
+    if disagreements:
+        raise _disagreement(specs[0])
+    return specs[0]
 
 
 @dataclass(frozen=True)
@@ -225,12 +262,12 @@ def find_type1_solutions(algebra: Algebra, tau: AlgMap, *, seed: int = 0) -> Typ
     candidates are exactly ``-y`` for idempotents ``y``.  Idempotents are
     found exactly through characters when ``N`` is commutative and
     semisimple, otherwise by seeded multi-start Newton (flagged
-    best-effort).  Every candidate is verified through
-    ``verify_extension``, once; ``x0 = 0`` is always included.  The
-    family-II candidate is verified on the same range data.
+    best-effort).  The de-duplicated candidates (``x0 = 0`` is always
+    one) and the family-II candidate ``(0, e_B)`` are verified together,
+    by one ``verify_extension`` call on the same range data, which raises
+    on the first candidate whose family verdict and classification disagree.
     """
-    verdict = classify_star_map(algebra, tau)
-    if not verdict.is_trivolution:
+    if not classify_star_map(algebra, tau).is_trivolution:
         raise CertificationFailure("solver requires a trivolution",
                                    law="conjugate-linear anti-homomorphism with t^3 = t")
     _, image = kernel_image(tau)
@@ -248,19 +285,23 @@ def find_type1_solutions(algebra: Algebra, tau: AlgMap, *, seed: int = 0) -> Typ
             candidates.append(-(embedding @ y))
 
     e_b = range_identity(algebra, image)
-    specs = []
-    seen, count = np.empty((len(candidates), algebra.dim), dtype=complex), 0
+    seen, count = np.empty((len(candidates) + 1, algebra.dim), dtype=complex), 0
     for coords in candidates:
-        if (np.abs(seen[:count] - coords).max(axis=1) <= 1e-6).any():
-            continue
-        seen[count] = coords
-        count += 1
-        spec = verify_extension(algebra, tau, 1.0, coords, e_b=e_b, image=image)
-        if spec.family == FAMILY_TYPE_I:
-            specs.append(spec)
+        if not (np.abs(seen[:count] - coords).max(axis=1) <= 1e-6).any():
+            seen[count] = coords
+            count += 1
+    lambdas = np.ones(count, dtype=complex)
+    if e_b is not None:  # the family-II candidate (0, e_B) goes last
+        seen[count] = e_b
+        lambdas = np.append(lambdas, 0.0)
+    specs, disagreements = verify_extension(algebra, tau, lambdas, seen[:len(lambdas)].T,
+                                            e_b=e_b, image=image)
+    if disagreements:
+        raise _disagreement(specs[disagreements[0]])
+    type2 = specs.pop() if e_b is not None else None
+    specs = [spec for spec in specs if spec.family == FAMILY_TYPE_I]
     specs.sort(key=lambda spec: tuple(np.round(
         np.stack([spec.x0.real, spec.x0.imag], axis=1).reshape(-1), 6)))
-    type2 = None if e_b is None else verify_extension(algebra, tau, 0.0, e_b, e_b=e_b, image=image)
     return Type1Solutions(specs=specs, best_effort=best_effort, type2=type2)
 
 

@@ -1,7 +1,9 @@
 """Helpers for the tests: spec file writers (the inverses of ``load_algebra``
-and ``load_map``), the reference report encoding and the sample commands."""
+and ``load_map``), the reference report encoding, the sample commands and a
+call counter."""
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -95,3 +97,20 @@ SAMPLE_COMMANDS = {
     "search": ["search", "--algebra", _C2, "--family", "function"],
     "suite": ["suite", "--seed", "0"],
 }
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``name`` in every loaded ``trivolve`` module that holds it; return the calls."""
+    modules = [module for key, module in sorted(sys.modules.items())
+               if key.split(".")[0] == "trivolve" and hasattr(module, name)]
+    original = getattr(modules[0], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        assert getattr(module, name) is original
+        monkeypatch.setattr(module, name, counted)
+    return calls

@@ -9,15 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trivolve import cli
+from trivolve import cli, spectra
 from trivolve.algebra import Subspace, cyclic_group_table, group_algebra
 from trivolve.cli import _render, _render_text, build_parser, main, run
 from trivolve.errors import UsageError
 from trivolve.instances import standard_group_involution
 from trivolve.serialization import dumps_report
 
-from spec_writers import (SAMPLE_COMMANDS, SAMPLE_SPECS, algebra_to_json, array_to_json, jsonable,
-                          map_to_json)
+from spec_writers import (SAMPLE_COMMANDS, SAMPLE_SPECS, algebra_to_json, array_to_json,
+                          count_calls, jsonable, map_to_json)
 
 
 @pytest.fixture()
@@ -44,23 +44,6 @@ def run_cli(args, tmp_path, name="out.json"):
     out = tmp_path / name
     code = main(args + ["--format", "json", "--out", str(out)])
     return code, json.loads(out.read_text())
-
-
-def count_calls(monkeypatch, name):
-    """Wrap ``name`` in every loaded ``trivolve`` module that holds it; return the calls."""
-    modules = [module for key, module in sorted(sys.modules.items())
-               if key.split(".")[0] == "trivolve" and hasattr(module, name)]
-    original = getattr(modules[0], name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for module in modules:
-        assert getattr(module, name) is original
-        monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 def test_check_reports_proper_trivolution(spec_files, tmp_path):
@@ -255,12 +238,15 @@ def test_suite_deterministic(tmp_path):
 
 
 def test_decompose_classifies_each_map_once(spec_files, tmp_path, monkeypatch):
-    # tau, p = tau^2 and rho = tau|_B: one multiplicativity check each
+    # tau, p = tau^2 and rho = tau|_B: one multiplicativity check each, each a single map;
+    # tau's verdict is kept on tau, so certifying it again costs no second check
     calls = count_calls(monkeypatch, "classify_multiplicativity")
+    classified = count_calls(monkeypatch, "classify_star_map")
     algebra, tau = spec_files
     code, report = run_cli(["decompose", "--algebra", algebra, "--map", tau], tmp_path)
     assert code == 0 and report["classification"] == "trivolution_proper"
-    assert len(calls) == 3
+    assert len(calls) == 3 and [f.matrix.ndim for (f,) in calls] == [2, 2, 2]
+    assert [f.conjugating for (f,) in calls] == [True, False, True] and len(classified) == 2
 
 
 def test_hom_on_one_algebra_decomposes_once(spec_files, tmp_path, monkeypatch):
@@ -338,26 +324,31 @@ def test_tim_obstruction_check_reduces_nothing(tmp_path, monkeypatch):
 
 
 def test_extend_builds_range_identity_once_per_solver(spec_files, tmp_path, monkeypatch):
-    # find_type1_solutions builds tau's image and the range identity once, and also
-    # verifies the type-II record the command reports
+    # find_type1_solutions builds tau's image and the range identity once, and verifies
+    # its two family-I candidates and the type-II record the command reports in one call
     built = count_calls(monkeypatch, "range_identity")
     imaged = count_calls(monkeypatch, "kernel_image")
     induced = count_calls(monkeypatch, "induced_subalgebra")
     verified = count_calls(monkeypatch, "verify_extension")
     algebra, tau = spec_files
     code, report = run_cli(["extend", "--algebra", algebra, "--map", tau], tmp_path)
-    assert code == 0 and report["count"] == len(verified) == 3
+    assert code == 0 and report["count"] == 3 and len(verified) == 1
+    (_, _, lambdas, columns), = verified
+    assert lambdas.tolist() == [1, 1, 0] and columns.shape == (2, 3)
     assert report["extensions"][-1]["family"] == "type_II"
     assert len(built) == len(imaged) == 1 and len(induced) == 2
 
 
 def test_extend_unitizes_the_algebra_once(spec_files, tmp_path, monkeypatch):
-    # every candidate extension, verified or built, lives on the one cached unitization
+    # every candidate extension lives on the one cached unitization, and the three are
+    # built as one family, which classify_star_map decides in one call
     unitized = count_calls(monkeypatch, "unitize_algebra")
     extended = count_calls(monkeypatch, "extension_map")
+    classified = count_calls(monkeypatch, "classify_star_map")
     algebra, tau = spec_files
     code, report = run_cli(["extend", "--algebra", algebra, "--map", tau], tmp_path)
-    assert code == 0 and len(extended) >= 3
+    assert code == 0 and report["count"] == 3 and len(extended) == 1
+    assert [f.matrix.shape for _, f in classified] == [(2, 2), (3, 3, 3)]
     assert len(unitized) == 1
 
 
@@ -508,6 +499,30 @@ def test_tim_report_does_not_depend_on_the_blas_thread_count(tmp_path):
 
     one = report(1)
     assert json.loads(one)["characters"] == 24
+    assert report(2) == one
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="a BLAS caps its threads at the CPU count, so one CPU cannot "
+                           "run a second BLAS thread to compare against")
+@pytest.mark.skipif(not any(name in blas_name() for name in ("openblas", "mkl")),
+                    reason="the thread count is set through OpenBLAS's and MKL's variables; "
+                           "under another BLAS both runs would use the same setting")
+@pytest.mark.parametrize("command", ["extend", "search"])
+def test_stacked_reports_do_not_depend_on_the_blas_thread_count(command):
+    # extend and search decide their candidates as stacks of BLAS products
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+
+    def report(threads: int) -> bytes:
+        env = {**os.environ, "PYTHONPATH": path,
+               **{variable: str(threads) for variable in
+                  ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")}}
+        return subprocess.run(
+            [sys.executable, "-m", "trivolve.cli", *SAMPLE_COMMANDS[command], "--format", "json"],
+            env=env, capture_output=True, check=True, timeout=300).stdout
+
+    one = report(1)
+    assert json.loads(one)["count"] == {"extend": 3, "search": 4}[command]
     assert report(2) == one
 
 
@@ -672,29 +687,43 @@ def test_text_report_is_rendered_from_the_json(tmp_path, capsys):
     assert text == reference
 
 
-def test_failed_spectral_inclusion_exits_1(tmp_path, capsys):
-    # tau(x) = (7, 0) has spectrum {7, 0}; x = (2, 5) has spectrum {2, 5}
-    tau = tmp_path / "tau.json"
-    tau.write_text(json.dumps({"matrix": [[1, 1], [0, 0]], "conjugating": True}))
+def test_failed_spectral_inclusion_exits_1(tmp_path, capsys, monkeypatch):
+    # for a trivolution the inclusion is a theorem, so here a tolerance below every mismatch
+    # makes it fail: tau = conj on e1 and x = (2, 5) give spec_B(t(x)) = {2}, 0 from {2, 5}
+    monkeypatch.setattr(spectra, "SPECTRUM_TOL", -1.0)
     argv = ["spectra", "--algebra", str(SAMPLE_SPECS / "c2.json"), "--element", "[2, 5]",
-            "--map", str(tau)]
+            "--map", str(SAMPLE_SPECS / "tau.json")]
     code, report = run_cli(argv, tmp_path)
     assert code == 1 and report["error"] == "CertificationFailure"
-    assert report["law"] == "spec_B(t(x)) inside conj spec_A(x)" and report["residual"] == 2.0
-    assert report["details"]["inclusion"]["range_spectrum"] == [[7.0, 0.0]]
+    assert report["law"] == "spec_B(t(x)) inside conj spec_A(x)" and report["residual"] == 0.0
+    assert report["details"]["inclusion"]["range_spectrum"] == [[2.0, 0.0]]
     (code, out), reference = text_and_reference(argv, capsys)
     assert (code, out) == reference and code == 1
-    assert "law: spec_B(t(x)) inside conj spec_A(x)\n" in out and "residual: 2.0\n" in out
-    assert "\n    range_spectrum: [[7.0, 0.0]]\n" in out
+    assert "law: spec_B(t(x)) inside conj spec_A(x)\n" in out and "residual: 0.0\n" in out
+    assert "\n    range_spectrum: [[2.0, 0.0]]\n" in out
+
+
+@pytest.mark.parametrize("matrix, element, before", [
+    ([[0, 2], [0.5, 0]], "[2, 1]", "exit 0 with inverse_residual 3.0"),
+    ([[1, 1], [0, 0]], "[2, 5]", "exit 1 with spec_B(t(x)) = {7}, 2.0 from {2, 5}"),
+])
+def test_spectra_requires_a_trivolution(tmp_path, matrix, element, before):
+    # neither map is an anti-homomorphism of C^2, so neither certifies the compatibility
+    tau = tmp_path / "tau.json"
+    tau.write_text(json.dumps({"matrix": matrix, "conjugating": True}))
+    code, report = run_cli(["spectra", "--algebra", str(SAMPLE_SPECS / "c2.json"),
+                            "--element", element, "--map", str(tau)], tmp_path)
+    assert code == 1 and report["error"] == "CertificationFailure", before
+    assert report["law"] == "conjugate-linear anti-homomorphism with t^3 = t"
 
 
 def test_spectra_certifies_that_t_x_lies_in_the_range(tmp_path):
-    # the singular value 5e-9 is below EPS_RANK, so t(A) is the first axis, and
-    # t(x) = (1, 5e-6) is 5e-6 away from it
+    # conj o diag(1, 5e-10) is a trivolution within EPS; its singular value 5e-10 is below
+    # EPS_RANK, so t(A) is the first axis, and t(x) = (1, 5e-6) is 5e-6 away from it
     tau = tmp_path / "tau.json"
-    tau.write_text(json.dumps({"matrix": [[1, 0], [0, 5e-9]], "conjugating": True}))
+    tau.write_text(json.dumps({"matrix": [[1, 0], [0, 5e-10]], "conjugating": True}))
     code, report = run_cli(["spectra", "--algebra", str(SAMPLE_SPECS / "c2.json"),
-                            "--element", "[1, 1000]", "--map", str(tau)], tmp_path)
+                            "--element", "[1, 10000]", "--map", str(tau)], tmp_path)
     assert code == 1 and report["error"] == "CertificationFailure"
     assert report["law"] == "t(x) in t(A)" and report["residual"] == pytest.approx(5e-6)
 

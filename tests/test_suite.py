@@ -9,23 +9,27 @@ from trivolve.trivolution import (KIND_INVOLUTION, KIND_NOT_STAR, canonical_deco
 
 
 def test_extension_scan_counts_the_disagreement_verify_extension_raises(monkeypatch):
-    # verify_extension classifies each grid extension and raises on a disagreement;
-    # the section counts that raise and classifies nothing itself
+    # verify_extension classifies the 243 grid extensions as one family and returns the
+    # disagreements (on a lone candidate it raises); the section counts them and
+    # classifies nothing itself
     original = unitization.classify_star_map
-    flipped = []
+    families = []
 
-    def flip_first(*args, **kwargs):
-        verdict = original(*args, **kwargs)
-        if flipped:
-            return verdict
-        flipped.append(verdict)
-        return dataclasses.replace(
-            verdict, kind=KIND_NOT_STAR if verdict.is_trivolution else KIND_INVOLUTION)
+    def flip_first(algebra, f):
+        verdicts = original(algebra, f)
+        if families or f.matrix.ndim == 2:  # only the grid's family
+            return verdicts
+        families.append(len(verdicts))
+        verdicts = list(verdicts)  # the verdicts kept on f stay as they are
+        verdicts[0] = dataclasses.replace(
+            verdicts[0], kind=KIND_NOT_STAR if verdicts[0].is_trivolution else KIND_INVOLUTION)
+        return verdicts
 
     in_suite = []
     monkeypatch.setattr(unitization, "classify_star_map", flip_first)
     monkeypatch.setattr(suite, "classify_star_map", lambda *args, **kwargs: in_suite.append(args))
     section = suite._section_extension_scan()
+    assert families == [243]
     assert section["grid_checked"] == 243 and section["disagreements"] == 1
     assert section["passed"] is False and in_suite == []
 
