@@ -2,9 +2,8 @@
 
 The generators here feed the randomized property suites, the CLI
 ``suite`` command and the acceptance battery.  Each instance records the
-algebra, the trivolution, an involution on its kernel ideal (when the
-kernel is nonzero, for the splitting factorization) and the algebra's
-natural involution (for the dual-extension checks).  Everything is
+algebra, the trivolution and an involution on its kernel ideal (when the
+kernel is nonzero, for the splitting factorization).  Everything is
 deterministic given the seed.
 """
 
@@ -34,8 +33,7 @@ class TrivolutionInstance:
     name: str
     algebra: Algebra
     tau: AlgMap
-    kernel_involution: AlgMap | None = None   # ambient map restricting to ker(tau)
-    natural_involution: AlgMap | None = None  # involution on the whole algebra
+    kernel_involution: AlgMap | None = None  # ambient map restricting to ker(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +166,6 @@ def _function_instances(seed: int) -> list[TrivolutionInstance]:
     out = []
     for n in range(2, 6):
         algebra = function_algebra(n)
-        natural = conjugation_map(algebra)
         for size in range(1, n + 1):
             for k_set in combinations(range(n), size):
                 # all involutive permutations up to dim 4, canonical ones at dim 5
@@ -179,11 +176,9 @@ def _function_instances(seed: int) -> list[TrivolutionInstance]:
                     kernel_inv = conjugation_map(algebra) if size < n else None
                     out.append(TrivolutionInstance(
                         name=f"function{n}_K{''.join(map(str, k_set))}",
-                        algebra=algebra, tau=tau,
-                        kernel_involution=kernel_inv, natural_involution=natural))
+                        algebra=algebra, tau=tau, kernel_involution=kernel_inv))
     for n in range(6, 9):
         algebra = function_algebra(n)
-        natural = conjugation_map(algebra)
         for _ in range(12):
             size = int(rng.integers(1, n + 1))
             k_set = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
@@ -193,8 +188,7 @@ def _function_instances(seed: int) -> list[TrivolutionInstance]:
             kernel_inv = conjugation_map(algebra) if size < n else None
             out.append(TrivolutionInstance(
                 name=f"function{n}_K{''.join(map(str, k_set))}",
-                algebra=algebra, tau=tau,
-                kernel_involution=kernel_inv, natural_involution=natural))
+                algebra=algebra, tau=tau, kernel_involution=kernel_inv))
     return out
 
 
@@ -220,8 +214,7 @@ def _group_instances() -> list[TrivolutionInstance]:
             out.append(TrivolutionInstance(
                 name=f"group_{name}_N{len(subgroup)}",
                 algebra=algebra, tau=tau,
-                kernel_involution=natural if proper else None,
-                natural_involution=natural))
+                kernel_involution=natural if proper else None))
     return out
 
 
@@ -230,15 +223,13 @@ def _matrix_instances() -> list[TrivolutionInstance]:
     for n in (2, 3):
         algebra = matrix_algebra(n)
         ct = conjugate_transpose_involution(algebra, n)
-        out.append(TrivolutionInstance(name=f"M{n}_conj_transpose", algebra=algebra,
-                                       tau=ct, natural_involution=ct))
+        out.append(TrivolutionInstance(name=f"M{n}_conj_transpose", algebra=algebra, tau=ct))
     # second involution on M_2: conjugate-transpose twisted by u = diag(1, -1)
     m2 = matrix_algebra(2)
     ct = conjugate_transpose_involution(m2, 2)
     u = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)  # Ad(diag(1,-1)) on units
     twisted = make_map(u @ ct.matrix, conjugating=True, source=m2)
-    out.append(TrivolutionInstance(name="M2_twisted", algebra=m2, tau=twisted,
-                                   natural_involution=ct))
+    out.append(TrivolutionInstance(name="M2_twisted", algebra=m2, tau=twisted))
     return out
 
 
@@ -261,21 +252,21 @@ def _product_instances() -> list[TrivolutionInstance]:
         natural = block_map(prod, linv, rinv, la.dim)
         out.append(TrivolutionInstance(
             name=f"prod_{lname}x{rname}_both", algebra=prod,
-            tau=block_map(prod, linv, rinv, la.dim), natural_involution=natural))
+            tau=block_map(prod, linv, rinv, la.dim)))
         out.append(TrivolutionInstance(
             name=f"prod_{lname}x{rname}_first", algebra=prod,
             tau=block_map(prod, linv, None, la.dim),
-            kernel_involution=natural, natural_involution=natural))
+            kernel_involution=natural))
         out.append(TrivolutionInstance(
             name=f"prod_{lname}x{rname}_second", algebra=prod,
             tau=block_map(prod, None, rinv, la.dim),
-            kernel_involution=natural, natural_involution=natural))
+            kernel_involution=natural))
     m2xm2 = product_algebra(m2, m2)
     ct = conjugate_transpose_involution(m2, 2)
     nat = block_map(m2xm2, ct, ct, m2.dim)
     out.append(TrivolutionInstance(name="prod_M2xM2_first", algebra=m2xm2,
                                    tau=block_map(m2xm2, ct, None, m2.dim),
-                                   kernel_involution=nat, natural_involution=nat))
+                                   kernel_involution=nat))
     return out
 
 
@@ -288,14 +279,12 @@ def _opposite_instances() -> list[TrivolutionInstance]:
     # an anti-homomorphism of A stays one on the opposite algebra
     out.append(TrivolutionInstance(
         name="opposite_S3", algebra=op,
-        tau=make_map(inv.matrix, conjugating=True, source=op),
-        natural_involution=make_map(inv.matrix, conjugating=True, source=op)))
+        tau=make_map(inv.matrix, conjugating=True, source=op)))
     m2op = opposite_algebra(matrix_algebra(2))
     ct = conjugate_transpose_involution(matrix_algebra(2), 2)
     out.append(TrivolutionInstance(
         name="opposite_M2", algebra=m2op,
-        tau=make_map(ct.matrix, conjugating=True, source=m2op),
-        natural_involution=make_map(ct.matrix, conjugating=True, source=m2op)))
+        tau=make_map(ct.matrix, conjugating=True, source=m2op)))
     return out
 
 

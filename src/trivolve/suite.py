@@ -1,8 +1,35 @@
 """Full property battery over the built-in instances.
 
-Each section exercises one family of laws and reports the worst residual
-it saw.  The battery is deterministic given the seed, which is what the
-CLI ``suite`` command relies on for byte-identical reports.
+A section makes certified calls for one family of the paper's laws and
+returns its counts and the residuals those calls returned.  Each law is
+decided by the library's pass rule (``errors.certify`` at ``EPS``, the
+spectral inclusion at ``spectra.SPECTRUM_TOL``), and a condition with no
+residual raises ``CertificationFailure`` under its law, so a section
+passes when it returns.  The statements, with their laws in quotes:
+
+- round_trip: a trivolution is "tau = rho o p", and conversely the pair
+  ``(p, rho)`` builds one of tau's kind ("conjugate-linear anti-homomorphism
+  with t^3 = t").
+- factorization: tau factors through an involutive algebra,
+  "tau = mu o sigma o lambda" with "sigma^2 = id".
+- trivolutive_homs: the identity and ``p`` are trivolutive homomorphisms,
+  and a perturbed ``p`` is rejected under "pi o tau1 = tau2 o pi".
+- extension_scan: "t# is a trivolution iff (lambda0, x0) is of family I or
+  II" on 243 candidates, and the family-I solutions on C^4 are "x0 = -y for
+  the idempotents y of ann t(A) in ker t".
+- contractive_extensions: "contractive extensions are the canonical and
+  the family-II ones", and the third has "||t#|| = 2".
+- spectral_inclusion: "spec_B(t(x)) inside conj spec_A(x)".
+- invariant_means: "the invariant mean is unique" on C[Z2] and C[Z3], with
+  "m = 1/n", and "the invariant mean is star-fixed" on C[Z2].
+- search_function_family: "search finds every trivolution of the family".
+- misc_laws: "tau1 = tau o ell_e is a proper trivolution" with
+  "tau1(e) = e"; "unitaries are closed under products and tau";
+  "f^tau = f iff f real on hermitians and zero on ker tau"; each x in
+  tau(A) is "x = x1 + i x2" with hermitian parts.
+
+The battery is deterministic given the seed, which is what the CLI
+``suite`` command relies on for byte-identical reports.
 """
 
 from __future__ import annotations
@@ -21,13 +48,13 @@ from .algebra import (
 )
 from .duality import (
     extend_involution,
-    find_characters,
     full_dual,
     search_trivolutions,
     tim_obstruction_check,
     tim_set,
+    verify_character,
 )
-from .errors import CertificationFailure
+from .errors import CertificationFailure, certify
 from .instances import (
     TrivolutionInstance,
     c4_indicator_pair,
@@ -36,8 +63,8 @@ from .instances import (
     remark_pair,
     standard_group_involution,
 )
-from .linalg import max_abs
-from .starmap import adjoint, apply, identity_map, kernel_image, make_map
+from .linalg import EPS, max_abs
+from .starmap import apply, identity_map, kernel_image, make_map
 from .trivolution import (
     canonical_decomposition,
     check_trivolutive_hom,
@@ -47,15 +74,23 @@ from .trivolution import (
     hermitian_decomposition,
     hermitian_functional_check,
     make_trivolution,
+    require_trivolution,
     right_identity_trivolution,
 )
 from .spectra import verify_spectral_inclusion
 from .unitization import (
     contractive_extensions,
+    disagreement,
     find_type1_solutions,
     range_identity,
     verify_extension,
 )
+
+
+def _require(condition: bool, law: str, message: str, residual: float | None = None) -> None:
+    """Raise a failure of ``law``, with ``residual``, unless ``condition`` holds."""
+    if not condition:
+        raise CertificationFailure(message, law=law, residual=residual)
 
 
 def _sample(items: list, count: int) -> list:
@@ -66,56 +101,51 @@ def _sample(items: list, count: int) -> list:
 
 
 def _section_round_trip(battery: list[TrivolutionInstance]) -> dict:
+    sample = _sample(battery, 60)
     worst = 0.0
-    for k, inst in enumerate(_sample(battery, 60)):
+    for k, inst in enumerate(sample):
         dec = canonical_decomposition(inst.algebra, inst.tau)
         worst = max(worst, dec.residuals["reconstruction"], dec.residuals["rho_squared"])
-        if k % 8 == 0:  # the converse: the pair (p, rho) builds tau again
+        if k % 8 == 0:  # the converse: the pair (p, rho) builds a trivolution of tau's kind
             rebuilt = make_trivolution(inst.algebra, dec.projection_p, dec.involution_rho)
-            worst = max(worst, max_abs(rebuilt.matrix - inst.tau.matrix))
-    return {"name": "round_trip", "instances": len(_sample(battery, 60)),
-            "max_residual": worst, "passed": worst <= 1e-8}
+            kind = require_trivolution(inst.algebra, rebuilt).kind
+            _require(kind == dec.verdict.kind, "tau = rho o p",
+                     f"rho o p is a {kind}, tau a {dec.verdict.kind}")
+    return {"instances": len(sample), "max_residual": worst}
 
 
 def _section_factorization(battery: list[TrivolutionInstance]) -> dict:
-    proper = [inst for inst in battery
-              if inst.kernel_involution is not None][:12]
+    proper = [inst for inst in battery if inst.kernel_involution is not None][:12]
     worst = 0.0
     for inst in proper:
         fact = factor_through_involution(inst.algebra, inst.tau, inst.kernel_involution)
         worst = max(worst, fact.residuals["sigma_squared"], fact.residuals["factorization"])
-    return {"name": "factorization", "instances": len(proper),
-            "max_residual": worst, "passed": worst <= 1e-8}
+    return {"instances": len(proper), "max_residual": worst}
 
 
 def _section_homs(battery: list[TrivolutionInstance], seed: int) -> dict:
     rng = np.random.default_rng(seed + 17)
     sample = _sample(battery, 10)
     worst = 0.0
-    rejected = 0
-    attempted = 0
     for inst in sample:
         dec = canonical_decomposition(inst.algebra, inst.tau)
         for pi in (identity_map(inst.algebra), dec.projection_p):
-            blocks = check_trivolutive_hom(inst.algebra, inst.tau, inst.algebra,
-                                           inst.tau, pi)
+            blocks = check_trivolutive_hom(inst.algebra, inst.tau, inst.algebra, inst.tau, pi)
             worst = max(worst, blocks.residuals["off_diagonal"],
                         blocks.residuals["pi22_involutive"])
         n = inst.algebra.dim
         noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         perturbed = make_map(dec.projection_p.matrix + 1e-3 * noise,
                              conjugating=False, source=inst.algebra)
-        attempted += 1
         try:
             check_trivolutive_hom(inst.algebra, inst.tau, inst.algebra, inst.tau, perturbed)
         except CertificationFailure as exc:
             if exc.law != "pi o tau1 = tau2 o pi":
                 raise
-            rejected += 1
-    return {"name": "trivolutive_homs", "instances": len(sample),
-            "max_residual": worst, "perturbed_rejected": rejected,
-            "perturbed_attempted": attempted,
-            "passed": worst <= 1e-8 and rejected == attempted}
+        else:
+            raise CertificationFailure("a perturbed p passed as a trivolutive homomorphism",
+                                       law="pi o tau1 = tau2 o pi")
+    return {"instances": len(sample), "max_residual": worst}
 
 
 def _section_extension_scan() -> dict:
@@ -128,26 +158,32 @@ def _section_extension_scan() -> dict:
     _, image = kernel_image(tau)
     e_b = range_identity(algebra, image)
     specs, disagreements = verify_extension(algebra, tau, lambdas, x0s, e_b=e_b, image=image)
+    if disagreements:
+        raise disagreement(specs[disagreements[0]])
     c4, tau4 = c4_indicator_pair()
     sols = find_type1_solutions(c4, tau4)
-    expected = {(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, -1.0, 0.0),
-                (0.0, 0.0, 0.0, -1.0), (0.0, 0.0, -1.0, -1.0)}
-    got = {tuple(np.round(x.real, 9)) for x in sols.solutions}
-    solver_ok = (not sols.best_effort) and got == expected
-    return {"name": "extension_scan", "grid_checked": len(specs),
-            "disagreements": len(disagreements), "type1_count": len(sols.solutions),
-            "passed": not disagreements and solver_ok}
+    _require(not sols.best_effort, "x0 = -y for the idempotents y of ann t(A) in ker t",
+             "the idempotents came from the Newton search")
+    expected = -np.array([[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1]], dtype=complex)
+    gaps = np.abs(np.array(sols.solutions)[:, None, :] - expected).max(axis=2)
+    # the Hausdorff distance between the two sets: each point is EPS-close to one of the other
+    certify(max(gaps.min(axis=0).max(), gaps.min(axis=1).max()), EPS,
+            "x0 = -y for the idempotents y of ann t(A) in ker t",
+            "the family-I solutions differ from the expected four (distance {residual:.3e})")
+    return {"grid_checked": len(specs), "type1_count": len(sols.solutions)}
 
 
 def _section_contractive() -> dict:
     algebra, tau = remark_pair()
     result = contractive_extensions(algebra, tau)
-    excluded_norm = result.excluded[0].norm_of_extension if result.excluded else float("nan")
-    ok = (len(result.included) == 2 and len(result.excluded) == 1
-          and abs(excluded_norm - 2.0) <= 1e-9)
-    return {"name": "contractive_extensions", "included": len(result.included),
-            "excluded": len(result.excluded), "excluded_norm": excluded_norm,
-            "passed": ok}
+    _require(len(result.included) == 2 and len(result.excluded) == 1,
+             "contractive extensions are the canonical and the family-II ones",
+             f"{len(result.included)} contractive, {len(result.excluded)} excluded")
+    excluded_norm = result.excluded[0].norm_of_extension
+    certify(abs(excluded_norm - 2.0), EPS, "||t#|| = 2",
+            "the excluded extension's norm is not 2 (residual {residual:.3e})")
+    return {"included": len(result.included), "excluded": len(result.excluded),
+            "excluded_norm": excluded_norm}
 
 
 def _section_spectra(battery: list[TrivolutionInstance], seed: int) -> dict:
@@ -160,66 +196,34 @@ def _section_spectra(battery: list[TrivolutionInstance], seed: int) -> dict:
             coords = rng.standard_normal(inst.algebra.dim) \
                 + 1j * rng.standard_normal(inst.algebra.dim)
             report = verify_spectral_inclusion(inst.algebra, inst.tau, coords)
+            _require(report.included, "spec_B(t(x)) inside conj spec_A(x)",
+                     "spectral inclusion failed", report.max_mismatch)
             worst = max(worst, report.max_mismatch)
             count += 1
-    return {"name": "spectral_inclusion", "elements": count,
-            "max_mismatch": worst, "passed": worst <= 1e-6}
+    return {"elements": count, "max_mismatch": worst}
 
 
-def _section_arens(battery: list[TrivolutionInstance]) -> dict:
-    seen: set[int] = set()
-    worst_tensor = 0.0
-    worst_theta = 0.0
-    count = 0
-    for inst in battery:
-        if inst.algebra.dim > 8 or id(inst.algebra) in seen:
-            continue
-        if inst.natural_involution is None:
-            continue
-        seen.add(id(inst.algebra))
-        space = full_dual(inst.algebra)
-        worst_tensor = max(worst_tensor, max_abs(space.quotient.structure - inst.algebra.structure))
-        theta = inst.natural_involution
-        extension = extend_involution(inst.algebra, theta, space)
-        worst_theta = max(worst_theta, max_abs(extension.matrix - theta.matrix))
-        count += 1
-        if count >= 12:
-            break
-    return {"name": "arens_oracle", "algebras": count,
-            "max_tensor_gap": worst_tensor, "max_extension_gap": worst_theta,
-            "passed": worst_tensor <= 1e-8 and worst_theta <= 1e-8}
+def _unique_mean(n: int) -> tuple:
+    """C[Z_n], its full dual, the trivial character and its unique mean, certified ``1/n``."""
+    algebra = group_algebra(cyclic_group_table(n))
+    space = full_dual(algebra)
+    trivial = verify_character(algebra, np.ones(n))
+    means = tim_set(algebra, space, trivial)
+    _require(means.is_unique, "the invariant mean is unique",
+             f"C[Z{n}] has {'no' if means.is_empty else 'more than one'} invariant mean")
+    residual = certify(max_abs(means.particular - np.ones(n) / n), EPS, "m = 1/n",
+                       "the invariant mean is not 1/n (residual {residual:.3e})")
+    return algebra, space, trivial, means, residual
 
 
 def _section_tim() -> dict:
-    report: dict = {"name": "invariant_means"}
-    worst = 0.0
-    ok = True
-
-    z2 = group_algebra(cyclic_group_table(2), labels=["e", "g"])
-    space = full_dual(z2)
-    chars = find_characters(z2).characters
-    augmentation = next(c for c in chars if max_abs(c - np.ones(2)) <= 1e-6)
-    means = tim_set(z2, space, augmentation)
-    ok &= means.is_unique and means.particular is not None
-    if means.particular is not None:
-        worst = max(worst, max_abs(means.particular - 0.5 * np.ones(2)))
-    theta = standard_group_involution(z2, cyclic_group_table(2))
-    star = extend_involution(z2, theta, space)
+    z2, space, augmentation, means, worst = _unique_mean(2)
+    star = extend_involution(z2, standard_group_involution(z2, cyclic_group_table(2)), space)
     obstruction = tim_obstruction_check(means, augmentation, star, space)
-    ok &= obstruction.unique and not obstruction.vacuous
-    worst = max(worst, max(obstruction.chain_residuals.values(), default=0.0))
-
-    z3 = group_algebra(cyclic_group_table(3), labels=["e", "g", "g2"])
-    space3 = full_dual(z3)
-    chars3 = find_characters(z3).characters
-    trivial = next(c for c in chars3 if max_abs(c - np.ones(3)) <= 1e-6)
-    means3 = tim_set(z3, space3, trivial)
-    ok &= means3.is_unique and means3.particular is not None
-    if means3.particular is not None:
-        worst = max(worst, max_abs(means3.particular - np.ones(3) / 3.0))
-
-    report.update({"max_residual": worst, "passed": bool(ok) and worst <= 1e-9})
-    return report
+    _require(not obstruction.vacuous, "the invariant mean is star-fixed",
+             "the obstruction chain was vacuous")
+    worst = max(worst, max(obstruction.chain_residuals.values()), _unique_mean(3)[-1])
+    return {"max_residual": worst}
 
 
 def _section_search() -> dict:
@@ -227,14 +231,14 @@ def _section_search() -> dict:
     found = search_trivolutions(c3, {"family": "function_indicator"})
     # independent count: subsets of each size, one map per transposition count
     combinatorial = sum(comb(3, size) * (size // 2 + 1) for size in (1, 2, 3))
-    return {"name": "search_function_family", "found": len(found),
-            "expected": combinatorial, "passed": len(found) == combinatorial == 11}
+    _require(len(found) == combinatorial, "search finds every trivolution of the family",
+             f"search found {len(found)} of {combinatorial}")
+    return {"found": len(found)}
 
 
 def _section_misc_laws(battery: list[TrivolutionInstance], seed: int) -> dict:
     rng = np.random.default_rng(seed + 31)
     worst = 0.0
-    ok = True
 
     # right identities: the first-column algebra has a family of them
     col = first_column_algebra()
@@ -244,75 +248,70 @@ def _section_misc_laws(battery: list[TrivolutionInstance], seed: int) -> dict:
         sub_alg, _ = induced_subalgebra(col, sub)
         inner = make_map(np.eye(1), conjugating=True, source=sub_alg)
         tau1 = right_identity_trivolution(col, e, sub, inner)
-        verdict = classify_star_map(col, tau1)
-        ok &= verdict.kind == "trivolution_proper"
-        # tau(e) = e for the right identity inside the range
-        worst = max(worst, max_abs(apply(tau1, e) - e))
-
-    # f^{tau tau tau} = f^{tau} on random functionals
-    for inst in _sample(battery, 8):
-        adj = adjoint(inst.tau).matrix
-        f = rng.standard_normal(inst.algebra.dim) + 1j * rng.standard_normal(inst.algebra.dim)
-        def f_tau(v):
-            return adj @ np.conj(v)
-        worst = max(worst, max_abs(f_tau(f_tau(f_tau(f))) - f_tau(f)))
+        kind = classify_star_map(col, tau1).kind
+        _require(kind == "trivolution_proper", "tau1 = tau o ell_e is a proper trivolution",
+                 f"tau o ell_e is a {kind}")
+        worst = max(worst, certify(max_abs(apply(tau1, e) - e), EPS, "tau1(e) = e",
+                                   "tau1 moves the right identity (residual {residual:.3e})"))
 
     # unitary elements of involutive M_2 form a group
-    m2_instances = [inst for inst in battery if inst.name == "M2_conj_transpose"]
-    if m2_instances:
-        inst = m2_instances[0]
-        for _ in range(5):
-            q1, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-            q2, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-            x = q1.reshape(-1)
-            flags_x = element_classes(inst.algebra, inst.tau, x)
-            product = (q1 @ q2).reshape(-1)
-            flags_prod = element_classes(inst.algebra, inst.tau, product)
-            flags_tau = element_classes(inst.algebra, inst.tau, apply(inst.tau, x))
-            ok &= flags_x.unitary and flags_prod.unitary and flags_tau.unitary
+    inst = next(inst for inst in battery if inst.name == "M2_conj_transpose")
+    for _ in range(5):
+        q1, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        q2, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        x = q1.reshape(-1)
+        _require(all(element_classes(inst.algebra, inst.tau, y).unitary
+                     for y in (x, (q1 @ q2).reshape(-1), apply(inst.tau, x))),
+                 "unitaries are closed under products and tau",
+                 "a product or an image of unitaries is not unitary")
 
     # hermitian functionals: vanish on the kernel, real on hermitians
     algebra, tau = remark_pair()
-    ok &= hermitian_functional_check(algebra, tau, [1.0, 0.0]).is_hermitian
-    ok &= not hermitian_functional_check(algebra, tau, [1.0, 1.0]).is_hermitian
+    _require(hermitian_functional_check(algebra, tau, [1.0, 0.0]).is_hermitian
+             and not hermitian_functional_check(algebra, tau, [1.0, 1.0]).is_hermitian,
+             "f^tau = f iff f real on hermitians and zero on ker tau",
+             "a hermitian-functional verdict is wrong")
 
     # each x in tau(A) is x1 + i x2 with x1, x2 hermitian, and the pair is unique
     for inst in _sample(battery, 8):
-        x = apply(inst.tau, np.ones(inst.algebra.dim, dtype=complex))
-        try:
-            hermitian_decomposition(inst.algebra, inst.tau, x)
-        except CertificationFailure:
-            ok = False
+        hermitian_decomposition(inst.algebra, inst.tau,
+                                apply(inst.tau, np.ones(inst.algebra.dim, dtype=complex)))
 
-    return {"name": "misc_laws", "max_residual": worst,
-            "passed": bool(ok) and worst <= 1e-8}
+    return {"max_residual": worst}
 
 
 def run_suite(seed: int = 0) -> tuple[bool, dict]:
     """Run every section; returns (all_passed, report).
 
-    Each section certifies against its own fixed threshold, so that a
-    seed gives one report.
+    A section passes when its certified calls return.  One that raises
+    ``CertificationFailure`` is reported with ``passed: false`` and the
+    failure's report (its ``law`` and ``residual`` among them), and the
+    other sections still run.  A seed gives one report.
     """
     battery = instance_battery(seed)
-    sections = [
-        _section_round_trip(battery),
-        _section_factorization(battery),
-        _section_homs(battery, seed),
-        _section_extension_scan(),
-        _section_contractive(),
-        _section_spectra(battery, seed),
-        _section_arens(battery),
-        _section_tim(),
-        _section_search(),
-        _section_misc_laws(battery, seed),
-    ]
-    passed = all(section["passed"] for section in sections)
+    sections = {
+        "round_trip": lambda: _section_round_trip(battery),
+        "factorization": lambda: _section_factorization(battery),
+        "trivolutive_homs": lambda: _section_homs(battery, seed),
+        "extension_scan": _section_extension_scan,
+        "contractive_extensions": _section_contractive,
+        "spectral_inclusion": lambda: _section_spectra(battery, seed),
+        "invariant_means": _section_tim,
+        "search_function_family": _section_search,
+        "misc_laws": lambda: _section_misc_laws(battery, seed),
+    }
+    reports = []
+    for name, section in sections.items():
+        try:
+            reports.append({"name": name, **section(), "passed": True})
+        except CertificationFailure as exc:
+            reports.append({"name": name, **exc.report(), "passed": False})
+    passed = all(section["passed"] for section in reports)
     report = {
         "suite": "trivolve-property-battery",
         "seed": seed,
         "battery_size": len(battery),
-        "sections": sections,
+        "sections": reports,
         "passed": passed,
     }
     return passed, report

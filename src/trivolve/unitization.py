@@ -41,7 +41,7 @@ from .linalg import (
     max_abs_each,
 )
 from .starmap import AlgMap, kernel_image, map_norm
-from .trivolution import StarClass, classify_star_map
+from .trivolution import StarClass, classify_star_map, require_trivolution
 
 FAMILY_TYPE_I = "type_I"
 FAMILY_TYPE_II = "type_II"
@@ -94,7 +94,8 @@ def range_identity(algebra: Algebra, image: Subspace) -> np.ndarray | None:
     return embedding @ sub.identity_coords
 
 
-def _disagreement(spec: ExtensionSpec) -> CertificationFailure:
+def disagreement(spec: ExtensionSpec) -> CertificationFailure:
+    """The failure raised for a candidate whose family verdict and classification disagree."""
     return CertificationFailure(
         "extension family conditions disagree with direct classification",
         law="t# is a trivolution iff (lambda0, x0) is of family I or II",
@@ -171,7 +172,7 @@ def verify_extension(algebra: Algebra, tau: AlgMap, lambda0, x0, *,
     if not single:
         return specs, disagreements
     if disagreements:
-        raise _disagreement(specs[0])
+        raise disagreement(specs[0])
     return specs[0]
 
 
@@ -267,9 +268,7 @@ def find_type1_solutions(algebra: Algebra, tau: AlgMap, *, seed: int = 0) -> Typ
     by one ``verify_extension`` call on the same range data, which raises
     on the first candidate whose family verdict and classification disagree.
     """
-    if not classify_star_map(algebra, tau).is_trivolution:
-        raise CertificationFailure("solver requires a trivolution",
-                                   law="conjugate-linear anti-homomorphism with t^3 = t")
+    require_trivolution(algebra, tau)
     _, image = kernel_image(tau)
     n_basis = _annihilator_intersect_kernel(algebra, tau, image)
     best_effort = False
@@ -297,7 +296,7 @@ def find_type1_solutions(algebra: Algebra, tau: AlgMap, *, seed: int = 0) -> Typ
     specs, disagreements = verify_extension(algebra, tau, lambdas, seen[:len(lambdas)].T,
                                             e_b=e_b, image=image)
     if disagreements:
-        raise _disagreement(specs[disagreements[0]])
+        raise disagreement(specs[disagreements[0]])
     type2 = specs.pop() if e_b is not None else None
     specs = [spec for spec in specs if spec.family == FAMILY_TYPE_I]
     specs.sort(key=lambda spec: tuple(np.round(

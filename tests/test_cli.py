@@ -717,6 +717,19 @@ def test_spectra_requires_a_trivolution(tmp_path, matrix, element, before):
     assert report["law"] == "conjugate-linear anti-homomorphism with t^3 = t"
 
 
+@pytest.mark.parametrize("command", ["decompose", "extend"])
+def test_a_map_that_is_no_trivolution_fails_with_its_residual(tmp_path, command):
+    # the extension solver certifies its map as the decomposition does, so both reports carry
+    # the worse of the anti and cube residuals (extend reported no residual before)
+    tau = tmp_path / "tau.json"
+    tau.write_text(json.dumps({"matrix": [[1, 1], [0, 0]], "conjugating": True}))
+    code, report = run_cli([command, "--algebra", str(SAMPLE_SPECS / "c2.json"),
+                            "--map", str(tau)], tmp_path)
+    assert code == 1 and report["error"] == "CertificationFailure"
+    assert report["law"] == "conjugate-linear anti-homomorphism with t^3 = t"
+    assert report["residual"] == 1.0
+
+
 def test_spectra_certifies_that_t_x_lies_in_the_range(tmp_path):
     # conj o diag(1, 5e-10) is a trivolution within EPS; its singular value 5e-10 is below
     # EPS_RANK, so t(A) is the first axis, and t(x) = (1, 5e-6) is 5e-6 away from it

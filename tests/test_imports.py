@@ -224,3 +224,35 @@ def test_scan_finds_a_solver():
 def test_lstsq_is_left_only_in_the_identity_fallback():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert solver_uses(sources) == SOLVER_USES
+
+
+# The suite decides every law through the library's pass rule (``errors.certify`` at ``EPS``,
+# or a verdict such as ``SpectralInclusionReport.included``), not against literal thresholds.
+def float_thresholds(source: str) -> list[str]:
+    """Each comparison, by line, with an operand that is a float literal or a product holding one.
+
+    A literal may be negated; a product is a ``*`` anywhere in the operand, such as ``1e3 * EPS``.
+    """
+    def is_float(node) -> bool:
+        if isinstance(node, ast.UnaryOp):
+            return is_float(node.operand)
+        return isinstance(node, ast.Constant) and isinstance(node.value, float)
+
+    def is_threshold(node) -> bool:
+        return is_float(node) or any(
+            isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+            and any(is_float(part) for part in ast.walk(n)) for n in ast.walk(node))
+
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare)
+            and any(is_threshold(operand) for operand in [node.left, *node.comparators])]
+
+
+def test_scan_finds_a_float_threshold():
+    source = ("a = x <= 1e-8\nb = -1e-9 < y\nc = z > 1e3 * EPS\nd = n == 3\n"
+              "e = abs(x - 2.0) <= EPS\nf = k % 8 == 0\ng = max_abs(d * 0.5) <= EPS\n")
+    assert float_thresholds(source) == ["line 1", "line 2", "line 3", "line 7"]
+
+
+def test_the_suite_compares_against_no_float_literal():
+    assert float_thresholds((PACKAGE / "suite.py").read_text(encoding="utf-8")) == []
