@@ -230,7 +230,7 @@ def check_introverted(algebra: Algebra, x_basis) -> IntrovertedSpace:
         s, i, side = np.unravel_index(int(np.argmax(escapes)), escapes.shape)
         diagnostic = (f"lambda_{s} . b_{i} escapes X" if side == 0
                       else f"b_{i} . lambda_{s} escapes X")
-    _, annihilator, _, _ = column_space_and_nullspace(lams.T)  # the null space of evaluation
+    _, annihilator = column_space_and_nullspace(lams.T)  # the null space of evaluation
     return IntrovertedSpace(algebra=algebra, basis=x, annihilator=Subspace(annihilator, algebra),
                             introverted=introverted, faithful=x.dim == n,
                             residuals=residuals, diagnostic=diagnostic)
@@ -241,9 +241,7 @@ def extend_involution(algebra: Algebra, theta: AlgMap, space: IntrovertedSpace) 
 
     ``space`` is the introverted space holding ``X``.  Requires the
     conjugate-linear adjoint to leave ``X`` invariant (checked first).  The
-    extension is certified as an involution of ``space.quotient``, and
-    certified to agree with ``theta`` along the quotient map when ``X`` is
-    faithful.
+    extension is certified as an involution of ``space.quotient``.
     """
     theta_verdict = classify_star_map(algebra, theta)
     if theta_verdict.kind != KIND_INVOLUTION:
@@ -263,10 +261,6 @@ def extend_involution(algebra: Algebra, theta: AlgMap, space: IntrovertedSpace) 
         raise CertificationFailure("the double adjoint failed to be an involution on X*",
                                    law="Theta is an involution on (X*, box)",
                                    residual=verdict.residual)
-    if space.faithful:
-        q = space.quotient_map.matrix
-        certify(max_abs(extension.matrix @ np.conj(q) - q @ theta.matrix), EPS,
-                "Theta extends theta along A -> X*", "extension does not restrict to theta")
     return extension
 
 
@@ -274,28 +268,10 @@ def extend_involution(algebra: Algebra, theta: AlgMap, space: IntrovertedSpace) 
 # topological invariant means
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TimSolutionSet:
-    """Affine set of invariant means, as representatives in the second dual."""
+def tim_set(space: IntrovertedSpace, phi: np.ndarray) -> np.ndarray | None:
+    """The mean ``m`` in ``X*`` with ``<m, phi> = 1`` and ``a.m = m.a = phi(a) m``, or None.
 
-    particular: np.ndarray | None
-    homogeneous: np.ndarray  # columns; full-length representatives
-
-    @property
-    def affine_dim(self) -> int | None:
-        return None if self.particular is None else self.homogeneous.shape[1]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.particular is None
-
-    @property
-    def is_unique(self) -> bool:
-        return self.particular is not None and self.homogeneous.shape[1] == 0
-
-
-def tim_set(algebra: Algebra, space: IntrovertedSpace, phi: np.ndarray) -> TimSolutionSet:
-    """Solve ``<m, phi> = 1`` and ``a.m = m.a = phi(a) m`` for ``m`` in ``X*``.
+    The mean is returned as its representative in the second dual.
 
     The module actions on ``X*`` need ``X`` introverted, which is certified first.
     It suffices to take ``a`` over ``X*``'s basis, the classes of ``b_f`` for
@@ -320,13 +296,12 @@ def tim_set(algebra: Algebra, space: IntrovertedSpace, phi: np.ndarray) -> TimSo
     of the full system, ``u -= G^+ A^H r``, until that residual is at most
     ``EPS``, with LAPACK ``xGERFS``'s limits: at most five steps, each kept
     only if it halves the residual.  The solution is certified on the full
-    system: the set is empty when its worst residual exceeds ``EPS``.
+    system: there is no mean when its worst residual exceeds ``EPS``.
 
-    A mean, when one exists, is unique in finite dimension: if ``m0`` and
-    ``m0 + h`` are means, then ``h = h.m0 = <h, phi> m0 = 0``.  So the set
-    has no homogeneous part, and ``G`` is nonsingular whenever a mean
-    exists.  When none exists, every candidate fails the residual, so the
-    cut cannot change that verdict.
+    A mean, when one exists, is unique: if ``m0`` and ``m0 + h`` are means,
+    then ``h = h.m0 = <h, phi> m0 = 0``, so ``G`` is nonsingular and the
+    solve is the mean.  When none exists, every candidate fails the
+    residual, so the cut cannot change that verdict.
     """
     space.require_introverted()
     certify(space.basis.residual(phi), EPS, "phi in X", "the character does not lie in X")
@@ -361,29 +336,21 @@ def tim_set(algebra: Algebra, space: IntrovertedSpace, phi: np.ndarray) -> TimSo
         if not refined_residual <= residual / 2:
             break
         u, blocks, last, residual = refined, refined_blocks, refined_last, refined_residual
-    particular = None if residual > EPS else space.embed_coords(u)
-    return TimSolutionSet(particular=particular,
-                          homogeneous=np.zeros((algebra.dim, 0), dtype=complex))
+    return None if residual > EPS else space.embed_coords(u)
 
 
-@dataclass(frozen=True)
-class TimObstructionReport:
-    vacuous: bool
-    unique: bool
-    chain_residuals: dict = field(default_factory=dict)
+def tim_obstruction_check(mean: np.ndarray | None, phi: np.ndarray, star: AlgMap,
+                          space: IntrovertedSpace) -> dict[str, float]:
+    """Certify the invariance/absorption/fixed-point chain for the mean; its residuals.
 
-
-def tim_obstruction_check(means: TimSolutionSet, phi: np.ndarray, star: AlgMap,
-                          space: IntrovertedSpace) -> TimObstructionReport:
-    """Certify the invariance/absorption/fixed-point chain for each mean.
-
-    ``means`` is ``tim_set(algebra, space, phi)`` and ``star`` is
+    ``mean`` is ``tim_set(space, phi)`` and ``star`` is
     ``extend_involution``'s certified involution of ``(X*, box)``, for one
     introverted ``space``; both are taken as given, not solved again.
     ``star`` must be compatible with the character
-    (``<phi, a*> = conj <phi, a>`` on the embedded algebra).  The chain
-    forces any mean to be star-fixed and absorbing, hence unique, as
-    ``tim_set``'s solution set always is.  Every action is read off
+    (``<phi, a*> = conj <phi, a>`` on the embedded algebra), which is
+    certified first; with no mean there is no chain, and the residuals are
+    ``{}``.  A mean is unique (``tim_set``), so there is one chain to
+    certify, and it ends in ``m = m*``.  Every action is read off
     ``space.quotient``, the box algebra, so nothing is reduced again.
     """
     quot, q = space.quotient, space.quotient_map.matrix  # column a of q: the class of b_a
@@ -391,10 +358,10 @@ def tim_obstruction_check(means: TimSolutionSet, phi: np.ndarray, star: AlgMap,
     certify(max_abs(phi_f @ (star.matrix @ np.conj(q)) - np.conj(phi_f @ q)), EPS,
             "<phi, a*> = conj <phi, a>", "star is not compatible with the character")
 
-    if means.is_empty:
-        return TimObstructionReport(vacuous=True, unique=True, chain_residuals={})
+    if mean is None:
+        return {}
 
-    m = means.particular[space.free]
+    m = mean[space.free]
     m_star = star.matrix @ np.conj(m)
     residuals: dict[str, float] = {}
 
@@ -417,7 +384,7 @@ def tim_obstruction_check(means: TimSolutionSet, phi: np.ndarray, star: AlgMap,
     certify(max(residuals.values()), EPS,
             "a.m* = m*.a = phi(a) m*; n box m* = <n,phi> m*; m = m*",
             "the invariant-mean identity chain failed", details=residuals)
-    return TimObstructionReport(vacuous=False, unique=True, chain_residuals=residuals)
+    return residuals
 
 
 # ---------------------------------------------------------------------------

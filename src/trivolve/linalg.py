@@ -5,27 +5,27 @@ use absolute thresholds: the targeted instances are small (dim <= ~64)
 and well conditioned, so absolute tolerances are both simpler and more
 reproducible than relative ones.
 
-A linear system takes one of four routes:
+A linear system takes one of three routes:
 
 - coordinates in a subspace are its pivot entries in the reduced echelon
   basis (``algebra.Subspace.coordinates``), certified by the residual of
   ``E c = v``;
-- a system whose kernel or image is needed, with or without a solve, goes
-  to ``column_space_and_nullspace``: one thin SVD gives all of them;
+- a system whose kernel or image is needed goes to
+  ``column_space_and_nullspace``: one thin SVD gives both;
 - the invariant-mean system (``duality.tim_set``, 1153 x 24 for C[Z24])
   never forms its tall matrix: it is decided by one ``eigh`` of its
   ``k x k`` Gram matrix, summed from batched ``k x k`` products, and
-  certified by its residual on the full system;
-- a rank test alone calls ``np.linalg.matrix_rank``, singular values only.
+  certified by its residual on the full system.
+
+A rank test alone calls ``np.linalg.matrix_rank``, singular values only.
 
 The cutoffs are two constants.  A law holds when its residual is at
 most ``EPS``; a singular value or a pivot counts towards the rank, so its
-vector leaves the kernel, when it exceeds ``EPS_RANK``.  A least-squares
-solve also drops the singular values at most ``eps * max(m, n) * s_max``,
-with ``eps`` the float64 machine epsilon.  ``lstsq``'s ``rcond=None`` rule
-is left only where the identity's normal equations fail
-(``algebra._find_identity``).  A Gram matrix's eigenvalues are
-squared singular values, so one counts when it exceeds ``EPS_RANK ** 2``.
+vector leaves the kernel, when it exceeds ``EPS_RANK``.  A Gram matrix's
+eigenvalues are squared singular values, so one counts when it exceeds
+``EPS_RANK ** 2``.  The one relative cut is ``lstsq``'s ``rcond=None``
+rule, left only where the identity's normal equations fail
+(``algebra._find_identity``).
 """
 
 from __future__ import annotations
@@ -114,26 +114,19 @@ def reduce_vector(x: np.ndarray, ech_rows: np.ndarray, pivots: list[int]) -> np.
     return y
 
 
-def column_space_and_nullspace(mat: np.ndarray, rhs: np.ndarray | None = None) -> tuple:
-    """``(image, kernel, solution, residual)`` of ``mat`` from one SVD.
+def column_space_and_nullspace(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(image, kernel)`` of ``mat`` from one SVD.
 
     Image and kernel are orthonormal columns split at ``EPS_RANK``.  The SVD is
     thin: only a wide matrix gets the full ``vh``, since only its kernel
-    needs rows beyond ``min(m, n)``.  Given the vector ``rhs``,
-    ``solution`` is its minimum-norm least-squares solution and
-    ``residual`` the worst residual; both are None without it.  A real
-    matrix keeps real arithmetic, so its kernel basis is real.
+    needs rows beyond ``min(m, n)``.  A real matrix keeps real arithmetic,
+    so its kernel basis is real.
     """
     a = np.asarray(mat)
     m, n = a.shape
     u, s, vh = np.linalg.svd(a, full_matrices=m < n)
     r = int(np.sum(s > EPS_RANK))
-    image, kernel = u[:, :r], vh[r:, :].conj().T
-    if rhs is None:
-        return image, kernel, None, None
-    k = int(np.sum(s > np.finfo(float).eps * max(m, n) * np.max(s, initial=0.0)))
-    x = vh[:k, :].conj().T @ ((u[:, :k].conj().T @ rhs) / s[:k])
-    return image, kernel, x, max_abs(a @ x - rhs)
+    return u[:, :r], vh[r:, :].conj().T
 
 
 def realify_conjugation_fixed_points(m: np.ndarray) -> np.ndarray:
@@ -150,7 +143,7 @@ def realify_conjugation_fixed_points(m: np.ndarray) -> np.ndarray:
     top = np.hstack([p - np.eye(n), q])
     bot = np.hstack([q, -p - np.eye(n)])
     system = np.vstack([top, bot]).astype(float)
-    _, real_basis, _, _ = column_space_and_nullspace(system)
+    _, real_basis = column_space_and_nullspace(system)
     if real_basis.shape[1] == 0:
         return np.zeros((n, 0), dtype=complex)
     return real_basis[:n, :] + 1j * real_basis[n:, :]

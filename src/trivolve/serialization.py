@@ -51,8 +51,7 @@ lists without a complex entry are written as they are.  A complex
 go through one ``repr`` pass and one ``str.join``.  A non-finite number,
 which JSON cannot hold, means the inputs overflowed float64: a
 ``UsageError`` naming the first one in insertion order, since a dict's
-members are encoded in insertion order and sorted afterwards.  ``plain``
-gives the values that JSON text decodes to without writing it.
+members are encoded in insertion order and sorted afterwards.
 """
 
 from __future__ import annotations
@@ -227,39 +226,6 @@ def _encode_array(arr: np.ndarray, level: int) -> str:
 def dumps_report(report: dict) -> str:
     """The report as JSON text, by the rules in the module docstring."""
     return _encode(report, 0) + "\n"
-
-
-def plain(value):
-    """What ``json`` decodes from the text ``_encode`` writes of ``value``, without the text.
-
-    Dicts keep their insertion order, with ``str`` keys; arrays become
-    nested lists, complex values ``[re, im]`` pairs and tuples lists.  The
-    ``UsageError`` names the non-finite number that ``dumps_report`` names.
-    """
-    if isinstance(value, (float, np.floating)):
-        return _finite(float(value))
-    if isinstance(value, dict):
-        return {str(k): plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        if _is_complex_vector(value):
-            return [complex_to_pair(v) for v in value]
-        return [plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            value = np.asarray(value, dtype=complex)
-            value = np.stack([value.real, value.imag], axis=-1)
-        if value.dtype.kind != "f":
-            return plain(value.tolist())
-        if not np.isfinite(value).all():
-            _finite(value[~np.isfinite(value)][0])  # raises UsageError
-        return value.tolist()
-    if isinstance(value, (complex, np.complexfloating)):
-        return complex_to_pair(value)
-    if isinstance(value, (np.integer, np.bool_)):
-        return value.item()
-    if value is None or isinstance(value, (str, int)):
-        return value
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def read_json(path: str | Path):

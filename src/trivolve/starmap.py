@@ -152,7 +152,7 @@ def kernel_image(f: AlgMap) -> tuple[Subspace, Subspace]:
     space (still a complex subspace), since ``f(x) = M conj(x)``.
     """
     if "kernel_image" not in f.cache:
-        image_cols, null_cols, _, _ = column_space_and_nullspace(f.matrix)
+        image_cols, null_cols = column_space_and_nullspace(f.matrix)
         kernel_cols = np.conj(null_cols) if f.conjugating else null_cols
         f.cache["kernel_image"] = (Subspace(kernel_cols, f.source), Subspace(image_cols, f.target))
     return f.cache["kernel_image"]

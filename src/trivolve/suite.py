@@ -20,8 +20,9 @@ passes when it returns.  The statements, with their laws in quotes:
 - contractive_extensions: "contractive extensions are the canonical and
   the family-II ones", and the third has "||t#|| = 2".
 - spectral_inclusion: "spec_B(t(x)) inside conj spec_A(x)".
-- invariant_means: "the invariant mean is unique" on C[Z2] and C[Z3], with
-  "m = 1/n", and "the invariant mean is star-fixed" on C[Z2].
+- invariant_means: "C[Z_n] has an invariant mean", with "m = 1/n", on C[Z2]
+  and C[Z3]; on C[Z2] the mean is star-fixed, by the chain that ends in
+  "m = m*".
 - search_function_family: "search finds every trivolution of the family".
 - misc_laws: "tau1 = tau o ell_e is a proper trivolution" with
   "tau1(e) = e"; "unitaries are closed under products and tau";
@@ -204,25 +205,22 @@ def _section_spectra(battery: list[TrivolutionInstance], seed: int) -> dict:
 
 
 def _unique_mean(n: int) -> tuple:
-    """C[Z_n], its full dual, the trivial character and its unique mean, certified ``1/n``."""
+    """C[Z_n], its full dual, the trivial character and its mean, certified ``1/n``."""
     algebra = group_algebra(cyclic_group_table(n))
     space = full_dual(algebra)
     trivial = verify_character(algebra, np.ones(n))
-    means = tim_set(algebra, space, trivial)
-    _require(means.is_unique, "the invariant mean is unique",
-             f"C[Z{n}] has {'no' if means.is_empty else 'more than one'} invariant mean")
-    residual = certify(max_abs(means.particular - np.ones(n) / n), EPS, "m = 1/n",
+    mean = tim_set(space, trivial)
+    _require(mean is not None, "C[Z_n] has an invariant mean", f"C[Z{n}] has no invariant mean")
+    residual = certify(max_abs(mean - np.ones(n) / n), EPS, "m = 1/n",
                        "the invariant mean is not 1/n (residual {residual:.3e})")
-    return algebra, space, trivial, means, residual
+    return algebra, space, trivial, mean, residual
 
 
 def _section_tim() -> dict:
-    z2, space, augmentation, means, worst = _unique_mean(2)
+    z2, space, augmentation, mean, worst = _unique_mean(2)
     star = extend_involution(z2, standard_group_involution(z2, cyclic_group_table(2)), space)
-    obstruction = tim_obstruction_check(means, augmentation, star, space)
-    _require(not obstruction.vacuous, "the invariant mean is star-fixed",
-             "the obstruction chain was vacuous")
-    worst = max(worst, max(obstruction.chain_residuals.values()), _unique_mean(3)[-1])
+    chain = tim_obstruction_check(mean, augmentation, star, space)
+    worst = max(worst, max(chain.values()), _unique_mean(3)[-1])
     return {"max_residual": worst}
 
 
@@ -272,7 +270,7 @@ def _section_misc_laws(battery: list[TrivolutionInstance], seed: int) -> dict:
              "f^tau = f iff f real on hermitians and zero on ker tau",
              "a hermitian-functional verdict is wrong")
 
-    # each x in tau(A) is x1 + i x2 with x1, x2 hermitian, and the pair is unique
+    # each x in tau(A) is x1 + i x2 with x1, x2 hermitian
     for inst in _sample(battery, 8):
         hermitian_decomposition(inst.algebra, inst.tau,
                                 apply(inst.tau, np.ones(inst.algebra.dim, dtype=complex)))

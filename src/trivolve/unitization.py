@@ -203,7 +203,7 @@ def _annihilator_intersect_kernel(algebra: Algebra, tau: AlgMap, image: Subspace
         rows.append(right_mult_matrix(algebra, col))  # x . q = 0
         rows.append(left_mult_matrix(algebra, col))   # q . x = 0
     stacked = np.vstack(rows)
-    _, kernel, _, _ = column_space_and_nullspace(stacked)
+    _, kernel = column_space_and_nullspace(stacked)
     return kernel
 
 

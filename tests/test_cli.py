@@ -629,7 +629,7 @@ def test_text_report_matches_the_reference(argv, capsys):
 
 
 def render_through_json(report):
-    """The text renderer before ``plain``: the report's JSON text, decoded and rendered."""
+    """The text rule: the report's JSON text, decoded and rendered."""
     return _render_text(json.loads(dumps_report(report))) + "\n"
 
 

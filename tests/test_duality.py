@@ -31,7 +31,7 @@ from trivolve.instances import (
     instance_battery,
     standard_group_involution,
 )
-from trivolve.linalg import EPS, column_space_and_nullspace
+from trivolve.linalg import EPS, EPS_RANK
 from trivolve.starmap import conjugation_map, make_map
 from trivolve.trivolution import classify_star_map
 
@@ -248,29 +248,23 @@ class TestTims:
     def test_z2_augmentation_mean(self, z2):
         space = full_dual(z2)
         phi = verify_character(z2, [1.0, 1.0])
-        means = tim_set(z2, space, phi)
-        assert means.is_unique
-        assert np.allclose(means.particular, [0.5, 0.5])
+        assert np.allclose(tim_set(space, phi), [0.5, 0.5])
 
     def test_z3_uniform_mean(self, z3):
         space = full_dual(z3)
         phi = verify_character(z3, [1.0, 1.0, 1.0])
-        means = tim_set(z3, space, phi)
-        assert means.is_unique
-        assert np.allclose(means.particular, [1 / 3, 1 / 3, 1 / 3])
+        assert np.allclose(tim_set(space, phi), [1 / 3, 1 / 3, 1 / 3])
 
     def test_pointwise_coordinate_mean(self, c2):
         space = full_dual(c2)
         phi = verify_character(c2, [1.0, 0.0])
-        means = tim_set(c2, space, phi)
-        assert means.is_unique
-        assert np.allclose(means.particular, [1.0, 0.0])
+        assert np.allclose(tim_set(space, phi), [1.0, 0.0])
 
     def test_character_must_lie_in_x(self, z2):
         space = check_introverted(z2, np.array([[1.0], [1.0]]))
         sign = verify_character(z2, [1.0, -1.0])
         with pytest.raises(CertificationFailure) as info:
-            tim_set(z2, space, sign)
+            tim_set(space, sign)
         assert info.value.law == "phi in X"
 
     def test_non_introverted_rejected(self, z3):
@@ -279,7 +273,7 @@ class TestTims:
         assert not space.introverted
         phi = verify_character(z3, [1.0, 1.0, 1.0])
         with pytest.raises(CertificationFailure) as info:
-            tim_set(z3, space, phi)
+            tim_set(space, phi)
         assert info.value.law == "X topologically introverted"
         assert info.value.details == {"escape": space.diagnostic}
 
@@ -287,36 +281,34 @@ class TestTims:
         space = full_dual(z2)
         phi = verify_character(z2, [1.0, 1.0])
         star = extend_involution(z2, z2_involution, space)
-        report = tim_obstruction_check(tim_set(z2, space, phi), phi, star, space)
-        assert report.unique and not report.vacuous
-        assert max(report.chain_residuals.values()) <= 1e-9
+        chain = tim_obstruction_check(tim_set(space, phi), phi, star, space)
+        assert chain and max(chain.values()) <= 1e-9
 
     def test_obstruction_chain_pointwise(self, c3):
         space = full_dual(c3)
         conj = conjugation_map(c3)
         star = extend_involution(c3, conj, space)
         for phi in find_characters(c3).characters:
-            report = tim_obstruction_check(tim_set(c3, space, phi), phi, star, space)
-            assert report.unique
+            chain = tim_obstruction_check(tim_set(space, phi), phi, star, space)
+            assert chain and max(chain.values()) <= 1e-9
 
     def test_vacuous_when_no_mean_exists(self):
         duals = dual_numbers()
         space = full_dual(duals)
         phi = verify_character(duals, [1.0, 0.0])
-        means = tim_set(duals, space, phi)
-        assert means.is_empty
+        mean = tim_set(space, phi)
+        assert mean is None
         conj = conjugation_map(duals)
         star = extend_involution(duals, conj, space)
-        report = tim_obstruction_check(means, phi, star, space)
-        assert report.vacuous and report.unique
+        assert tim_obstruction_check(mean, phi, star, space) == {}
 
 
 def svd_tim_set(algebra, space, phi):
-    """The tall-system route ``tim_set`` replaced, kept as a reference: ``(particular, affine_dim)``.
+    """The tall-system route ``tim_set`` replaced, kept as a reference: ``(mean, kernel)``.
 
     The ``(2nk+1) x k`` system of the blocks ``a.m - phi(a) m`` and ``m.a - phi(a) m``
-    over the row ``<m, phi> = 1``, solved by one SVD; ``(None, None)`` when its
-    residual exceeds ``EPS``.
+    over the row ``<m, phi> = 1``, solved by ``lstsq``, with its kernel from a full SVD;
+    the mean is None when the solve's residual exceeds ``EPS``.
     """
     n = algebra.dim
     free = space.free
@@ -333,10 +325,11 @@ def svd_tim_set(algebra, space, phi):
     system = np.vstack([blocks.reshape(2 * n * k, k), phi[free].reshape(1, -1)])
     target = np.zeros(2 * n * k + 1, dtype=complex)
     target[-1] = 1.0
-    _, kernel, u, residual = column_space_and_nullspace(system, target)
-    if residual > EPS:
-        return None, None
-    return space.embed_coords(u), kernel.shape[1]
+    u, *_ = np.linalg.lstsq(system, target, rcond=None)
+    _, s, vh = np.linalg.svd(system)
+    kernel = vh[int(np.sum(s > EPS_RANK)):, :].conj().T
+    mean = None if np.max(np.abs(system @ u - target)) > EPS else space.embed_coords(u)
+    return mean, kernel
 
 
 def scaled_sum(s: float, skew: float):
@@ -384,13 +377,12 @@ def test_tim_set_matches_the_svd_route():
     compared = 0
     for label, algebra, space, characters, tolerance in tim_cases():
         for phi in characters:
-            means = tim_set(algebra, space, phi)
-            particular, affine_dim = svd_tim_set(algebra, space, phi)
-            assert means.is_empty == (particular is None), label
-            assert means.affine_dim == affine_dim, label
-            if particular is not None:
-                assert np.max(np.abs(means.particular - particular)) <= tolerance, label
-            assert means.is_empty == (label == "dual_numbers"), label
+            mean = tim_set(space, phi)
+            reference, kernel = svd_tim_set(algebra, space, phi)
+            assert (mean is None) == (reference is None) == (label == "dual_numbers"), label
+            if reference is not None:  # the mean is unique: the reference's system has no kernel
+                assert kernel.shape[1] == 0, label
+                assert np.max(np.abs(mean - reference)) <= tolerance, label
             compared += 1
     assert compared == 97  # 19 battery algebras of dim 2 to 8, every character; then 1 + 6 + 1
 

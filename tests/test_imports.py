@@ -226,12 +226,26 @@ def test_lstsq_is_left_only_in_the_identity_fallback():
     assert solver_uses(sources) == SOLVER_USES
 
 
-# The suite decides every law through the library's pass rule (``errors.certify`` at ``EPS``,
-# or a verdict such as ``SpectralInclusionReport.included``), not against literal thresholds.
-def float_thresholds(source: str) -> list[str]:
-    """Each comparison, by line, with an operand that is a float literal or a product holding one.
+# Every law is decided at ``EPS`` and every rank at ``EPS_RANK``.  The comparisons against a
+# float literal left in ``src/`` are pinned here by function, as ``SOLVER_USES`` pins
+# ``lstsq``: the ``1e-6`` de-duplication of the characters, the inverse's ``1e3 * EPS``,
+# Newton's ``1e-12`` stop and ``1e-6`` de-duplication, and the ``1e-6`` de-duplication of the
+# type-1 candidates.  The suite has none: it decides through the library's pass rule.
+LITERAL_CUTS = [
+    "duality.find_characters",
+    "spectra.inverse_element",
+    "unitization._idempotents_newton",
+    "unitization._idempotents_newton",
+    "unitization.find_type1_solutions",
+]
 
-    A literal may be negated; a product is a ``*`` anywhere in the operand, such as ``1e3 * EPS``.
+
+def float_thresholds(sources: dict[str, str]) -> list[str]:
+    """Each ``module.function`` that compares against a float literal or a product holding one.
+
+    One entry per comparison, in source order; ``function`` is the outermost enclosing def,
+    ``<module>`` outside every def.  A literal may be negated; a product is a ``*`` anywhere in
+    the operand, such as ``1e3 * EPS``.
     """
     def is_float(node) -> bool:
         if isinstance(node, ast.UnaryOp):
@@ -243,16 +257,33 @@ def float_thresholds(source: str) -> list[str]:
             isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
             and any(is_float(part) for part in ast.walk(n)) for n in ast.walk(node))
 
-    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Compare)
-            and any(is_threshold(operand) for operand in [node.left, *node.comparators])]
+    found = []
+
+    def visit(node: ast.AST, module: str, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and where == "<module>":
+            where = node.name
+        if isinstance(node, ast.Compare) and any(
+                is_threshold(operand) for operand in [node.left, *node.comparators]):
+            found.append(f"{module}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "<module>")
+    return found
 
 
 def test_scan_finds_a_float_threshold():
-    source = ("a = x <= 1e-8\nb = -1e-9 < y\nc = z > 1e3 * EPS\nd = n == 3\n"
+    source = ("a = x <= 1e-8\ndef f():\n    b = -1e-9 < y\n    def g():\n"
+              "        return z > 1e3 * EPS\n    d = n == 3\n    return g\n"
               "e = abs(x - 2.0) <= EPS\nf = k % 8 == 0\ng = max_abs(d * 0.5) <= EPS\n")
-    assert float_thresholds(source) == ["line 1", "line 2", "line 3", "line 7"]
+    assert float_thresholds({"a": source}) == ["a.<module>", "a.f", "a.f", "a.<module>"]
 
 
 def test_the_suite_compares_against_no_float_literal():
-    assert float_thresholds((PACKAGE / "suite.py").read_text(encoding="utf-8")) == []
+    assert float_thresholds({"suite": (PACKAGE / "suite.py").read_text(encoding="utf-8")}) == []
+
+
+def test_the_literal_cuts_are_pinned():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert float_thresholds(sources) == LITERAL_CUTS

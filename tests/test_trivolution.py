@@ -12,7 +12,7 @@ from trivolve.algebra import (
     product_algebra,
 )
 from trivolve.errors import CertificationFailure, UsageError
-from trivolve.linalg import EPS, max_abs
+from trivolve.linalg import EPS, EPS_RANK, max_abs, realify_conjugation_fixed_points
 from trivolve.instances import (
     conjugate_transpose_involution,
     first_column_algebra,
@@ -361,6 +361,24 @@ class TestHermitianTheory:
         with pytest.raises(CertificationFailure) as info:
             hermitian_decomposition(c2, remark_tau, np.array([0.0, 1.0], dtype=complex))
         assert info.value.law == "x in tau(A)"
+
+    def test_the_pair_is_the_one_solution_of_the_real_system(self, battery):
+        # x1 + i x2 = x over the hermitians, as a real system in the coefficients of a real
+        # basis of the hermitians: its null space is 0, and it solves to the returned pair
+        rng = np.random.default_rng(3)
+        for inst in battery:
+            n = inst.algebra.dim
+            h = realify_conjugation_fixed_points(inst.tau.matrix)
+            system = np.block([[h.real, -h.imag], [h.imag, h.real]])
+            s = np.linalg.svd(system, compute_uv=False)
+            assert np.sum(s > EPS_RANK) == system.shape[1], inst.name  # no null space
+            half = h.shape[1]
+            for _ in range(3):
+                x = apply(inst.tau, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                x1, x2 = hermitian_decomposition(inst.algebra, inst.tau, x)
+                coeffs, *_ = np.linalg.lstsq(system, np.concatenate([x.real, x.imag]), rcond=None)
+                assert max_abs(h @ coeffs[:half] - x1) <= 1e-12, inst.name
+                assert max_abs(h @ coeffs[half:] - x2) <= 1e-12, inst.name
 
     def test_functional_checks(self, c2, remark_tau):
         conj2 = conjugation_map(c2)
