@@ -122,7 +122,15 @@ class Subspace:
         return reduce_vector(columns, self.echelon, list(self.pivots))
 
     def residuals(self, columns) -> np.ndarray:
-        """Membership residual of every column of ``columns``."""
+        """Membership residual of every column of ``columns``.
+
+        A subspace of the algebra's full dimension holds every vector, so it
+        reduces nothing: a finite column's residual is 0.0, which is also what
+        the reduction gives on the identity echelon, and a column with a
+        non-finite entry's is ``inf``, so an overflow still fails.
+        """
+        if self.dim == self.algebra.dim:
+            return np.where(np.isfinite(as_complex(columns)).all(axis=0), 0.0, math.inf)
         return np.abs(self.reduce(columns)).max(axis=0, initial=0.0)
 
     def same_span(self, other: "Subspace") -> bool:
@@ -534,10 +542,15 @@ def quotient(algebra: Algebra, s: Subspace):
     The complement is spanned by the coordinates that are not pivots of
     the ideal's echelon form, which makes the quotient basis labelling
     reproducible.  The quotient by the whole algebra is the zero algebra.
-    Returns ``(quotient_algebra, quotient_map)``.
+    The quotient by the zero subspace is ``algebra`` itself with the identity
+    map: it would rebuild the same tensor bit for bit, so nothing is built or
+    certified again.  Returns ``(quotient_algebra, quotient_map)``.
     """
-    from .starmap import classify_multiplicativity, make_map  # deferred: starmap imports algebra
+    # deferred: starmap imports algebra
+    from .starmap import classify_multiplicativity, identity_map, make_map
 
+    if s.dim == 0:
+        return algebra, identity_map(algebra)
     escapes = _action_escapes(algebra, s)
     if escapes.any():
         i, j, side = np.unravel_index(int(np.argmax(escapes)), escapes.shape)

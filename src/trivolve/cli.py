@@ -218,16 +218,15 @@ def _cmd_arens(args: argparse.Namespace) -> dict:
 def _cmd_tim(args: argparse.Namespace) -> dict:
     algebra = load_algebra(_need(args, "algebra"))
     space = _load_space(args, algebra)
-    space.require_introverted()  # also when no character lies in X and tim_set never runs
+    space.require_introverted()  # first: the space fails before a character or the extension
     if args.character is not None:
-        characters = [verify_character(algebra, load_element(args.character, algebra), EPS)]
+        characters = verify_character(algebra, load_element(args.character, algebra), EPS)[None]
         possibly_incomplete = False
     else:
         search = find_characters(algebra, args.seed)
         # a mean needs its character in X; the characters of A outside X have none to solve for
         coords = np.array(search.characters).reshape(-1, algebra.dim)
-        in_x = space.basis.residuals(coords.T) <= EPS
-        characters = [phi for phi, keep in zip(search.characters, in_x) if keep]
+        characters = coords[space.basis.residuals(coords.T) <= EPS]
         possibly_incomplete = search.possibly_incomplete
 
     star = None
@@ -235,9 +234,10 @@ def _cmd_tim(args: argparse.Namespace) -> dict:
         theta = load_map(args.map, default_source=algebra)
         star = extend_involution(algebra, theta, space)
 
+    means = tim_set(space, characters)
+    chains = None if star is None else tim_obstruction_check(means, characters, star, space)
     results = []
-    for phi in characters:
-        mean = tim_set(space, phi)
+    for b, (phi, mean) in enumerate(zip(characters, means)):
         # a mean is unique when it exists; bench/oracle.py still reads "affine_dim",
         # "vacuous" and "unique"
         entry = {
@@ -245,11 +245,11 @@ def _cmd_tim(args: argparse.Namespace) -> dict:
             "particular": mean,
             "affine_dim": None if mean is None else 0,
         }
-        if star is not None:
+        if chains is not None:
             entry["obstruction"] = {
                 "vacuous": mean is None,
                 "unique": True,
-                "chain_residuals": tim_obstruction_check(mean, phi, star, space),
+                "chain_residuals": chains[b],
             }
         results.append(entry)
     return {"characters": len(characters),

@@ -16,8 +16,9 @@ Every module action is taken over the whole basis at once, and once per
 space: the stacks ``lambda . b_i`` and ``b_i . lambda`` for all ``i`` are
 two views of one contraction of the structure tensor, which
 ``check_introverted`` makes, and their membership in ``X`` is one batched
-reduction.  In finite dimension the second dual is ``A`` itself, so the
-functionals ``Phi_i`` that span ``X*`` act as the basis vectors do
+reduction, or none for ``X = A*``, which holds every functional.  In
+finite dimension the second dual is ``A`` itself, so the functionals
+``Phi_i`` that span ``X*`` act as the basis vectors do
 (``Phi_i . lambda = b_i . lambda`` and ``lambda . Phi_i = lambda . b_i``);
 the submodule stacks therefore also decide introversion, which holds
 exactly when ``X^perp`` is a two-sided ideal of ``A``.
@@ -25,6 +26,7 @@ exactly when ``X^perp`` is a two-sided ideal of ``A``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -51,6 +53,7 @@ from .linalg import (
     column_space_and_nullspace,
     freeze,
     max_abs,
+    max_abs_each,
 )
 from .instances import _involutive_permutations_canonical, averaging_trivolution, indicator_trivolution
 from .starmap import AlgMap, adjoint
@@ -128,6 +131,7 @@ class IntrovertedSpace:
     ``X*`` is ``quotient``, ``A / X^perp``, built by ``algebra.quotient``
     once the space is certified introverted: a class is represented by its
     one member supported on the annihilator's free (non-pivot) coordinates.
+    For ``X = A*`` the annihilator is 0, and ``X*`` is ``A`` itself.
     ``lambda_s`` are the canonical columns of ``basis``.
     """
 
@@ -268,12 +272,17 @@ def extend_involution(algebra: Algebra, theta: AlgMap, space: IntrovertedSpace) 
 # topological invariant means
 # ---------------------------------------------------------------------------
 
-def tim_set(space: IntrovertedSpace, phi: np.ndarray) -> np.ndarray | None:
+def tim_set(space: IntrovertedSpace,
+            phi: np.ndarray) -> list[np.ndarray | None] | np.ndarray | None:
     """The mean ``m`` in ``X*`` with ``<m, phi> = 1`` and ``a.m = m.a = phi(a) m``, or None.
 
-    The mean is returned as its representative in the second dual.
+    ``phi`` is a ``(B, n)`` stack of characters, and the result is the list of
+    their ``B`` means, each returned as its representative in the second dual.
+    A 1-d character is a stack of one, whose mean (or None) is returned alone.
+    Every member comes out bit for bit as it would on its own.
 
-    The module actions on ``X*`` need ``X`` introverted, which is certified first.
+    The module actions on ``X*`` need ``X`` introverted, which is certified
+    first, and then every member's ``phi in X``, by one residuals call.
     It suffices to take ``a`` over ``X*``'s basis, the classes of ``b_f`` for
     ``f`` in ``free``: a class acts through any representative, and ``phi``,
     which lies in ``X``, vanishes on ``X^perp``.  With ``phi_f = phi[free]``
@@ -283,8 +292,9 @@ def tim_set(space: IntrovertedSpace, phi: np.ndarray) -> np.ndarray | None:
     ``G = S0 - H - H^H + 2 |phi_f|^2 I + conj(phi_f) phi_f^T``, with
     ``(S0, T) = space.action_gram`` and ``H = sum_a conj(phi_f[a]) T_a``.  Every
     sum is a batched ``k x k`` product or an elementwise one, so ``G`` and the
-    result do not depend on the BLAS thread count.  One ``eigh`` of ``G``
-    gives the solve.  It keeps the eigenvalues above ``EPS_RANK ** 2``: the
+    result do not depend on the BLAS thread count.  Each member's ``G`` is
+    summed on its own, and one batched ``eigh`` of the stack gives every
+    solve.  It keeps the eigenvalues above ``EPS_RANK ** 2``: the
     eigenvalues of ``G`` are the squared singular values of the system, so
     this is ``column_space_and_nullspace``'s cut at ``EPS_RANK``, and it
     keeps the division finite.
@@ -295,8 +305,10 @@ def tim_set(space: IntrovertedSpace, phi: np.ndarray) -> np.ndarray | None:
     system's SVD met it.  Such a solve is refined against the residual
     of the full system, ``u -= G^+ A^H r``, until that residual is at most
     ``EPS``, with LAPACK ``xGERFS``'s limits: at most five steps, each kept
-    only if it halves the residual.  The solution is certified on the full
-    system: there is no mean when its worst residual exceeds ``EPS``.
+    only if it halves the residual.  The residuals of the whole stack are
+    one product of the actions with ``(k, 1)`` columns, and only the members
+    above ``EPS`` are refined.  A solution is certified on the full system:
+    there is no mean when its worst residual exceeds ``EPS``.
 
     A mean, when one exists, is unique: if ``m0`` and ``m0 + h`` are means,
     then ``h = h.m0 = <h, phi> m0 = 0``, so ``G`` is nonsingular and the
@@ -304,64 +316,91 @@ def tim_set(space: IntrovertedSpace, phi: np.ndarray) -> np.ndarray | None:
     residual, so the cut cannot change that verdict.
     """
     space.require_introverted()
-    certify(space.basis.residual(phi), EPS, "phi in X", "the character does not lie in X")
-    phi_f = phi[space.free]
+    phis = np.reshape(phi, (-1, space.algebra.dim))
+    for residual in space.basis.residuals(phis.T):
+        certify(residual, EPS, "phi in X", "the character does not lie in X")
+    phi_f = np.ascontiguousarray(phis[:, space.free])  # rows as BLAS reads a lone phi[free]
     s0, t = space.action_gram
-    h = (np.conj(phi_f)[:, None, None] * t).sum(axis=0)
-    gram = (s0 - h - h.conj().T + 2 * np.sum(np.abs(phi_f) ** 2) * np.eye(len(phi_f))
-            + np.outer(np.conj(phi_f), phi_f))
-    values, vectors = np.linalg.eigh(gram)
-    keep = values > EPS_RANK ** 2
-    basis = vectors[:, keep]
+    eye = np.eye(phi_f.shape[1])
+    grams = np.zeros((len(phi_f),) + eye.shape, dtype=complex)
+    for gram, p in zip(grams, phi_f):
+        h = (np.conj(p)[:, None, None] * t).sum(axis=0)
+        gram[...] = (s0 - h - h.conj().T + 2 * np.sum(np.abs(p) ** 2) * eye
+                     + np.outer(np.conj(p), p))
+    values, vectors = np.linalg.eigh(grams)
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        return basis @ ((basis.conj().T @ rhs) / values[keep])
+    def solve(b: int, rhs: np.ndarray) -> np.ndarray:
+        keep = values[b] > EPS_RANK ** 2
+        basis = vectors[b][:, keep]
+        return basis @ ((basis.conj().T @ rhs) / values[b][keep])
 
-    def residuals(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        blocks = space.actions @ u - phi_f[:, None, None] * u  # a.m - phi(a) m, m.a - phi(a) m
-        last = phi_f @ u - 1.0
-        return blocks, last, max(max_abs(blocks), max_abs(last))
+    def residuals(u: np.ndarray, p: np.ndarray):
+        """Per member: ``a.m - phi(a) m`` and ``m.a - phi(a) m``, ``<m, phi> - 1``, the worst."""
+        blocks = ((space.actions @ u[:, None, None, :, None])[..., 0]
+                  - p[:, :, None, None] * u[:, None, None, :])
+        last = (p[:, None, :] @ u[:, :, None])[:, 0, 0] - 1.0
+        worst = np.maximum(max_abs_each(blocks), np.abs(last))
+        worst[np.isnan(worst)] = math.inf
+        return blocks, last, worst
 
-    u = solve(np.conj(phi_f))
-    blocks, last, residual = residuals(u)
-    for _ in range(5):
-        if residual <= EPS:
-            break
-        # A^H r, the normal equations' right-hand side for the correction
-        adjoint = ((blocks[..., None] * space.actions.conj()).sum(axis=(0, 1, 2))
-                   - (np.conj(phi_f)[:, None, None] * blocks).sum(axis=(0, 1))
-                   + np.conj(phi_f) * last)
-        refined = u - solve(adjoint)
-        refined_blocks, refined_last, refined_residual = residuals(refined)
-        if not refined_residual <= residual / 2:
-            break
-        u, blocks, last, residual = refined, refined_blocks, refined_last, refined_residual
-    return None if residual > EPS else space.embed_coords(u)
+    u = np.array([solve(b, np.conj(p)) for b, p in enumerate(phi_f)]).reshape(phi_f.shape)
+    blocks, last, worst = residuals(u, phi_f)
+    for b in np.flatnonzero(worst > EPS):
+        p, u_b, blocks_b, last_b, residual = phi_f[b], u[b], blocks[b], last[b], worst[b]
+        for _ in range(5):
+            if residual <= EPS:
+                break
+            # A^H r, the normal equations' right-hand side for the correction
+            adjoint = ((blocks_b[..., None] * space.actions.conj()).sum(axis=(0, 1, 2))
+                       - (np.conj(p)[:, None, None] * blocks_b).sum(axis=(0, 1))
+                       + np.conj(p) * last_b)
+            refined = u_b - solve(b, adjoint)
+            (new_blocks,), (new_last,), (new_residual,) = residuals(refined[None], p[None])
+            if not new_residual <= residual / 2:
+                break
+            u_b, blocks_b, last_b, residual = refined, new_blocks, new_last, new_residual
+        u[b], worst[b] = u_b, residual
+    means = [None if residual > EPS else space.embed_coords(u_b)
+             for u_b, residual in zip(u, worst)]
+    return means if np.ndim(phi) == 2 else means[0]
 
 
-def tim_obstruction_check(mean: np.ndarray | None, phi: np.ndarray, star: AlgMap,
-                          space: IntrovertedSpace) -> dict[str, float]:
-    """Certify the invariance/absorption/fixed-point chain for the mean; its residuals.
+def tim_obstruction_check(mean: list[np.ndarray | None] | np.ndarray | None, phi: np.ndarray,
+                          star: AlgMap, space: IntrovertedSpace
+                          ) -> list[dict[str, float]] | dict[str, float]:
+    """Certify the invariance/absorption/fixed-point chain for each mean; its residuals.
 
-    ``mean`` is ``tim_set(space, phi)`` and ``star`` is
+    ``phi`` is a ``(B, n)`` stack of characters and ``mean`` the list
+    ``tim_set(space, phi)`` gives for it; the result is the list of the ``B``
+    chains' residuals.  A 1-d character is a stack of one, with its one
+    mean, and its chain is returned alone.  ``star`` is
     ``extend_involution``'s certified involution of ``(X*, box)``, for one
-    introverted ``space``; both are taken as given, not solved again.
-    ``star`` must be compatible with the character
-    (``<phi, a*> = conj <phi, a>`` on the embedded algebra), which is
-    certified first; with no mean there is no chain, and the residuals are
-    ``{}``.  A mean is unique (``tim_set``), so there is one chain to
-    certify, and it ends in ``m = m*``.  Every action is read off
-    ``space.quotient``, the box algebra, so nothing is reduced again.
+    introverted ``space``; the means and ``star`` are taken as given, not
+    solved again.  ``star`` must be compatible with each character
+    (``<phi, a*> = conj <phi, a>`` on the embedded algebra); the stack's
+    compatibility residuals are one product with ``(1, k)`` rows.  Member by
+    member, in order, compatibility is certified and then the chain, so the
+    first failure is the one a member-by-member loop meets.  With no mean
+    there is no chain, and the residuals are ``{}``.  A mean is unique
+    (``tim_set``), so there is one chain to certify, and it ends in
+    ``m = m*``.  Every action is read off ``space.quotient``, the box
+    algebra, so nothing is reduced again; ``left_mult_matrix`` and
+    ``right_mult_matrix`` take one member at a time.
     """
     quot, q = space.quotient, space.quotient_map.matrix  # column a of q: the class of b_a
-    phi_f = phi[space.free]
-    certify(max_abs(phi_f @ (star.matrix @ np.conj(q)) - np.conj(phi_f @ q)), EPS,
-            "<phi, a*> = conj <phi, a>", "star is not compatible with the character")
+    phi_f = np.ascontiguousarray(np.reshape(phi, (-1, space.algebra.dim))[:, space.free])
+    means = [mean] if np.ndim(phi) == 1 else mean
+    rows = phi_f[:, None, :]
+    compatibility = max_abs_each((rows @ (star.matrix @ np.conj(q)) - np.conj(rows @ q))[:, 0])
+    chains = []
+    for p, m, gap in zip(phi_f, means, compatibility):
+        certify(gap, EPS, "<phi, a*> = conj <phi, a>", "star is not compatible with the character")
+        chains.append({} if m is None else _mean_chain(quot, star, p, m[space.free]))
+    return chains if np.ndim(phi) == 2 else chains[0]
 
-    if mean is None:
-        return {}
 
-    m = mean[space.free]
+def _mean_chain(quot: Algebra, star: AlgMap, phi_f: np.ndarray, m: np.ndarray) -> dict[str, float]:
+    """The certified chain of one mean ``m`` in ``X*`` coordinates, for the character ``phi_f``."""
     m_star = star.matrix @ np.conj(m)
     residuals: dict[str, float] = {}
 

@@ -13,9 +13,10 @@ A linear system takes one of three routes:
 - a system whose kernel or image is needed goes to
   ``column_space_and_nullspace``: one thin SVD gives both;
 - the invariant-mean system (``duality.tim_set``, 1153 x 24 for C[Z24])
-  never forms its tall matrix: it is decided by one ``eigh`` of its
-  ``k x k`` Gram matrix, summed from batched ``k x k`` products, and
-  certified by its residual on the full system.
+  never forms its tall matrix: it is decided by the ``eigh`` of its
+  ``k x k`` Gram matrix, summed from batched ``k x k`` products, one
+  batched ``eigh`` for a stack of characters, and certified by its
+  residual on the full system.
 
 A rank test alone calls ``np.linalg.matrix_rank``, singular values only.
 
@@ -57,8 +58,9 @@ def max_abs(a) -> float:
 
 
 def max_abs_each(stack: np.ndarray) -> np.ndarray:
-    """``max_abs`` of every ``stack[b]``, as one array."""
-    worst = np.abs(stack).reshape(len(stack), -1).max(axis=1, initial=0.0)
+    """``max_abs`` of every ``stack[b]``, as one array; empty for an empty stack."""
+    flat = np.abs(stack).reshape(len(stack), math.prod(stack.shape[1:]))
+    worst = flat.max(axis=1, initial=0.0)
     worst[np.isnan(worst)] = math.inf
     return worst
 

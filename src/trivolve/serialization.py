@@ -48,10 +48,17 @@ entry is a complex vector and is written wholly as pairs, real entries
 included, exactly as the same values in a complex ``ndarray`` would be;
 lists without a complex entry are written as they are.  A complex
 ``ndarray`` is written as pairs, a real one as it is; an array's numbers
-go through one ``repr`` pass and one ``str.join``.  A non-finite number,
-which JSON cannot hold, means the inputs overflowed float64: a
-``UsageError`` naming the first one in insertion order, since a dict's
-members are encoded in insertion order and sorted afterwards.
+go through one ``repr`` pass and one ``str.join``.  Two rules spare that
+pass work, and neither changes a byte.  In an array that is mostly
+``+0.0``, each ``+0.0`` (the one float whose bits are all 0) is written
+``0.0`` without ``repr``, which mirrors the reader's ``0.0`` rule; ``-0.0``
+keeps its ``repr``, and a dense array keeps the plain pass.  And within one
+report an ndarray object met twice at the same level, as ``arens`` puts
+one tensor under ``box`` and ``diamond``, is encoded once.
+
+A non-finite number, which JSON cannot hold, means the inputs overflowed
+float64: a ``UsageError`` naming the first one in insertion order, since
+a dict's members are encoded in insertion order and sorted afterwards.
 """
 
 from __future__ import annotations
@@ -156,24 +163,32 @@ def _is_complex_vector(items) -> bool:
     return has_complex
 
 
-def _encode(value, level: int) -> str:
-    """The JSON text of ``value`` at indent ``level``."""
+def _encode(value, level: int, seen: dict) -> str:
+    """The JSON text of ``value`` at indent ``level``.
+
+    ``seen`` maps ``(id(array), level)`` to the array and its text, so an
+    ndarray met again at the same level is not encoded again; holding the
+    array keeps its ``id`` from being reused within the walk.
+    """
     if isinstance(value, (float, np.floating)):
         return float.__repr__(_finite(float(value)))
     if isinstance(value, dict):
         # encoded in insertion order, so the first non-finite number is the one named
-        members = {str(k): _encode(v, level + 1) for k, v in value.items()}
+        members = {str(k): _encode(v, level + 1, seen) for k, v in value.items()}
         return _join([(encode_basestring_ascii(k) + ": ", text)
                       for k, text in sorted(members.items())], "{}", level)
     if isinstance(value, (list, tuple)):
         items = [complex_to_pair(v) for v in value] if _is_complex_vector(value) else value
-        return _join([("", _encode(v, level + 1)) for v in items], "[]", level)
+        return _join([("", _encode(v, level + 1, seen)) for v in items], "[]", level)
     if isinstance(value, np.ndarray):
-        return _encode_array(value, level)
+        key = (id(value), level)
+        if key not in seen:
+            seen[key] = value, _encode_array(value, level, seen)
+        return seen[key][1]
     if isinstance(value, (complex, np.complexfloating)):
-        return _encode(complex_to_pair(value), level)
+        return _encode(complex_to_pair(value), level, seen)
     if isinstance(value, (np.integer, np.bool_)):
-        return _encode(value.item(), level)
+        return _encode(value.item(), level, seen)
     return json.dumps(value)  # a str, int, bool or None; anything else raises TypeError
 
 
@@ -189,18 +204,31 @@ def _join(members: list[tuple[str, str]], brackets: str, level: int) -> str:
     return "".join(parts)
 
 
-def _encode_array(arr: np.ndarray, level: int) -> str:
-    """One ``repr`` pass over the numbers, joined by precomputed separators."""
+def _encode_array(arr: np.ndarray, level: int, seen: dict) -> str:
+    """One ``repr`` pass over the numbers, joined by precomputed separators.
+
+    An array that is mostly ``+0.0`` writes each of those as ``"0.0"`` and
+    takes the ``repr`` of the others only; any other array takes the
+    ``repr`` of every number.
+    """
     if np.iscomplexobj(arr):
         arr = np.asarray(arr, dtype=complex)
         arr = np.stack([arr.real, arr.imag], axis=-1)
     if arr.dtype.kind != "f" or not arr.size or not arr.ndim:
-        return _encode(arr.tolist(), level)
+        return _encode(arr.tolist(), level, seen)
     arr = np.asarray(arr, dtype=float)
     if not np.isfinite(arr).all():
         _finite(arr[~np.isfinite(arr)][0])  # raises UsageError
-    leaves = map(float.__repr__, arr.ravel().tolist())
     depth, size = arr.ndim, arr.size
+    flat = arr.ravel()
+    zero = flat.view(np.uint64) == 0  # +0.0, the one float whose bits are all 0
+    if 2 * np.count_nonzero(zero) > size:
+        leaves = ["0.0"] * size
+        others = np.flatnonzero(~zero)
+        for i, text in zip(others.tolist(), map(float.__repr__, flat[others].tolist())):
+            leaves[i] = text
+    else:
+        leaves = map(float.__repr__, flat.tolist())
     pads = ["\n" + _INDENT * (level + d) for d in range(depth + 1)]
 
     def closing(rolled: int) -> str:
@@ -225,7 +253,7 @@ def _encode_array(arr: np.ndarray, level: int) -> str:
 
 def dumps_report(report: dict) -> str:
     """The report as JSON text, by the rules in the module docstring."""
-    return _encode(report, 0) + "\n"
+    return _encode(report, 0, {}) + "\n"
 
 
 def read_json(path: str | Path):

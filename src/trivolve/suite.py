@@ -272,8 +272,7 @@ def _section_misc_laws(battery: list[TrivolutionInstance], seed: int) -> dict:
 
     # each x in tau(A) is x1 + i x2 with x1, x2 hermitian
     for inst in _sample(battery, 8):
-        hermitian_decomposition(inst.algebra, inst.tau,
-                                apply(inst.tau, np.ones(inst.algebra.dim, dtype=complex)))
+        hermitian_decomposition(inst.tau, apply(inst.tau, np.ones(inst.algebra.dim, dtype=complex)))
 
     return {"max_residual": worst}
 

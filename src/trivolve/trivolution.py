@@ -490,9 +490,8 @@ def check_positive(algebra: Algebra, tau: AlgMap, x: np.ndarray, y: np.ndarray) 
     return max_abs(x - multiply(algebra, apply(tau, y), y)) <= EPS
 
 
-def hermitian_decomposition(algebra: Algebra, tau: AlgMap,
-                            x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Write ``x = x1 + i x2`` with both parts hermitian.
+def hermitian_decomposition(tau: AlgMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Write ``x``, an element of ``tau``'s algebra, as ``x1 + i x2`` with both parts hermitian.
 
     Possible exactly when ``x`` lies in the range of the map.  The pair is
     unique: if ``x1 + i x2 = y1 + i y2`` with all four fixed by ``tau``, the

@@ -32,6 +32,8 @@ from trivolve.starmap import apply, kernel_image
 from trivolve.trivolution import hermitian_decomposition
 from trivolve.unitization import find_type1_solutions, range_identity, verify_extension
 
+from spec_writers import count_calls
+
 complex_scalars = st.builds(complex,
                             st.floats(-5, 5, allow_nan=False),
                             st.floats(-5, 5, allow_nan=False))
@@ -213,7 +215,7 @@ def _returned_vectors(algebra, tau):
         "multiply": lambda: multiply(algebra, x, x),
         "apply": lambda: apply(tau, x),
         "range_identity": lambda: e_b,
-        "hermitian_decomposition": lambda: hermitian_decomposition(algebra, tau, x)[1],
+        "hermitian_decomposition": lambda: hermitian_decomposition(tau, x)[1],
         "find_type1_solutions": lambda: find_type1_solutions(algebra, tau).solutions[-1],
         "verify_character": lambda: verify_character(algebra, [1.0, 0.0]),
         "load_element": lambda: load_element("[1, 2]", algebra),
@@ -372,6 +374,16 @@ class TestQuotient:
         assert str(caught.value) == (
             f"subspace is not a two-sided ideal: {witness} escapes the subspace")
 
+    def test_zero_subspace_gives_the_algebra_itself(self, z3, monkeypatch):
+        # the X* of X = A*: X^perp is 0, and A / 0 is A with the identity map, neither
+        # built nor certified again
+        built = count_calls(monkeypatch, "make_algebra")
+        checked = count_calls(monkeypatch, "classify_multiplicativity")
+        quot, qmap = quotient(z3, Subspace(np.zeros((3, 0)), z3))
+        assert quot is z3 and qmap.source is z3 and qmap.target is z3
+        assert np.array_equal(qmap.matrix, np.eye(3)) and not qmap.conjugating
+        assert built == checked == []
+
     def test_whole_algebra_gives_the_zero_algebra(self, z2):
         # the X* of X = 0: X^perp is all of A
         quot, qmap = quotient(z2, Subspace(np.eye(2), z2))
@@ -450,6 +462,24 @@ class TestBatchedReduction:
         assert np.array_equal(s.residuals(x), expected)
         assert [s.residual(x[:, j]) for j in range(6)] == expected.tolist()
         assert s.residuals(np.zeros((n, 0))).shape == (0,)
+
+    @pytest.mark.parametrize("n", [1, 4, 24])
+    def test_a_full_subspace_reduces_nothing(self, n, monkeypatch):
+        # every vector lies in a subspace of full dimension: 0.0 with no reduction, which is
+        # what the reduction gives on the identity echelon, and inf for a non-finite column
+        rng = np.random.default_rng(n)
+        algebra = function_algebra(n)
+        x = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
+        x[0, 3], x[-1, 4] = np.inf, complex(0.0, np.nan)
+        identity = Subspace(np.eye(n), algebra)
+        reduced = np.abs(reduce_vector(x[:, :3], identity.echelon, identity.pivots)).max(axis=0)
+        spanning = Subspace(rng.standard_normal((n, n + 2)), algebra)
+        monkeypatch.setattr(Subspace, "reduce", lambda self, columns: pytest.fail("reduced"))
+        for s in (identity, spanning):
+            residuals = s.residuals(x)
+            assert residuals[:3].tobytes() == reduced.tobytes() == np.zeros(3).tobytes()
+            assert residuals[3:].tolist() == [np.inf, np.inf]
+            assert s.residual(x[:, 0]) == 0.0
 
 
 def lstsq_coordinates(s, columns):

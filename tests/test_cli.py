@@ -269,7 +269,11 @@ def test_tim_solves_once_per_character(tmp_path, z2, z2_involution, monkeypatch)
     code, report = run_cli(["tim", "--algebra", str(z2_path),
                             "--map", str(theta_path)], tmp_path)
     assert code == 0 and all(entry["obstruction"]["unique"] for entry in report["means"])
-    assert len(calls) == report["characters"] == 2
+    # one call, whose (2, 2) stack holds each character once
+    (_, characters), = calls
+    assert characters.shape == (report["characters"], 2) == (2, 2)
+    assert [entry["character"] for entry in report["means"]] == [
+        [[v.real, v.imag] for v in phi] for phi in characters]
 
 
 def z4_with_involution(tmp_path):
@@ -301,7 +305,7 @@ def test_tim_classifies_star_once_and_builds_arens_once(tmp_path, monkeypatch):
 
 def test_tim_obstruction_check_reduces_nothing(tmp_path, monkeypatch):
     # a.m*, m*.a and the classes of the basis are read off the quotient and its map,
-    # built once per space: the chain makes no reduction for any character
+    # built once per space: the chain of the four characters' stack makes no reduction
     z4_path, theta_path = z4_with_involution(tmp_path)
     reduced, per_check = [], []
     original_check, original_reduce = cli.tim_obstruction_check, Subspace.reduce
@@ -320,7 +324,7 @@ def test_tim_obstruction_check_reduces_nothing(tmp_path, monkeypatch):
     monkeypatch.setattr(Subspace, "reduce", counted_reduce)
     code, report = run_cli(["tim", "--algebra", z4_path, "--map", theta_path], tmp_path)
     assert code == 0 and report["characters"] == 4
-    assert per_check == [0, 0, 0, 0]
+    assert per_check == [0]
 
 
 def test_extend_builds_range_identity_once_per_solver(spec_files, tmp_path, monkeypatch):
@@ -423,9 +427,9 @@ def test_malformed_spec_file_is_usage_error(tmp_path, z2, command, flag, content
 
 
 def test_tim_solves_each_character_with_one_eigh(tmp_path, monkeypatch):
-    # tim_set decides each character by one eigh of its k x k Gram matrix, with no SVD
-    # and no lstsq; the annihilator's SVD belongs to check_introverted, which builds X*
-    # once for every character
+    # tim_set decides each character by its k x k Gram matrix, and the four characters'
+    # stack by one batched eigh, with no SVD and no lstsq; the annihilator's SVD belongs
+    # to check_introverted, which builds X* once for every character
     table = cyclic_group_table(4)
     z4 = group_algebra(table)
     z4_path = tmp_path / "z4.json"
@@ -459,10 +463,10 @@ def test_tim_solves_each_character_with_one_eigh(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", recorded("lstsq", np.linalg.lstsq))
     code, report = run_cli(["tim", "--algebra", str(z4_path), "--map", str(theta_path)],
                            tmp_path)
-    assert code == 0 and report["characters"] == len(tim_calls) == 4
+    assert code == 0 and report["characters"] == 4 and len(tim_calls) == 1
     assert all(entry["affine_dim"] == 0 for entry in report["means"])
     in_tim_set = [label for label, site in calls if site == "tim_set"]
-    assert in_tim_set == ["eigh"] * 4
+    assert in_tim_set == ["eigh"]
 
 
 def blas_name() -> str:
@@ -629,9 +633,15 @@ def test_text_report_matches_the_reference(argv, capsys):
 
 
 def render_through_json(report):
-    """The text rule: the report's JSON text, decoded and rendered."""
-    return _render_text(json.loads(dumps_report(report))) + "\n"
+    """The text rule: the report's JSON text, decoded and rendered.
 
+    The JSON text is the stdlib encoding of ``jsonable``, not ``dumps_report``'s, so
+    the encoder's own rules (its repeated arrays and its ``+0.0``) are checked too.
+    """
+    return _render_text(json.loads(json.dumps(jsonable(report), sort_keys=True, indent=2))) + "\n"
+
+
+SHARED = np.array([[0.0, -0.0, 0.0], [0.0, 2.5, 0.0]]) * (1 - 1j)  # mostly +0.0, -0.0 too
 
 EDGE_REPORT = {
     "floats": [1.0, -0.0, 1e-300, 0.1 + 0.2, np.float32(0.1), np.float64(2.5), 10**30],
@@ -640,7 +650,10 @@ EDGE_REPORT = {
     "arrays": {"complex": np.array([[1 + 2j, -0.0j]]), "real": np.eye(2)[0],
                "ints": np.arange(3), "bools": np.array([True, False]),
                "empty": np.zeros((0, 2), dtype=complex), "scalar": np.array(3.5),
-               "single": np.array([0.25], dtype=np.float32)},
+               "single": np.array([0.25], dtype=np.float32),
+               "zeros": np.array([0.0, -0.0, 0.0, 0.0, 1e-300, -0.0, 0.0, 0.0])},
+    "box": SHARED,
+    "diamond": SHARED,
     "numpy scalars": [np.int64(7), np.bool_(True), np.complex128(-1j)],
     "records": [{"b": 1, 2: "two"}, {"a": [np.array([1j])], "c": {}}],
     "empty": [],

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from trivolve import serialization
 from trivolve.cli import build_parser, run
 from trivolve.errors import ParseError, UsageError
 from trivolve.serialization import (
@@ -142,6 +143,8 @@ def reference(report) -> str:
     return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
 
 
+SHARED = np.arange(8).reshape(2, 2, 2) * (0.5 - 1j)
+
 EDGE_REPORTS = {
     "0-d arrays": {"r": np.array(2.5), "c": np.array(1 - 2j), "i": np.array(3),
                    "b": np.array(True)},
@@ -163,12 +166,38 @@ EDGE_REPORTS = {
     "numpy scalars": {"f": np.float64(0.1), "f32": np.float32(0.1), "i": np.int32(-7),
                       "b": np.bool_(False), "c": np.complex64(1 + 1j), "n": None},
     "non-str keys": {1: "one", 2.5: [1], None: {True: False}, "z": 0},
+    "mostly +0.0": {"a": np.array([[0.0, -0.0, 0.0], [5e-324, 0.0, 0.0]]),
+                    "c": np.array([[0.0, -0.0j, 0.0], [0.0, 1e300 + 0.0j, 0.0]]),
+                    "t": np.zeros((3, 2)).T, "f32": np.array([0.0, 0.0, 0.1], np.float32),
+                    "half": np.array([0.0, 1.5, -0.0, 0.0])},
+    "repeated arrays": {"box": SHARED, "diamond": SHARED, "deeper": {"box": SHARED},
+                        "items": [SHARED, SHARED.real]},
 }
 
 
 @pytest.mark.parametrize("report", EDGE_REPORTS.values(), ids=EDGE_REPORTS.keys())
 def test_dumps_report_matches_the_reference_on_edge_cases(report):
     assert dumps_report(report) == reference(report)
+
+
+def test_a_repeated_array_is_encoded_once_per_level(monkeypatch):
+    # one array object under box and diamond is encoded once; one level deeper its indent
+    # differs, so it is encoded again there, and an equal array that is another object too
+    encoded_arrays = []
+    original = serialization._encode_array
+
+    def counted(arr, level, seen):
+        encoded_arrays.append((arr, level))
+        return original(arr, level, seen)
+
+    monkeypatch.setattr(serialization, "_encode_array", counted)
+    report = {"box": SHARED, "diamond": SHARED, "deeper": {"box": SHARED}, "copy": SHARED.copy()}
+    assert dumps_report(report) == reference(report)
+    assert [(arr is SHARED, level) for arr, level in encoded_arrays] == [
+        (True, 1), (True, 2), (False, 1)]
+    encoded_arrays.clear()
+    assert dumps_report(report) == reference(report)  # nothing is kept between reports
+    assert len(encoded_arrays) == 3
 
 
 _leaves = st.one_of(

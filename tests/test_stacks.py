@@ -19,17 +19,35 @@ from trivolve.algebra import (
     group_algebra,
     induced_subalgebra,
     is_commutative,
+    left_mult_matrix,
     make_algebra,
+    multiply,
+    right_mult_matrix,
 )
-from trivolve.errors import CertificationFailure
-from trivolve.duality import find_characters, search_trivolutions, verify_character
+from trivolve.errors import CertificationFailure, certify
+from trivolve.duality import (
+    extend_involution,
+    find_characters,
+    full_dual,
+    search_trivolutions,
+    tim_obstruction_check,
+    tim_set,
+    verify_character,
+)
 from trivolve.instances import (
     _involutive_permutations_canonical,
     indicator_trivolution,
     instance_battery,
+    standard_group_involution,
 )
-from trivolve.linalg import EPS, EPS_RANK
-from trivolve.starmap import AlgMap, classify_multiplicativity, kernel_image, make_map
+from trivolve.linalg import EPS, EPS_RANK, max_abs
+from trivolve.starmap import (
+    AlgMap,
+    classify_multiplicativity,
+    conjugation_map,
+    kernel_image,
+    make_map,
+)
 from trivolve.trivolution import (
     KIND_INVOLUTION,
     KIND_NOT_STAR,
@@ -284,3 +302,147 @@ def test_spectra_section_builds_one_range_algebra_per_map(monkeypatch):
     built = count_calls(monkeypatch, "make_algebra")
     assert suite._section_spectra(battery, 0)["elements"] == 100  # a section passes when it returns
     assert len(built) == 25
+
+
+def reference_tim_set(space, phi):
+    """``(mean, steps)`` of one character by the one-character route, and its refinement steps."""
+    space.require_introverted()
+    certify(space.basis.residual(phi), EPS, "phi in X", "the character does not lie in X")
+    phi_f = phi[space.free]
+    s0, t = space.action_gram
+    h = (np.conj(phi_f)[:, None, None] * t).sum(axis=0)
+    gram = (s0 - h - h.conj().T + 2 * np.sum(np.abs(phi_f) ** 2) * np.eye(len(phi_f))
+            + np.outer(np.conj(phi_f), phi_f))
+    values, vectors = np.linalg.eigh(gram)
+    keep = values > EPS_RANK ** 2
+    basis = vectors[:, keep]
+
+    def solve(rhs):
+        return basis @ ((basis.conj().T @ rhs) / values[keep])
+
+    def residuals(u):
+        blocks = space.actions @ u - phi_f[:, None, None] * u
+        last = phi_f @ u - 1.0
+        return blocks, last, max(max_abs(blocks), max_abs(last))
+
+    u = solve(np.conj(phi_f))
+    blocks, last, residual = residuals(u)
+    steps = 0
+    for _ in range(5):
+        if residual <= EPS:
+            break
+        adjoint = ((blocks[..., None] * space.actions.conj()).sum(axis=(0, 1, 2))
+                   - (np.conj(phi_f)[:, None, None] * blocks).sum(axis=(0, 1))
+                   + np.conj(phi_f) * last)
+        refined = u - solve(adjoint)
+        refined_blocks, refined_last, refined_residual = residuals(refined)
+        steps += 1
+        if not refined_residual <= residual / 2:
+            break
+        u, blocks, last, residual = refined, refined_blocks, refined_last, refined_residual
+    return (None if residual > EPS else space.embed_coords(u)), steps
+
+
+def reference_chain(mean, phi, star, space):
+    """One character's chain residuals by the one-character route."""
+    quot, q = space.quotient, space.quotient_map.matrix
+    phi_f = phi[space.free]
+    certify(max_abs(phi_f @ (star.matrix @ np.conj(q)) - np.conj(phi_f @ q)), EPS,
+            "<phi, a*> = conj <phi, a>", "star is not compatible with the character")
+    if mean is None:
+        return {}
+    m = mean[space.free]
+    m_star = star.matrix @ np.conj(m)
+    scaled = np.outer(phi_f, m_star).T
+    left_gap = max_abs(right_mult_matrix(quot, m_star) - scaled)
+    residuals = {"star_invariance": max(left_gap,
+                                        max_abs(left_mult_matrix(quot, m_star) - scaled)),
+                 "absorption": left_gap,
+                 "double_star": max_abs(star.matrix @ np.conj(m_star) - m)}
+    m_phi = complex(phi_f @ m)
+    residuals["product_vs_scaling"] = max_abs(multiply(quot, m, m_star) - m_phi * m_star)
+    residuals["normalization"] = abs(m_phi - 1.0)
+    residuals["star_fixed"] = max_abs(m - m_star)
+    certify(max(residuals.values()), EPS,
+            "a.m* = m*.a = phi(a) m*; n box m* = <n,phi> m*; m = m*",
+            "the invariant-mean identity chain failed", details=residuals)
+    return residuals
+
+
+def badly_scaled_sum():
+    """C (+) C in the basis ``e1 + e2``, ``1e-7 e2``, whose mean solves refine: the case."""
+    basis = np.array([[1.0, 0.0], [1.0, 1e-7]])  # column j: b_j over e1, e2
+    inverse = np.linalg.inv(basis)
+    structure = np.zeros((2, 2, 2))
+    for i, j in np.ndindex(2, 2):
+        structure[i, j] = inverse @ (basis[:, i] * basis[:, j])
+    algebra = make_algebra(2, structure)
+    characters = [verify_character(algebra, row) for row in basis]
+    return "C+C badly scaled", algebra, characters, [conjugation_map(algebra)]
+
+
+def tim_stack_cases():
+    """``(label, algebra, characters, involutions)``: each commutative algebra of
+    ``instance_battery(0)`` with every battery involution on it, C[Z12], C[Z16] and C[Z24]
+    with the standard involution, and a badly scaled C (+) C."""
+    algebras: dict[int, tuple] = {}
+    for inst in instance_battery(0):
+        if is_commutative(inst.algebra):
+            label, algebra, characters, stars = algebras.setdefault(id(inst.algebra), (
+                inst.name, inst.algebra, find_characters(inst.algebra).characters, []))
+            if classify_star_map(algebra, inst.tau).kind == KIND_INVOLUTION:
+                stars.append(inst.tau)
+    yield from algebras.values()
+    for m in (12, 16, 24):
+        table = cyclic_group_table(m)
+        algebra = group_algebra(table)
+        yield (f"C[Z{m}]", algebra, find_characters(algebra).characters,
+               [standard_group_involution(algebra, table)])
+    yield badly_scaled_sum()
+
+
+def failure(call):
+    """``(law, residual)`` of the ``CertificationFailure`` that ``call`` raises, or None."""
+    try:
+        call()
+    except CertificationFailure as exc:
+        return exc.law, exc.residual
+    return None
+
+
+def test_a_character_stack_solves_and_certifies_as_each_character_alone():
+    # tim_set and tim_obstruction_check of the stack of every character against the
+    # one-character route, bit for bit: each mean (or None) and each chain; where the
+    # route fails a character's compatibility first, the stack fails it alike
+    means_compared = chains_compared = failures = refined = 0
+    for label, algebra, characters, stars in tim_stack_cases():
+        space = full_dual(algebra)
+        characters = np.array(characters)
+        means = tim_set(space, characters)
+        assert len(means) == len(characters), label
+        references = []
+        for phi, mean in zip(characters, means):
+            reference, steps = reference_tim_set(space, phi)
+            for got in (mean, tim_set(space, phi)):  # a 1-d character is a stack of one
+                assert (got is None) == (reference is None), label
+                assert got is None or got.tobytes() == reference.tobytes(), label
+            references.append(reference)
+            refined += steps > 0
+            means_compared += 1
+        for theta in stars:
+            star = extend_involution(algebra, theta, space)
+            expected = failure(lambda: [reference_chain(m, phi, star, space)
+                                        for phi, m in zip(characters, references)])
+            got = failure(lambda: tim_obstruction_check(means, characters, star, space))
+            assert got == expected, label
+            if expected is not None:
+                failures += 1
+                continue
+            chains = tim_obstruction_check(means, characters, star, space)
+            for phi, mean, chain in zip(characters, means, chains):
+                assert chain == reference_chain(mean, phi, star, space), label
+                assert tim_obstruction_check(mean, phi, star, space) == chain, label
+                chains_compared += 1
+    # 89 characters of 19 battery algebras, 52 of C[Z12..24] and 2; 25 involutions fail a
+    # character's compatibility, and one badly scaled solve refines
+    assert (means_compared, chains_compared, failures, refined) == (143, 120, 25, 1)

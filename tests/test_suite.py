@@ -55,7 +55,7 @@ def test_extension_scan_compares_the_imaginary_parts(monkeypatch):
 
 
 def refuse(decomposed):
-    def refused(algebra, tau, x):
+    def refused(tau, x):
         decomposed.append(x)
         raise CertificationFailure("refused", law="x in tau(A)", residual=0.5)
     return refused
@@ -67,9 +67,9 @@ def test_misc_laws_fails_when_a_hermitian_decomposition_fails(monkeypatch, batte
     decomposed = []
     original = suite.hermitian_decomposition
 
-    def counted(algebra, tau, x):
+    def counted(tau, x):
         decomposed.append(x)
-        return original(algebra, tau, x)
+        return original(tau, x)
 
     monkeypatch.setattr(suite, "hermitian_decomposition", counted)
     assert suite._section_misc_laws(battery, 0) == {"max_residual": 0.0}
